@@ -10,6 +10,12 @@
 //! decomposition of the instance's Gaifman graph, with each fact anchored at
 //! a node whose bag contains all its constants.
 //!
+//! Both runs walk only what the query can reach ([`restrict_to_reach`]):
+//! the facts that survive arc consistency against the body, and the
+//! decomposition projected onto their constants. For an anchored body that
+//! is a few bags whatever the instance size; a fact outside the reach is
+//! in no match, so the run's answer is the same as over the whole instance.
+//!
 //! Two run modes are provided, mirroring [`crate::uncertain`]:
 //!
 //! * [`cq_lineage_circuit`] — the nondeterministic provenance run, producing
@@ -228,10 +234,157 @@ impl CompiledQuery {
     }
 }
 
-/// Anchors every fact at a nice-decomposition node whose bag contains all its
-/// constants. Nullary facts are anchored at the root.
+/// The facts the body can reach: per atom, the facts of its relation and
+/// arity whose constants and repeated variables fit, then pruned to arc
+/// consistency — a fact stays only while every variable it binds has a
+/// value some fact of every other atom using that variable also offers.
+/// Every fact of a match survives, since the match itself supports it.
+/// Propagation stops after `atoms + 1` rounds (each round only drops
+/// facts, so stopping early keeps a superset, which is still exact).
+/// Returns the kept facts in identifier order; none when some atom has no
+/// candidate left.
+fn reachable_facts(instance: &Instance, compiled: &CompiledQuery) -> Vec<FactId> {
+    let mut candidates: Vec<Vec<FactId>> = compiled
+        .atoms
+        .iter()
+        .map(|(relation, terms)| {
+            let Some(relation) = instance.find_relation(relation) else {
+                return Vec::new();
+            };
+            let mut constants = Vec::new();
+            for (position, term) in terms.iter().enumerate() {
+                if let AtomTerm::Constant(name) = term {
+                    match instance.find_constant(name) {
+                        Some(c) => constants.push((position, c)),
+                        None => return Vec::new(),
+                    }
+                }
+            }
+            instance
+                .facts()
+                .filter(|(_, fact)| {
+                    fact.relation == relation
+                        && fact.args.len() == terms.len()
+                        && constants.iter().all(|&(i, c)| fact.args[i] == c)
+                        && repeats_agree(terms, &fact.args)
+                })
+                .map(|(id, _)| id)
+                .collect()
+        })
+        .collect();
+    for _ in 0..=compiled.atoms.len() {
+        if candidates.iter().any(Vec::is_empty) {
+            break;
+        }
+        // Each variable's domain (sorted): the values every atom using it
+        // offers.
+        let mut domains: Vec<Option<Vec<ConstId>>> = vec![None; compiled.variables.len()];
+        for ((_, terms), facts) in compiled.atoms.iter().zip(&candidates) {
+            for (position, term) in terms.iter().enumerate() {
+                if let AtomTerm::Variable(v) = term {
+                    let mut offered: Vec<ConstId> = facts
+                        .iter()
+                        .map(|&f| instance.fact(f).args[position])
+                        .collect();
+                    offered.sort_unstable();
+                    offered.dedup();
+                    domains[*v] = Some(match domains[*v].take() {
+                        None => offered,
+                        Some(mut domain) => {
+                            domain.retain(|c| offered.binary_search(c).is_ok());
+                            domain
+                        }
+                    });
+                }
+            }
+        }
+        let mut changed = false;
+        for ((_, terms), facts) in compiled.atoms.iter().zip(&mut candidates) {
+            let before = facts.len();
+            facts.retain(|&f| {
+                let args = &instance.fact(f).args;
+                terms.iter().zip(args).all(|(term, c)| match term {
+                    AtomTerm::Variable(v) => domains[*v]
+                        .as_ref()
+                        .is_some_and(|d| d.binary_search(c).is_ok()),
+                    AtomTerm::Constant(_) => true,
+                })
+            });
+            changed |= facts.len() != before;
+        }
+        if !changed {
+            break;
+        }
+    }
+    if candidates.iter().any(Vec::is_empty) {
+        return Vec::new();
+    }
+    let mut kept = candidates.concat();
+    kept.sort_unstable();
+    kept.dedup();
+    kept
+}
+
+/// True when every variable repeated in `terms` meets one constant in
+/// `args` (`R(x, x)` only matches loops).
+fn repeats_agree(terms: &[AtomTerm], args: &[ConstId]) -> bool {
+    terms.iter().zip(args).enumerate().all(|(i, (term, c))| {
+        terms[..i]
+            .iter()
+            .zip(args)
+            .all(|(earlier, d)| earlier != term || d == c)
+    })
+}
+
+/// What the query can reach in `instance`: the facts that can take part in
+/// a match of its body (arc consistency over shared variables, constants
+/// and repeated variables), and `decomposition` projected onto their
+/// constants ([`TreeDecomposition::project`]). The projection is a valid
+/// decomposition of the kept facts' Gaifman graph whenever `decomposition`
+/// is one of the instance's. The automaton runs walk exactly this.
+pub fn restrict_to_reach(
+    instance: &Instance,
+    decomposition: &TreeDecomposition,
+    query: &ConjunctiveQuery,
+) -> Result<(Vec<FactId>, TreeDecomposition), CourcelleError> {
+    let compiled = compile_query(query)?;
+    Ok(restrict(instance, decomposition, &compiled))
+}
+
+fn restrict(
+    instance: &Instance,
+    decomposition: &TreeDecomposition,
+    compiled: &CompiledQuery,
+) -> (Vec<FactId>, TreeDecomposition) {
+    let facts = reachable_facts(instance, compiled);
+    let mut kept = vec![false; instance.constant_count()];
+    for &f in &facts {
+        for c in &instance.fact(f).args {
+            kept[c.0] = true;
+        }
+    }
+    let projected = decomposition.project(|v| kept.get(v.index()).copied().unwrap_or(false));
+    (facts, projected)
+}
+
+/// The nice decomposition a run walks and the facts anchored at each of its
+/// nodes, restricted to what the query reaches.
+fn prepare_run(
+    instance: &Instance,
+    decomposition: &TreeDecomposition,
+    compiled: &CompiledQuery,
+) -> Result<(NiceDecomposition, Vec<Vec<FactId>>), CourcelleError> {
+    let (facts, projected) = restrict(instance, decomposition, compiled);
+    let nice = NiceDecomposition::from_decomposition(&projected);
+    let anchored = anchor_facts(instance, &facts, &nice)?;
+    Ok((nice, anchored))
+}
+
+/// Anchors each of `facts` at a nice-decomposition node whose bag contains
+/// all its constants. Nullary facts are anchored at the root.
 fn anchor_facts(
     instance: &Instance,
+    facts: &[FactId],
     nice: &NiceDecomposition,
 ) -> Result<Vec<Vec<FactId>>, CourcelleError> {
     let mut anchored: Vec<Vec<FactId>> = vec![Vec::new(); nice.len()];
@@ -242,7 +395,8 @@ fn anchor_facts(
             occurrences.entry(v.index()).or_default().push(i);
         }
     }
-    for (fid, fact) in instance.facts() {
+    for &fid in facts {
+        let fact = instance.fact(fid);
         let constants: BTreeSet<usize> = fact.args.iter().map(|c| c.0).collect();
         if constants.is_empty() {
             anchored[nice.root()].push(fid);
@@ -275,7 +429,9 @@ fn anchor_facts(
 /// producing a lineage circuit over per-fact variables given by
 /// `fact_variable` (for a TID, use [`TidInstance::fact_event`]; for a
 /// pcc-instance, use fresh variables and substitute annotation circuits
-/// afterwards).
+/// afterwards). The run walks only what the query reaches
+/// ([`restrict_to_reach`]), so an anchored body costs the same on any
+/// instance size.
 pub fn cq_lineage_circuit(
     instance: &Instance,
     decomposition: &TreeDecomposition,
@@ -283,8 +439,7 @@ pub fn cq_lineage_circuit(
     fact_variable: impl Fn(FactId) -> VarId,
 ) -> Result<Circuit, CourcelleError> {
     let compiled = compile_query(query)?;
-    let nice = NiceDecomposition::from_decomposition(decomposition);
-    let anchored = anchor_facts(instance, &nice)?;
+    let (nice, anchored) = prepare_run(instance, decomposition, &compiled)?;
 
     let mut circuit = Circuit::new();
     let true_gate = circuit.add_const(true);
@@ -391,9 +546,8 @@ pub fn cq_probability_tid(
     query: &ConjunctiveQuery,
 ) -> Result<f64, CourcelleError> {
     let compiled = compile_query(query)?;
-    let nice = NiceDecomposition::from_decomposition(decomposition);
-    let anchored = anchor_facts(tid.instance(), &nice)?;
     let instance = tid.instance();
+    let (nice, anchored) = prepare_run(instance, decomposition, &compiled)?;
 
     type DetState = Vec<MatchState>; // sorted, deduplicated
                                      // distributions[node]: det-state → probability.

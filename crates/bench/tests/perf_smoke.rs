@@ -14,7 +14,11 @@ use stuc_bench::timed;
 use stuc_circuit::compiled::CompiledCircuit;
 use stuc_core::engine::{Engine, EvalBudget};
 use stuc_core::workloads;
+use stuc_graph::decomposition::BagId;
 use stuc_graph::elimination::EliminationHeuristic;
+use stuc_graph::generators;
+use stuc_graph::graph::VertexId;
+use stuc_graph::TreeDecomposition;
 use stuc_query::cq::ConjunctiveQuery;
 
 fn a2_compiled(n: usize) -> (CompiledCircuit, stuc_circuit::weights::Weights) {
@@ -231,9 +235,9 @@ fn batch_evaluation_is_at_least_3x_faster_than_sequential_on_4_cores() {
     );
 }
 
-/// The observability layer must be close to free. Two bars on the warm a4
-/// workload (anchored chain query, cached lineage — the fast path where
-/// fixed per-call costs weigh the most):
+/// The observability layer must be close to free. Two bars on the warm a2
+/// sweep (cached lineage, pure counting — a goal long enough that a 5%
+/// ratio measures the tracer rather than timer noise):
 ///
 /// * tracer **enabled**, the evaluate loop stays within 5% of the
 ///   tracer-disabled baseline;
@@ -244,7 +248,7 @@ fn observability_overhead_stays_within_the_bars() {
     use stuc_obs::trace;
     let engine = Engine::new();
     let tid = workloads::path_tid(80, 0.5, 13);
-    let query = ConjunctiveQuery::parse("R(\"c5\", x), R(x, y), R(y, z)").unwrap();
+    let query = ConjunctiveQuery::parse("R(x, y), R(y, z)").unwrap();
     engine.evaluate(&tid, &query).unwrap(); // compile + cache the lineage
 
     // Both configurations answer identically (the tracer only records).
@@ -430,6 +434,41 @@ fn warm_goals_stay_flat_from_1k_to_50k_facts() {
         ratio <= 4.0,
         "a warm goal at 50k facts must cost at most 4x one at 1k facts \
          ({small:?} -> {large:?}, {ratio:.2}x)"
+    );
+}
+
+/// Decomposition validation is linear: checking a 50k-bag path
+/// decomposition costs at most 15x checking a 5k-bag one (the scan of every
+/// bag per edge it replaced was quadratic). Both verdicts are `Ok` in every
+/// build profile; the bar is release-only.
+#[test]
+fn validation_scales_linearly_from_5k_to_50k_bags() {
+    let path = |bags: usize| {
+        let graph = generators::path(bags + 1);
+        let mut td = TreeDecomposition::new();
+        for i in 0..bags {
+            let bag = td.add_bag([VertexId(i), VertexId(i + 1)]);
+            if i > 0 {
+                td.add_tree_edge(BagId(i - 1), bag);
+            }
+        }
+        (graph, td)
+    };
+    let (small_graph, small) = path(5_000);
+    let (large_graph, large) = path(50_000);
+    assert_eq!(small.validate(&small_graph), Ok(()));
+    assert_eq!(large.validate(&large_graph), Ok(()));
+    if cfg!(debug_assertions) {
+        eprintln!("debug build: skipping the ≤15x validation scaling bar (run in release)");
+        return;
+    }
+    let small_time = timed(5, || small.validate(&small_graph));
+    let large_time = timed(5, || large.validate(&large_graph));
+    let ratio = large_time.as_secs_f64() / small_time.as_secs_f64().max(f64::MIN_POSITIVE);
+    assert!(
+        ratio <= 15.0,
+        "validating 10x the bags must cost at most 15x \
+         ({small_time:?} -> {large_time:?}, {ratio:.2}x)"
     );
 }
 

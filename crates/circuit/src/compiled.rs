@@ -10,10 +10,11 @@
 //!
 //! A [`CompiledCircuit`] is that reusable structural state: the source
 //! lineage circuit behind an [`Arc`] (cheap to share across threads and
-//! cache entries), its normalised form for message passing, and the nice
-//! tree decomposition of its circuit graph. Re-evaluating under a new
-//! [`Weights`] table is a single message-passing sweep — no decomposition,
-//! no circuit construction, no binarisation.
+//! cache entries), its normalised form for message passing, the tree
+//! decomposition of its circuit graph (packed flat) and the sweep plan
+//! built over it. Re-evaluating under a new [`Weights`] table is a single
+//! message-passing sweep — no decomposition, no circuit construction, no
+//! binarisation.
 
 use crate::circuit::{Circuit, CircuitError, Gate, GateId, VarId};
 use crate::plan::{SweepArena, SweepPlan, MAX_PLANNED_BAG};
@@ -21,6 +22,7 @@ use crate::weights::Weights;
 use crate::wmc::{message_passing, TreewidthWmc, WmcError, WmcReport};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::{Arc, Mutex, OnceLock};
+use stuc_graph::decomposition::BagId;
 use stuc_graph::elimination::{decompose_with_heuristic, EliminationHeuristic};
 use stuc_graph::graph::VertexId;
 use stuc_graph::nice::NiceDecomposition;
@@ -100,15 +102,15 @@ pub struct CompiledCircuit {
     /// skip its cost entirely, and once built it is reused by every
     /// subsequent run.
     structure: OnceLock<CompiledStructure>,
-    /// The flattened sweep plan over `structure`'s nice decomposition
-    /// ([`SweepPlan`]), built on first counting run. `Some(None)` records
-    /// that the circuit's bags are too wide to plan densely (beyond
-    /// [`MAX_PLANNED_BAG`]); such circuits fall back to the interpreted
-    /// sparse sweep. Invalidated (fresh cell) by the incremental patches —
-    /// [`CompiledCircuit::rewire_inputs`] changes gate semantics and
-    /// [`CompiledCircuit::extend_or`] changes the decomposition, so the
-    /// compiled checks must be re-derived, while the carried-over
-    /// *decomposition* stays valid.
+    /// The flattened sweep plan over `structure`'s decomposition
+    /// ([`SweepPlan`]), built on first counting run (or by the caller right
+    /// after a patch). `Some(None)` records that the circuit's bags are too
+    /// wide to plan densely (beyond [`MAX_PLANNED_BAG`]); such circuits
+    /// fall back to the interpreted sparse sweep. Invalidated (fresh cell)
+    /// by the incremental patches — [`CompiledCircuit::rewire_inputs`]
+    /// changes gate semantics and [`CompiledCircuit::extend_or`] changes
+    /// the decomposition, so the compiled checks must be re-derived, while
+    /// the carried-over *decomposition* stays valid.
     plan: OnceLock<Option<Arc<SweepPlan>>>,
     /// Reusable sweep scratch (dense tables + weight slab): steady-state
     /// repeated evaluation allocates nothing. Guarded by a mutex so the
@@ -134,16 +136,78 @@ impl Clone for CompiledCircuit {
     }
 }
 
-/// The lazily-built decomposition state of a [`CompiledCircuit`].
+/// The lazily-built decomposition state of a [`CompiledCircuit`]: the
+/// circuit-graph decomposition, kept so incremental patches
+/// ([`CompiledCircuit::extend_or`]) can repair it instead of re-decomposing
+/// the grown circuit graph. Its nice form is derived only while a sweep
+/// plan is built, and the plan keeps what the sweep needs of it.
 #[derive(Debug, Clone)]
 struct CompiledStructure {
-    nice: NiceDecomposition,
     width: usize,
-    bag_count: usize,
-    /// The raw (non-nice) decomposition the nice one was derived from, kept
-    /// so incremental patches ([`CompiledCircuit::extend_or`]) can repair it
-    /// instead of re-decomposing the grown circuit graph.
-    decomposition: TreeDecomposition,
+    decomposition: PackedDecomposition,
+}
+
+impl CompiledStructure {
+    fn new(decomposition: &TreeDecomposition) -> CompiledStructure {
+        CompiledStructure {
+            width: decomposition.width(),
+            decomposition: PackedDecomposition::pack(decomposition),
+        }
+    }
+
+    fn bag_count(&self) -> usize {
+        self.decomposition.ends.len()
+    }
+
+    fn nice(&self) -> NiceDecomposition {
+        NiceDecomposition::from_decomposition(&self.decomposition.unpack())
+    }
+}
+
+/// A tree decomposition packed into flat arrays, a few bytes per bag entry
+/// instead of a set per bag: bag `b` is `vertices[ends[b - 1]..ends[b]]`
+/// (from 0 for the first bag), and the tree is listed edge by edge.
+#[derive(Debug, Clone)]
+struct PackedDecomposition {
+    ends: Box<[u32]>,
+    vertices: Box<[u32]>,
+    edges: Box<[[u32; 2]]>,
+}
+
+impl PackedDecomposition {
+    fn pack(td: &TreeDecomposition) -> PackedDecomposition {
+        let index =
+            |i: usize| u32::try_from(i).expect("a circuit graph has fewer than 2^32 bag entries");
+        let mut ends = Vec::with_capacity(td.bag_count());
+        let mut vertices = Vec::new();
+        for b in td.bag_ids() {
+            vertices.extend(td.bag(b).iter().map(|v| index(v.index())));
+            ends.push(index(vertices.len()));
+        }
+        let edges: Vec<[u32; 2]> = td
+            .tree_edges()
+            .map(|(a, b)| [index(a.index()), index(b.index())])
+            .collect();
+        PackedDecomposition {
+            ends: ends.into_boxed_slice(),
+            vertices: vertices.into_boxed_slice(),
+            edges: edges.into_boxed_slice(),
+        }
+    }
+
+    fn unpack(&self) -> TreeDecomposition {
+        let mut td = TreeDecomposition::new();
+        let mut start = 0;
+        for &end in self.ends.iter() {
+            let bag = &self.vertices[start as usize..end as usize];
+            td.add_bag(bag.iter().map(|&v| VertexId(v as usize)));
+            start = end;
+        }
+        for &[a, b] in self.edges.iter() {
+            td.add_tree_edge(BagId(a as usize), BagId(b as usize));
+        }
+        td
+    }
 }
 
 stuc_errors::stuc_error! {
@@ -215,13 +279,7 @@ impl CompiledCircuit {
     fn structure(&self) -> &CompiledStructure {
         self.structure.get_or_init(|| {
             let graph = TreewidthWmc::circuit_graph(&self.prepared);
-            let decomposition = decompose_with_heuristic(&graph, self.heuristic);
-            CompiledStructure {
-                width: decomposition.width(),
-                bag_count: decomposition.bag_count(),
-                nice: NiceDecomposition::from_decomposition(&decomposition),
-                decomposition,
-            }
+            CompiledStructure::new(&decompose_with_heuristic(&graph, self.heuristic))
         })
     }
 
@@ -254,8 +312,14 @@ impl CompiledCircuit {
         if structure.width + 1 > MAX_PLANNED_BAG {
             return Ok(self.plan.get_or_init(|| None).as_ref());
         }
-        let plan = SweepPlan::build(&self.prepared, &structure.nice, self.output_gate)?;
+        let plan = SweepPlan::build(&self.prepared, &structure.nice(), self.output_gate)?;
         Ok(self.plan.get_or_init(|| Some(Arc::new(plan))).as_ref())
+    }
+
+    /// True once a dense sweep plan is built for this circuit. Never builds
+    /// one: this is how a patch tells whether its source was being swept.
+    pub fn is_planned(&self) -> bool {
+        matches!(self.plan.get(), Some(Some(_)))
     }
 
     /// The original (uncompiled) lineage circuit.
@@ -271,7 +335,7 @@ impl CompiledCircuit {
 
     /// Number of bags in the (non-nice) decomposition of the circuit graph.
     pub fn bag_count(&self) -> usize {
-        self.structure().bag_count
+        self.structure().bag_count()
     }
 
     /// Gate count of the source circuit.
@@ -474,19 +538,16 @@ impl CompiledCircuit {
                         clique
                     })
                     .collect();
-                let (patched, repair) =
-                    repair_decomposition(&old.decomposition, &graph, &cliques, max_bag_size)?;
+                let (patched, repair) = repair_decomposition(
+                    &old.decomposition.unpack(),
+                    &graph,
+                    &cliques,
+                    max_bag_size,
+                )?;
                 report.bags_touched = repair.bags_touched;
                 report.bags_added = repair.bags_added;
                 report.width_after = Some(repair.width_after);
-                let lock = OnceLock::new();
-                let _ = lock.set(CompiledStructure {
-                    width: patched.width(),
-                    bag_count: patched.bag_count(),
-                    nice: NiceDecomposition::from_decomposition(&patched),
-                    decomposition: patched,
-                });
-                lock
+                OnceLock::from(CompiledStructure::new(&patched))
             }
         };
         let variables = source.variables();
@@ -561,12 +622,12 @@ impl CompiledCircuit {
                 (p, arena.allocations())
             }
         };
-        sweep_metrics().observe(structure.nice.len(), table_allocations);
+        sweep_metrics().observe(plan.len(), table_allocations);
         Ok(WmcReport {
             probability,
             width: structure.width,
-            bag_count: structure.bag_count,
-            nice_node_count: structure.nice.len(),
+            bag_count: structure.bag_count(),
+            nice_node_count: plan.len(),
             table_allocations,
         })
     }
@@ -582,18 +643,25 @@ impl CompiledCircuit {
     ) -> Result<WmcReport, WmcError> {
         self.ensure_width(max_bag_size)?;
         let structure = self.structure();
+        let nice = structure.nice();
+        Ok(WmcReport {
+            probability: self.sweep_interpreted(weights, &nice)?,
+            width: structure.width,
+            bag_count: structure.bag_count(),
+            nice_node_count: nice.len(),
+            table_allocations: nice.len(),
+        })
+    }
+
+    fn sweep_interpreted(
+        &self,
+        weights: &Weights,
+        nice: &NiceDecomposition,
+    ) -> Result<f64, WmcError> {
         for &v in &self.variables {
             weights.weight(v, true)?;
         }
-        let probability =
-            message_passing(&self.prepared, weights, &structure.nice, self.output_gate)?;
-        Ok(WmcReport {
-            probability,
-            width: structure.width,
-            bag_count: structure.bag_count,
-            nice_node_count: structure.nice.len(),
-            table_allocations: structure.nice.len(),
-        })
+        message_passing(&self.prepared, weights, nice, self.output_gate)
     }
 
     /// Evaluates K weight scenarios in a **single sweep**: every dense table
@@ -613,16 +681,17 @@ impl CompiledCircuit {
         self.ensure_width(max_bag_size)?;
         let structure = self.structure();
         let Some(plan) = self.try_sweep_plan()?.cloned() else {
-            let mut probabilities = Vec::with_capacity(scenarios.len());
-            for weights in scenarios {
-                probabilities.push(self.run_interpreted(weights, max_bag_size)?.probability);
-            }
+            let nice = structure.nice();
+            let probabilities = scenarios
+                .iter()
+                .map(|weights| self.sweep_interpreted(weights, &nice))
+                .collect::<Result<_, _>>()?;
             return Ok(WmcManyReport {
                 probabilities,
                 width: structure.width,
-                bag_count: structure.bag_count,
-                nice_node_count: structure.nice.len(),
-                table_allocations: structure.nice.len() * scenarios.len(),
+                bag_count: structure.bag_count(),
+                nice_node_count: nice.len(),
+                table_allocations: nice.len() * scenarios.len(),
             });
         };
         // Lane counts are chunked: table memory is `8 << bag` bytes *per
@@ -654,12 +723,12 @@ impl CompiledCircuit {
                 (all, arena.allocations())
             }
         };
-        sweep_metrics().observe(structure.nice.len(), table_allocations);
+        sweep_metrics().observe(plan.len(), table_allocations);
         Ok(WmcManyReport {
             probabilities,
             width: structure.width,
-            bag_count: structure.bag_count,
-            nice_node_count: structure.nice.len(),
+            bag_count: structure.bag_count(),
+            nice_node_count: plan.len(),
             table_allocations,
         })
     }

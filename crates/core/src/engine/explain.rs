@@ -7,8 +7,9 @@
 //! plan's table volume, and which caches would serve the work. The decision
 //! logic is a faithful mirror of `evaluate_inner` — same policy handling,
 //! same hierarchy/self-join checks in the same order, same width-vs-budget
-//! rule — so an explanation always agrees with the [`EvaluationReport`] of
-//! an actual run on route, back-end, width and cache provenance.
+//! rule — so an explanation always agrees with the
+//! [`EvaluationReport`](super::EvaluationReport) of an actual run on route,
+//! back-end, width and cache provenance.
 //!
 //! "Evaluate-free" means no probability is computed; the circuit path still
 //! fetches (or builds) the compiled lineage through the engine's shared

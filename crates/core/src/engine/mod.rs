@@ -1266,8 +1266,11 @@ impl Engine {
     /// A cache hit amortizes the decomposition itself (the superlinear
     /// part), but still rebuilds the structure graph to validate the cached
     /// decomposition against it, so a fingerprint collision can never
-    /// yield a wrong width. Within the engine, only lineage-cache misses
-    /// come here.
+    /// yield a wrong width. Both are linear in the instance
+    /// ([`TreeDecomposition::validate`] finds edge coverage through
+    /// per-vertex bag lists). Within the engine, only lineage-cache misses
+    /// come here, and the lineage run then walks only the part of the
+    /// returned decomposition the query can reach.
     pub fn decomposition_for<R: Representation + ?Sized>(
         &self,
         representation: &R,
@@ -1472,6 +1475,51 @@ mod tests {
         assert!(close(first.probability, second.probability));
         engine.clear_cache();
         assert_eq!(engine.cached_decompositions(), 0);
+    }
+
+    #[test]
+    fn updates_share_the_decomposition_and_leave_patched_lineages_planned() {
+        use stuc_data::instance::FactId;
+        use stuc_data::tid::TidInstance;
+        use stuc_incr::Delta;
+        let mut tid = workloads::path_tid(12, 0.5, 7);
+        let query = ConjunctiveQuery::parse("R(x, y), R(y, z)").unwrap();
+        let engine = Engine::new();
+        engine.evaluate(&tid, &query).unwrap();
+        let decomposition = |tid: &TidInstance| {
+            let key = (tid.fingerprint(), engine.config.heuristic);
+            engine.cache.get(&key).unwrap()
+        };
+        let planned = |tid: &TidInstance| {
+            let probe = engine.lineage_probe(tid, &query).unwrap();
+            let entry = engine.lineage_cache.get(&probe.key).unwrap();
+            entry.compiled.is_planned()
+        };
+        assert!(planned(&tid));
+
+        // A reweight keeps the very same decomposition, shared not copied.
+        let before = decomposition(&tid);
+        let reweight = Delta::new().set_probability(FactId(3), 0.9);
+        engine.apply_update(&mut tid, &reweight).unwrap();
+        assert!(Arc::ptr_eq(&before, &decomposition(&tid)));
+        assert!(planned(&tid));
+
+        // An insertion (`extend_or`) and a deletion (`rewire_inputs`) patch
+        // the lineage and re-plan it inside the write.
+        let insert = Delta::new().insert("R", &["c12", "c13"], 0.5);
+        let report = engine.apply_update(&mut tid, &insert).unwrap();
+        assert!(report.gates_rebuilt > 0 && report.lineages_patched == 1);
+        assert!(planned(&tid));
+        let report = engine
+            .apply_update(&mut tid, &Delta::new().delete(FactId(0)))
+            .unwrap();
+        assert!(report.gates_rebuilt > 0 && report.lineages_patched == 1);
+        assert!(planned(&tid));
+
+        let warm = engine.evaluate(&tid, &query).unwrap();
+        assert!(warm.lineage_cached);
+        let cold = Engine::new().evaluate(&tid, &query).unwrap();
+        assert!(close(warm.probability, cold.probability));
     }
 
     #[test]

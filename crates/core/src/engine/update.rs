@@ -215,12 +215,13 @@ impl Engine {
         stuc_fault::budget::check("update: decomposition maintenance")?;
         if let Some(old) = old_decomposition {
             report.width_before = Some(old.width());
-            let patched: Option<TreeDecomposition> = match &application.structure {
+            let patched: Arc<TreeDecomposition> = match &application.structure {
                 StructureImpact::Unchanged | StructureImpact::Shrunk => {
                     report
                         .notes
                         .push("structure decomposition rekeyed unchanged".into());
-                    Some((*old).clone())
+                    // Shared, not copied: the cached value is immutable.
+                    Arc::clone(&old)
                 }
                 StructureImpact::Grown {
                     vertex_remap,
@@ -231,41 +232,44 @@ impl Engine {
                         Some(map) => old.remap_vertices(map),
                         None => (*old).clone(),
                     };
-                    match repair_decomposition(&base, &graph, new_cliques, self.config.width_budget)
-                    {
+                    let rebuilt = match repair_decomposition(
+                        &base,
+                        &graph,
+                        new_cliques,
+                        self.config.width_budget,
+                    ) {
                         Ok((patched, stats)) => {
                             report.bags_touched += stats.bags_touched + stats.bags_added;
                             report.notes.push(format!(
                                 "structure decomposition repaired in place ({} bags touched, {} added)",
                                 stats.bags_touched, stats.bags_added
                             ));
-                            Some(patched)
+                            patched
                         }
                         Err(refusal) => {
                             report.fell_back = true;
                             report.notes.push(format!(
                                 "decomposition repair refused ({refusal}); re-decomposed from scratch"
                             ));
-                            Some(decompose_with_heuristic(&graph, self.config.heuristic))
+                            decompose_with_heuristic(&graph, self.config.heuristic)
                         }
-                    }
+                    };
+                    Arc::new(rebuilt)
                 }
                 StructureImpact::Opaque => {
                     report.fell_back = true;
                     report.notes.push(
                         "structural change is opaque for this representation; re-decomposed".into(),
                     );
-                    Some(decompose_with_heuristic(
+                    Arc::new(decompose_with_heuristic(
                         &representation.structure_graph(),
                         self.config.heuristic,
                     ))
                 }
             };
-            if let Some(patched) = patched {
-                report.width_after = Some(patched.width());
-                self.cache
-                    .insert_replacing((new_fingerprint, self.config.heuristic), Arc::new(patched));
-            }
+            report.width_after = Some(patched.width());
+            self.cache
+                .insert_replacing((new_fingerprint, self.config.heuristic), patched);
         }
 
         // --- compiled-lineage maintenance ----------------------------------
@@ -350,6 +354,12 @@ impl Engine {
                             entry.cold_gates
                         ));
                         alive = false;
+                    }
+                    // Re-plan inside the write, so the first read after it
+                    // finds a ready plan (a transient failure leaves the
+                    // planning to that read).
+                    if alive && entry.compiled.is_planned() {
+                        let _ = compiled.try_sweep_plan();
                     }
                     alive.then(|| entry.with_patched_circuit(compiled, new_check, structure_width))
                 }

@@ -13,7 +13,7 @@
 //! and 2 assume the data's decomposition has width bounded by a constant.
 
 use crate::graph::{Graph, VertexId};
-use std::collections::{BTreeSet, HashMap, HashSet, VecDeque};
+use std::collections::VecDeque;
 use std::fmt;
 
 /// A handle to a bag (node) of a [`TreeDecomposition`].
@@ -58,12 +58,39 @@ stuc_errors::stuc_error! {
 }
 
 /// A tree decomposition: a set of bags and a tree structure over them.
+///
+/// Bags and tree adjacency are sorted, deduplicated vectors: a few words
+/// per bag, read front to back by every pass over the decomposition.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct TreeDecomposition {
     /// `bags[b]` is the (sorted, deduplicated) content of bag `b`.
-    bags: Vec<BTreeSet<VertexId>>,
-    /// Adjacency of the bag tree.
-    tree: Vec<BTreeSet<usize>>,
+    bags: Vec<Vec<VertexId>>,
+    /// Adjacency of the bag tree (sorted, deduplicated).
+    tree: Vec<Vec<usize>>,
+}
+
+/// Inserts `value` into the sorted, deduplicated `items`; `true` if it was
+/// absent.
+fn insert_sorted<T: Ord>(items: &mut Vec<T>, value: T) -> bool {
+    match items.binary_search(&value) {
+        Ok(_) => false,
+        Err(at) => {
+            items.insert(at, value);
+            true
+        }
+    }
+}
+
+/// True when every element of sorted `small` is in sorted `large`.
+fn is_sorted_subset<T: Ord>(small: &[T], large: &[T]) -> bool {
+    small.len() <= large.len() && small.iter().all(|x| large.binary_search(x).is_ok())
+}
+
+fn sorted_set(content: impl IntoIterator<Item = VertexId>) -> Vec<VertexId> {
+    let mut bag: Vec<VertexId> = content.into_iter().collect();
+    bag.sort_unstable();
+    bag.dedup();
+    bag
 }
 
 impl TreeDecomposition {
@@ -82,8 +109,8 @@ impl TreeDecomposition {
 
     /// Adds a bag with the given content and returns its identifier.
     pub fn add_bag(&mut self, content: impl IntoIterator<Item = VertexId>) -> BagId {
-        self.bags.push(content.into_iter().collect());
-        self.tree.push(BTreeSet::new());
+        self.bags.push(sorted_set(content));
+        self.tree.push(Vec::new());
         BagId(self.bags.len() - 1)
     }
 
@@ -98,8 +125,8 @@ impl TreeDecomposition {
             "bag out of range"
         );
         if a != b {
-            self.tree[a.0].insert(b.0);
-            self.tree[b.0].insert(a.0);
+            insert_sorted(&mut self.tree[a.0], b.0);
+            insert_sorted(&mut self.tree[b.0], a.0);
         }
     }
 
@@ -115,7 +142,7 @@ impl TreeDecomposition {
     ///
     /// Panics if the bag does not exist.
     pub fn add_to_bag(&mut self, b: BagId, v: VertexId) -> bool {
-        self.bags[b.0].insert(v)
+        insert_sorted(&mut self.bags[b.0], v)
     }
 
     /// Returns a copy of the decomposition with every vertex `v` replaced by
@@ -131,14 +158,14 @@ impl TreeDecomposition {
             bags: self
                 .bags
                 .iter()
-                .map(|bag| bag.iter().map(|v| map[v.0]).collect())
+                .map(|bag| sorted_set(bag.iter().map(|v| map[v.0])))
                 .collect(),
             tree: self.tree.clone(),
         }
     }
 
-    /// The content of a bag.
-    pub fn bag(&self, b: BagId) -> &BTreeSet<VertexId> {
+    /// The content of a bag, sorted.
+    pub fn bag(&self, b: BagId) -> &[VertexId] {
         &self.bags[b.0]
     }
 
@@ -177,105 +204,100 @@ impl TreeDecomposition {
     }
 
     /// Checks all three tree-decomposition conditions against `g`.
+    ///
+    /// Linear in the size of the decomposition plus the graph (times a
+    /// `log w` bag lookup). One pass roots the bag tree; one pass over the
+    /// bags finds, for every vertex, the bags containing it whose parent
+    /// does not (its *tops*): none means uncovered, more than one means its
+    /// bags are not connected. An edge between two vertices with one top
+    /// each is covered exactly when one top bag holds the other endpoint
+    /// (two connected subtrees meet iff one's top lies in the other); any
+    /// other edge is looked up through per-vertex bag lists. The first
+    /// violation is reported in a fixed order: tree shape, then the first
+    /// uncovered vertex, the first uncovered edge and the first vertex with
+    /// disconnected occurrences, each in the graph's iteration order.
     pub fn validate(&self, g: &Graph) -> Result<(), DecompositionError> {
-        self.validate_tree_shape()?;
-
-        // Condition 1: vertex coverage.
-        let mut covered = vec![false; g.vertex_count()];
-        for bag in &self.bags {
+        let parents = self.validate_tree_shape()?;
+        let n = g.vertex_count();
+        let mut tops = vec![0u8; n];
+        let mut top_bag = vec![0u32; n];
+        for (b, (bag, &parent)) in self.bags.iter().zip(&parents).enumerate() {
+            let parent_bag = (parent != NO_PARENT).then(|| &self.bags[parent as usize]);
             for v in bag {
-                if v.0 < covered.len() {
-                    covered[v.0] = true;
+                if v.0 < n && parent_bag.is_none_or(|p| p.binary_search(v).is_err()) {
+                    tops[v.0] = tops[v.0].saturating_add(1);
+                    top_bag[v.0] = bag_index(b);
                 }
             }
         }
-        for v in g.vertices() {
-            if !covered[v.0] {
-                return Err(DecompositionError::VertexNotCovered(v));
-            }
+        let holds = |b: usize, v: VertexId| self.bags[b].binary_search(&v).is_ok();
+
+        // Condition 1: vertex coverage.
+        if let Some(v) = g.vertices().find(|v| tops[v.0] == 0) {
+            return Err(DecompositionError::VertexNotCovered(v));
         }
 
         // Condition 2: edge coverage.
+        let mut occurrences = None;
         for (u, v) in g.edges() {
-            let ok = self.bags.iter().any(|b| b.contains(&u) && b.contains(&v));
-            if !ok {
+            let covered = if tops[u.0] == 1 && tops[v.0] == 1 {
+                holds(top_bag[u.0] as usize, v) || holds(top_bag[v.0] as usize, u)
+            } else {
+                let occurrences = occurrences.get_or_insert_with(|| Occurrences::of(self, n));
+                let (rare, other) = if occurrences.bags_of(u).len() <= occurrences.bags_of(v).len()
+                {
+                    (u, v)
+                } else {
+                    (v, u)
+                };
+                occurrences.bags_of(rare).iter().any(|&b| holds(b, other))
+            };
+            if !covered {
                 return Err(DecompositionError::EdgeNotCovered(u, v));
             }
         }
 
-        // Condition 3: running intersection (connected occurrences).
-        self.validate_running_intersection(g)?;
+        // Condition 3: running intersection.
+        if let Some(v) = g.vertices().find(|v| tops[v.0] > 1) {
+            return Err(DecompositionError::VertexNotConnected(v));
+        }
         Ok(())
     }
 
-    fn validate_tree_shape(&self) -> Result<(), DecompositionError> {
+    /// Checks that the bags form one tree, and returns each bag's parent
+    /// with the tree rooted at bag 0 ([`NO_PARENT`] for the root).
+    fn validate_tree_shape(&self) -> Result<Vec<u32>, DecompositionError> {
         let n = self.bags.len();
         if n == 0 {
-            return Ok(());
+            return Ok(Vec::new());
         }
+        let mut degree_sum = 0;
         for (a, ns) in self.tree.iter().enumerate() {
-            for &b in ns {
-                if b >= n {
-                    return Err(DecompositionError::DanglingTreeEdge(BagId(a), BagId(b)));
-                }
+            if let Some(&b) = ns.iter().find(|&&b| b >= n) {
+                return Err(DecompositionError::DanglingTreeEdge(BagId(a), BagId(b)));
             }
+            degree_sum += ns.len();
         }
         // A connected graph on n nodes with n - 1 edges is a tree.
-        let edge_count: usize = self.tree.iter().map(|ns| ns.len()).sum::<usize>() / 2;
-        if edge_count != n - 1 {
+        if degree_sum / 2 != n - 1 {
             return Err(DecompositionError::NotATree);
         }
-        let mut seen = vec![false; n];
-        let mut queue = VecDeque::from([0usize]);
-        seen[0] = true;
+        let mut parents = vec![NO_PARENT; n];
+        let mut stack = vec![0usize];
         let mut count = 1;
-        while let Some(a) = queue.pop_front() {
+        while let Some(a) = stack.pop() {
             for &b in &self.tree[a] {
-                if !seen[b] {
-                    seen[b] = true;
+                if b != 0 && parents[b] == NO_PARENT {
+                    parents[b] = bag_index(a);
                     count += 1;
-                    queue.push_back(b);
+                    stack.push(b);
                 }
             }
         }
         if count != n {
             return Err(DecompositionError::NotATree);
         }
-        Ok(())
-    }
-
-    fn validate_running_intersection(&self, g: &Graph) -> Result<(), DecompositionError> {
-        // For each vertex, the bags containing it must induce a connected
-        // subtree. We check connectivity by BFS restricted to those bags.
-        let mut occurrence: HashMap<VertexId, Vec<usize>> = HashMap::new();
-        for (i, bag) in self.bags.iter().enumerate() {
-            for &v in bag {
-                occurrence.entry(v).or_default().push(i);
-            }
-        }
-        for v in g.vertices() {
-            let Some(bags) = occurrence.get(&v) else {
-                continue;
-            };
-            if bags.len() <= 1 {
-                continue;
-            }
-            let in_set: HashSet<usize> = bags.iter().copied().collect();
-            let mut seen = HashSet::new();
-            let mut queue = VecDeque::from([bags[0]]);
-            seen.insert(bags[0]);
-            while let Some(a) = queue.pop_front() {
-                for &b in &self.tree[a] {
-                    if in_set.contains(&b) && seen.insert(b) {
-                        queue.push_back(b);
-                    }
-                }
-            }
-            if seen.len() != in_set.len() {
-                return Err(DecompositionError::VertexNotConnected(v));
-            }
-        }
-        Ok(())
+        Ok(parents)
     }
 
     /// Connects the bag tree into a single tree if it currently consists of
@@ -310,11 +332,63 @@ impl TreeDecomposition {
         }
     }
 
+    /// The decomposition restricted to the vertices `keep` accepts: every
+    /// bag is intersected with them, bags left empty are dropped, a bag
+    /// whose content is contained in (or contains) its kept parent's is
+    /// merged into it, and the trees left after dropping are linked back
+    /// into one.
+    ///
+    /// The result is a valid decomposition of every subgraph of the
+    /// decomposed graph whose vertices `keep` accepts, of width at most
+    /// this one's: the bags containing a kept vertex are never emptied, so
+    /// they still form a subtree, and merging contracts tree edges. Trees
+    /// separated by an emptied bag share no vertex, so any link between
+    /// them is valid. Runs in one pass over the bags.
+    pub fn project(&self, keep: impl Fn(VertexId) -> bool) -> TreeDecomposition {
+        let mut projected = TreeDecomposition::new();
+        if self.bags.is_empty() {
+            return projected;
+        }
+        // into[b]: the projected bag `b` was merged into, or for an emptied
+        // bag the one its nearest kept ancestor was merged into.
+        let mut into: Vec<Option<usize>> = vec![None; self.bags.len()];
+        let mut seen = vec![false; self.bags.len()];
+        let mut queue = VecDeque::from([(0usize, None::<usize>)]);
+        seen[0] = true;
+        while let Some((b, parent)) = queue.pop_front() {
+            let content: Vec<VertexId> =
+                self.bags[b].iter().copied().filter(|&v| keep(v)).collect();
+            let above = parent.and_then(|p| into[p]);
+            into[b] = match above {
+                _ if content.is_empty() => above,
+                Some(a) if is_sorted_subset(&content, &projected.bags[a]) => Some(a),
+                Some(a) if is_sorted_subset(&projected.bags[a], &content) => {
+                    projected.bags[a] = content;
+                    Some(a)
+                }
+                _ => {
+                    let id = projected.add_bag(content);
+                    // A bag with no kept ancestor starts a new tree: hang
+                    // it under the first one.
+                    projected.add_tree_edge(BagId(above.unwrap_or(0)), id);
+                    Some(id.0)
+                }
+            };
+            for &c in &self.tree[b] {
+                if !seen[c] {
+                    seen[c] = true;
+                    queue.push_back((c, Some(b)));
+                }
+            }
+        }
+        projected
+    }
+
     /// Returns a bag containing all of `vertices`, if any.
     pub fn find_bag_containing(&self, vertices: &[VertexId]) -> Option<BagId> {
         self.bags
             .iter()
-            .position(|b| vertices.iter().all(|v| b.contains(v)))
+            .position(|b| vertices.iter().all(|v| b.binary_search(v).is_ok()))
             .map(BagId)
     }
 
@@ -339,9 +413,216 @@ impl TreeDecomposition {
     }
 }
 
+/// The parent of the root in [`TreeDecomposition::validate_tree_shape`].
+const NO_PARENT: u32 = u32::MAX;
+
+/// A bag index in the `u32` form the validation arrays store.
+fn bag_index(b: usize) -> u32 {
+    u32::try_from(b).expect("a decomposition has fewer than 2^32 bags")
+}
+
+/// Per-vertex bag lists of a decomposition in one flat buffer:
+/// `bags[start[v]..start[v + 1]]` are the bags containing vertex `v`, in
+/// increasing order. Vertices at or beyond `vertex_count` are left out.
+struct Occurrences {
+    start: Vec<usize>,
+    bags: Vec<usize>,
+}
+
+impl Occurrences {
+    fn of(td: &TreeDecomposition, vertex_count: usize) -> Occurrences {
+        let in_range = |b: usize| td.bags[b].iter().map(|v| v.0).filter(|&v| v < vertex_count);
+        let mut start = vec![0; vertex_count + 1];
+        for b in 0..td.bags.len() {
+            for v in in_range(b) {
+                start[v + 1] += 1;
+            }
+        }
+        for v in 0..vertex_count {
+            start[v + 1] += start[v];
+        }
+        let mut next = start.clone();
+        let mut bags = vec![0; start[vertex_count]];
+        for b in 0..td.bags.len() {
+            for v in in_range(b) {
+                bags[next[v]] = b;
+                next[v] += 1;
+            }
+        }
+        Occurrences { start, bags }
+    }
+
+    fn bags_of(&self, v: VertexId) -> &[usize] {
+        &self.bags[self.start[v.0]..self.start[v.0 + 1]]
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::elimination::{decompose_with_heuristic, EliminationHeuristic};
+    use crate::generators::{self, SplitMix64};
+    use proptest::prelude::*;
+    use std::collections::{HashMap, HashSet};
+
+    /// The quadratic validator `validate` replaced: every edge checked
+    /// against every bag, and each vertex's bags connected by a search.
+    /// Kept as the reference the linear validator must agree with, error
+    /// for error.
+    fn validate_by_scan(td: &TreeDecomposition, g: &Graph) -> Result<(), DecompositionError> {
+        td.validate_tree_shape()?;
+        let mut covered = vec![false; g.vertex_count()];
+        for bag in &td.bags {
+            for v in bag {
+                if v.0 < covered.len() {
+                    covered[v.0] = true;
+                }
+            }
+        }
+        for v in g.vertices() {
+            if !covered[v.0] {
+                return Err(DecompositionError::VertexNotCovered(v));
+            }
+        }
+        for (u, v) in g.edges() {
+            if !td.bags.iter().any(|b| b.contains(&u) && b.contains(&v)) {
+                return Err(DecompositionError::EdgeNotCovered(u, v));
+            }
+        }
+        let mut occurrence: HashMap<VertexId, Vec<usize>> = HashMap::new();
+        for (i, bag) in td.bags.iter().enumerate() {
+            for &v in bag {
+                occurrence.entry(v).or_default().push(i);
+            }
+        }
+        for v in g.vertices() {
+            let Some(bags) = occurrence.get(&v) else {
+                continue;
+            };
+            let in_set: HashSet<usize> = bags.iter().copied().collect();
+            let mut seen = HashSet::from([bags[0]]);
+            let mut queue = VecDeque::from([bags[0]]);
+            while let Some(a) = queue.pop_front() {
+                for &b in &td.tree[a] {
+                    if in_set.contains(&b) && seen.insert(b) {
+                        queue.push_back(b);
+                    }
+                }
+            }
+            if seen.len() != in_set.len() {
+                return Err(DecompositionError::VertexNotConnected(v));
+            }
+        }
+        Ok(())
+    }
+
+    /// Applies `edits` random corruptions: a vertex dropped from or added
+    /// to a bag (sometimes one beyond the graph), a tree edge moved, or a
+    /// bag appended dangling or linked.
+    fn corrupt(td: &mut TreeDecomposition, vertices: usize, edits: usize, seed: u64) {
+        let mut rng = SplitMix64::new(seed);
+        for _ in 0..edits {
+            let bags = td.bags.len();
+            if bags == 0 {
+                td.add_bag([VertexId(rng.next_below(vertices + 2))]);
+                continue;
+            }
+            let b = rng.next_below(bags);
+            match rng.next_below(5) {
+                0 => {
+                    if !td.bags[b].is_empty() {
+                        let at = rng.next_below(td.bags[b].len());
+                        td.bags[b].remove(at);
+                    }
+                }
+                1 => {
+                    td.add_to_bag(BagId(b), VertexId(rng.next_below(vertices + 2)));
+                }
+                2 => {
+                    if let Some(&c) = td.tree[b].first() {
+                        td.tree[b].retain(|&x| x != c);
+                        td.tree[c].retain(|&x| x != b);
+                        td.add_tree_edge(BagId(b), BagId(rng.next_below(bags)));
+                    }
+                }
+                3 => {
+                    td.add_tree_edge(BagId(b), BagId(rng.next_below(bags)));
+                }
+                _ => {
+                    let added = td.add_bag([VertexId(rng.next_below(vertices + 1))]);
+                    if rng.next_bool(0.5) {
+                        td.add_tree_edge(added, BagId(b));
+                    }
+                }
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The linear validator returns exactly what the scan returns, on
+        /// heuristic decompositions of random graphs and on corrupted ones.
+        #[test]
+        fn linear_validation_agrees_with_the_scan(
+            n in 1usize..14,
+            p in 0.05f64..0.7,
+            seed in 0u64..10_000,
+            edits in 0usize..4,
+        ) {
+            let graph = generators::erdos_renyi(n, p, seed);
+            for heuristic in [EliminationHeuristic::MinDegree, EliminationHeuristic::MinFill] {
+                let mut td = decompose_with_heuristic(&graph, heuristic);
+                prop_assert_eq!(td.validate(&graph), Ok(()));
+                corrupt(&mut td, n, edits, seed);
+                prop_assert_eq!(td.validate(&graph), validate_by_scan(&td, &graph));
+            }
+        }
+
+        /// Projecting onto any vertex subset leaves a valid decomposition
+        /// of the induced subgraph, never wider than the original.
+        #[test]
+        fn projections_decompose_induced_subgraphs(
+            n in 1usize..16,
+            p in 0.05f64..0.6,
+            seed in 0u64..10_000,
+            keep_probability in 0.0f64..1.0,
+        ) {
+            let graph = generators::erdos_renyi(n, p, seed);
+            let td = decompose_with_heuristic(&graph, EliminationHeuristic::MinFill);
+            let mut rng = SplitMix64::new(seed ^ 0x9e37);
+            let keep: Vec<bool> = (0..n).map(|_| rng.next_bool(keep_probability)).collect();
+            let projected = td.project(|v| keep[v.0]);
+            let kept: Vec<VertexId> = graph.vertices().filter(|v| keep[v.0]).collect();
+            let (sub, map) = graph.induced_subgraph(&kept);
+            let mut renumber = vec![VertexId(usize::MAX); n];
+            for (new, old) in map.iter().enumerate() {
+                renumber[old.0] = VertexId(new);
+            }
+            let renumbered = projected.remap_vertices(&renumber);
+            prop_assert_eq!(renumbered.validate(&sub), Ok(()));
+            prop_assert!(projected.width() <= td.width());
+            prop_assert!(projected.bag_count() <= td.bag_count());
+        }
+    }
+
+    #[test]
+    fn projection_merges_contained_bags_and_relinks_separated_trees() {
+        // Path 0-1-2-3-4 decomposed as {0,1} {1,2} {2,3} {3,4}. Keeping
+        // {0, 1, 3, 4} empties nothing but leaves {1} and {3} inside their
+        // neighbours, and no kept vertex links the two halves.
+        let td = path_decomposition(5);
+        let projected = td.project(|v| v.0 != 2);
+        assert_eq!(projected.bag_count(), 2);
+        let bags: Vec<Vec<usize>> = projected
+            .bag_ids()
+            .map(|b| projected.bag(b).iter().map(|v| v.0).collect())
+            .collect();
+        assert_eq!(bags, vec![vec![0, 1], vec![3, 4]]);
+        assert_eq!(projected.tree_edges().count(), 1);
+        // Keeping nothing leaves nothing.
+        assert_eq!(td.project(|_| false).bag_count(), 0);
+    }
 
     fn path_graph(n: usize) -> Graph {
         let mut g = Graph::with_vertices(n);

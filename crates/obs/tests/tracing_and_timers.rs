@@ -2,8 +2,9 @@
 //!
 //! The tracer's enabled flag and event ring are process-global, so every
 //! test that touches them serializes on [`TRACER_LOCK`] and restores the
-//! default state (disabled, ring cleared) before releasing it. The
-//! stage-timer tests only use their own clocks and need no lock.
+//! default state (disabled, ring cleared) before releasing it. A
+//! `StageRecorder` lap also lands in the ring while the tracer is enabled,
+//! so the recorder tests that mark laps take the lock too.
 
 use proptest::prelude::*;
 use std::sync::Mutex;
@@ -174,6 +175,7 @@ proptest! {
 
 #[test]
 fn stage_recorder_laps_share_one_clock() {
+    let _lock = tracer_guard();
     let mut recorder = StageRecorder::new();
     spin(Duration::from_micros(200));
     recorder.mark("first");
