@@ -10,6 +10,7 @@
 
 use criterion::Criterion;
 use std::time::Duration;
+use stuc_core::serve::http::escape_json;
 
 pub mod benchdiff;
 
@@ -111,8 +112,8 @@ impl BenchSummary {
         let rate = count as f64 / elapsed.as_secs_f64().max(f64::MIN_POSITIVE);
         self.lines.push(format!(
             "{{\"suite\":\"{}\",\"case\":\"{}\",\"best_ns\":{},\"rate_per_sec\":{rate:.2}}}",
-            json_escape(&self.suite),
-            json_escape(case),
+            escape_json(&self.suite),
+            escape_json(case),
             elapsed.as_nanos()
         ));
     }
@@ -138,8 +139,8 @@ impl BenchSummary {
         }
         self.lines.push(format!(
             "{{\"suite\":\"{}\",\"case\":\"{}\",\"count\":{total},\"p50_ns\":{},\"p90_ns\":{},\"p99_ns\":{},\"buckets\":[{}]}}",
-            json_escape(&self.suite),
-            json_escape(case),
+            escape_json(&self.suite),
+            escape_json(case),
             nanos(histogram.quantile(0.50)),
             nanos(histogram.quantile(0.90)),
             nanos(histogram.quantile(0.99)),
@@ -155,8 +156,8 @@ impl BenchSummary {
     pub fn record_percentile(&mut self, case: &str, quantile: Quantile, value: Duration) {
         self.lines.push(format!(
             "{{\"suite\":\"{}\",\"case\":\"{}\",\"{}\":{}}}",
-            json_escape(&self.suite),
-            json_escape(case),
+            escape_json(&self.suite),
+            escape_json(case),
             quantile.key(),
             value.as_nanos()
         ));
@@ -167,16 +168,16 @@ impl BenchSummary {
     pub fn record_count(&mut self, case: &str, count: u64) {
         self.lines.push(format!(
             "{{\"suite\":\"{}\",\"case\":\"{}\",\"count\":{count}}}",
-            json_escape(&self.suite),
-            json_escape(case)
+            escape_json(&self.suite),
+            escape_json(case)
         ));
     }
 
     fn push(&mut self, case: &str, best: Duration, speedup: Option<f64>) {
         let mut line = format!(
             "{{\"suite\":\"{}\",\"case\":\"{}\",\"best_ns\":{}",
-            json_escape(&self.suite),
-            json_escape(case),
+            escape_json(&self.suite),
+            escape_json(case),
             best.as_nanos()
         );
         if let Some(speedup) = speedup {
@@ -232,18 +233,6 @@ fn summary_dir() -> std::path::PathBuf {
         .and_then(std::path::Path::parent)
         .map(std::path::Path::to_path_buf)
         .unwrap_or_else(|| std::path::PathBuf::from("."))
-}
-
-/// Minimal JSON string escaping for suite/case labels.
-fn json_escape(s: &str) -> String {
-    s.chars()
-        .flat_map(|c| match c {
-            '"' => "\\\"".chars().collect::<Vec<_>>(),
-            '\\' => "\\\\".chars().collect(),
-            c if c.is_control() => format!("\\u{:04x}", c as u32).chars().collect(),
-            c => vec![c],
-        })
-        .collect()
 }
 
 #[cfg(test)]
@@ -307,11 +296,5 @@ mod tests {
         let body = std::fs::read_to_string(&path).unwrap();
         assert!(body.contains("\"best_ns\":7"));
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn escaping_handles_quotes_and_controls() {
-        assert_eq!(json_escape("a\"b\\c"), "a\\\"b\\\\c");
-        assert_eq!(json_escape("x\ny"), "x\\u000ay");
     }
 }

@@ -363,7 +363,7 @@ fn budget_checks_cost_at_most_2_percent_on_the_a2_sweep() {
     // changes nothing about the answer.
     let plain = engine.evaluate(&tid, &query).unwrap().probability;
     let budgeted = engine
-        .evaluate_with_budget(&tid, &query, &far)
+        .with_budget(&far, || engine.evaluate(&tid, &query))
         .unwrap()
         .probability;
     assert_eq!(plain.to_bits(), budgeted.to_bits());
@@ -385,7 +385,7 @@ fn budget_checks_cost_at_most_2_percent_on_the_a2_sweep() {
     for _ in 0..RUNS {
         std::hint::black_box(
             engine
-                .evaluate_with_budget(&tid, &query, &far)
+                .with_budget(&far, || engine.evaluate(&tid, &query))
                 .unwrap()
                 .probability,
         );

@@ -22,9 +22,9 @@ use super::metrics::engine_metrics;
 use super::report::BatchReport;
 use super::{Engine, EvaluationReport, Representation, StucError};
 use std::collections::HashMap;
+use std::convert::Infallible;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use stuc_obs::timer::Stopwatch;
-use stuc_obs::trace;
 
 impl Engine {
     /// Evaluates a batch of Boolean queries on one instance, in parallel.
@@ -75,7 +75,21 @@ impl Engine {
         R: Representation + Sync + ?Sized,
         R::Query: Sync,
     {
-        let _span = trace::span("evaluate_batch");
+        // A batch never fails as a whole: one call is counted, and timed,
+        // regardless of per-query errors (which evaluate() already counted).
+        let Ok(batch) = engine_metrics().evaluate_batch.instrument(
+            "evaluate_batch",
+            || Ok::<_, Infallible>(self.batch_inner(representation, queries)),
+            |_, _| {},
+        );
+        batch
+    }
+
+    fn batch_inner<R>(&self, representation: &R, queries: &[R::Query]) -> BatchReport
+    where
+        R: Representation + Sync + ?Sized,
+        R::Query: Sync,
+    {
         let started = Stopwatch::start();
 
         // Deduplicate identical queries up front (by their `Debug`
@@ -172,44 +186,7 @@ impl Engine {
                 report
             })
             .collect();
-        let batch = BatchReport::assemble(reports, threads, started.elapsed());
-        // A batch never fails as a whole; count one call, and time it,
-        // regardless of per-query errors (which evaluate() already counted).
-        engine_metrics()
-            .evaluate_batch
-            .observe_ok(started.elapsed());
-        batch
-    }
-
-    /// [`Engine::evaluate_batch`] under a cooperative
-    /// [`EvalBudget`](super::EvalBudget): the budget is re-installed in
-    /// every worker thread, so one deadline bounds the whole batch. Queries
-    /// that trip it carry [`StucError::DeadlineExceeded`] /
-    /// [`StucError::Cancelled`] in their slots; queries that finished before
-    /// the trip keep their answers.
-    pub fn evaluate_batch_with_budget<R>(
-        &self,
-        representation: &R,
-        queries: &[R::Query],
-        budget: &super::EvalBudget,
-    ) -> BatchReport
-    where
-        R: Representation + Sync + ?Sized,
-        R::Query: Sync,
-    {
-        let (batch, stats) = stuc_fault::budget::scope_with_stats(budget.clone(), || {
-            self.evaluate_batch(representation, queries)
-        });
-        let metrics = engine_metrics();
-        metrics.budget_check_seconds.observe(stats.spent);
-        for report in &batch.reports {
-            match report {
-                Err(StucError::DeadlineExceeded { .. }) => metrics.deadline_exceeded.inc(),
-                Err(StucError::Cancelled { .. }) => metrics.cancelled.inc(),
-                _ => {}
-            }
-        }
-        batch
+        BatchReport::assemble(reports, threads, started.elapsed())
     }
 
     /// How many workers a batch of `batch_size` queries runs on.

@@ -4,12 +4,14 @@
 //! query, and why" without running a counting sweep: which route (extensional
 //! safe plan vs. compiled lineage), which back-end and the evidence behind
 //! the choice, the circuit's width against the engine's budget, the sweep
-//! plan's table volume, and which caches would serve the work. The decision
-//! logic is a faithful mirror of `evaluate_inner` — same policy handling,
-//! same hierarchy/self-join checks in the same order, same width-vs-budget
-//! rule — so an explanation always agrees with the
-//! [`EvaluationReport`](super::EvaluationReport) of an actual run on route,
-//! back-end, width and cache provenance.
+//! plan's table volume, and which caches would serve the work. Explain has
+//! no planner of its own: it renders the very plan (`Engine::plan`,
+//! `Engine::plan_goal`) that evaluate executes, so an explanation agrees
+//! with the [`EvaluationReport`](super::EvaluationReport) of an actual run
+//! on route, back-end, refusal, width and cache provenance by construction.
+//! What only explain needs — the lifetime cache counters, the sweep-plan
+//! statistics and the eligibility breakdown — is computed here, never while
+//! evaluating.
 //!
 //! "Evaluate-free" means no probability is computed; the circuit path still
 //! fetches (or builds) the compiled lineage through the engine's shared
@@ -34,17 +36,14 @@
 //! println!("{}", explanations[0].render_text());
 //! ```
 
-use std::sync::Arc;
-
+use super::plan::{CacheFlags, GoalPlan, Lineage, Plan};
 use super::report::{BackendKind, BackendPolicy};
 use super::representation::Representation;
-use super::text::lowering_note;
-use super::{CacheFlags, CompiledLineage, Engine, StucError};
-use stuc_circuit::wmc::WmcError;
+use super::text::{lowering_note, parse_text};
+use super::{Engine, StucError};
+use crate::serve::http::escape_json;
 use stuc_lang::ast::{RuleAst, UnionAst};
-use stuc_lang::cost::{CostModel, Route, RouteDecision};
-use stuc_lang::lower::lower_goal;
-use stuc_lang::{parse_program, LangError};
+use stuc_lang::cost::{Route, RouteDecision};
 use stuc_obs::timer::StageRecorder;
 use stuc_obs::trace;
 use stuc_query::cq::ConjunctiveQuery;
@@ -94,7 +93,7 @@ pub struct SafePlanEligibility {
 }
 
 impl SafePlanEligibility {
-    fn unavailable() -> Self {
+    pub(super) fn unavailable() -> Self {
         SafePlanEligibility {
             extensional: false,
             hierarchical: None,
@@ -103,7 +102,7 @@ impl SafePlanEligibility {
         }
     }
 
-    fn of(query: &ConjunctiveQuery) -> Self {
+    pub(super) fn of(query: &ConjunctiveQuery) -> Self {
         SafePlanEligibility {
             extensional: true,
             hierarchical: Some(is_hierarchical(query)),
@@ -114,7 +113,7 @@ impl SafePlanEligibility {
 
     /// The refusal `safe_plan_probability` would produce, in its exact
     /// check order: empty query, then self-join, then hierarchy.
-    fn refusal(&self) -> Option<SafePlanError> {
+    pub(super) fn refusal(&self) -> Option<SafePlanError> {
         if self.empty == Some(true) {
             return Some(SafePlanError::EmptyQuery);
         }
@@ -341,96 +340,55 @@ impl QueryExplanation {
     /// Deterministic single-line JSON rendering (fixed key order, no
     /// floats) for `POST /query?explain=1` and golden tests.
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\"query\":");
-        json_str(&mut out, &self.query);
-        out.push_str(",\"representation\":");
-        json_str(&mut out, self.representation);
-        out.push_str(&format!(",\"facts\":{}", self.fact_count));
-        out.push_str(",\"policy\":");
-        json_str(&mut out, &self.policy);
-        out.push_str(",\"outcome\":");
-        json_str(&mut out, self.outcome.name());
-        out.push_str(",\"backend\":");
-        json_str(&mut out, self.backend.name());
-        out.push_str(",\"reason\":");
-        json_str(&mut out, &self.reason);
-        out.push_str(",\"refusal\":");
-        match &self.refusal {
-            Some(refusal) => json_str(&mut out, refusal),
-            None => out.push_str("null"),
-        }
-        out.push_str(&format!(
-            ",\"safe_plan\":{{\"extensional\":{},\"hierarchical\":{},\"self_join_free\":{},\"empty\":{}}}",
-            self.safe_plan.extensional,
-            json_opt_bool(self.safe_plan.hierarchical),
-            json_opt_bool(self.safe_plan.self_join_free),
-            json_opt_bool(self.safe_plan.empty),
-        ));
-        out.push_str(",\"route\":");
-        match &self.route {
-            Some(route) => {
-                out.push_str(&format!(
-                    "{{\"route\":\"{}\",\"safe_eligible\":{},\"cached_lineage\":{},\"summary\":",
-                    route.route, route.safe_eligible, route.cached_lineage
-                ));
-                json_str(&mut out, &route.summary);
-                out.push('}');
-            }
-            None => out.push_str("null"),
-        }
-        out.push_str(",\"lowering\":");
-        match &self.lowering {
-            Some(lowering) => json_str(&mut out, lowering),
-            None => out.push_str("null"),
-        }
-        out.push_str(",\"circuit\":");
-        match &self.circuit {
-            Some(c) => {
-                out.push_str(&format!(
-                    "{{\"gates\":{},\"cold_gates\":{},\"variables\":{},\"bags\":{},\"width\":{},\"decomposition_width\":{},\"width_budget\":{},\"within_budget\":{},\"sweep\":",
-                    c.gates,
-                    c.cold_gates,
-                    c.variables,
-                    c.bags,
-                    c.width,
-                    c.decomposition_width
-                        .map(|w| w.to_string())
-                        .unwrap_or_else(|| "null".into()),
-                    c.width_budget,
-                    c.within_budget,
-                ));
-                match &c.sweep {
-                    Some(s) => out.push_str(&format!(
-                        "{{\"nodes\":{},\"table_entries\":{},\"arena_slots\":{}}}",
-                        s.nodes, s.table_entries, s.arena_slots
-                    )),
-                    None => out.push_str("null"),
-                }
-                out.push('}');
-            }
-            None => out.push_str("null"),
-        }
-        out.push_str(&format!(
-            ",\"cache\":{{\"lineage\":{},\"decomposition\":{}}}",
+        let safe = &self.safe_plan;
+        let route = json_opt(self.route.as_ref(), |r| {
+            format!(
+                "{{\"route\":\"{}\",\"safe_eligible\":{},\"cached_lineage\":{},\"summary\":{}}}",
+                r.route,
+                r.safe_eligible,
+                r.cached_lineage,
+                json_str(&r.summary)
+            )
+        });
+        let circuit = json_opt(self.circuit.as_ref(), |c| {
+            let sweep = json_opt(c.sweep, |s| {
+                format!(
+                    "{{\"nodes\":{},\"table_entries\":{},\"arena_slots\":{}}}",
+                    s.nodes, s.table_entries, s.arena_slots
+                )
+            });
+            format!(
+                "{{\"gates\":{},\"cold_gates\":{},\"variables\":{},\"bags\":{},\"width\":{},\"decomposition_width\":{},\"width_budget\":{},\"within_budget\":{},\"sweep\":{sweep}}}",
+                c.gates,
+                c.cold_gates,
+                c.variables,
+                c.bags,
+                c.width,
+                json_opt(c.decomposition_width, |w| w.to_string()),
+                c.width_budget,
+                c.within_budget,
+            )
+        });
+        format!(
+            "{{\"query\":{},\"representation\":{},\"facts\":{},\"policy\":{},\"outcome\":{},\"backend\":{},\"reason\":{},\"refusal\":{},\"safe_plan\":{{\"extensional\":{},\"hierarchical\":{},\"self_join_free\":{},\"empty\":{}}},\"route\":{route},\"lowering\":{},\"circuit\":{circuit},\"cache\":{{\"lineage\":{},\"decomposition\":{}}},\"stages\":{},\"notes\":{}}}",
+            json_str(&self.query),
+            json_str(self.representation),
+            self.fact_count,
+            json_str(&self.policy),
+            json_str(self.outcome.name()),
+            json_str(self.backend.name()),
+            json_str(&self.reason),
+            json_opt(self.refusal.as_deref(), json_str),
+            safe.extensional,
+            json_opt(safe.hierarchical, |b| b.to_string()),
+            json_opt(safe.self_join_free, |b| b.to_string()),
+            json_opt(safe.empty, |b| b.to_string()),
+            json_opt(self.lowering.as_deref(), json_str),
             json_cache_side(&self.cache.lineage),
             json_cache_side(&self.cache.decomposition),
-        ));
-        out.push_str(",\"stages\":[");
-        for (i, stage) in self.stages.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            json_str(&mut out, stage);
-        }
-        out.push_str("],\"notes\":[");
-        for (i, note) in self.notes.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            json_str(&mut out, note);
-        }
-        out.push_str("]}");
-        out
+            json_array(&self.stages),
+            json_array(&self.notes),
+        )
     }
 }
 
@@ -448,11 +406,9 @@ fn yes_no(value: Option<bool>) -> &'static str {
     }
 }
 
-fn json_opt_bool(value: Option<bool>) -> String {
-    match value {
-        Some(b) => b.to_string(),
-        None => "null".into(),
-    }
+/// `null`, or the rendering of the value.
+fn json_opt<T>(value: Option<T>, render: impl FnOnce(T) -> String) -> String {
+    value.map_or_else(|| "null".to_string(), render)
 }
 
 fn json_cache_side(side: &CacheSideExplanation) -> String {
@@ -462,22 +418,14 @@ fn json_cache_side(side: &CacheSideExplanation) -> String {
     )
 }
 
-/// Minimal JSON string escape (quotes, backslashes, control characters) —
-/// the same dialect the HTTP server emits.
-fn json_str(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
+/// A quoted JSON string literal.
+fn json_str(s: &str) -> String {
+    format!("\"{}\"", escape_json(s))
+}
+
+fn json_array(items: &[impl AsRef<str>]) -> String {
+    let items: Vec<String> = items.iter().map(|item| json_str(item.as_ref())).collect();
+    format!("[{}]", items.join(","))
 }
 
 /// Clip a `Debug`-rendered query for display; explanations are for humans,
@@ -491,159 +439,40 @@ fn clip(text: &str) -> String {
     format!("{clipped}…")
 }
 
-fn push_unique(notes: &mut Vec<String>, note: String) {
-    if !notes.iter().any(|n| n == &note) {
-        notes.push(note);
-    }
-}
-
-/// What stage 1 of `evaluate_inner` would decide.
-enum Stage1 {
-    SafePlan,
-    Circuit,
-    Refuse(StucError),
-}
-
 impl Engine {
     /// Explains — without evaluating — what [`Engine::evaluate`] would do
     /// with `query` on `representation`: route, back-end, width vs.
     /// budget, sweep-plan volume, cache provenance, and the same strategy
     /// notes the evaluation report would carry.
     ///
-    /// The circuit path fetches (or builds and caches) the compiled
-    /// lineage, so a cold explain warms the cache for the evaluation that
-    /// follows; no counting sweep ever runs. Errors that would strike
-    /// while *building* the lineage (decomposition, compilation, a tripped
-    /// budget) propagate exactly as they would from `evaluate`; refusals
-    /// that the back-end choice can predict are reported in
-    /// [`QueryExplanation::refusal`] instead of being returned as errors.
+    /// The explanation renders the very plan `evaluate` executes, so the
+    /// circuit path fetches (or builds and caches) the compiled lineage and
+    /// a cold explain warms the cache for the evaluation that follows; no
+    /// counting sweep ever runs. Errors that would strike while *building*
+    /// the lineage (decomposition, compilation, a tripped budget) propagate
+    /// exactly as they would from `evaluate`; refusals of a pinned back-end
+    /// are reported in [`QueryExplanation::refusal`] instead of being
+    /// returned as errors.
     pub fn explain<R: Representation + ?Sized>(
         &self,
         representation: &R,
         query: &R::Query,
     ) -> Result<QueryExplanation, StucError> {
         let _span = trace::span("explain");
-        let mut notes = Vec::new();
-        let extensional = representation.extensional(query);
-        let safe_plan = match &extensional {
-            Some(ext) => SafePlanEligibility::of(ext.query),
-            None => SafePlanEligibility::unavailable(),
-        };
-
-        // Stage 1 mirror: the same decision tree as `evaluate_inner`,
-        // producing the same notes in the same order.
-        let stage1 = match (self.config.policy, safe_plan.extensional) {
-            (BackendPolicy::Fixed(BackendKind::SafePlan), true) => match safe_plan.refusal() {
-                None => Stage1::SafePlan,
-                Some(refusal) => Stage1::Refuse(refusal.into()),
-            },
-            (BackendPolicy::Fixed(BackendKind::SafePlan), false) => {
-                Stage1::Refuse(StucError::BackendUnsupported {
-                    backend: BackendKind::SafePlan.name(),
-                    reason: format!(
-                        "{} offers no extensional evaluation; only TID instances do",
-                        representation.kind()
-                    ),
-                })
-            }
-            (BackendPolicy::Auto, true) => {
-                if safe_plan.hierarchical == Some(true) {
-                    match safe_plan.refusal() {
-                        None => {
-                            notes.push(
-                                "query is hierarchical; extensional safe plan selected".to_string(),
-                            );
-                            Stage1::SafePlan
-                        }
-                        Some(refusal) => {
-                            let refusal: StucError = refusal.into();
-                            notes.push(format!("safe plan refused ({refusal}); using lineage"));
-                            Stage1::Circuit
-                        }
-                    }
-                } else {
-                    notes.push(
-                        "query is not hierarchical; extensional safe plan skipped".to_string(),
-                    );
-                    Stage1::Circuit
-                }
-            }
-            _ => Stage1::Circuit,
-        };
-
-        let mut explanation = QueryExplanation {
-            query: clip(&format!("{query:?}")),
-            representation: representation.kind().name(),
-            fact_count: representation.fact_count(),
-            policy: policy_name(self.config.policy),
-            outcome: ExplainOutcome::Circuit,
-            backend: BackendKind::TreewidthWmc,
-            reason: String::new(),
-            refusal: None,
-            safe_plan,
-            route: None,
-            lowering: None,
-            circuit: None,
-            cache: self.cache_explanation(None),
-            stages: Vec::new(),
-            notes: Vec::new(),
-        };
-
-        match stage1 {
-            Stage1::SafePlan => {
-                explanation.outcome = ExplainOutcome::SafePlan;
-                explanation.backend = BackendKind::SafePlan;
-                explanation.reason = match self.config.policy {
-                    BackendPolicy::Fixed(_) => "policy pins the extensional safe plan".to_string(),
-                    _ => "query is hierarchical and self-join-free; no circuit needed".to_string(),
-                };
-                explanation.stages = vec!["safe-plan"];
-            }
-            Stage1::Refuse(err) => {
-                explanation.outcome = ExplainOutcome::Refused;
-                explanation.backend = BackendKind::SafePlan;
-                explanation.reason = "the pinned back-end cannot run this task".to_string();
-                explanation.refusal = Some(err.to_string());
-            }
-            Stage1::Circuit => {
-                let (entry, flags) = self.explained_lineage(representation, query, &mut notes)?;
-                let (backend, reason, refusal) =
-                    self.predict_backend(entry.compiled.width(), &mut notes);
-                explanation.backend = backend;
-                explanation.reason = reason;
-                explanation.circuit =
-                    Some(self.circuit_explanation(&entry, backend, entry.decomposition_width));
-                explanation.cache = self.cache_explanation(Some(flags));
-                explanation.stages = if flags.lineage_cached {
-                    vec!["cache-lookup", "sweep"]
-                } else {
-                    vec!["cache-lookup", "decompose", "compile-lineage", "sweep"]
-                };
-                if let Some(err) = refusal {
-                    explanation.outcome = ExplainOutcome::Refused;
-                    explanation.refusal = Some(err.to_string());
-                    explanation.stages.pop(); // the sweep never happens
-                }
-            }
-        }
-        explanation.notes = notes;
-        Ok(explanation)
+        let plan = self.plan(representation, query, false, &mut StageRecorder::new())?;
+        let safe_plan = representation
+            .extensional(query)
+            .map_or_else(SafePlanEligibility::unavailable, |input| {
+                SafePlanEligibility::of(input.query)
+            });
+        let query = clip(&format!("{query:?}"));
+        Ok(self.render_plan(representation, query, safe_plan, plan, Vec::new()))
     }
 
-    /// Renders [`Engine::explain`] as the deterministic text block.
-    pub fn explain_to_string<R: Representation + ?Sized>(
-        &self,
-        representation: &R,
-        query: &R::Query,
-    ) -> Result<String, StucError> {
-        Ok(self.explain(representation, query)?.render_text())
-    }
-
-    /// Explains every `?-` goal of a `stuc-lang` program: parse → lower →
-    /// cost-model route (mirroring [`Engine::evaluate_text`]'s decision
-    /// per goal, including policy forcing and the missing-extensional
-    /// fallback), then the circuit analysis of [`Engine::explain`] for
-    /// every inclusion–exclusion term the circuit route would compile.
+    /// Explains every `?-` goal of a `stuc-lang` program: the plan
+    /// [`Engine::evaluate_text`] executes per goal (lowering, cost-model
+    /// route, policy forcing, the missing-extensional fallback, and one
+    /// term plan per inclusion–exclusion term), rendered.
     pub fn explain_text<R>(
         &self,
         representation: &R,
@@ -652,17 +481,13 @@ impl Engine {
     where
         R: Representation<Query = ConjunctiveQuery> + ?Sized,
     {
-        let program = parse_program(src).map_err(LangError::from)?;
-        let fact_count = program.facts().count();
-        if fact_count > 0 {
-            return Err(StucError::TextFacts { count: fact_count });
-        }
+        let program = parse_text(src)?;
         let rules = program.rules();
-        let mut explanations = Vec::new();
-        for query in program.queries() {
-            explanations.push(self.explain_goal(representation, &query.goal, &rules)?);
-        }
-        Ok(explanations)
+        program
+            .queries()
+            .into_iter()
+            .map(|query| self.explain_goal(representation, &query.goal, &rules))
+            .collect()
     }
 
     /// Explains one parsed goal with `rules` in scope — the per-goal core
@@ -678,263 +503,95 @@ impl Engine {
         R: Representation<Query = ConjunctiveQuery> + ?Sized,
     {
         let _span = trace::span("explain_goal");
-        let lowered = lower_goal(goal, rules).map_err(LangError::from)?;
-        let stats = representation.relation_stats().unwrap_or_default();
-        let cached = !lowered.terms.is_empty()
-            && lowered
-                .terms
-                .iter()
-                .filter_map(|t| t.query.as_ref())
-                .all(|q| self.has_cached_lineage(representation, q));
-        let mut decision = CostModel::default().choose(&lowered, &stats, cached);
-        match self.config.policy {
-            BackendPolicy::Fixed(BackendKind::SafePlan) => decision.route = Route::SafePlan,
-            BackendPolicy::Fixed(_) => decision.route = Route::Circuit,
-            BackendPolicy::Auto => {}
-        }
-
-        let mut notes = vec![decision.summary(), lowering_note(&lowered)];
-        let terms: Vec<&ConjunctiveQuery> = lowered
+        let GoalPlan {
+            plan,
+            lowered,
+            decision,
+        } = self.plan_goal(representation, goal, rules, &mut StageRecorder::new())?;
+        let queries: Vec<&ConjunctiveQuery> = lowered
             .terms
             .iter()
             .filter_map(|t| t.query.as_ref())
             .collect();
-        let safe_plan = match terms.first() {
-            // Eligibility across the goal: every term must pass; fold the
-            // three conditions the way the cost model folds them.
-            Some(_)
-                if terms
-                    .iter()
-                    .all(|q| representation.extensional(q).is_some()) =>
-            {
-                SafePlanEligibility {
-                    extensional: true,
-                    hierarchical: Some(terms.iter().all(|q| is_hierarchical(q))),
-                    self_join_free: Some(terms.iter().all(|q| q.is_self_join_free())),
-                    empty: Some(false),
-                }
-            }
-            Some(_) => SafePlanEligibility::unavailable(),
-            None => SafePlanEligibility::unavailable(),
-        };
-
-        let mut explanation = QueryExplanation {
-            query: goal.to_string(),
-            representation: representation.kind().name(),
-            fact_count: representation.fact_count(),
-            policy: policy_name(self.config.policy),
-            outcome: ExplainOutcome::Circuit,
-            backend: BackendKind::TreewidthWmc,
-            reason: String::new(),
-            refusal: None,
-            safe_plan,
-            route: None,
-            lowering: Some(lowering_note(&lowered)),
-            circuit: None,
-            cache: self.cache_explanation(None),
-            stages: vec!["lower", "route"],
-            notes: Vec::new(),
-        };
-
-        // The missing-extensional fallback, mirroring `evaluate_goal`.
-        if decision.route == Route::SafePlan
-            && terms
+        // Eligibility across the goal: every term must pass; fold the
+        // three conditions the way the cost model folds them.
+        let safe_plan = if !queries.is_empty()
+            && queries
                 .iter()
-                .any(|q| representation.extensional(q).is_none())
+                .all(|q| representation.extensional(q).is_some())
         {
-            if self.config.policy == BackendPolicy::Fixed(BackendKind::SafePlan) {
-                explanation.outcome = ExplainOutcome::Refused;
-                explanation.backend = BackendKind::SafePlan;
-                explanation.reason = "the pinned back-end cannot run this task".to_string();
-                explanation.refusal = Some(
-                    StucError::BackendUnsupported {
-                        backend: BackendKind::SafePlan.name(),
-                        reason: format!(
-                            "{} offers no extensional evaluation; only TID instances do",
-                            representation.kind()
-                        ),
-                    }
-                    .to_string(),
-                );
-                explanation.route = Some(RouteExplanation::from_decision(&decision));
-                explanation.notes = notes;
-                return Ok(explanation);
+            SafePlanEligibility {
+                extensional: true,
+                hierarchical: Some(queries.iter().all(|q| is_hierarchical(q))),
+                self_join_free: Some(queries.iter().all(|q| q.is_self_join_free())),
+                empty: Some(false),
             }
-            decision.route = Route::Circuit;
-            notes.push(
-                "representation offers no extensional evaluation; circuit route used".to_string(),
-            );
-        }
+        } else {
+            SafePlanEligibility::unavailable()
+        };
+        let stages = vec!["lower", "route"];
+        let mut explanation =
+            self.render_plan(representation, goal.to_string(), safe_plan, plan, stages);
         explanation.route = Some(RouteExplanation::from_decision(&decision));
-
-        match decision.route {
-            Route::SafePlan => {
-                explanation.outcome = ExplainOutcome::SafePlan;
-                explanation.backend = BackendKind::SafePlan;
-                explanation.reason = match self.config.policy {
-                    BackendPolicy::Fixed(_) => "policy pins the extensional safe plan".to_string(),
-                    _ => "the cost model priced the safe plan below compilation".to_string(),
-                };
-                explanation.stages.push("safe-plan");
-            }
-            Route::Circuit if terms.is_empty() => {
-                // Mirrors `evaluate_goal`: no term to compile, default
-                // back-end, zero gates.
-                explanation.backend = BackendKind::TreewidthWmc;
-                explanation.reason = "no satisfiable terms; nothing to evaluate".to_string();
-                notes.push("no satisfiable terms remained after lowering".to_string());
-            }
-            Route::Circuit => {
-                // Fold per-term circuits as the goal report folds them:
-                // gates summed, widths maxed, cache flags ANDed, back-end
-                // from the first term.
-                let mut folded: Option<CircuitExplanation> = None;
-                let mut flags = CacheFlags {
-                    decomposition_cached: true,
-                    lineage_cached: true,
-                };
-                let mut first_backend = None;
-                let mut refusal = None;
-                for query in &terms {
-                    let (entry, term_flags) =
-                        self.explained_lineage(representation, *query, &mut notes)?;
-                    flags.decomposition_cached &= term_flags.decomposition_cached;
-                    flags.lineage_cached &= term_flags.lineage_cached;
-                    let (backend, reason, term_refusal) =
-                        self.predict_backend(entry.compiled.width(), &mut notes);
-                    if first_backend.is_none() {
-                        first_backend = Some((backend, reason));
-                    }
-                    if refusal.is_none() {
-                        refusal = term_refusal;
-                    }
-                    let term_circuit =
-                        self.circuit_explanation(&entry, backend, entry.decomposition_width);
-                    folded = Some(match folded {
-                        None => term_circuit,
-                        Some(prior) => fold_circuits(prior, term_circuit),
-                    });
-                }
-                let (backend, reason) = first_backend.expect("terms is non-empty in this branch");
-                explanation.backend = backend;
-                explanation.reason = reason;
-                explanation.circuit = folded;
-                explanation.cache = self.cache_explanation(Some(flags));
-                if flags.lineage_cached {
-                    explanation.stages.push("cache-lookup");
-                } else {
-                    explanation
-                        .stages
-                        .extend(["cache-lookup", "decompose", "compile-lineage"]);
-                }
-                if let Some(err) = refusal {
-                    explanation.outcome = ExplainOutcome::Refused;
-                    explanation.refusal = Some(err.to_string());
-                } else {
-                    explanation.stages.push("sweep");
-                }
-            }
-        }
-        explanation.notes = notes;
+        explanation.lowering = Some(lowering_note(&lowered));
         Ok(explanation)
     }
 
-    /// Fetch/build the compiled lineage and mirror the cache/build notes
-    /// `evaluate_on_circuit` would push.
-    fn explained_lineage<R: Representation + ?Sized>(
+    /// Renders the plan a run executes: its outcome, back-end, reason,
+    /// refusal and notes, the compiled circuits folded as the report folds
+    /// them, cache provenance, and the stages that follow `stages`.
+    fn render_plan<R: Representation + ?Sized>(
         &self,
         representation: &R,
-        query: &R::Query,
-        notes: &mut Vec<String>,
-    ) -> Result<(Arc<CompiledLineage>, CacheFlags), StucError> {
-        let mut rec = StageRecorder::new();
-        let (entry, flags) = self.compiled_lineage(representation, query, &mut rec)?;
-        if flags.lineage_cached {
-            push_unique(notes, "compiled lineage served from cache".to_string());
-        } else if flags.decomposition_cached {
-            push_unique(
-                notes,
-                "structure decomposition served from cache".to_string(),
-            );
+        query: String,
+        safe_plan: SafePlanEligibility,
+        plan: Plan,
+        mut stages: Vec<&'static str>,
+    ) -> QueryExplanation {
+        let outcome = match (plan.refusal(), plan.safe_route) {
+            (Some(_), _) => ExplainOutcome::Refused,
+            (None, true) => ExplainOutcome::SafePlan,
+            (None, false) => ExplainOutcome::Circuit,
+        };
+        let circuit = plan
+            .steps
+            .iter()
+            .filter_map(|step| Some(self.circuit_explanation(step.lineage()?, step.backend())))
+            .reduce(fold_circuits);
+        let flags = plan.cache_flags();
+        if outcome == ExplainOutcome::SafePlan {
+            stages.push("safe-plan");
         }
-        for note in &entry.build_notes {
-            push_unique(notes, note.clone());
+        if let Some(flags) = flags {
+            stages.push("cache-lookup");
+            if !flags.lineage_cached {
+                stages.extend(["decompose", "compile-lineage"]);
+            }
+            if outcome != ExplainOutcome::Refused {
+                stages.push("sweep");
+            }
         }
-        Ok((entry, flags))
-    }
-
-    /// The back-end stage 4 would pick for a circuit of this width — the
-    /// exact `Auto` rule, with the exact notes; a pinned treewidth sweep
-    /// over budget yields the refusal `evaluate` would return.
-    fn predict_backend(
-        &self,
-        width: usize,
-        notes: &mut Vec<String>,
-    ) -> (BackendKind, String, Option<StucError>) {
-        let budget = self.config.width_budget;
-        match self.config.policy {
-            BackendPolicy::Fixed(BackendKind::TreewidthWmc) => {
-                let refusal = (width >= budget).then(|| {
-                    StucError::from(WmcError::WidthTooLarge {
-                        width,
-                        limit: budget,
-                    })
-                });
-                (
-                    BackendKind::TreewidthWmc,
-                    "policy pins the treewidth WMC sweep".to_string(),
-                    refusal,
-                )
-            }
-            BackendPolicy::Fixed(BackendKind::Dpll) => (
-                BackendKind::Dpll,
-                "policy pins the DPLL counter".to_string(),
-                None,
-            ),
-            BackendPolicy::Fixed(BackendKind::Enumeration) => (
-                BackendKind::Enumeration,
-                "policy pins the enumeration baseline".to_string(),
-                None,
-            ),
-            BackendPolicy::Auto => {
-                if width < budget {
-                    push_unique(
-                        notes,
-                        format!(
-                            "lineage width estimate {width} within budget {budget}; treewidth WMC selected"
-                        ),
-                    );
-                    (
-                        BackendKind::TreewidthWmc,
-                        format!("circuit width {width} fits the budget {budget}"),
-                        None,
-                    )
-                } else {
-                    push_unique(
-                        notes,
-                        format!(
-                            "lineage width estimate {width} exceeds budget {budget}; DPLL selected"
-                        ),
-                    );
-                    (
-                        BackendKind::Dpll,
-                        format!("circuit width {width} exceeds the budget {budget}"),
-                        None,
-                    )
-                }
-            }
-            BackendPolicy::Fixed(BackendKind::SafePlan) => {
-                unreachable!("safe-plan policy never reaches the circuit path")
-            }
+        QueryExplanation {
+            query,
+            representation: representation.kind().name(),
+            fact_count: representation.fact_count(),
+            policy: policy_name(self.config.policy),
+            outcome,
+            backend: plan.backend(),
+            refusal: plan.refusal().map(ToString::to_string),
+            reason: plan.reason.into_owned(),
+            safe_plan,
+            route: None,
+            lowering: None,
+            circuit,
+            cache: self.cache_explanation(flags),
+            stages,
+            notes: plan.notes,
         }
     }
 
-    fn circuit_explanation(
-        &self,
-        entry: &CompiledLineage,
-        backend: BackendKind,
-        decomposition_width: Option<usize>,
-    ) -> CircuitExplanation {
+    fn circuit_explanation(&self, lineage: &Lineage, backend: BackendKind) -> CircuitExplanation {
+        let entry = &lineage.entry;
         let width = entry.compiled.width();
         // Building the sweep plan is only worth it when the treewidth
         // sweep would actually use it; the plan is memoized on the shared
@@ -953,7 +610,7 @@ impl Engine {
             variables: entry.compiled.variables().len(),
             bags: entry.compiled.bag_count(),
             width,
-            decomposition_width,
+            decomposition_width: entry.decomposition_width,
             width_budget: self.config.width_budget,
             within_budget: width < self.config.width_budget,
             sweep,
@@ -1024,7 +681,6 @@ fn fold_circuits(a: CircuitExplanation, b: CircuitExplanation) -> CircuitExplana
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::EngineBuilder;
     use stuc_data::tid::TidInstance;
     use stuc_query::cq::ConjunctiveQuery;
 
@@ -1033,23 +689,6 @@ mod tests {
         tid.add_fact_named("R", &["a"], 0.4);
         tid.add_fact_named("S", &["a", "b"], 0.5);
         tid
-    }
-
-    #[test]
-    fn a_hierarchical_query_explains_as_the_safe_plan() {
-        let tid = two_fact_tid();
-        let query = ConjunctiveQuery::parse("R(x), S(x, y)").unwrap();
-        let engine = Engine::new();
-        let explanation = engine.explain(&tid, &query).unwrap();
-        assert_eq!(explanation.outcome, ExplainOutcome::SafePlan);
-        assert_eq!(explanation.backend, BackendKind::SafePlan);
-        assert_eq!(explanation.safe_plan.hierarchical, Some(true));
-        assert_eq!(explanation.stages, vec!["safe-plan"]);
-        assert_eq!(explanation.cache.lineage.provenance, "untouched");
-        // And it agrees with the actual run.
-        let report = engine.evaluate(&tid, &query).unwrap();
-        assert_eq!(report.backend, explanation.backend);
-        assert!(!report.lineage_cached);
     }
 
     #[test]
@@ -1082,22 +721,6 @@ mod tests {
         let again = engine.explain(&tid, &query).unwrap();
         assert_eq!(again.cache.lineage.provenance, "hit");
         assert_eq!(again.stages, vec!["cache-lookup", "sweep"]);
-    }
-
-    #[test]
-    fn a_pinned_safe_plan_on_a_self_join_explains_the_refusal() {
-        let mut tid = TidInstance::new();
-        tid.add_fact_named("R", &["a", "b"], 0.5);
-        tid.add_fact_named("R", &["b", "c"], 0.5);
-        let query = ConjunctiveQuery::parse("R(x, y), R(y, z)").unwrap();
-        let engine = EngineBuilder::default()
-            .backend(BackendKind::SafePlan)
-            .build();
-        let explanation = engine.explain(&tid, &query).unwrap();
-        assert_eq!(explanation.outcome, ExplainOutcome::Refused);
-        let refusal = explanation.refusal.expect("refused outcome carries text");
-        let err = engine.evaluate(&tid, &query).unwrap_err();
-        assert_eq!(refusal, err.to_string());
     }
 
     #[test]

@@ -9,6 +9,8 @@
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 use stuc_obs::metrics::{registry, Counter, Gauge, Histogram};
+use stuc_obs::timer::Stopwatch;
+use stuc_obs::trace;
 
 /// Calls / errors / latency of one engine entry point.
 pub(crate) struct EntryMetrics {
@@ -36,25 +38,27 @@ impl EntryMetrics {
         }
     }
 
-    /// One successful call of the given wall time.
-    pub(crate) fn observe_ok(&self, wall: Duration) {
+    /// Runs one public entry point under its tracer span: times `run`,
+    /// records the call (successes land in the latency histogram, failures
+    /// only bump the counters), then hands the result and its wall time to
+    /// `log` for slow-log reporting.
+    pub(crate) fn instrument<T, E>(
+        &self,
+        span: &'static str,
+        run: impl FnOnce() -> Result<T, E>,
+        log: impl FnOnce(&Result<T, E>, Duration),
+    ) -> Result<T, E> {
+        let _span = trace::span(span);
+        let watch = Stopwatch::start();
+        let result = run();
+        let wall = watch.elapsed();
         self.calls.inc();
-        self.seconds.observe(wall);
-    }
-
-    /// One failed call.
-    pub(crate) fn observe_err(&self) {
-        self.calls.inc();
-        self.errors.inc();
-    }
-
-    /// Record from a `Result`: successes land in the latency histogram at
-    /// `wall`, failures only bump the counters.
-    pub(crate) fn observe<T, E>(&self, result: &Result<T, E>, wall: Duration) {
-        match result {
-            Ok(_) => self.observe_ok(wall),
-            Err(_) => self.observe_err(),
+        match &result {
+            Ok(_) => self.seconds.observe(wall),
+            Err(_) => self.errors.inc(),
         }
+        log(&result, wall);
+        result
     }
 }
 

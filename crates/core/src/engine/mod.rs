@@ -55,7 +55,8 @@
 //!    estimated width fits the budget;
 //! 3. otherwise falls back to **DPLL**, which assumes nothing about width.
 //!
-//! Every decision is recorded in [`EvaluationReport::notes`].
+//! The decision is made once, as a plan that evaluation executes and
+//! [`Engine::explain`] renders; it is recorded in [`EvaluationReport::notes`].
 //!
 //! ```
 //! use stuc_core::engine::Engine;
@@ -79,6 +80,7 @@ pub mod cache;
 pub mod error;
 pub mod explain;
 pub(crate) mod metrics;
+mod plan;
 pub mod report;
 pub mod representation;
 pub mod text;
@@ -105,9 +107,9 @@ pub use text::{GoalEvaluation, TextEvaluation};
 pub use update::UpdateReport;
 
 use cache::ShardedCache;
-use metrics::{decomposition_cache_metrics, engine_metrics, lineage_cache_metrics};
+use metrics::{decomposition_cache_metrics, engine_metrics, lineage_cache_metrics, EntryMetrics};
+use plan::CacheFlags;
 use representation::debug_identity;
-use std::borrow::Cow;
 use std::sync::Arc;
 use std::time::Duration;
 use stuc_circuit::circuit::Circuit;
@@ -115,9 +117,8 @@ use stuc_circuit::compiled::CompiledCircuit;
 use stuc_circuit::weights::Weights;
 use stuc_graph::elimination::{decompose_with_heuristic, EliminationHeuristic};
 use stuc_graph::TreeDecomposition;
-use stuc_obs::timer::{StageRecorder, Stopwatch};
+use stuc_obs::timer::StageRecorder;
 use stuc_obs::{slowlog, trace};
-use stuc_query::safe::is_hierarchical;
 
 /// Builder for [`Engine`]: heuristic, width budget, back-end policy and
 /// cache behaviour.
@@ -341,20 +342,6 @@ pub(crate) struct CompiledLineage {
 }
 
 impl CompiledLineage {
-    /// A rekeyed copy for an update that left the lineage intact: only the
-    /// secondary instance hash changes.
-    pub(crate) fn reusing(&self, instance_check: u64) -> CompiledLineage {
-        CompiledLineage {
-            compiled: self.compiled.clone(),
-            decomposition_width: self.decomposition_width,
-            build_notes: self.build_notes.clone(),
-            query_repr: self.query_repr.clone(),
-            instance_check,
-            query: Arc::clone(&self.query),
-            cold_gates: self.cold_gates,
-        }
-    }
-
     /// A copy carrying a patched circuit (and, when known, the patched
     /// structure-decomposition width).
     pub(crate) fn with_patched_circuit(
@@ -476,59 +463,72 @@ impl Engine {
         representation: &R,
         query: &R::Query,
     ) -> Result<EvaluationReport, StucError> {
-        let _span = trace::span("evaluate");
-        let watch = Stopwatch::start();
-        let result = self.evaluate_inner(representation, query, None);
-        engine_metrics().evaluate.observe(&result, watch.elapsed());
-        match &result {
-            Ok(report) => {
-                slowlog::global().note("evaluate", report.wall_time, report.trace_id, || {
-                    format!(
-                        "backend={} gates={} facts={}",
-                        report.backend.name(),
-                        report.circuit_gates,
-                        report.fact_count
-                    )
-                });
-            }
-            Err(err) => note_eval_failure("evaluate", err, watch.elapsed()),
-        }
-        result
+        engine_metrics().evaluate.instrument(
+            "evaluate",
+            || self.run_plan(representation, query, None),
+            |result, wall| match result {
+                Ok(report) => {
+                    slowlog::global().note("evaluate", report.wall_time, report.trace_id, || {
+                        format!(
+                            "backend={} gates={} facts={}",
+                            report.backend.name(),
+                            report.circuit_gates,
+                            report.fact_count
+                        )
+                    });
+                }
+                Err(err) => note_eval_failure("evaluate", err, wall),
+            },
+        )
     }
 
-    /// [`Engine::evaluate`] under a cooperative [`EvalBudget`]: the budget
-    /// is installed for the calling thread and polled at bounded intervals
-    /// inside every long-running stage (ordering, compilation, sweeps,
-    /// branching). A tripped deadline surfaces as
+    /// Runs `f` — any engine call: [`Engine::evaluate`],
+    /// [`Engine::evaluate_text`], [`Engine::evaluate_batch`],
+    /// [`Engine::apply_update`], … — under a cooperative [`EvalBudget`].
+    /// The budget is installed for the calling thread (and re-installed in
+    /// every batch worker) and polled at bounded intervals inside every
+    /// long-running stage (ordering, compilation, sweeps, branching, update
+    /// maintenance). A tripped deadline surfaces as
     /// [`StucError::DeadlineExceeded`], a raised cancel flag as
-    /// [`StucError::Cancelled`] — both name the stage that noticed. Partial
-    /// artifacts of a tripped run are never published to the caches, so an
-    /// identical re-run without the budget produces the exact answer.
-    pub fn evaluate_with_budget<R: Representation + ?Sized>(
+    /// [`StucError::Cancelled`] — both name the stage that noticed; in a
+    /// batch, the slots that tripped carry them while queries that finished
+    /// first keep their answers. Partial artifacts of a tripped run are
+    /// never published to the caches, so an identical re-run without the
+    /// budget produces the exact answer, and an update's instance mutation
+    /// is never torn.
+    ///
+    /// Each call records its budget-check overhead in the
+    /// `stuc_engine_budget_check_seconds` histogram and counts every trip
+    /// (one per failed call, one per failed batch slot) in
+    /// `stuc_engine_deadline_exceeded_total` / `stuc_engine_cancelled_total`.
+    ///
+    /// ```
+    /// use std::time::Duration;
+    /// use stuc_core::engine::{Engine, EvalBudget, StucError};
+    /// use stuc_core::workloads;
+    /// use stuc_query::cq::ConjunctiveQuery;
+    ///
+    /// let tid = workloads::path_tid(6, 0.5, 7);
+    /// let query = ConjunctiveQuery::parse("R(x, y), R(y, z)").unwrap();
+    /// let engine = Engine::new();
+    /// let expired = EvalBudget::with_deadline(Duration::ZERO);
+    /// let tripped = engine.with_budget(&expired, || engine.evaluate(&tid, &query));
+    /// assert!(matches!(tripped, Err(StucError::DeadlineExceeded { .. })));
+    /// ```
+    pub fn with_budget<T: budgeted::Outcome>(
         &self,
-        representation: &R,
-        query: &R::Query,
         budget: &EvalBudget,
-    ) -> Result<EvaluationReport, StucError> {
-        self.budgeted(budget, || self.evaluate(representation, query))
-    }
-
-    /// Installs `budget` around `f`, records budget-check overhead into the
-    /// `stuc_engine_budget_check_seconds` histogram, and counts trips.
-    fn budgeted<T>(
-        &self,
-        budget: &EvalBudget,
-        f: impl FnOnce() -> Result<T, StucError>,
-    ) -> Result<T, StucError> {
-        let (result, stats) = stuc_fault::budget::scope_with_stats(budget.clone(), f);
+        f: impl FnOnce() -> T,
+    ) -> T {
+        let (outcome, stats) = stuc_fault::budget::scope_with_stats(budget.clone(), f);
         let metrics = engine_metrics();
         metrics.budget_check_seconds.observe(stats.spent);
-        match &result {
-            Err(StucError::DeadlineExceeded { .. }) => metrics.deadline_exceeded.inc(),
-            Err(StucError::Cancelled { .. }) => metrics.cancelled.inc(),
+        outcome.for_each_error(|error| match error {
+            StucError::DeadlineExceeded { .. } => metrics.deadline_exceeded.inc(),
+            StucError::Cancelled { .. } => metrics.cancelled.inc(),
             _ => {}
-        }
-        result
+        });
+        outcome
     }
 
     /// Re-evaluates a query under a different weight table — the what-if
@@ -574,13 +574,11 @@ impl Engine {
         query: &R::Query,
         weights: &Weights,
     ) -> Result<EvaluationReport, StucError> {
-        let _span = trace::span("reevaluate_with_weights");
-        let watch = Stopwatch::start();
-        let result = self.evaluate_inner(representation, query, Some(weights));
-        engine_metrics()
-            .reevaluate
-            .observe(&result, watch.elapsed());
-        result
+        engine_metrics().reevaluate.instrument(
+            "reevaluate_with_weights",
+            || self.run_plan(representation, query, Some(weights)),
+            |_, _| {},
+        )
     }
 
     /// Re-evaluates a query under **K** different weight tables in a single
@@ -632,99 +630,11 @@ impl Engine {
         query: &R::Query,
         scenarios: &[Weights],
     ) -> Result<Vec<EvaluationReport>, StucError> {
-        let _span = trace::span("reevaluate_with_weights_many");
-        let watch = Stopwatch::start();
-        let result = self.reevaluate_many_inner(representation, query, scenarios);
-        engine_metrics()
-            .reevaluate
-            .observe(&result, watch.elapsed());
-        result
-    }
-
-    fn reevaluate_many_inner<R: Representation + ?Sized>(
-        &self,
-        representation: &R,
-        query: &R::Query,
-        scenarios: &[Weights],
-    ) -> Result<Vec<EvaluationReport>, StucError> {
-        if scenarios.is_empty() {
-            return Ok(Vec::new());
-        }
-        if self.config.policy == BackendPolicy::Fixed(BackendKind::SafePlan) {
-            return Err(StucError::BackendUnsupported {
-                backend: BackendKind::SafePlan.name(),
-                reason: "weight re-evaluation runs on the lineage circuit; the extensional \
-                         safe plan reads the instance's own probabilities"
-                    .into(),
-            });
-        }
-        let mut rec = StageRecorder::new();
-        let mut notes = Vec::new();
-        let (entry, cache_flags) = self.compiled_lineage(representation, query, &mut rec)?;
-        if cache_flags.lineage_cached {
-            notes.push("compiled lineage served from cache".to_string());
-        }
-        notes.extend(entry.build_notes.iter().cloned());
-
-        let use_lanes = match self.config.policy {
-            BackendPolicy::Fixed(BackendKind::TreewidthWmc) => true,
-            BackendPolicy::Auto => entry.compiled.width() < self.config.width_budget,
-            _ => false,
-        };
-        let (probabilities, backend) = if use_lanes {
-            notes.push(format!(
-                "{} scenarios evaluated in one lane sweep",
-                scenarios.len()
-            ));
-            let many = entry
-                .compiled
-                .run_many(scenarios, self.config.width_budget)?;
-            (many.probabilities, BackendKind::TreewidthWmc)
-        } else {
-            // No lanes implementation for this back-end: sequential loop.
-            let chosen: Box<dyn Backend> = match self.config.policy {
-                BackendPolicy::Fixed(BackendKind::Dpll) | BackendPolicy::Auto => {
-                    Box::new(DpllBackend {
-                        max_branches: self.config.dpll_max_branches,
-                    })
-                }
-                BackendPolicy::Fixed(BackendKind::Enumeration) => Box::new(EnumerationBackend),
-                _ => unreachable!("treewidth and safe-plan handled above"),
-            };
-            notes.push(format!(
-                "{} scenarios evaluated sequentially by {} (no lane support)",
-                scenarios.len(),
-                chosen.kind()
-            ));
-            let mut probabilities = Vec::with_capacity(scenarios.len());
-            for weights in scenarios {
-                let task = EvaluationTask::Compiled {
-                    lineage: &entry.compiled,
-                    weights,
-                };
-                probabilities.push(chosen.solve(&task)?);
-            }
-            (probabilities, chosen.kind())
-        };
-        rec.mark("sweep");
-        let wall_time = rec.elapsed();
-        let timings = rec.finish();
-        Ok(probabilities
-            .into_iter()
-            .map(|probability| {
-                self.report(
-                    probability,
-                    backend,
-                    entry.decomposition_width,
-                    entry.compiled.len(),
-                    representation.fact_count(),
-                    wall_time,
-                    timings.clone(),
-                    cache_flags,
-                    notes.clone(),
-                )
-            })
-            .collect())
+        engine_metrics().reevaluate.instrument(
+            "reevaluate_with_weights_many",
+            || self.run_plan_many(representation, query, scenarios),
+            |_, _| {},
+        )
     }
 
     /// Posterior marginals `P(fact | query)` of **every** fact variable, in
@@ -766,18 +676,14 @@ impl Engine {
         representation: &R,
         query: &R::Query,
     ) -> Result<Marginals, StucError> {
-        let _span = trace::span("marginals");
-        let watch = Stopwatch::start();
-        let result = self.inference_input(representation, query).and_then(
-            |(entry, weights, lineage_cached)| {
-                let mut result =
-                    stuc_infer::marginals(&entry.compiled, &weights, self.config.width_budget)?;
-                result.report.lineage_cached = lineage_cached;
-                Ok(result)
-            },
-        );
-        engine_metrics().marginals.observe(&result, watch.elapsed());
-        result
+        self.infer(
+            &engine_metrics().marginals,
+            "marginals",
+            representation,
+            query,
+            stuc_infer::marginals,
+            |m| &mut m.report.lineage_cached,
+        )
     }
 
     /// Draws `count` i.i.d. possible worlds **exactly** proportional to
@@ -811,25 +717,16 @@ impl Engine {
         count: usize,
         seed: u64,
     ) -> Result<SampledWorlds, StucError> {
-        let _span = trace::span("sample_worlds");
-        let watch = Stopwatch::start();
-        let result = self.inference_input(representation, query).and_then(
-            |(entry, weights, lineage_cached)| {
-                let mut result = stuc_infer::sample_worlds(
-                    &entry.compiled,
-                    &weights,
-                    self.config.width_budget,
-                    count,
-                    seed,
-                )?;
-                result.report.lineage_cached = lineage_cached;
-                Ok(result)
+        self.infer(
+            &engine_metrics().sample_worlds,
+            "sample_worlds",
+            representation,
+            query,
+            |compiled, weights, budget| {
+                stuc_infer::sample_worlds(compiled, weights, budget, count, seed)
             },
-        );
-        engine_metrics()
-            .sample_worlds
-            .observe(&result, watch.elapsed());
-        result
+            |s| &mut s.report.lineage_cached,
+        )
     }
 
     /// Builds a reusable exact [`WorldSampler`] for `(representation,
@@ -843,20 +740,14 @@ impl Engine {
         query: &R::Query,
         seed: u64,
     ) -> Result<WorldSampler, StucError> {
-        let _span = trace::span("world_sampler");
-        let watch = Stopwatch::start();
-        let result = self.inference_input(representation, query).and_then(
-            |(entry, weights, lineage_cached)| {
-                let mut sampler =
-                    WorldSampler::new(&entry.compiled, &weights, self.config.width_budget, seed)?;
-                sampler.report_mut().lineage_cached = lineage_cached;
-                Ok(sampler)
-            },
-        );
-        engine_metrics()
-            .sample_worlds
-            .observe(&result, watch.elapsed());
-        result
+        self.infer(
+            &engine_metrics().sample_worlds,
+            "world_sampler",
+            representation,
+            query,
+            |compiled, weights, budget| WorldSampler::new(compiled, weights, budget, seed),
+            |s| &mut s.report_mut().lineage_cached,
+        )
     }
 
     /// The single most probable world in which the query holds, and its
@@ -881,232 +772,50 @@ impl Engine {
         representation: &R,
         query: &R::Query,
     ) -> Result<MostProbableWorld, StucError> {
-        let _span = trace::span("most_probable_world");
-        let watch = Stopwatch::start();
-        let result = self.inference_input(representation, query).and_then(
-            |(entry, weights, lineage_cached)| {
-                let mut result = stuc_infer::most_probable_world(
-                    &entry.compiled,
-                    &weights,
-                    self.config.width_budget,
-                )?;
-                result.report.lineage_cached = lineage_cached;
-                Ok(result)
-            },
-        );
-        engine_metrics()
-            .most_probable_world
-            .observe(&result, watch.elapsed());
-        result
+        self.infer(
+            &engine_metrics().most_probable_world,
+            "most_probable_world",
+            representation,
+            query,
+            stuc_infer::most_probable_world,
+            |m| &mut m.report.lineage_cached,
+        )
     }
 
-    /// Shared entry of the posterior-inference modes: refuse the (circuitless)
-    /// fixed safe-plan policy, then fetch the compiled lineage — served from
-    /// the same cache as every counting mode — and the representation's
-    /// weights.
-    fn inference_input<'r, R: Representation + ?Sized>(
+    /// Shared body of the posterior-inference modes: refuse the
+    /// (circuitless) fixed safe-plan policy, fetch the compiled lineage —
+    /// served from the same cache as every counting mode — and the weights,
+    /// run `mode` under the width budget, and record in its report whether
+    /// the lineage came from the cache.
+    fn infer<R: Representation + ?Sized, T>(
         &self,
-        representation: &'r R,
-        query: &R::Query,
-    ) -> Result<(Arc<CompiledLineage>, Cow<'r, Weights>, bool), StucError> {
-        if self.config.policy == BackendPolicy::Fixed(BackendKind::SafePlan) {
-            return Err(StucError::BackendUnsupported {
-                backend: BackendKind::SafePlan.name(),
-                reason: "posterior inference (marginals, sampling, most-probable-world) runs on \
-                         the lineage circuit; the extensional safe plan never builds one"
-                    .into(),
-            });
-        }
-        // Inference reports carry their own sweep counters, so the stage
-        // recorder here only feeds the tracer.
-        let mut rec = StageRecorder::new();
-        let (entry, flags) = self.compiled_lineage(representation, query, &mut rec)?;
-        let weights = representation.weights()?;
-        Ok((entry, weights, flags.lineage_cached))
-    }
-
-    fn evaluate_inner<R: Representation + ?Sized>(
-        &self,
+        metrics: &EntryMetrics,
+        span: &'static str,
         representation: &R,
         query: &R::Query,
-        weight_override: Option<&Weights>,
-    ) -> Result<EvaluationReport, StucError> {
-        // Fail fast when the caller's deadline already passed (e.g. the
-        // request waited out its budget in the server's accept queue).
-        stuc_fault::budget::check("evaluation start")?;
-        let mut rec = StageRecorder::new();
-        let mut notes = Vec::new();
-
-        // Stage 1: the extensional fast path, which skips decomposition and
-        // circuit construction entirely. It evaluates directly on the
-        // instance's own probabilities, so it is off the table when the
-        // caller supplied a weight override.
-        if weight_override.is_some() {
+        mode: impl FnOnce(&CompiledCircuit, &Weights, usize) -> Result<T, InferError>,
+        lineage_cached: impl FnOnce(&mut T) -> &mut bool,
+    ) -> Result<T, StucError> {
+        let run = || {
             if self.config.policy == BackendPolicy::Fixed(BackendKind::SafePlan) {
                 return Err(StucError::BackendUnsupported {
                     backend: BackendKind::SafePlan.name(),
-                    reason: "weight re-evaluation runs on the lineage circuit; the extensional \
-                             safe plan reads the instance's own probabilities"
-                        .into(),
+                    reason: "posterior inference (marginals, sampling, most-probable-world) \
+                             runs on the lineage circuit; the extensional safe plan never builds \
+                             one"
+                    .into(),
                 });
             }
-        } else if let Some(extensional) = representation.extensional(query) {
-            match self.config.policy {
-                BackendPolicy::Fixed(BackendKind::SafePlan) => {
-                    let task = EvaluationTask::Extensional {
-                        tid: extensional.tid,
-                        query: extensional.query,
-                    };
-                    let probability = SafePlanBackend.solve(&task)?;
-                    rec.mark("safe-plan");
-                    return Ok(self.report(
-                        probability,
-                        BackendKind::SafePlan,
-                        None,
-                        0,
-                        representation.fact_count(),
-                        rec.elapsed(),
-                        rec.finish(),
-                        CacheFlags::default(),
-                        notes,
-                    ));
-                }
-                BackendPolicy::Auto => {
-                    if is_hierarchical(extensional.query) {
-                        let task = EvaluationTask::Extensional {
-                            tid: extensional.tid,
-                            query: extensional.query,
-                        };
-                        match SafePlanBackend.solve(&task) {
-                            Ok(probability) => {
-                                notes.push(
-                                    "query is hierarchical; extensional safe plan selected"
-                                        .to_string(),
-                                );
-                                rec.mark("safe-plan");
-                                return Ok(self.report(
-                                    probability,
-                                    BackendKind::SafePlan,
-                                    None,
-                                    0,
-                                    representation.fact_count(),
-                                    rec.elapsed(),
-                                    rec.finish(),
-                                    CacheFlags::default(),
-                                    notes,
-                                ));
-                            }
-                            Err(refusal) => {
-                                notes.push(format!("safe plan refused ({refusal}); using lineage"))
-                            }
-                        }
-                    } else {
-                        notes.push(
-                            "query is not hierarchical; extensional safe plan skipped".to_string(),
-                        );
-                    }
-                }
-                BackendPolicy::Fixed(_) => {}
-            }
-        } else if self.config.policy == BackendPolicy::Fixed(BackendKind::SafePlan) {
-            return Err(StucError::BackendUnsupported {
-                backend: BackendKind::SafePlan.name(),
-                reason: format!(
-                    "{} offers no extensional evaluation; only TID instances do",
-                    representation.kind()
-                ),
-            });
-        }
-
-        self.evaluate_on_circuit(representation, query, weight_override, rec, notes)
-    }
-
-    /// Stages 2–4 of an evaluation: compiled lineage → weights → counting
-    /// back-end. Shared by [`Engine::evaluate_inner`] (after its stage-1
-    /// extensional fast path) and by the textual front-end
-    /// ([`Engine::evaluate_text`]), whose cost model makes its own stage-1
-    /// decision per inclusion–exclusion term.
-    fn evaluate_on_circuit<R: Representation + ?Sized>(
-        &self,
-        representation: &R,
-        query: &R::Query,
-        weight_override: Option<&Weights>,
-        mut rec: StageRecorder,
-        mut notes: Vec<String>,
-    ) -> Result<EvaluationReport, StucError> {
-        // Stages 2 + 3: fetch (or build) the compiled lineage — the
-        // decomposition of the structure graph, the lineage circuit, and the
-        // decomposition of the circuit graph, all weight-independent.
-        let (entry, cache_flags) = self.compiled_lineage(representation, query, &mut rec)?;
-        if cache_flags.lineage_cached {
-            notes.push("compiled lineage served from cache".to_string());
-        } else if cache_flags.decomposition_cached {
-            notes.push("structure decomposition served from cache".to_string());
-        }
-        notes.extend(entry.build_notes.iter().cloned());
-
-        // Collect the weights (the caller's override wins).
-        let own_weights;
-        let weights = match weight_override {
-            Some(weights) => weights,
-            None => {
-                own_weights = representation.weights()?;
-                &*own_weights
-            }
+            // Inference reports carry their own sweep counters, so the
+            // stage recorder here only feeds the tracer.
+            let (entry, flags) =
+                self.compiled_lineage(representation, query, &mut StageRecorder::new())?;
+            let weights = representation.weights()?;
+            let mut result = mode(&entry.compiled, &weights, self.config.width_budget)?;
+            *lineage_cached(&mut result) = flags.lineage_cached;
+            Ok(result)
         };
-
-        // Stage 4: pick and run a counting back-end.
-        let task = EvaluationTask::Compiled {
-            lineage: &entry.compiled,
-            weights,
-        };
-        let treewidth = TreewidthWmcBackend {
-            heuristic: self.config.heuristic,
-            max_bag_size: self.config.width_budget,
-        };
-        let chosen: Box<dyn Backend> = match self.config.policy {
-            BackendPolicy::Fixed(BackendKind::TreewidthWmc) => Box::new(treewidth),
-            BackendPolicy::Fixed(BackendKind::Dpll) => Box::new(DpllBackend {
-                max_branches: self.config.dpll_max_branches,
-            }),
-            BackendPolicy::Fixed(BackendKind::Enumeration) => Box::new(EnumerationBackend),
-            BackendPolicy::Fixed(BackendKind::SafePlan) => unreachable!("handled in stage 1"),
-            BackendPolicy::Auto => {
-                // `width()` reports decomposition *width*; the WMC back-end
-                // refuses on *bag size* (width + 1), so the strict comparison
-                // here, or Auto would pick a back-end that refuses.
-                let width = entry.compiled.width();
-                if width < self.config.width_budget {
-                    notes.push(format!(
-                        "lineage width estimate {width} within budget {}; treewidth WMC selected",
-                        self.config.width_budget
-                    ));
-                    Box::new(treewidth)
-                } else {
-                    notes.push(format!(
-                        "lineage width estimate {width} exceeds budget {}; DPLL selected",
-                        self.config.width_budget
-                    ));
-                    Box::new(DpllBackend {
-                        max_branches: self.config.dpll_max_branches,
-                    })
-                }
-            }
-        };
-        rec.skip();
-        let probability = chosen.solve(&task)?;
-        rec.mark("sweep");
-        Ok(self.report(
-            probability,
-            chosen.kind(),
-            entry.decomposition_width,
-            entry.compiled.len(),
-            representation.fact_count(),
-            rec.elapsed(),
-            rec.finish(),
-            cache_flags,
-            notes,
-        ))
+        metrics.instrument(span, run, |_, _| {})
     }
 
     /// Fetches the compiled lineage of `(representation, query)` from the
@@ -1123,21 +832,20 @@ impl Engine {
         // off, no lookup is paid at all.
         let probe = self.lineage_probe(representation, query);
         if let Some(probe) = &probe {
-            if let Some(entry) = self.lineage_cache.get(&probe.key) {
-                if probe.matches(&entry) {
-                    self.lineage_cache.note_hit();
-                    rec.mark("cache-lookup");
-                    return Ok((
-                        entry,
-                        CacheFlags {
-                            lineage_cached: true,
-                            // No decomposition lookup happened at all;
-                            // report it as served-from-cache, which is
-                            // what it is morally.
-                            decomposition_cached: true,
-                        },
-                    ));
-                }
+            if let Some(entry) = self
+                .lineage_cache
+                .get(&probe.key)
+                .filter(|e| probe.matches(e))
+            {
+                self.lineage_cache.note_hit();
+                rec.mark("cache-lookup");
+                // No decomposition lookup happened at all; report it as
+                // served-from-cache, which is what it is morally.
+                let flags = CacheFlags {
+                    lineage_cached: true,
+                    decomposition_cached: true,
+                };
+                return Ok((entry, flags));
             }
             self.lineage_cache.note_miss();
         }
@@ -1311,44 +1019,35 @@ impl Engine {
         let (decomposition, _won) = self.cache.publish(key, decomposition);
         (decomposition, false)
     }
-
-    #[allow(clippy::too_many_arguments)]
-    fn report(
-        &self,
-        probability: f64,
-        backend: BackendKind,
-        decomposition_width: Option<usize>,
-        circuit_gates: usize,
-        fact_count: usize,
-        wall_time: Duration,
-        stage_timings: StageTimings,
-        cache_flags: CacheFlags,
-        notes: Vec<String>,
-    ) -> EvaluationReport {
-        EvaluationReport {
-            probability,
-            backend,
-            decomposition_width,
-            circuit_gates,
-            fact_count,
-            wall_time,
-            decomposition_cached: cache_flags.decomposition_cached,
-            lineage_cached: cache_flags.lineage_cached,
-            notes,
-            // Only the textual front-end routes through the cost model;
-            // `Engine::evaluate_text` fills this in after the fact.
-            route: None,
-            trace_id: stuc_obs::next_trace_id(),
-            stage_timings,
-        }
-    }
 }
 
-/// Which engine caches served (parts of) one evaluation.
-#[derive(Debug, Clone, Copy, Default)]
-struct CacheFlags {
-    decomposition_cached: bool,
-    lineage_cached: bool,
+/// What [`Engine::with_budget`] can count budget trips in.
+mod budgeted {
+    use super::{BatchReport, StucError};
+
+    /// The outcome of a budgeted engine call: a single result, or a batch
+    /// with one result per slot.
+    pub trait Outcome {
+        /// Calls `f` on every error the outcome carries.
+        fn for_each_error(&self, f: impl FnMut(&StucError));
+    }
+
+    impl<T> Outcome for Result<T, StucError> {
+        fn for_each_error(&self, mut f: impl FnMut(&StucError)) {
+            if let Err(error) = self {
+                f(error);
+            }
+        }
+    }
+
+    impl Outcome for BatchReport {
+        fn for_each_error(&self, f: impl FnMut(&StucError)) {
+            self.reports
+                .iter()
+                .filter_map(|r| r.as_ref().err())
+                .for_each(f);
+        }
+    }
 }
 
 /// Panic-isolation boundary: runs `f`, converting a panic into

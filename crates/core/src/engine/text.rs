@@ -4,7 +4,7 @@
 //! module accepts the `stuc-lang` surface syntax instead. A source program
 //! is parsed, safety-checked and lowered (rule unfolding, union
 //! inclusion–exclusion, ground-negation expansion) into signed sums of
-//! [`ConjunctiveQuery`] terms, and a [`CostModel`] routes each goal to the
+//! [`ConjunctiveQuery`] terms, and the `stuc-lang` cost model routes each goal to the
 //! extensional safe plan or to lineage/circuit compilation — the choice the
 //! engine's `Auto` policy makes structurally, made here by estimated cost
 //! with per-relation fan-in statistics from the instance.
@@ -25,16 +25,15 @@
 //! println!("{}", outcome.goals[0].report.notes[0]);
 //! ```
 
-use super::backend::{Backend, EvaluationTask, SafePlanBackend};
 use super::metrics::engine_metrics;
-use super::report::{BackendKind, BackendPolicy, EvaluationReport};
+use super::report::EvaluationReport;
 use super::representation::Representation;
 use super::{Engine, StucError};
-use stuc_lang::ast::{RuleAst, UnionAst};
-use stuc_lang::cost::{CostModel, Route, RouteDecision};
+use stuc_lang::ast::{ProgramAst, RuleAst, UnionAst};
+use stuc_lang::cost::RouteDecision;
 use stuc_lang::lower::{lower_goal, LoweredGoal};
 use stuc_lang::{parse_program, LangError};
-use stuc_obs::timer::{StageRecorder, Stopwatch};
+use stuc_obs::timer::Stopwatch;
 use stuc_obs::{slowlog, trace};
 use stuc_query::cq::ConjunctiveQuery;
 
@@ -91,44 +90,36 @@ impl Engine {
     where
         R: Representation<Query = ConjunctiveQuery> + ?Sized,
     {
-        let _span = trace::span("evaluate_text");
-        let watch = Stopwatch::start();
-        let result = self.evaluate_text_inner(representation, src);
+        let run = || {
+            // Parse is program-level (one parse serves every goal), so it
+            // shows up in the tracer rather than in any goal's breakdown.
+            let parse_watch = Stopwatch::start();
+            let program = parse_text(src)?;
+            trace::record_complete("parse", parse_watch.started_at(), parse_watch.elapsed());
+            let rules = program.rules();
+            let goals = program.queries().into_iter().map(|query| {
+                stuc_fault::budget::check("goal evaluation")?;
+                self.evaluate_goal(representation, &query.goal, &rules)
+            });
+            Ok(TextEvaluation {
+                goals: goals.collect::<Result<_, _>>()?,
+            })
+        };
         engine_metrics()
             .evaluate_text
-            .observe(&result, watch.elapsed());
-        match &result {
-            Ok(outcome) => {
-                for goal in &outcome.goals {
-                    slowlog::global().note(
-                        "evaluate_text",
-                        goal.report.wall_time,
-                        goal.report.trace_id,
-                        || goal.source.clone(),
-                    );
+            .instrument("evaluate_text", run, |result, wall| match result {
+                Ok(outcome) => {
+                    for goal in &outcome.goals {
+                        slowlog::global().note(
+                            "evaluate_text",
+                            goal.report.wall_time,
+                            goal.report.trace_id,
+                            || goal.source.clone(),
+                        );
+                    }
                 }
-            }
-            Err(err) => super::note_eval_failure("evaluate_text", err, watch.elapsed()),
-        }
-        result
-    }
-
-    /// [`Engine::evaluate_text`] under a cooperative
-    /// [`EvalBudget`](super::EvalBudget): lowering/unfolding, decomposition,
-    /// compilation and every counting sweep poll the budget, so a tripped
-    /// deadline or cancellation surfaces as
-    /// [`StucError::DeadlineExceeded`] / [`StucError::Cancelled`] naming the
-    /// stage.
-    pub fn evaluate_text_with_budget<R>(
-        &self,
-        representation: &R,
-        src: &str,
-        budget: &super::EvalBudget,
-    ) -> Result<TextEvaluation, StucError>
-    where
-        R: Representation<Query = ConjunctiveQuery> + ?Sized,
-    {
-        self.budgeted(budget, || self.evaluate_text(representation, src))
+                Err(err) => super::note_eval_failure("evaluate_text", err, wall),
+            })
     }
 
     /// Parses and lowers `src` without evaluating anything, returning the
@@ -141,52 +132,13 @@ impl Engine {
     where
         R: Representation<Query = ConjunctiveQuery> + ?Sized,
     {
-        let program = parse_program(src).map_err(LangError::from)?;
-        let fact_count = program.facts().count();
-        if fact_count > 0 {
-            return Err(StucError::TextFacts { count: fact_count });
-        }
+        let program = parse_text(src)?;
         let rules = program.rules();
-        let stats = representation.relation_stats().unwrap_or_default();
-        let mut total = 0.0f64;
-        for query in program.queries() {
+        program.queries().into_iter().try_fold(0.0, |total, query| {
             let lowered = lower_goal(&query.goal, &rules).map_err(LangError::from)?;
-            let cached = !lowered.terms.is_empty()
-                && lowered
-                    .terms
-                    .iter()
-                    .filter_map(|t| t.query.as_ref())
-                    .all(|q| self.has_cached_lineage(representation, q));
-            let decision = CostModel::default().choose(&lowered, &stats, cached);
-            total += decision.safe_cost.min(decision.circuit_cost);
-        }
-        Ok(total)
-    }
-
-    fn evaluate_text_inner<R>(
-        &self,
-        representation: &R,
-        src: &str,
-    ) -> Result<TextEvaluation, StucError>
-    where
-        R: Representation<Query = ConjunctiveQuery> + ?Sized,
-    {
-        // Parse is program-level (one parse serves every goal), so it shows
-        // up in the tracer rather than in any single goal's stage breakdown.
-        let parse_watch = Stopwatch::start();
-        let program = parse_program(src).map_err(LangError::from)?;
-        trace::record_complete("parse", parse_watch.started_at(), parse_watch.elapsed());
-        let fact_count = program.facts().count();
-        if fact_count > 0 {
-            return Err(StucError::TextFacts { count: fact_count });
-        }
-        let rules = program.rules();
-        let mut goals = Vec::new();
-        for query in program.queries() {
-            stuc_fault::budget::check("goal evaluation")?;
-            goals.push(self.evaluate_goal(representation, &query.goal, &rules)?);
-        }
-        Ok(TextEvaluation { goals })
+            let decision = self.route(representation, &lowered);
+            Ok(total + decision.safe_cost.min(decision.circuit_cost))
+        })
     }
 
     /// Evaluates one parsed goal with `rules` in scope: lowers it to signed
@@ -203,157 +155,23 @@ impl Engine {
     where
         R: Representation<Query = ConjunctiveQuery> + ?Sized,
     {
-        let _span = trace::span("evaluate_goal");
-        let watch = Stopwatch::start();
-        let result = self.evaluate_goal_inner(representation, goal, rules);
-        engine_metrics()
-            .evaluate_goal
-            .observe(&result, watch.elapsed());
-        result
+        engine_metrics().evaluate_goal.instrument(
+            "evaluate_goal",
+            || self.run_goal_plan(representation, goal, rules),
+            |_, _| {},
+        )
     }
+}
 
-    fn evaluate_goal_inner<R>(
-        &self,
-        representation: &R,
-        goal: &UnionAst,
-        rules: &[&RuleAst],
-    ) -> Result<GoalEvaluation, StucError>
-    where
-        R: Representation<Query = ConjunctiveQuery> + ?Sized,
-    {
-        // Safety analysis runs inside lowering, so the "lower" stage covers
-        // both; per-term circuit stages are absorbed from the term reports.
-        let mut rec = StageRecorder::new();
-        let lowered = lower_goal(goal, rules).map_err(LangError::from)?;
-        rec.mark("lower");
-
-        // Route with the cost model, then force the route when the engine's
-        // policy pins a back-end (mirroring `evaluate`'s fixed-policy
-        // semantics: a pinned back-end either runs or errors, it never
-        // silently reroutes).
-        let stats = representation.relation_stats().unwrap_or_default();
-        let cached = !lowered.terms.is_empty()
-            && lowered
-                .terms
-                .iter()
-                .filter_map(|t| t.query.as_ref())
-                .all(|q| self.has_cached_lineage(representation, q));
-        let mut decision = CostModel::default().choose(&lowered, &stats, cached);
-        rec.mark("route");
-        match self.config.policy {
-            BackendPolicy::Fixed(BackendKind::SafePlan) => decision.route = Route::SafePlan,
-            BackendPolicy::Fixed(_) => decision.route = Route::Circuit,
-            BackendPolicy::Auto => {}
-        }
-
-        let mut notes = vec![decision.summary()];
-        notes.push(lowering_note(&lowered));
-
-        // The safe-plan route needs the extensional fast path; when the
-        // representation offers none, a pinned safe-plan policy errors (as
-        // `evaluate` does) and a cost-model choice falls back to circuits.
-        if decision.route == Route::SafePlan {
-            let missing_extensional = lowered
-                .terms
-                .iter()
-                .filter_map(|t| t.query.as_ref())
-                .any(|q| representation.extensional(q).is_none());
-            if missing_extensional {
-                if self.config.policy == BackendPolicy::Fixed(BackendKind::SafePlan) {
-                    return Err(StucError::BackendUnsupported {
-                        backend: BackendKind::SafePlan.name(),
-                        reason: format!(
-                            "{} offers no extensional evaluation; only TID instances do",
-                            representation.kind()
-                        ),
-                    });
-                }
-                decision.route = Route::Circuit;
-                notes.push(
-                    "representation offers no extensional evaluation; circuit route used"
-                        .to_string(),
-                );
-            }
-        }
-
-        // Evaluate every term on the chosen route. `combine` applies the
-        // inclusion–exclusion signs, scores the tautology term as 1, and
-        // clamps the signed sum into [0, 1].
-        let mut term_reports: Vec<EvaluationReport> = Vec::new();
-        let probability = match decision.route {
-            Route::SafePlan => {
-                let p = lowered.combine(|query| {
-                    let extensional = representation
-                        .extensional(query)
-                        .expect("checked above: every term offers the extensional path");
-                    SafePlanBackend.solve(&EvaluationTask::Extensional {
-                        tid: extensional.tid,
-                        query: extensional.query,
-                    })
-                })?;
-                rec.mark("safe-plan");
-                p
-            }
-            Route::Circuit => lowered.combine(|query| {
-                stuc_fault::budget::check("inclusion-exclusion term")?;
-                let report = self.evaluate_on_circuit(
-                    representation,
-                    query,
-                    None,
-                    StageRecorder::new(),
-                    Vec::new(),
-                )?;
-                let p = report.probability;
-                rec.absorb(&report.stage_timings);
-                term_reports.push(report);
-                Ok::<f64, StucError>(p)
-            })?,
-        };
-
-        // Fold the per-term reports into one goal-level report.
-        let backend = match decision.route {
-            Route::SafePlan => BackendKind::SafePlan,
-            Route::Circuit => term_reports
-                .first()
-                .map(|r| r.backend)
-                .unwrap_or(BackendKind::TreewidthWmc),
-        };
-        if decision.route == Route::Circuit && term_reports.is_empty() {
-            notes.push("no satisfiable terms remained after lowering".to_string());
-        }
-        for report in &term_reports {
-            for note in &report.notes {
-                if !notes.iter().any(|n| n == note) {
-                    notes.push(note.clone());
-                }
-            }
-        }
-        let report = EvaluationReport {
-            probability,
-            backend,
-            decomposition_width: term_reports
-                .iter()
-                .filter_map(|r| r.decomposition_width)
-                .max(),
-            circuit_gates: term_reports.iter().map(|r| r.circuit_gates).sum(),
-            fact_count: representation.fact_count(),
-            wall_time: rec.elapsed(),
-            decomposition_cached: !term_reports.is_empty()
-                && term_reports.iter().all(|r| r.decomposition_cached),
-            lineage_cached: !term_reports.is_empty()
-                && term_reports.iter().all(|r| r.lineage_cached),
-            notes,
-            route: Some(decision.route),
-            trace_id: stuc_obs::next_trace_id(),
-            stage_timings: rec.finish(),
-        };
-        Ok(GoalEvaluation {
-            source: goal.to_string(),
-            probability,
-            report,
-            decision,
-        })
+/// Parses a program for evaluation against an instance argument: inline
+/// fact statements are rejected.
+pub(crate) fn parse_text(src: &str) -> Result<ProgramAst, StucError> {
+    let program = parse_program(src).map_err(LangError::from)?;
+    let fact_count = program.facts().count();
+    if fact_count > 0 {
+        return Err(StucError::TextFacts { count: fact_count });
     }
+    Ok(program)
 }
 
 /// A deterministic, float-free one-liner describing what lowering did —
@@ -376,10 +194,11 @@ pub(crate) fn lowering_note(lowered: &LoweredGoal) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::EngineBuilder;
+    use crate::engine::{BackendKind, BackendPolicy, EngineBuilder};
     use stuc_circuit::weights::Weights;
     use stuc_data::cinstance::{CInstance, PcInstance};
     use stuc_data::tid::TidInstance;
+    use stuc_lang::cost::Route;
 
     fn one_fact_pc() -> PcInstance {
         let mut ci = CInstance::new();

@@ -30,8 +30,8 @@ use stuc_graph::elimination::decompose_with_heuristic;
 use stuc_graph::repair::repair_decomposition;
 use stuc_graph::TreeDecomposition;
 use stuc_incr::{Delta, LineagePatch, LineagePatchStep, StructureImpact, Updatable};
+use stuc_obs::slowlog;
 use stuc_obs::timer::Stopwatch;
-use stuc_obs::{slowlog, trace};
 
 /// What one [`Engine::apply_update`] call reused, patched and rebuilt.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -121,54 +121,35 @@ impl Engine {
     where
         R: Representation + Updatable<Query = <R as Representation>::Query> + ?Sized,
     {
-        let _span = trace::span("apply_update");
-        let watch = Stopwatch::start();
-        let result = self.apply_update_inner(representation, delta, watch);
-        engine_metrics()
-            .apply_update
-            .observe(&result, watch.elapsed());
-        if let Ok(report) = &result {
-            slowlog::global().note("apply_update", report.wall_time, 0, || {
-                format!(
-                    "+{} -{} ~{} patched={} dropped={}",
-                    report.inserted,
-                    report.deleted,
-                    report.reweighted,
-                    report.lineages_patched,
-                    report.lineages_dropped
-                )
-            });
-        }
-        result
-    }
-
-    /// [`Engine::apply_update`] under a cooperative
-    /// [`EvalBudget`](super::EvalBudget). Budget checkpoints sit between the
-    /// maintenance phases (and inside the repair/patch loops they call), so
-    /// a tripped deadline surfaces as
-    /// [`StucError::DeadlineExceeded`](super::StucError) after the current
-    /// phase completes — the instance mutation itself is never torn.
-    pub fn apply_update_with_budget<R>(
-        &self,
-        representation: &mut R,
-        delta: &Delta,
-        budget: &super::EvalBudget,
-    ) -> Result<UpdateReport, StucError>
-    where
-        R: Representation + Updatable<Query = <R as Representation>::Query> + ?Sized,
-    {
-        self.budgeted(budget, || self.apply_update(representation, delta))
+        engine_metrics().apply_update.instrument(
+            "apply_update",
+            || self.apply_update_inner(representation, delta),
+            |result, _| {
+                if let Ok(report) = result {
+                    slowlog::global().note("apply_update", report.wall_time, 0, || {
+                        format!(
+                            "+{} -{} ~{} patched={} dropped={}",
+                            report.inserted,
+                            report.deleted,
+                            report.reweighted,
+                            report.lineages_patched,
+                            report.lineages_dropped
+                        )
+                    });
+                }
+            },
+        )
     }
 
     fn apply_update_inner<R>(
         &self,
         representation: &mut R,
         delta: &Delta,
-        watch: Stopwatch,
     ) -> Result<UpdateReport, StucError>
     where
         R: Representation + Updatable<Query = <R as Representation>::Query> + ?Sized,
     {
+        let watch = Stopwatch::start();
         let mut report = UpdateReport::default();
 
         // The built-in representations memoise their identity, so the old
@@ -283,7 +264,11 @@ impl Engine {
             }
             let patched = match &application.lineage {
                 LineagePatch::Rebuild => None,
-                LineagePatch::Reusable => Some(entry.reusing(new_check)),
+                // An update that left the lineage intact: only the
+                // secondary instance hash changes.
+                LineagePatch::Reusable => {
+                    Some(entry.with_patched_circuit(entry.compiled.clone(), new_check, None))
+                }
                 LineagePatch::Steps(steps) => {
                     let mut compiled = entry.compiled.clone();
                     let mut alive = true;

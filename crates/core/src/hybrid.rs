@@ -17,7 +17,7 @@
 //!    lower variance than sampling everything, because the tentacle part is
 //!    integrated out exactly (Rao–Blackwellisation).
 
-use crate::pipeline::PipelineError;
+use crate::engine::StucError;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::BTreeSet;
@@ -84,7 +84,7 @@ pub fn hybrid_probability(
     core_facts: &BTreeSet<FactId>,
     samples: usize,
     seed: u64,
-) -> Result<HybridReport, PipelineError> {
+) -> Result<HybridReport, StucError> {
     let mut rng = StdRng::seed_from_u64(seed);
     let matches = all_matches(tid.instance(), query);
     let mut accumulator = 0.0;
@@ -131,9 +131,7 @@ pub fn hybrid_probability(
         circuit.set_output(output);
         // The tentacle lineage is small and tree-like: DPLL handles it
         // exactly (and cheaply); this integrates the tentacles out.
-        let residual = DpllCounter::default()
-            .probability(&circuit, &weights)
-            .map_err(|e| PipelineError::Backend(e.to_string()))?;
+        let residual = DpllCounter::default().probability(&circuit, &weights)?;
         accumulator += residual;
     }
     Ok(HybridReport {

@@ -13,8 +13,6 @@
 //!   [`engine::Backend`]s (safe plan, treewidth WMC, DPLL, enumeration)
 //!   under an automatic selection policy, with a fingerprint-keyed
 //!   decomposition cache and a unified [`engine::StucError`].
-//! * [`pipeline`] — the pre-engine API, kept as thin deprecated shims over
-//!   the engine (see its module docs for the migration table).
 //! * [`hybrid`] — the partial-decomposition idea sketched in Section 2.2:
 //!   a high-treewidth core handled by sampling, low-treewidth tentacles
 //!   handled exactly.
@@ -25,7 +23,6 @@
 
 pub mod engine;
 pub mod hybrid;
-pub mod pipeline;
 pub mod serve;
 pub mod workloads;
 
@@ -33,6 +30,3 @@ pub use engine::{
     Backend, BackendKind, BackendPolicy, BatchReport, Engine, EngineBuilder,
     EvaluationReport as EngineReport, ReprKind, Representation, StucError,
 };
-#[allow(deprecated)]
-pub use pipeline::TractablePipeline;
-pub use pipeline::{EvaluationReport, PipelineError};

@@ -52,8 +52,8 @@
 //!   budgets (deadlines + cancellation, [`EvalBudget`]) polled at engine
 //!   checkpoints, and the compile-time-gated failpoint registry behind
 //!   the chaos suite (`--features fault-injection`).
-//! * [`core`] — the unified [`core::engine`] (plus the deprecated
-//!   pre-engine `TractablePipeline` shims and shared workload generators).
+//! * [`core`] — the unified [`core::engine`], the HTTP service and the
+//!   shared workload generators.
 //!
 //! ## Quickstart
 //!
@@ -112,12 +112,6 @@
 //!     .unwrap();
 //! assert!((outcome.goals[0].probability - 0.2).abs() < 1e-9);
 //! ```
-//!
-//! ## Migrating from `TractablePipeline`
-//!
-//! The pre-engine entry point `stuc::core::pipeline::TractablePipeline` is
-//! deprecated; each of its methods is now a thin shim over [`Engine`]. See
-//! the migration table in [`core::pipeline`].
 
 pub use stuc_automata as automata;
 pub use stuc_circuit as circuit;

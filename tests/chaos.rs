@@ -417,7 +417,7 @@ fn cancellation_surfaces_as_a_typed_error_under_load() {
     let handle = stuc::CancelHandle::new();
     handle.cancel();
     let budget = EvalBudget::unlimited().cancelled_by(&handle);
-    match engine.evaluate_with_budget(&tid, &chain, &budget) {
+    match engine.with_budget(&budget, || engine.evaluate(&tid, &chain)) {
         Err(StucError::Cancelled { stage }) => assert!(!stage.is_empty()),
         other => panic!("expected Cancelled, got {other:?}"),
     }

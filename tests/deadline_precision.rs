@@ -65,11 +65,9 @@ where
     // 1. An already-expired deadline must trip, typed, naming a stage,
     //    with bounded overshoot.
     let started = Instant::now();
-    let expired = engine.evaluate_with_budget(
-        representation,
-        query,
-        &EvalBudget::with_deadline(Duration::ZERO),
-    );
+    let expired = engine.with_budget(&EvalBudget::with_deadline(Duration::ZERO), || {
+        engine.evaluate(representation, query)
+    });
     let overshoot = started.elapsed();
     match expired {
         Err(StucError::DeadlineExceeded { stage }) => {
@@ -84,7 +82,7 @@ where
 
     // 2. A tiny random deadline either completes exactly or trips typed.
     let budget = EvalBudget::with_deadline(Duration::from_micros(deadline_us));
-    match engine.evaluate_with_budget(representation, query, &budget) {
+    match engine.with_budget(&budget, || engine.evaluate(representation, query)) {
         Ok(report) => assert_eq!(
             report.probability.to_bits(),
             reference.to_bits(),
@@ -99,11 +97,9 @@ where
     // 3. A pre-raised cancel flag trips as Cancelled, not DeadlineExceeded.
     let cancel = CancelHandle::new();
     cancel.cancel();
-    match engine.evaluate_with_budget(
-        representation,
-        query,
-        &EvalBudget::unlimited().cancelled_by(&cancel),
-    ) {
+    match engine.with_budget(&EvalBudget::unlimited().cancelled_by(&cancel), || {
+        engine.evaluate(representation, query)
+    }) {
         Err(StucError::Cancelled { stage }) => assert!(!stage.is_empty()),
         other => panic!("raised cancel flag must trip typed, got {other:?}"),
     }

@@ -5,13 +5,16 @@
 //! refused). The text rendering is pinned byte-for-byte so that downstream
 //! goldens (REPL session, serve transcript) stay stable.
 
+use proptest::prelude::*;
 use stuc::circuit::weights::Weights;
 use stuc::core::workloads;
 use stuc::data::cinstance::CInstance;
 use stuc::prxml::document::PrXmlDocument;
 use stuc::prxml::queries::PrxmlQuery;
 use stuc::query::cq::ConjunctiveQuery;
-use stuc::{BackendKind, Engine, ExplainOutcome, QueryExplanation, StucError};
+use stuc::{
+    BackendKind, BackendPolicy, Engine, ExplainOutcome, QueryExplanation, Representation, StucError,
+};
 
 /// Asserts the explanation and a report of an actual run tell one story.
 fn assert_agreement(
@@ -243,5 +246,275 @@ fn goal_explanations_agree_with_text_evaluation_reports() {
     let warm = engine.explain_text(&tid, src).unwrap();
     for (index, (goal, explanation)) in warm_reports.goals.iter().zip(&warm).enumerate() {
         assert_agreement(explanation, &goal.report, &format!("goal {index}"));
+    }
+}
+
+#[test]
+fn pinned_safe_plan_goals_explain_the_refusal_evaluate_returns() {
+    // Both goals are outside the safe plan's reach (a self-join, the
+    // non-hierarchical R–S–T chain): a pinned safe plan refuses them, and
+    // the explanation must say so with the run's exact error text.
+    let engine = Engine::builder().backend(BackendKind::SafePlan).build();
+    let cases = [
+        (workloads::path_tid(6, 0.5, 3), "?- R(x, y), R(y, z)."),
+        (
+            workloads::rst_path_tid(4, 0.5, 5),
+            "?- R(x), S(x, y), T(y).",
+        ),
+    ];
+    for (tid, src) in cases {
+        let explanation = engine.explain_text(&tid, src).unwrap().pop().unwrap();
+        let error = engine.evaluate_text(&tid, src).unwrap_err();
+        assert_eq!(explanation.outcome, ExplainOutcome::Refused, "{src}");
+        assert_eq!(explanation.backend, BackendKind::SafePlan, "{src}");
+        assert_eq!(
+            explanation.refusal.as_deref(),
+            Some(error.to_string().as_str()),
+            "{src}"
+        );
+        assert_eq!(explanation.stages, vec!["lower", "route"], "{src}");
+    }
+}
+
+/// Every policy crossed with a width budget that forces the fallbacks and
+/// refusals (1) and the default one (22).
+fn configurations() -> Vec<(BackendPolicy, usize)> {
+    let policies = [
+        BackendPolicy::Auto,
+        BackendPolicy::Fixed(BackendKind::SafePlan),
+        BackendPolicy::Fixed(BackendKind::TreewidthWmc),
+        BackendPolicy::Fixed(BackendKind::Dpll),
+        BackendPolicy::Fixed(BackendKind::Enumeration),
+    ];
+    policies
+        .into_iter()
+        .flat_map(|policy| [1, 22].map(|budget| (policy, budget)))
+        .collect()
+}
+
+fn engine(policy: BackendPolicy, budget: usize) -> Engine {
+    Engine::builder()
+        .policy(policy)
+        .width_budget(budget)
+        .build()
+}
+
+/// The explanation and the outcome of the run agree: a refusal carries the
+/// run's error text, any other outcome the run's back-end, route, gates,
+/// structure width and cache provenance. A planning error is the run's
+/// error.
+fn agree(
+    explained: Result<QueryExplanation, StucError>,
+    ran: Result<stuc::EvaluationReport, StucError>,
+) -> Result<(), String> {
+    let explanation = match explained {
+        Ok(explanation) => explanation,
+        Err(error) => {
+            return match ran {
+                Err(run_error) if run_error.to_string() == error.to_string() => Ok(()),
+                other => Err(format!(
+                    "explain failed ({error}) but the run gave {other:?}"
+                )),
+            };
+        }
+    };
+    let report = match (explanation.outcome, ran) {
+        (ExplainOutcome::Refused, Err(error)) => {
+            return match explanation.refusal.as_deref() == Some(error.to_string().as_str()) {
+                true => Ok(()),
+                false => Err(format!(
+                    "refusal {:?} vs error {error}",
+                    explanation.refusal
+                )),
+            };
+        }
+        (ExplainOutcome::Refused, Ok(report)) => {
+            return Err(format!("explained a refusal, the run gave {report:?}"));
+        }
+        (outcome, Err(error)) => {
+            return Err(format!("explained {outcome:?}, the run failed: {error}"));
+        }
+        (_, Ok(report)) => report,
+    };
+    let provenance = |cached: bool| match (&explanation.circuit, cached) {
+        (None, _) => "untouched",
+        (Some(_), true) => "hit",
+        (Some(_), false) => "miss",
+    };
+    let mut mismatches = Vec::new();
+    if explanation.backend != report.backend {
+        mismatches.push(format!(
+            "backend {} vs {}",
+            explanation.backend, report.backend
+        ));
+    }
+    if explanation.route.as_ref().map(|r| r.route) != report.route {
+        mismatches.push(format!(
+            "route {:?} vs {:?}",
+            explanation.route, report.route
+        ));
+    }
+    let (gates, width) = explanation
+        .circuit
+        .map_or((0, None), |c| (c.gates, c.decomposition_width));
+    if (gates, width) != (report.circuit_gates, report.decomposition_width) {
+        mismatches.push(format!(
+            "gates/width {gates}/{width:?} vs {}/{:?}",
+            report.circuit_gates, report.decomposition_width
+        ));
+    }
+    if explanation.circuit.is_none() && (report.lineage_cached || report.decomposition_cached) {
+        mismatches.push("a run without a circuit reports a cache hit".to_string());
+    }
+    if explanation.cache.lineage.provenance != provenance(report.lineage_cached) {
+        mismatches.push(format!(
+            "lineage provenance {} vs cached={}",
+            explanation.cache.lineage.provenance, report.lineage_cached
+        ));
+    }
+    if explanation.cache.decomposition.provenance != provenance(report.decomposition_cached) {
+        mismatches.push(format!(
+            "decomposition provenance {} vs cached={}",
+            explanation.cache.decomposition.provenance, report.decomposition_cached
+        ));
+    }
+    match mismatches.is_empty() {
+        true => Ok(()),
+        false => Err(mismatches.join("; ")),
+    }
+}
+
+/// Under every configuration, explain on one engine and evaluate on a
+/// twin agree cold, and again warm.
+fn query_agreement<R: Representation>(representation: &R, query: &R::Query) -> Result<(), String> {
+    for (policy, budget) in configurations() {
+        let (explainer, runner) = (engine(policy, budget), engine(policy, budget));
+        for round in ["cold", "warm"] {
+            agree(
+                explainer.explain(representation, query),
+                runner.evaluate(representation, query),
+            )
+            .map_err(|m| format!("{policy:?}, budget {budget}, {round}, {query:?}: {m}"))?;
+        }
+    }
+    Ok(())
+}
+
+/// [`query_agreement`] for a one-goal `stuc-lang` program.
+fn goal_agreement(tid: &stuc::data::tid::TidInstance, src: &str) -> Result<(), String> {
+    for (policy, budget) in configurations() {
+        let (explainer, runner) = (engine(policy, budget), engine(policy, budget));
+        for round in ["cold", "warm"] {
+            agree(
+                explainer
+                    .explain_text(tid, src)
+                    .map(|mut goals| goals.remove(0)),
+                runner
+                    .evaluate_text(tid, src)
+                    .map(|mut outcome| outcome.goals.remove(0).report),
+            )
+            .map_err(|m| format!("{policy:?}, budget {budget}, {round}, {src}: {m}"))?;
+        }
+    }
+    Ok(())
+}
+
+const VARIABLES: [&str; 3] = ["x", "y", "z"];
+
+/// A body over `R/1`, `S/2`, `T/1` (the `rst_path_tid` schema): one atom
+/// per code, so self-joins, repeated variables, disconnected and
+/// non-hierarchical bodies all come up.
+fn rst_body(codes: &[usize]) -> String {
+    let atoms: Vec<String> = codes
+        .iter()
+        .map(|&code| match code % 15 {
+            c @ 0..=2 => format!("R({})", VARIABLES[c]),
+            c @ 3..=11 => format!("S({}, {})", VARIABLES[(c - 3) / 3], VARIABLES[(c - 3) % 3]),
+            c => format!("T({})", VARIABLES[c - 12]),
+        })
+        .collect();
+    atoms.join(", ")
+}
+
+/// A body over the `Claim/2` relation of `contributor_pcc`.
+fn claim_body(codes: &[usize]) -> String {
+    let atoms: Vec<String> = codes
+        .iter()
+        .map(|&code| {
+            format!(
+                "Claim({}, {})",
+                VARIABLES[code % 3],
+                VARIABLES[code / 3 % 3]
+            )
+        })
+        .collect();
+    atoms.join(", ")
+}
+
+fn prxml_query(code: usize) -> PrxmlQuery {
+    const LABELS: [&str; 4] = ["musician", "occupation", "surname", "no-such-label"];
+    let (a, b) = (
+        LABELS[code % 4].to_string(),
+        LABELS[code / 4 % 4].to_string(),
+    );
+    match code / 16 % 3 {
+        0 => PrxmlQuery::LabelExists(a),
+        1 => PrxmlQuery::AncestorDescendant {
+            ancestor: a,
+            descendant: b,
+        },
+        _ => PrxmlQuery::ParentChild {
+            parent: a,
+            child: b,
+        },
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// Programmatic queries on all four representations.
+    #[test]
+    fn explanations_agree_with_runs_under_every_policy_and_budget(
+        n in 2usize..5,
+        seed in 0u64..500,
+        codes in collection::vec(0usize..15, 1..4),
+        claims in collection::vec(0usize..9, 1..3),
+        document in 0usize..48,
+    ) {
+        let tid = workloads::rst_path_tid(n, 0.5, seed);
+        let query = ConjunctiveQuery::parse(&rst_body(&codes)).unwrap();
+        let outcome = query_agreement(&tid, &query)
+            .and_then(|()| query_agreement(&tid.to_pc_instance(), &query))
+            .and_then(|()| {
+                let pcc = workloads::contributor_pcc(n + 1, 2, 0.7, 0.9, seed);
+                query_agreement(&pcc, &ConjunctiveQuery::parse(&claim_body(&claims)).unwrap())
+            })
+            .and_then(|()| {
+                query_agreement(&PrXmlDocument::figure1_example(), &prxml_query(document))
+            });
+        prop_assert!(outcome.is_ok(), "{}", outcome.unwrap_err());
+    }
+
+    /// Textual goals on TID: plain bodies, unions and ground negation.
+    #[test]
+    fn goal_explanations_agree_with_runs_under_every_policy_and_budget(
+        n in 2usize..5,
+        seed in 0u64..500,
+        left in collection::vec(0usize..15, 1..3),
+        right in collection::vec(0usize..15, 1..3),
+        negated in 0usize..3,
+    ) {
+        let tid = workloads::rst_path_tid(n, 0.5, seed);
+        let ground = ["R(\"v0\")", "S(\"v0\", \"v1\")", "T(\"v9\")"][negated];
+        let goals = [
+            format!("?- {}.", rst_body(&left)),
+            format!("?- {}; {}.", rst_body(&left), rst_body(&right)),
+            format!("?- {}, !{ground}.", rst_body(&left)),
+        ];
+        for src in &goals {
+            let outcome = goal_agreement(&tid, src);
+            prop_assert!(outcome.is_ok(), "{}", outcome.unwrap_err());
+        }
     }
 }

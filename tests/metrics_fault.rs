@@ -13,10 +13,17 @@
 use std::collections::BTreeSet;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
+use std::sync::{Mutex, PoisonError};
+use std::time::Duration;
 use stuc::fault::failpoint::{self, FailAction};
 use stuc::obs::registry;
+use stuc::query::cq::ConjunctiveQuery;
 use stuc::serve::{ServeConfig, Server, ServiceState};
-use stuc::Engine;
+use stuc::{CancelHandle, Engine, EvalBudget, StucError};
+
+/// The tests below read process-global metric families that every served
+/// request also updates: they run one at a time.
+static SERIAL: Mutex<()> = Mutex::new(());
 
 /// An 8-hop train line: long enough that every scenario below can use a
 /// structurally distinct chain query (distinct lineage cache keys), so the
@@ -110,6 +117,7 @@ fn parse_prometheus(text: &str) -> BTreeSet<String> {
 
 #[test]
 fn every_failpoint_leaves_the_metrics_registry_parseable() {
+    let _serial = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
     let server = Server::spawn(
         ServeConfig {
             workers: 2,
@@ -181,4 +189,49 @@ fn every_failpoint_leaves_the_metrics_registry_parseable() {
     for family in &seen {
         assert!(direct.contains(family));
     }
+}
+
+#[test]
+fn with_budget_counts_one_trip_per_call_and_per_batch_slot() {
+    let _serial = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
+    let engine = Engine::new();
+    let tid = stuc::core::workloads::path_tid(6, 0.5, 7);
+    let chain = ConjunctiveQuery::parse("R(x, y), R(y, z)").unwrap();
+    let edge = ConjunctiveQuery::parse("R(x, y)").unwrap();
+    // A plain call first registers the engine families with their help.
+    engine.evaluate(&tid, &chain).unwrap();
+    let deadline = registry().counter("stuc_engine_deadline_exceeded_total", "");
+    let cancelled = registry().counter("stuc_engine_cancelled_total", "");
+    let checks = registry().histogram("stuc_engine_budget_check_seconds", "");
+    let snapshot = || (deadline.get(), cancelled.get(), checks.count());
+
+    // An expired deadline: one observation, one deadline trip.
+    let (d, c, n) = snapshot();
+    let expired = EvalBudget::with_deadline(Duration::ZERO);
+    let result = engine.with_budget(&expired, || engine.evaluate(&tid, &chain));
+    assert!(matches!(result, Err(StucError::DeadlineExceeded { .. })));
+    assert_eq!(snapshot(), (d + 1, c, n + 1));
+
+    // A raised cancel flag: one observation, one cancellation.
+    let handle = CancelHandle::new();
+    handle.cancel();
+    let raised = EvalBudget::unlimited().cancelled_by(&handle);
+    let result = engine.with_budget(&raised, || engine.evaluate(&tid, &chain));
+    assert!(matches!(result, Err(StucError::Cancelled { .. })));
+    assert_eq!(snapshot(), (d + 1, c + 1, n + 2));
+
+    // A batch: one observation for the call, one trip per tripped slot —
+    // the duplicate slot included.
+    let batch = engine.with_budget(&expired, || {
+        engine.evaluate_batch(&tid, &[chain.clone(), edge, chain.clone()])
+    });
+    assert_eq!(batch.failed(), 3);
+    assert_eq!(snapshot(), (d + 4, c + 1, n + 3));
+
+    // A call that finishes inside its budget trips nothing.
+    let far = EvalBudget::with_deadline(Duration::from_secs(3600));
+    engine
+        .with_budget(&far, || engine.evaluate(&tid, &chain))
+        .unwrap();
+    assert_eq!(snapshot(), (d + 4, c + 1, n + 4));
 }
