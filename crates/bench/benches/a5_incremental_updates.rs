@@ -13,9 +13,10 @@
 //!   mutated instance from scratch.
 //!
 //! Update sizes sweep 1, 8 and 64 touched facts (probability overwrites —
-//! the live-traffic shape), plus a single-fact insertion (the structural
-//! patch path). The `[A5]` report lines record the speedups; the
-//! acceptance bar is ≥5x for single-fact updates on the 64-query workload.
+//! the live-traffic shape), plus a single-fact insertion and a single-fact
+//! deletion (the two structural patch paths). The `[A5]` report lines
+//! record the speedups; the acceptance bar is ≥5x for single-fact updates
+//! on the 64-query workload.
 
 use criterion::black_box;
 use stuc_bench::{criterion_config, report_value, timed, BenchSummary};
@@ -184,6 +185,38 @@ fn main() {
             format!("{speedup:.2}x ({cold_time:?} cold -> {warm_time:?} warm)"),
         );
         summary.record_speedup("insert_1_fact_64_queries", warm_time, cold_time);
+    }
+
+    // --- single-fact deletion: input rewiring with the sweep plans carried
+    // over. Each round deletes the fact now at position 10, inside the
+    // anchored queries' reach, so every cached lineage is relabelled and a
+    // few lose matches.
+    {
+        let engine = Engine::new();
+        let mut live = base.clone();
+        evaluate_all(&engine, &live, &queries);
+        let warm_time = timed(3, || {
+            let report = engine
+                .apply_update(&mut live, &Delta::new().delete(FactId(10)))
+                .unwrap();
+            assert!(!report.fell_back);
+            black_box(report.gates_rebuilt);
+            evaluate_all(&engine, &live, &queries)
+        });
+        let cold_time = timed(3, || {
+            let fresh = Engine::builder()
+                .without_decomposition_cache()
+                .without_lineage_cache()
+                .build();
+            evaluate_all(&fresh, &live, &queries)
+        });
+        let speedup = cold_time.as_secs_f64() / warm_time.as_secs_f64();
+        report_value(
+            "A5",
+            "speedup_delete_1_fact_64_queries",
+            format!("{speedup:.2}x ({cold_time:?} cold -> {warm_time:?} warm)"),
+        );
+        summary.record_speedup("delete_1_fact_64_queries", warm_time, cold_time);
     }
 
     summary.write();

@@ -492,3 +492,58 @@ fn steady_state_sweeps_allocate_nothing() {
         assert_eq!(again.probability.to_bits(), first.probability.to_bits());
     }
 }
+
+/// Writes cost O(delta) on top of linear passes, not O(instance²): one
+/// insert and one delete on a path holding the warm unanchored pair
+/// `R(x, y), R(y, z)` cost less than 20x as much at 20k facts as at 2k
+/// (linear is about 10x; a delta join that scans the relation for every
+/// partial match is about 100x). Each write is checked against a cold
+/// engine at 2k; in debug builds only that agreement runs.
+#[test]
+fn writes_scale_linearly_from_2k_to_20k_facts() {
+    use stuc_core::engine::Delta;
+    use stuc_data::instance::FactId;
+    let query = ConjunctiveQuery::parse("R(x, y), R(y, z)").unwrap();
+    // Best of five rounds on one warm engine: each round extends the path
+    // by one fact and deletes the fact now in the middle.
+    let write_time = |n: usize, check: bool| {
+        let mut tid = workloads::path_tid(n, 0.5, 13);
+        let engine = Engine::new();
+        engine.evaluate(&tid, &query).unwrap();
+        (0..5)
+            .map(|round| {
+                let end = n + round;
+                let insert =
+                    Delta::new().insert("R", &[&format!("c{end}"), &format!("c{}", end + 1)], 0.4);
+                let delete = Delta::new().delete(FactId(n / 2));
+                let started = std::time::Instant::now();
+                let inserted = engine.apply_update(&mut tid, &insert).unwrap();
+                let deleted = engine.apply_update(&mut tid, &delete).unwrap();
+                let elapsed = started.elapsed();
+                assert_eq!(inserted.lineages_patched + deleted.lineages_patched, 2);
+                if check {
+                    let warm = engine.evaluate(&tid, &query).unwrap();
+                    let cold = Engine::new().evaluate(&tid, &query).unwrap();
+                    assert!(warm.lineage_cached);
+                    assert!((warm.probability - cold.probability).abs() < 1e-9);
+                }
+                elapsed
+            })
+            .min()
+            .unwrap()
+    };
+    let small = write_time(2_000, true);
+    if cfg!(debug_assertions) {
+        eprintln!(
+            "debug build: skipping the 20k rung and the <20x write scaling bar (run in release)"
+        );
+        return;
+    }
+    let large = write_time(20_000, false);
+    let ratio = large.as_secs_f64() / small.as_secs_f64().max(f64::MIN_POSITIVE);
+    assert!(
+        ratio < 20.0,
+        "an insert and a delete at 20k facts must cost less than 20x the same \
+         writes at 2k ({small:?} -> {large:?}, {ratio:.2}x)"
+    );
+}

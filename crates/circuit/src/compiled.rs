@@ -106,11 +106,10 @@ pub struct CompiledCircuit {
     /// ([`SweepPlan`]), built on first counting run (or by the caller right
     /// after a patch). `Some(None)` records that the circuit's bags are too
     /// wide to plan densely (beyond [`MAX_PLANNED_BAG`]); such circuits
-    /// fall back to the interpreted sparse sweep. Invalidated (fresh cell)
-    /// by the incremental patches — [`CompiledCircuit::rewire_inputs`]
-    /// changes gate semantics and [`CompiledCircuit::extend_or`] changes
-    /// the decomposition, so the compiled checks must be re-derived, while
-    /// the carried-over *decomposition* stays valid.
+    /// fall back to the interpreted sparse sweep.
+    /// [`CompiledCircuit::rewire_inputs`] carries it over relabelled
+    /// ([`SweepPlan::relabel`]); [`CompiledCircuit::extend_or`] changes the
+    /// circuit and its decomposition, so it starts a fresh cell.
     plan: OnceLock<Option<Arc<SweepPlan>>>,
     /// Reusable sweep scratch (dense tables + weight slab): steady-state
     /// repeated evaluation allocates nothing. Guarded by a mutex so the
@@ -367,8 +366,11 @@ impl CompiledCircuit {
     ///
     /// Neither operation changes the circuit *topology*, so the cached
     /// circuit-graph decomposition — the superlinear part of compilation —
-    /// is carried over verbatim: this is how a fact deletion patches a
-    /// compiled lineage in O(circuit) instead of recompiling.
+    /// is carried over verbatim, and so is a built sweep plan, relabelled
+    /// in O(variables) by [`SweepPlan::relabel`] (pinned inputs keep their
+    /// slot with the weights `[1, 0]`), together with the warm sweep arena
+    /// its slots fit. This is how a fact deletion patches a compiled
+    /// lineage in O(circuit) instead of recompiling and re-planning.
     ///
     /// `remap` must be injective on the surviving variables (the engine's
     /// deletion remap, which shifts identifiers down, is).
@@ -377,43 +379,51 @@ impl CompiledCircuit {
         pin_false: &BTreeSet<VarId>,
         remap: &BTreeMap<VarId, VarId>,
     ) -> (CompiledCircuit, usize) {
-        let mut rewired = 0usize;
-        let rewire = |circuit: &Circuit, count: &mut usize| -> Circuit {
+        let relabel = |v: VarId| -> Option<VarId> {
+            (!pin_false.contains(&v)).then(|| remap.get(&v).copied().unwrap_or(v))
+        };
+        let rewire = |circuit: &Circuit| -> (Circuit, usize) {
             let mut out = Circuit::new();
+            let mut rewired = 0usize;
             for (_, gate) in circuit.iter() {
-                let replacement = match gate {
-                    Gate::Input(v) if pin_false.contains(v) => {
-                        *count += 1;
-                        Gate::Const(false)
-                    }
-                    Gate::Input(v) => match remap.get(v) {
-                        Some(&to) => {
-                            *count += 1;
-                            Gate::Input(to)
+                // Identifiers are preserved one-to-one, so gate inputs need
+                // no remapping; push through the arena directly.
+                match gate {
+                    Gate::Input(v) => match relabel(*v) {
+                        None => {
+                            rewired += 1;
+                            out.add_const(false)
                         }
-                        None => Gate::Input(*v),
+                        Some(to) => {
+                            rewired += usize::from(to != *v);
+                            out.add_input(to)
+                        }
                     },
-                    other => other.clone(),
-                };
-                // Identifiers are preserved one-to-one, so inputs need no
-                // remapping; push through the arena directly.
-                match replacement {
-                    Gate::Input(v) => out.add_input(v),
-                    Gate::Const(b) => out.add_const(b),
-                    Gate::And(xs) => out.add_and(xs),
-                    Gate::Or(xs) => out.add_or(xs),
-                    Gate::Not(x) => out.add_not(x),
+                    Gate::Const(b) => out.add_const(*b),
+                    Gate::And(xs) => out.add_and(xs.clone()),
+                    Gate::Or(xs) => out.add_or(xs.clone()),
+                    Gate::Not(x) => out.add_not(*x),
                 };
             }
             if let Some(o) = circuit.output() {
                 out.set_output(o);
             }
-            out
+            (out, rewired)
         };
-        let source = rewire(&self.source, &mut rewired);
-        let mut prepared_rewired = 0usize;
-        let prepared = rewire(&self.prepared, &mut prepared_rewired);
+        let (source, _) = rewire(&self.source);
+        let (prepared, rewired) = rewire(&self.prepared);
         let variables = source.variables();
+        let plan = match self.plan.get() {
+            Some(plan) => OnceLock::from(plan.as_ref().map(|p| Arc::new(p.relabel(relabel)))),
+            None => OnceLock::new(),
+        };
+        // The relabelled plan has the same table slots: hand it this
+        // value's warm scratch buffers (unless a sweep holds them now).
+        let arena = self
+            .arena
+            .try_lock()
+            .map(|mut arena| std::mem::take(&mut *arena))
+            .unwrap_or_default();
         (
             CompiledCircuit {
                 source: Arc::new(source),
@@ -421,18 +431,11 @@ impl CompiledCircuit {
                 output_gate: self.output_gate,
                 variables,
                 heuristic: self.heuristic,
-                // Topology is unchanged: the decomposition of the circuit
-                // graph remains valid as-is.
                 structure: self.structure.clone(),
-                // The *plan* is not: pinned gates changed from `Input` to
-                // `Const` and variables were renumbered, so the compiled
-                // checks and multiplier slots of the dirty cone must be
-                // re-derived. Re-planning is linear in the circuit and
-                // happens lazily on the next counting run.
-                plan: OnceLock::new(),
-                arena: Mutex::new(SweepArena::new()),
+                plan,
+                arena: Mutex::new(arena),
             },
-            prepared_rewired,
+            rewired,
         )
     }
 
@@ -850,6 +853,8 @@ mod tests {
         let compiled =
             CompiledCircuit::compile(Arc::new(circuit), EliminationHeuristic::MinDegree).unwrap();
         let width = compiled.width(); // force the decomposition
+        let unplanned = compiled.clone();
+        assert!(compiled.try_sweep_plan().unwrap().is_some());
 
         // Delete fact 1: pin x1 false, shift x2 -> x1, x3 -> x2.
         let pins = BTreeSet::from([VarId(1)]);
@@ -857,6 +862,9 @@ mod tests {
         let (patched, rewired) = compiled.rewire_inputs(&pins, &remap);
         assert!(rewired >= 3);
         assert_eq!(patched.width(), width, "structure carried over verbatim");
+        assert!(patched.is_planned(), "the plan is carried over, relabelled");
+        let (lazy, _) = unplanned.rewire_inputs(&pins, &remap);
+        assert!(!lazy.is_planned(), "no plan to carry: planned on first run");
         assert_eq!(
             patched.variables(),
             &BTreeSet::from([VarId(0), VarId(1), VarId(2)])
@@ -873,6 +881,7 @@ mod tests {
             let weights = Weights::uniform([VarId(0), VarId(1), VarId(2)], p);
             let want = probability_by_enumeration(&expected, &weights).unwrap();
             assert_close(patched.probability(&weights, 22).unwrap(), want);
+            assert_close(lazy.probability(&weights, 22).unwrap(), want);
         }
     }
 

@@ -52,6 +52,7 @@ use crate::circuit::{Circuit, CircuitError, Gate, GateId, VarId};
 use crate::weights::Weights;
 use crate::wmc::WmcError;
 use std::collections::HashMap;
+use std::sync::Arc;
 use stuc_graph::nice::{NiceDecomposition, NiceNodeKind};
 
 /// The scalar semiring one dense sweep runs in. Multiplication is always
@@ -224,16 +225,27 @@ impl SweepArena {
 /// The message-passing sweep of one compiled circuit, flattened into dense
 /// tables, precomputed permutations and compiled checks. Built once per
 /// `(circuit, nice decomposition)` pair; see the [module docs](self).
+///
+/// The structural part (nodes, checks, arena slots) sits behind [`Arc`]s,
+/// so a clone or a [`SweepPlan::relabel`]ed copy shares it and owns only
+/// its variable labels.
 #[derive(Debug, Clone)]
 pub struct SweepPlan {
-    nodes: Vec<PlanNode>,
-    checks: Vec<CompiledCheck>,
+    nodes: Arc<Vec<PlanNode>>,
+    checks: Arc<Vec<CompiledCheck>>,
     root: usize,
     /// `(bit position, variable slot)` of every input gate still present in
     /// the root bag; their weights are multiplied in at the final sum.
-    root_inputs: Vec<(u32, u32)>,
-    /// Slot → event variable; the weight slab is laid out in slot order.
-    var_of_slot: Vec<VarId>,
+    root_inputs: Arc<Vec<(u32, u32)>>,
+    /// `(variable slot, event variable)` of every weighted slot, in slot
+    /// order; the weight slab is laid out in slot order.
+    inputs: Vec<(u32, VarId)>,
+    /// Variable slots whose input a deletion pinned to false (see
+    /// [`SweepPlan::relabel`]): their weights are fixed to `[1, 0]`, and
+    /// they never reach a [`Weights`] table or a reported assignment.
+    pinned: Vec<u32>,
+    /// Number of variable slots, weighted and pinned.
+    var_slots: usize,
     /// Number of distinct arena slots the static allocation uses.
     slot_count: usize,
 }
@@ -362,13 +374,46 @@ impl SweepPlan {
         }
 
         Ok(SweepPlan {
-            nodes,
-            checks,
+            nodes: Arc::new(nodes),
+            checks: Arc::new(checks),
             root,
-            root_inputs,
-            var_of_slot,
+            root_inputs: Arc::new(root_inputs),
+            var_slots: var_of_slot.len(),
+            inputs: (0..).zip(var_of_slot).collect(),
+            pinned: Vec::new(),
             slot_count: slot_count as usize,
         })
+    }
+
+    /// The plan of the same circuit after its input gates were relabelled
+    /// by a fact deletion: `relabel(v)` is the new variable of input `v`,
+    /// or `None` when `v` is pinned to false. A pinned slot keeps its place
+    /// in the sweep with the fixed weights `[1, 0]`, which is exactly the
+    /// constant-false gate the deletion leaves in the circuit.
+    ///
+    /// The circuit topology is unchanged, so the nodes, checks and arena
+    /// slots are shared with `self`: this costs O(variable slots), not a
+    /// [`SweepPlan::build`]. `relabel` must be injective on the variables
+    /// it keeps.
+    pub fn relabel(&self, relabel: impl Fn(VarId) -> Option<VarId>) -> SweepPlan {
+        let mut inputs = Vec::with_capacity(self.inputs.len());
+        let mut pinned = self.pinned.clone();
+        for &(slot, var) in &self.inputs {
+            match relabel(var) {
+                Some(to) => inputs.push((slot, to)),
+                None => pinned.push(slot),
+            }
+        }
+        SweepPlan {
+            nodes: Arc::clone(&self.nodes),
+            checks: Arc::clone(&self.checks),
+            root: self.root,
+            root_inputs: Arc::clone(&self.root_inputs),
+            inputs,
+            pinned,
+            var_slots: self.var_slots,
+            slot_count: self.slot_count,
+        }
     }
 
     /// Number of nice nodes the plan sweeps over.
@@ -401,19 +446,29 @@ impl SweepPlan {
         scenarios: &[&Weights],
         arena: &mut SweepArena,
     ) -> Result<(), CircuitError> {
-        let lanes = scenarios.len();
-        let len = self.var_of_slot.len() * 2 * lanes;
-        if arena.slab.capacity() < len {
+        if arena.slab.capacity() < self.var_slots * 2 * scenarios.len() {
             arena.allocations += 1;
         }
-        arena.slab.clear();
-        arena.slab.resize(len, 0.0);
-        for (slot, &var) in self.var_of_slot.iter().enumerate() {
+        self.write_slab(scenarios, &mut arena.slab)
+    }
+
+    /// Overwrites `slab` with the lane-major weight slab of `scenarios`:
+    /// weighted slots from the tables, pinned slots `[1, 0]`.
+    fn write_slab(&self, scenarios: &[&Weights], slab: &mut Vec<f64>) -> Result<(), CircuitError> {
+        let lanes = scenarios.len();
+        slab.clear();
+        slab.resize(self.var_slots * 2 * lanes, 0.0);
+        for &(slot, var) in &self.inputs {
+            let slot = slot as usize;
             for (lane, weights) in scenarios.iter().enumerate() {
                 let [w_false, w_true] = weights.pair(var)?;
-                arena.slab[(slot * 2) * lanes + lane] = w_false;
-                arena.slab[(slot * 2 + 1) * lanes + lane] = w_true;
+                slab[(slot * 2) * lanes + lane] = w_false;
+                slab[(slot * 2 + 1) * lanes + lane] = w_true;
             }
+        }
+        for &slot in &self.pinned {
+            let start = slot as usize * 2 * lanes;
+            slab[start..start + lanes].fill(1.0);
         }
         Ok(())
     }
@@ -442,25 +497,29 @@ impl SweepPlan {
         // a 3-gate sweep would go unnoticed and the request would succeed.
         stuc_fault::budget::check("circuit sweep")?;
         self.fill_slab(&[weights], arena)?;
+        // Local slices: the shared structure is read through one pointer,
+        // not reloaded through the `Arc` for every node.
+        let nodes: &[PlanNode] = &self.nodes;
+        let root_inputs: &[(u32, u32)] = &self.root_inputs;
         let mut total = 0.0f64;
         let mut gate = stuc_fault::budget::Gate::every(256);
-        for (idx, node) in self.nodes.iter().enumerate() {
+        for (idx, node) in nodes.iter().enumerate() {
             gate.check("circuit sweep")?;
             let mut table = arena.take_zeroed(node.slot as usize, node.table_len);
             match node.op {
                 PlanOp::Leaf => table[0] = 1.0,
                 PlanOp::Introduce { child, .. } | PlanOp::Forget { child, .. } => {
-                    let child_table = &arena.slots[self.nodes[child].slot as usize];
+                    let child_table = &arena.slots[nodes[child].slot as usize];
                     self.apply_unary::<S>(
                         &node.op,
-                        &child_table[..self.nodes[child].table_len],
+                        &child_table[..nodes[child].table_len],
                         &mut table,
                         &arena.slab,
                     );
                 }
                 PlanOp::Join { left, right } => {
-                    let left_table = &arena.slots[self.nodes[left].slot as usize];
-                    let right_table = &arena.slots[self.nodes[right].slot as usize];
+                    let left_table = &arena.slots[nodes[left].slot as usize];
+                    let right_table = &arena.slots[nodes[right].slot as usize];
                     for (slot, (l, r)) in table
                         .iter_mut()
                         .zip(left_table.iter().zip(right_table.iter()))
@@ -475,7 +534,7 @@ impl SweepPlan {
                         continue;
                     }
                     let mut w = weight;
-                    for &(pos, slot) in &self.root_inputs {
+                    for &(pos, slot) in root_inputs.iter() {
                         let value = (mask as u64 >> pos) & 1;
                         w *= arena.slab[slot as usize * 2 + value as usize];
                     }
@@ -572,9 +631,12 @@ impl SweepPlan {
         // See `run_in`: small circuits must still poll the budget once.
         stuc_fault::budget::check("circuit sweep")?;
         self.fill_slab(scenarios, arena)?;
+        // See `run_in`: local slices of the shared structure.
+        let nodes: &[PlanNode] = &self.nodes;
+        let root_inputs: &[(u32, u32)] = &self.root_inputs;
         let mut totals = vec![0.0f64; lanes];
         let mut gate = stuc_fault::budget::Gate::every(256);
-        for (idx, node) in self.nodes.iter().enumerate() {
+        for (idx, node) in nodes.iter().enumerate() {
             gate.check("circuit sweep")?;
             let mut table = arena.take_zeroed(node.slot as usize, node.table_len * lanes);
             match node.op {
@@ -586,7 +648,7 @@ impl SweepPlan {
                     checks_start,
                     checks_len,
                 } => {
-                    let child_node = &self.nodes[child];
+                    let child_node = &nodes[child];
                     let child_table = &arena.slots[child_node.slot as usize];
                     let checks =
                         &self.checks[checks_start as usize..(checks_start + checks_len) as usize];
@@ -614,7 +676,7 @@ impl SweepPlan {
                     forget_pos,
                     multiplier_slot,
                 } => {
-                    let child_node = &self.nodes[child];
+                    let child_node = &nodes[child];
                     let child_table = &arena.slots[child_node.slot as usize];
                     for (child_mask, source) in child_table[..child_node.table_len * lanes]
                         .chunks_exact(lanes)
@@ -642,8 +704,8 @@ impl SweepPlan {
                     }
                 }
                 PlanOp::Join { left, right } => {
-                    let left_table = &arena.slots[self.nodes[left].slot as usize];
-                    let right_table = &arena.slots[self.nodes[right].slot as usize];
+                    let left_table = &arena.slots[nodes[left].slot as usize];
+                    let right_table = &arena.slots[nodes[right].slot as usize];
                     for (slot, (l, r)) in table
                         .iter_mut()
                         .zip(left_table.iter().zip(right_table.iter()))
@@ -662,7 +724,7 @@ impl SweepPlan {
                         if w == 0.0 {
                             continue;
                         }
-                        for &(pos, slot) in &self.root_inputs {
+                        for &(pos, slot) in root_inputs.iter() {
                             let value = (mask as u64 >> pos) & 1;
                             w *= arena.slab[(slot as usize * 2 + value as usize) * lanes + lane];
                         }
@@ -679,13 +741,18 @@ impl SweepPlan {
     /// slab (the non-arena twin of `fill_slab`, for retained sweeps whose
     /// tables outlive any arena).
     fn slab_for(&self, weights: &Weights) -> Result<Vec<f64>, CircuitError> {
-        let mut slab = vec![0.0; self.var_of_slot.len() * 2];
-        for (slot, &var) in self.var_of_slot.iter().enumerate() {
-            let [w_false, w_true] = weights.pair(var)?;
-            slab[slot * 2] = w_false;
-            slab[slot * 2 + 1] = w_true;
-        }
+        let mut slab = Vec::new();
+        self.write_slab(&[weights], &mut slab)?;
         Ok(slab)
+    }
+
+    /// Pairs every weighted slot's variable with its entry of a per-slot
+    /// vector, in slot order; pinned slots are left out.
+    fn by_variable<T: Copy>(&self, per_slot: &[T]) -> Vec<(VarId, T)> {
+        self.inputs
+            .iter()
+            .map(|&(slot, var)| (var, per_slot[slot as usize]))
+            .collect()
     }
 
     /// Runs the upward sweep in semiring `S`, **retaining every node table**
@@ -705,10 +772,13 @@ impl SweepPlan {
         // See `run_in`: small circuits must still poll the budget once.
         stuc_fault::budget::check("circuit sweep")?;
         let slab = self.slab_for(weights)?;
-        let mut tables: Vec<Vec<f64>> = Vec::with_capacity(self.nodes.len());
+        // See `run_in`: local slices of the shared structure.
+        let nodes: &[PlanNode] = &self.nodes;
+        let root_inputs: &[(u32, u32)] = &self.root_inputs;
+        let mut tables: Vec<Vec<f64>> = Vec::with_capacity(nodes.len());
         let mut value = 0.0f64;
         let mut gate = stuc_fault::budget::Gate::every(256);
-        for (idx, node) in self.nodes.iter().enumerate() {
+        for (idx, node) in nodes.iter().enumerate() {
             gate.check("circuit sweep")?;
             let mut table = vec![0.0f64; node.table_len];
             match node.op {
@@ -731,7 +801,7 @@ impl SweepPlan {
                         continue;
                     }
                     let mut w = weight;
-                    for &(pos, slot) in &self.root_inputs {
+                    for &(pos, slot) in root_inputs.iter() {
                         let bit = (mask as u64 >> pos) & 1;
                         w *= slab[slot as usize * 2 + bit as usize];
                     }
@@ -775,19 +845,19 @@ impl SweepPlan {
             "retained sweep belongs to a different plan"
         );
         let slab = &retained.slab;
-        let mut numerators = vec![0.0f64; self.var_of_slot.len()];
+        let mut numerators = vec![0.0f64; self.var_slots];
         let mut down: Vec<Vec<f64>> = vec![Vec::new(); self.nodes.len()];
 
         // Seed the root: D is the product of the root-bag input weights.
         let root_len = self.nodes[self.root].table_len;
         let mut d_root = vec![1.0f64; root_len];
         for (mask, d) in d_root.iter_mut().enumerate() {
-            for &(pos, slot) in &self.root_inputs {
+            for &(pos, slot) in self.root_inputs.iter() {
                 let bit = (mask as u64 >> pos) & 1;
                 *d *= slab[slot as usize * 2 + bit as usize];
             }
         }
-        for &(pos, slot) in &self.root_inputs {
+        for &(pos, slot) in self.root_inputs.iter() {
             let mut numerator = 0.0;
             for (mask, (&u, &d)) in retained.tables[self.root].iter().zip(&d_root).enumerate() {
                 if (mask >> pos) & 1 == 1 {
@@ -878,7 +948,7 @@ impl SweepPlan {
             }
         }
 
-        self.var_of_slot.iter().copied().zip(numerators).collect()
+        self.by_variable(&numerators)
     }
 
     /// Top-down descent through the retained tables, decoding one concrete
@@ -933,7 +1003,7 @@ impl SweepPlan {
             .enumerate()
             .map(|(mask, &u)| {
                 let mut w = u;
-                for &(pos, slot) in &self.root_inputs {
+                for &(pos, slot) in self.root_inputs.iter() {
                     let bit = (mask as u64 >> pos) & 1;
                     w *= slab[slot as usize * 2 + bit as usize];
                 }
@@ -967,7 +1037,7 @@ impl SweepPlan {
             "root weights belong to a different plan"
         );
         let slab = &retained.slab;
-        let mut values = vec![false; self.var_of_slot.len()];
+        let mut values = vec![false; self.var_slots];
         let mut masks: Vec<Option<u64>> = vec![None; self.nodes.len()];
 
         // Root choice over the root-input-weighted table.
@@ -975,7 +1045,7 @@ impl SweepPlan {
         assert!(root_mask < root_weights.len(), "chooser index out of range");
         let root_mask = root_mask as u64;
         masks[self.root] = Some(root_mask);
-        for &(pos, slot) in &self.root_inputs {
+        for &(pos, slot) in self.root_inputs.iter() {
             values[slot as usize] = (root_mask >> pos) & 1 == 1;
         }
 
@@ -1019,7 +1089,7 @@ impl SweepPlan {
             }
         }
 
-        self.var_of_slot.iter().copied().zip(values).collect()
+        self.by_variable(&values)
     }
 }
 
@@ -1300,6 +1370,56 @@ mod tests {
                 assert_close(numerator, prior * conditioned);
             }
         }
+    }
+
+    #[test]
+    fn relabelled_plans_share_the_structure_and_hide_pinned_slots() {
+        // (x0 & x1) | (x1 & x2) | (x2 & x3), then fact 1 is deleted: x1 is
+        // pinned false, x2 -> x1 and x3 -> x2. Only (new) x1 & x2 remains,
+        // and x0 is independent of it.
+        let mut circuit = Circuit::new();
+        let xs: Vec<GateId> = (0..4).map(|i| circuit.add_input(VarId(i))).collect();
+        let pairs = (0..3)
+            .map(|i| circuit.add_and(vec![xs[i], xs[i + 1]]))
+            .collect();
+        let or = circuit.add_or(pairs);
+        circuit.set_output(or);
+        let (_, plan) = plan_for(&circuit);
+        let relabelled = plan.relabel(|v| match v.0 {
+            0 => Some(v),
+            1 => None,
+            k => Some(VarId(k - 1)),
+        });
+        assert!(Arc::ptr_eq(&plan.nodes, &relabelled.nodes));
+        assert!(Arc::ptr_eq(&plan.checks, &relabelled.checks));
+
+        // The weights cover only the surviving variables: a pinned slot
+        // never asks for one.
+        let mut weights = Weights::new();
+        for (v, p) in [(0, 0.3), (1, 0.6), (2, 0.7)] {
+            weights.set(VarId(v), p);
+        }
+        let mut arena = SweepArena::new();
+        assert_close(relabelled.run(&weights, &mut arena).unwrap(), 0.6 * 0.7);
+
+        let retained = relabelled.run_retained::<SumProduct>(&weights).unwrap();
+        let numerators = relabelled.marginal_numerators(&retained);
+        let vars: Vec<VarId> = numerators.iter().map(|&(v, _)| v).collect();
+        assert_eq!(vars.len(), 3);
+        assert!(vars.iter().all(|v| v.0 < 3));
+        for (v, numerator) in numerators {
+            let posterior = match v.0 {
+                0 => 0.3,
+                _ => 1.0,
+            };
+            assert_close(numerator, posterior * 0.6 * 0.7);
+        }
+        let mut first_positive = |ws: &[f64]| ws.iter().position(|&w| w > 0.0).unwrap();
+        let world = relabelled.descend(&retained, &mut first_positive);
+        let mut vars: Vec<VarId> = world.iter().map(|&(v, _)| v).collect();
+        vars.sort();
+        assert_eq!(vars, vec![VarId(0), VarId(1), VarId(2)]);
+        assert!(world.contains(&(VarId(1), true)) && world.contains(&(VarId(2), true)));
     }
 
     #[test]

@@ -318,8 +318,9 @@ impl LineageProbe {
 #[derive(Debug)]
 pub(crate) struct CompiledLineage {
     /// The compiled circuit (shared structure, cached circuit-graph
-    /// decomposition).
-    pub(crate) compiled: CompiledCircuit,
+    /// decomposition). Shared, not copied, by the entries a weight-only
+    /// update rekeys, so they keep its sweep plan and warm arena.
+    pub(crate) compiled: Arc<CompiledCircuit>,
     /// Width of the structure-graph decomposition the lineage was built
     /// from, reported in [`EvaluationReport::decomposition_width`].
     pub(crate) decomposition_width: Option<usize>,
@@ -346,7 +347,7 @@ impl CompiledLineage {
     /// structure-decomposition width).
     pub(crate) fn with_patched_circuit(
         &self,
-        compiled: CompiledCircuit,
+        compiled: Arc<CompiledCircuit>,
         instance_check: u64,
         decomposition_width: Option<usize>,
     ) -> CompiledLineage {
@@ -878,7 +879,7 @@ impl Engine {
         };
         let cold_gates = compiled.len();
         let entry = Arc::new(CompiledLineage {
-            compiled,
+            compiled: Arc::new(compiled),
             decomposition_width: Some(decomposition.width()),
             build_notes,
             query_repr,
@@ -1196,11 +1197,19 @@ mod tests {
         };
         assert!(planned(&tid));
 
-        // A reweight keeps the very same decomposition, shared not copied.
+        let compiled = |tid: &TidInstance| {
+            let probe = engine.lineage_probe(tid, &query).unwrap();
+            Arc::clone(&engine.lineage_cache.get(&probe.key).unwrap().compiled)
+        };
+
+        // A reweight keeps the very same decomposition and compiled
+        // circuit, shared not copied.
         let before = decomposition(&tid);
+        let circuit_before = compiled(&tid);
         let reweight = Delta::new().set_probability(FactId(3), 0.9);
         engine.apply_update(&mut tid, &reweight).unwrap();
         assert!(Arc::ptr_eq(&before, &decomposition(&tid)));
+        assert!(Arc::ptr_eq(&circuit_before, &compiled(&tid)));
         assert!(planned(&tid));
 
         // An insertion (`extend_or`) and a deletion (`rewire_inputs`) patch

@@ -22,7 +22,6 @@
 
 use super::metrics::engine_metrics;
 use super::{Engine, Representation, StucError};
-use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 use std::time::Duration;
 use stuc_circuit::circuit::Gate;
@@ -265,20 +264,21 @@ impl Engine {
             let patched = match &application.lineage {
                 LineagePatch::Rebuild => None,
                 // An update that left the lineage intact: only the
-                // secondary instance hash changes.
+                // secondary instance hash changes, and the entry keeps the
+                // very same circuit (with its plan and warm arena).
                 LineagePatch::Reusable => {
-                    Some(entry.with_patched_circuit(entry.compiled.clone(), new_check, None))
+                    Some(entry.with_patched_circuit(Arc::clone(&entry.compiled), new_check, None))
                 }
                 LineagePatch::Steps(steps) => {
-                    let mut compiled = entry.compiled.clone();
+                    let mut compiled = Arc::clone(&entry.compiled);
                     let mut alive = true;
                     for step in steps {
                         match step {
                             LineagePatchStep::RewireInputs { pin_false, remap } => {
-                                let pins: BTreeSet<_> = pin_false.iter().copied().collect();
-                                let map: BTreeMap<_, _> = remap.iter().copied().collect();
-                                let (rewired, gates) = compiled.rewire_inputs(&pins, &map);
-                                compiled = rewired;
+                                // Carries the plan over relabelled: nothing
+                                // to re-plan for a deletion.
+                                let (rewired, gates) = compiled.rewire_inputs(pin_false, remap);
+                                compiled = Arc::new(rewired);
                                 report.gates_rebuilt += gates;
                             }
                             LineagePatchStep::ExtendWithNewMatches { inserted } => {
@@ -309,7 +309,7 @@ impl Engine {
                                 }
                                 match compiled.extend_or(&simplified, self.config.width_budget) {
                                     Ok((extended, stats)) => {
-                                        compiled = extended;
+                                        compiled = Arc::new(extended);
                                         report.gates_rebuilt += stats.gates_appended;
                                         report.bags_touched +=
                                             stats.bags_touched + stats.bags_added;
@@ -340,9 +340,10 @@ impl Engine {
                         ));
                         alive = false;
                     }
-                    // Re-plan inside the write, so the first read after it
-                    // finds a ready plan (a transient failure leaves the
-                    // planning to that read).
+                    // Re-plan an extended circuit inside the write, so the
+                    // first read after it finds a ready plan (a transient
+                    // failure leaves the planning to that read). A rewired
+                    // one already carries its plan.
                     if alive && entry.compiled.is_planned() {
                         let _ = compiled.try_sweep_plan();
                     }

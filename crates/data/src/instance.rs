@@ -8,6 +8,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::hash::{Hash, Hasher};
+use std::sync::OnceLock;
 use stuc_graph::graph::{Graph, VertexId};
 
 /// An interned relation name.
@@ -47,6 +48,135 @@ pub struct Instance {
     facts: Vec<Fact>,
     /// Number of facts per relation, indexed by `RelId`.
     relation_sizes: Vec<usize>,
+    /// The fact index, built on first use and dropped by every fact change.
+    index: IndexMemo,
+}
+
+/// The facts of an [`Instance`] by relation and by `(relation, position,
+/// constant)`: what a join with some arguments already bound looks up
+/// instead of scanning a relation. Built in one linear pass by
+/// [`Instance::fact_index`] and memoised until the facts change.
+#[derive(Debug)]
+pub struct FactIndex {
+    /// The facts of relation `r` are `relation_facts[relation_starts[r]..
+    /// relation_starts[r + 1]]`, in id order.
+    relation_starts: Vec<usize>,
+    relation_facts: Vec<FactId>,
+    /// The occurrences of constant `c` are the entries
+    /// `constant_starts[c]..constant_starts[c + 1]` of `occurrence_keys`
+    /// (`(relation, position)`) and `occurrence_facts`, sorted by key and
+    /// then by fact id.
+    constant_starts: Vec<usize>,
+    occurrence_keys: Vec<(RelId, usize)>,
+    occurrence_facts: Vec<FactId>,
+}
+
+impl FactIndex {
+    fn build(instance: &Instance) -> FactIndex {
+        // Two counting sorts: facts by relation, argument slots by constant.
+        // (`add_fact` takes identifiers that need not be interned, hence
+        // the growth checks.)
+        let mut relation_starts = vec![0usize; instance.relation_sizes.len() + 1];
+        let mut constant_starts = vec![0usize; instance.constant_count() + 1];
+        for fact in &instance.facts {
+            relation_starts[fact.relation.0 + 1] += 1;
+            for c in &fact.args {
+                if constant_starts.len() < c.0 + 2 {
+                    constant_starts.resize(c.0 + 2, 0);
+                }
+                constant_starts[c.0 + 1] += 1;
+            }
+        }
+        for i in 1..relation_starts.len() {
+            relation_starts[i] += relation_starts[i - 1];
+        }
+        for i in 1..constant_starts.len() {
+            constant_starts[i] += constant_starts[i - 1];
+        }
+        let mut relation_next = relation_starts.clone();
+        let mut relation_facts = vec![FactId(0); instance.facts.len()];
+        for (id, fact) in instance.facts() {
+            relation_facts[relation_next[fact.relation.0]] = id;
+            relation_next[fact.relation.0] += 1;
+        }
+        // Distributing the argument slots in (relation, position, fact)
+        // order leaves every constant's range sorted the same way.
+        let mut constant_next = constant_starts.clone();
+        let occurrences = constant_starts[constant_starts.len() - 1];
+        let mut occurrence_keys = vec![(RelId(0), 0); occurrences];
+        let mut occurrence_facts = vec![FactId(0); occurrences];
+        for (r, range) in relation_starts.windows(2).enumerate() {
+            let facts = &relation_facts[range[0]..range[1]];
+            let arity = facts
+                .iter()
+                .map(|&f| instance.fact(f).args.len())
+                .max()
+                .unwrap_or(0);
+            for position in 0..arity {
+                for &f in facts {
+                    if let Some(c) = instance.fact(f).args.get(position) {
+                        let at = constant_next[c.0];
+                        occurrence_keys[at] = (RelId(r), position);
+                        occurrence_facts[at] = f;
+                        constant_next[c.0] += 1;
+                    }
+                }
+            }
+        }
+        FactIndex {
+            relation_starts,
+            relation_facts,
+            constant_starts,
+            occurrence_keys,
+            occurrence_facts,
+        }
+    }
+
+    /// The facts of `relation`, in id order.
+    pub fn facts_of(&self, relation: RelId) -> &[FactId] {
+        match self.relation_starts.get(relation.0..relation.0 + 2) {
+            Some(&[start, end]) => &self.relation_facts[start..end],
+            _ => &[],
+        }
+    }
+
+    /// The facts of `relation` whose argument at `position` is `constant`,
+    /// in id order.
+    pub fn facts_with(&self, relation: RelId, position: usize, constant: ConstId) -> &[FactId] {
+        let Some(&[start, end]) = self.constant_starts.get(constant.0..constant.0 + 2) else {
+            return &[];
+        };
+        let keys = &self.occurrence_keys[start..end];
+        let key = (relation, position);
+        let low = keys.partition_point(|&k| k < key);
+        let high = low + keys[low..].partition_point(|&k| k == key);
+        &self.occurrence_facts[start + low..start + high]
+    }
+}
+
+/// The memoised [`FactIndex`] of an [`Instance`]. Like the content memos of
+/// the uncertain representations it is invisible: it always compares equal,
+/// renders as nothing and is never hashed. A clone starts empty (a copy is
+/// usually made to be mutated), and every fact change resets it.
+#[derive(Default)]
+struct IndexMemo(OnceLock<FactIndex>);
+
+impl Clone for IndexMemo {
+    fn clone(&self) -> IndexMemo {
+        IndexMemo::default()
+    }
+}
+
+impl PartialEq for IndexMemo {
+    fn eq(&self, _: &IndexMemo) -> bool {
+        true
+    }
+}
+
+impl fmt::Debug for IndexMemo {
+    fn fmt(&self, _: &mut fmt::Formatter<'_>) -> fmt::Result {
+        Ok(())
+    }
 }
 
 /// Hashes the content that determines equality: the interned names and the
@@ -124,6 +254,7 @@ impl Instance {
             self.relation_sizes.resize(relation.0 + 1, 0);
         }
         self.relation_sizes[relation.0] += 1;
+        self.index.0.take();
         self.facts.push(Fact { relation, args });
         FactId(self.facts.len() - 1)
     }
@@ -152,6 +283,7 @@ impl Instance {
     pub fn remove_fact(&mut self, f: FactId) -> Fact {
         let fact = self.facts.remove(f.0);
         self.relation_sizes[fact.relation.0] -= 1;
+        self.index.0.take();
         fact
     }
 
@@ -177,6 +309,18 @@ impl Instance {
             .filter(|(_, f)| f.relation == relation)
             .map(|(id, _)| id)
             .collect()
+    }
+
+    /// The [`FactIndex`] of the current facts: built in one linear pass on
+    /// the first call after a fact change, then shared by every later call
+    /// (concurrent first calls all get the one stored index).
+    pub fn fact_index(&self) -> &FactIndex {
+        self.index.0.get_or_init(|| FactIndex::build(self))
+    }
+
+    /// True while the [`FactIndex`] of the current facts is memoised.
+    pub fn is_fact_indexed(&self) -> bool {
+        self.index.0.get().is_some()
     }
 
     /// True if the instance contains the exact fact.
@@ -357,6 +501,33 @@ mod tests {
         assert_eq!(inst.fact(f).args.len(), 3);
         let g = inst.gaifman_graph();
         assert_eq!(g.edge_count(), 3);
+    }
+
+    #[test]
+    fn fact_index_answers_like_a_scan() {
+        let mut inst = Instance::new();
+        inst.add_fact_named("R", &["a", "b"]);
+        inst.add_fact_named("S", &["b"]);
+        inst.add_fact_named("R", &["b", "b"]);
+        inst.add_fact_named("R", &["a", "c", "b"]);
+        inst.add_fact_named("R", &["c", "a"]);
+        let index = inst.fact_index();
+        for name in ["R", "S"] {
+            let relation = inst.find_relation(name).unwrap();
+            assert_eq!(index.facts_of(relation), inst.facts_of(relation), "{name}");
+            for position in 0..3 {
+                for c in 0..inst.constant_count() {
+                    let scan: Vec<FactId> = inst
+                        .facts_of(relation)
+                        .into_iter()
+                        .filter(|&f| inst.fact(f).args.get(position) == Some(&ConstId(c)))
+                        .collect();
+                    assert_eq!(index.facts_with(relation, position, ConstId(c)), scan);
+                }
+            }
+        }
+        assert!(index.facts_of(RelId(9)).is_empty());
+        assert!(index.facts_with(RelId(0), 0, ConstId(9)).is_empty());
     }
 
     #[test]

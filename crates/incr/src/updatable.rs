@@ -14,13 +14,18 @@
 //!   recompilation); insertions extend the circuit with the lineage of the
 //!   *new* matches only; correlated cases fall back to a rebuild.
 //!
-//! The per-representation update matrix:
+//! The per-representation update matrix. Every write costs O(delta) on top
+//! of one identity hash of the instance: a rekey shares the compiled
+//! circuit (same `Arc`, warm sweep arena), a rewire carries the sweep plan
+//! over relabelled, and an extend finds the new matches with the indexed
+//! delta join of [`crate::matches`] (then repairs the circuit-graph
+//! decomposition and re-plans).
 //!
 //! | op | TID | pc | pcc | PrXML |
 //! |---|---|---|---|---|
-//! | `SetProbability` | rekey caches | rekey (single-event annotations) | rekey (input-gate facts) | rekey (private `ind` edges) |
+//! | `SetProbability` | rekey caches, share circuits | rekey (single-event annotations) | rekey (input-gate facts) | rekey (private `ind` edges) |
 //! | `InsertFact` | repair + extend | repair + extend | remap + repair + extend | rebuild |
-//! | `DeleteFact` | rekey + rewire | rebuild lineage | rebuild lineage | rebuild |
+//! | `DeleteFact` | rekey + rewire, keep the plan | rebuild lineage | rebuild lineage | rebuild |
 
 use crate::delta::{Delta, DeltaOp, UpdateError};
 use crate::matches::delta_match_witnesses;
@@ -67,12 +72,13 @@ pub enum StructureImpact {
 pub enum LineagePatchStep {
     /// Pin these (pre-delta) event variables to false and renumber the rest
     /// — fact deletion on representations whose lineage variables are
-    /// per-fact (TID).
+    /// per-fact (TID). The tables are built once per delta and shared by
+    /// every cached lineage the engine rewires with them.
     RewireInputs {
         /// Variables of deleted facts.
-        pin_false: Vec<VarId>,
-        /// Surviving-variable renumbering `(old, new)`, identity elsewhere.
-        remap: Vec<(VarId, VarId)>,
+        pin_false: BTreeSet<VarId>,
+        /// Surviving-variable renumbering `old → new`, identity elsewhere.
+        remap: BTreeMap<VarId, VarId>,
     },
     /// OR the cached circuit with the lineage of the matches introduced by
     /// these (post-delta) fact identifiers, obtained from
@@ -181,15 +187,15 @@ fn split_and_validate(delta: &Delta, fact_count: usize) -> Result<SplitOps<'_>, 
 fn deletion_rewiring(
     old_count: usize,
     deletes: &BTreeSet<usize>,
-) -> (Vec<VarId>, Vec<(VarId, VarId)>) {
-    let pins: Vec<VarId> = deletes.iter().map(|&i| VarId(i)).collect();
-    let mut remap = Vec::new();
+) -> (BTreeSet<VarId>, BTreeMap<VarId, VarId>) {
+    let pins = deletes.iter().map(|&i| VarId(i)).collect();
+    let mut remap = BTreeMap::new();
     let mut shift = 0usize;
     for old in 0..old_count {
         if deletes.contains(&old) {
             shift += 1;
         } else if shift > 0 {
-            remap.push((VarId(old), VarId(old - shift)));
+            remap.insert(VarId(old), VarId(old - shift));
         }
     }
     (pins, remap)
@@ -813,7 +819,10 @@ mod tests {
     #[test]
     fn deletion_rewiring_shifts_survivors() {
         let (pins, remap) = deletion_rewiring(5, &BTreeSet::from([1, 3]));
-        assert_eq!(pins, vec![VarId(1), VarId(3)]);
-        assert_eq!(remap, vec![(VarId(2), VarId(1)), (VarId(4), VarId(2))]);
+        assert_eq!(pins, BTreeSet::from([VarId(1), VarId(3)]));
+        assert_eq!(
+            remap,
+            BTreeMap::from([(VarId(2), VarId(1)), (VarId(4), VarId(2))])
+        );
     }
 }

@@ -195,3 +195,100 @@ proptest! {
         prop_assert!(stats.decompositions.entries <= 2, "capacity bound violated: {stats:?}");
     }
 }
+
+/// Readers sweeping while a writer applies reweights and deletes over the
+/// circuits those writes share (a reweight rekeys the same compiled
+/// circuit, a delete carries its sweep plan over relabelled and takes its
+/// warm arena) get bit-identical answers to a single-threaded replay.
+///
+/// The decomposition cache is off, so a reader whose lookup misses (the
+/// writer already moved the entry on to the next state) compiles exactly
+/// what a cold engine compiles: every reader answer is bit-identical to
+/// the replay's patched answer or to the cold answer for its state, and the
+/// writer's own read after each write is bit-identical to the replay's.
+#[test]
+fn readers_racing_shared_circuit_writes_match_a_single_threaded_replay() {
+    const WRITES: usize = 24;
+    let queries = [
+        ConjunctiveQuery::parse("R(x, y), R(y, z)").unwrap(),
+        ConjunctiveQuery::parse("R(\"c4\", x), R(x, y), R(y, z)").unwrap(),
+    ];
+    let engine = || Engine::builder().without_decomposition_cache().build();
+    let bits = |engine: &Engine, tid: &stuc::data::tid::TidInstance, query: &ConjunctiveQuery| {
+        engine.evaluate(tid, query).unwrap().probability.to_bits()
+    };
+    let answers = |engine: &Engine, tid: &stuc::data::tid::TidInstance| {
+        [0, 1].map(|q| bits(engine, tid, &queries[q]))
+    };
+
+    // The history, its states, and the replay's and cold answers.
+    let mut rng = SplitMix64::new(0xc0ff_ee00);
+    let mut states = vec![workloads::path_tid(40, 0.5, 17)];
+    let mut deltas = Vec::with_capacity(WRITES);
+    let replay = engine();
+    let mut replayed = vec![answers(&replay, &states[0])];
+    let mut cold = vec![answers(&engine(), &states[0])];
+    for write in 0..WRITES {
+        let mut state = states[write].clone();
+        let facts = state.fact_count();
+        // Probabilities are unique to each write, so no state repeats.
+        let delta = if write % 3 == 2 {
+            Delta::new().delete(FactId(rng.next_below(facts)))
+        } else {
+            let p = 0.1 + 0.8 * (write as f64 + rng.next_f64()) / WRITES as f64;
+            Delta::new().set_probability(FactId(rng.next_below(facts)), p)
+        };
+        replay.apply_update(&mut state, &delta).unwrap();
+        replayed.push(answers(&replay, &state));
+        cold.push(answers(&engine(), &state));
+        for (patched, fresh) in replayed[write + 1].iter().zip(&cold[write + 1]) {
+            let (patched, fresh) = (f64::from_bits(*patched), f64::from_bits(*fresh));
+            assert!((patched - fresh).abs() < 1e-9, "replay write {write}");
+        }
+        states.push(state);
+        deltas.push(delta);
+    }
+
+    let shared = engine();
+    for query in &queries {
+        shared.evaluate(&states[0], query).unwrap();
+    }
+    // Before write k, everyone meets at the barrier; then the readers sweep
+    // state k while the writer moves the engine on to state k + 1.
+    const READERS: usize = 4;
+    let step = std::sync::Barrier::new(READERS + 1);
+    std::thread::scope(|scope| {
+        for _ in 0..READERS {
+            scope.spawn(|| {
+                for k in 0..WRITES {
+                    step.wait();
+                    for _ in 0..3 {
+                        for (q, query) in queries.iter().enumerate() {
+                            let got = bits(&shared, &states[k], query);
+                            assert!(
+                                got == replayed[k][q] || got == cold[k][q],
+                                "reader at state {k}, query {q}: {} vs replay {} / cold {}",
+                                f64::from_bits(got),
+                                f64::from_bits(replayed[k][q]),
+                                f64::from_bits(cold[k][q])
+                            );
+                        }
+                    }
+                }
+            });
+        }
+        let mut live = states[0].clone();
+        for (k, delta) in deltas.iter().enumerate() {
+            step.wait();
+            let report = shared.apply_update(&mut live, delta).unwrap();
+            assert_eq!(report.lineages_patched, queries.len(), "write {k}");
+            for (q, query) in queries.iter().enumerate() {
+                assert_eq!(
+                    bits(&shared, &live, query),
+                    replayed[k + 1][q],
+                    "write {k}, query {q}"
+                );
+            }
+        }
+    });
+}

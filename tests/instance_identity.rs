@@ -234,3 +234,59 @@ fn concurrent_first_identity_calls_agree_on_every_representation() {
         concurrent_first_calls_agree(|| prxml(seed));
     }
 }
+
+/// The memoised fact index of an `Instance` (what the insertion delta join
+/// looks candidates up in) is invisible and never stale: building it
+/// leaves `==`, `Debug` and the identity unchanged, a clone starts without
+/// it, and adding or removing a fact drops it.
+#[test]
+fn the_fact_index_memo_is_invisible_and_dropped_by_fact_changes() {
+    for seed in 0..6 {
+        let mut live = tid(seed);
+        let untouched = tid(seed);
+        let (rendering, identity) = (format!("{live:?}"), live.identity());
+        let relation = live.instance().find_relation("R").unwrap();
+        assert_eq!(
+            live.instance().fact_index().facts_of(relation).len(),
+            live.fact_count()
+        );
+        assert!(live.instance().is_fact_indexed());
+        assert!(live == untouched && live.instance() == untouched.instance());
+        assert_eq!(format!("{live:?}"), rendering);
+        assert_eq!(
+            format!("{:?}", live.instance()),
+            format!("{:?}", untouched.instance())
+        );
+        assert_eq!(live.identity(), identity);
+        assert!(
+            !live.clone().instance().is_fact_indexed(),
+            "a clone starts empty"
+        );
+
+        let added = live.add_fact_named("R", &["c0", "c7"], 0.5);
+        assert!(
+            !live.instance().is_fact_indexed(),
+            "add_fact drops the index"
+        );
+        let c7 = live.instance().find_constant("c7").unwrap();
+        assert_eq!(
+            live.instance().fact_index().facts_with(relation, 1, c7),
+            &[added]
+        );
+
+        live.remove_fact(FactId(0));
+        assert!(
+            !live.instance().is_fact_indexed(),
+            "remove_fact drops the index"
+        );
+        let shifted = FactId(added.0 - 1);
+        assert_eq!(
+            live.instance().fact_index().facts_with(relation, 1, c7),
+            &[shifted]
+        );
+        assert_eq!(
+            live.instance().fact_index().facts_of(relation).len(),
+            live.fact_count()
+        );
+    }
+}

@@ -12,6 +12,7 @@ use stuc::circuit::builder;
 use stuc::circuit::circuit::{Circuit, VarId};
 use stuc::circuit::compiled::CompiledCircuit;
 use stuc::circuit::dpll::DpllCounter;
+use stuc::circuit::plan::SumProduct;
 use stuc::circuit::weights::Weights;
 use stuc::graph::elimination::EliminationHeuristic;
 
@@ -154,6 +155,56 @@ proptest! {
             .expect("dpll on patched source");
         prop_assert!((planned.probability - interpreted.probability).abs() < 1e-9);
         prop_assert!((planned.probability - dpll).abs() < 1e-9);
+    }
+
+    /// A circuit planned before `rewire_inputs` keeps its plan, relabelled
+    /// (pinned inputs become `[1, 0]` slots): the carried plan agrees with
+    /// the interpreted sweep and DPLL on the rewired circuit, and its
+    /// marginals name only surviving variables.
+    #[test]
+    fn rewired_planned_circuits_agree(
+        vars in 3usize..8,
+        internal in 3usize..14,
+        seed in 0u64..500,
+        pin_stride in 2usize..4,
+    ) {
+        let circuit = builder::random_circuit(vars, internal, seed);
+        let compiled = compile(&circuit);
+        prop_assert!(compiled.try_sweep_plan().unwrap().is_some());
+
+        // Pin every `pin_stride`-th variable and shift the rest down, like
+        // a deletion of those facts.
+        let all_vars: Vec<VarId> = circuit.variables().into_iter().collect();
+        let pins: BTreeSet<VarId> = all_vars.iter().copied().step_by(pin_stride).collect();
+        let remap: BTreeMap<VarId, VarId> = all_vars
+            .iter()
+            .filter(|v| !pins.contains(v))
+            .enumerate()
+            .map(|(new, &old)| (old, VarId(new)))
+            .collect();
+        let (patched, _) = compiled.rewire_inputs(&pins, &remap);
+        prop_assert!(patched.is_planned());
+
+        let weights = weights_for(patched.source(), seed, 0);
+        let planned = patched.run(&weights, BUDGET).expect("carried plan runs");
+        let interpreted = patched
+            .run_interpreted(&weights, BUDGET)
+            .expect("patched interpreted runs");
+        let dpll = DpllCounter::default()
+            .probability(patched.source(), &weights)
+            .expect("dpll on patched source");
+        prop_assert!((planned.probability - interpreted.probability).abs() < 1e-9);
+        prop_assert!((planned.probability - dpll).abs() < 1e-9);
+        if planned.probability > 0.0 {
+            let plan = patched.sweep_plan().unwrap();
+            let retained = plan.run_retained::<SumProduct>(&weights).unwrap();
+            let marginal_vars: BTreeSet<VarId> = plan
+                .marginal_numerators(&retained)
+                .into_iter()
+                .map(|(v, _)| v)
+                .collect();
+            prop_assert_eq!(&marginal_vars, patched.variables());
+        }
     }
 
     /// Circuits patched by `extend_or` (insertion: append the dirty cone,
