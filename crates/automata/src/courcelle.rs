@@ -657,8 +657,9 @@ pub fn cq_probability_tid(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
+    use stuc_circuit::compiled::{one_shot_probability, CompiledCircuit};
     use stuc_circuit::enumeration::probability_by_enumeration;
-    use stuc_circuit::wmc::TreewidthWmc;
     use stuc_data::worlds;
     use stuc_graph::elimination::{decompose_with_heuristic, EliminationHeuristic};
     use stuc_query::lineage::tid_lineage;
@@ -736,9 +737,7 @@ mod tests {
         let query = ConjunctiveQuery::parse("R(x), S(x, y)").unwrap();
         let circuit =
             cq_lineage_circuit(tid.instance(), &td, &query, |f| tid.fact_event(f)).unwrap();
-        let by_wmc = TreewidthWmc::default()
-            .probability(&circuit, &tid.fact_weights())
-            .unwrap();
+        let by_wmc = one_shot_probability(&circuit, &tid.fact_weights()).unwrap();
         let reference =
             probability_by_enumeration(&tid_lineage(&tid, &query), &tid.fact_weights()).unwrap();
         assert!((by_wmc - reference).abs() < 1e-9);
@@ -828,7 +827,8 @@ mod tests {
             let td = decomposition_of(&tid);
             let circuit =
                 cq_lineage_circuit(tid.instance(), &td, &query, |f| tid.fact_event(f)).unwrap();
-            widths.push(TreewidthWmc::default().estimated_width(&circuit));
+            let compiled = CompiledCircuit::compile(Arc::new(circuit), Default::default());
+            widths.push(compiled.unwrap().width());
         }
         let max = *widths.iter().max().unwrap();
         let min = *widths.iter().min().unwrap();

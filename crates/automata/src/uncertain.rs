@@ -381,8 +381,9 @@ impl UncertainTree {
 mod tests {
     use super::*;
     use std::collections::BTreeMap;
+    use std::sync::Arc;
+    use stuc_circuit::compiled::{one_shot_probability, CompiledCircuit};
     use stuc_circuit::enumeration::probability_by_enumeration;
-    use stuc_circuit::wmc::TreewidthWmc;
 
     const ALPHABET: &[usize] = &[0, 1, 2, 3];
 
@@ -432,7 +433,7 @@ mod tests {
             let direct = t.acceptance_probability(&automaton, &w).unwrap();
             let circuit = t.provenance_run(&automaton).unwrap();
             let by_enumeration = probability_by_enumeration(&circuit, &w).unwrap();
-            let by_wmc = TreewidthWmc::default().probability(&circuit, &w).unwrap();
+            let by_wmc = one_shot_probability(&circuit, &w).unwrap();
             assert!(
                 (direct - by_enumeration).abs() < 1e-9,
                 "{direct} vs {by_enumeration}"
@@ -485,7 +486,8 @@ mod tests {
             }
             t.set_root(prev.unwrap());
             let circuit = t.provenance_run(&automaton).unwrap();
-            widths.push(TreewidthWmc::default().estimated_width(&circuit));
+            let compiled = CompiledCircuit::compile(Arc::new(circuit), Default::default());
+            widths.push(compiled.unwrap().width());
         }
         assert!(
             widths.iter().all(|&w| w <= widths[0] + 2),

@@ -5,10 +5,9 @@
 use criterion::BenchmarkId;
 use std::sync::Arc;
 use stuc_bench::{criterion_config, report_value, timed, BenchSummary};
-use stuc_circuit::compiled::CompiledCircuit;
+use stuc_circuit::compiled::{one_shot_probability, CompiledCircuit};
 use stuc_circuit::dpll::DpllCounter;
 use stuc_circuit::enumeration::probability_by_enumeration;
-use stuc_circuit::wmc::TreewidthWmc;
 use stuc_core::engine::Engine;
 use stuc_core::workloads;
 use stuc_graph::elimination::EliminationHeuristic;
@@ -24,9 +23,7 @@ fn main() {
     let small_tid = workloads::path_tid(12, 0.5, 13);
     let small = engine.lineage(&small_tid, &query).unwrap();
     let weights = small_tid.fact_weights();
-    let mp = TreewidthWmc::default()
-        .probability(&small, &weights)
-        .unwrap();
+    let mp = one_shot_probability(&small, &weights).unwrap();
     let dp = DpllCounter::default()
         .probability(&small, &weights)
         .unwrap();
@@ -36,11 +33,7 @@ fn main() {
 
     let mut group = criterion.benchmark_group("a2_wmc_backends_small");
     group.bench_function("message_passing", |b| {
-        b.iter(|| {
-            TreewidthWmc::default()
-                .probability(&small, &weights)
-                .unwrap()
-        })
+        b.iter(|| one_shot_probability(&small, &weights).unwrap())
     });
     group.bench_function("dpll", |b| {
         b.iter(|| {
@@ -71,7 +64,9 @@ fn main() {
         report_value(
             "A2",
             &format!("n{n}_circuit_width_estimate"),
-            TreewidthWmc::default().estimated_width(&lineage),
+            CompiledCircuit::compile(Arc::new(lineage.clone()), EliminationHeuristic::MinDegree)
+                .unwrap()
+                .width(),
         );
         report_value(
             "A2",
@@ -83,7 +78,7 @@ fn main() {
             },
         );
         group.bench_with_input(BenchmarkId::new("message_passing", n), &n, |b, _| {
-            b.iter(|| TreewidthWmc::default().probability(&lineage, &w).unwrap())
+            b.iter(|| one_shot_probability(&lineage, &w).unwrap())
         });
         group.bench_with_input(BenchmarkId::new("dpll_50k_budget", n), &n, |b, _| {
             b.iter(|| budgeted_dpll.probability(&lineage, &w).ok())

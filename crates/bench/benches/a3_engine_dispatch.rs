@@ -6,8 +6,9 @@
 //! DPLL. This bench measures that dispatch overhead on the path workload by
 //! comparing, for the same query:
 //!
-//! * `direct_wmc` — hand-rolled: decompose, build the lineage, run
-//!   `TreewidthWmc`, no engine involved (the pre-engine code path);
+//! * `direct_wmc` — hand-rolled: decompose, build the lineage, then
+//!   compile, plan and sweep it once with `one_shot_probability`, no
+//!   engine involved (the pre-engine code path);
 //! * `engine_fixed_wmc` — engine with the back-end pinned (no selection
 //!   logic, but fingerprint + cache);
 //! * `engine_auto` — full automatic selection;
@@ -20,7 +21,7 @@
 use criterion::BenchmarkId;
 use stuc_automata::courcelle::cq_lineage_circuit;
 use stuc_bench::{criterion_config, report_value};
-use stuc_circuit::wmc::TreewidthWmc;
+use stuc_circuit::compiled::one_shot_probability;
 use stuc_core::engine::{BackendKind, Engine};
 use stuc_core::workloads;
 use stuc_graph::elimination::{decompose_with_heuristic, EliminationHeuristic};
@@ -39,9 +40,7 @@ fn main() {
                 decompose_with_heuristic(&tid.gaifman_graph(), EliminationHeuristic::MinDegree);
             let lineage =
                 cq_lineage_circuit(tid.instance(), &td, &query, |f| tid.fact_event(f)).unwrap();
-            TreewidthWmc::default()
-                .probability(&lineage, &tid.fact_weights())
-                .unwrap()
+            one_shot_probability(&lineage, &tid.fact_weights()).unwrap()
         };
         let auto_engine = Engine::new();
         let from_engine = auto_engine.evaluate(&tid, &query).unwrap();
@@ -55,9 +54,7 @@ fn main() {
                     decompose_with_heuristic(&tid.gaifman_graph(), EliminationHeuristic::MinDegree);
                 let lineage =
                     cq_lineage_circuit(tid.instance(), &td, &query, |f| tid.fact_event(f)).unwrap();
-                TreewidthWmc::default()
-                    .probability(&lineage, &tid.fact_weights())
-                    .unwrap()
+                one_shot_probability(&lineage, &tid.fact_weights()).unwrap()
             })
         });
 

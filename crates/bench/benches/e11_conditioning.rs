@@ -8,8 +8,8 @@ use rand::SeedableRng;
 use std::collections::BTreeMap;
 use stuc_bench::{criterion_config, report_value};
 use stuc_circuit::circuit::VarId;
+use stuc_circuit::compiled::one_shot_probability;
 use stuc_circuit::weights::Weights;
-use stuc_circuit::wmc::TreewidthWmc;
 use stuc_cond::conditioning::{condition_on_event, conditioned_query_probability};
 use stuc_cond::crowd::{entropy, interactive_conditioning, CrowdOracle};
 use stuc_core::workloads::contributor_pcc;
@@ -55,9 +55,7 @@ fn main() {
     let pcc = contributor_pcc(8, 3, 0.7, 0.6, 99);
     let target = ConjunctiveQuery::parse("Claim(\"entity0\", x), Claim(\"entity1\", y)").unwrap();
     let lineage = pcc_lineage(&pcc, &target);
-    let prior = TreewidthWmc::default()
-        .probability(&lineage, pcc.probabilities())
-        .unwrap();
+    let prior = one_shot_probability(&lineage, pcc.probabilities()).unwrap();
     report_value(
         "E11",
         "prior_entropy_bits",

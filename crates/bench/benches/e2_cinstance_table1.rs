@@ -2,8 +2,8 @@
 //! on the paper's c-instance of conference trips.
 
 use stuc_bench::{criterion_config, report_value};
+use stuc_circuit::compiled::one_shot_probability;
 use stuc_circuit::weights::Weights;
-use stuc_circuit::wmc::TreewidthWmc;
 use stuc_data::cinstance::CInstance;
 use stuc_data::worlds;
 use stuc_query::cq::ConjunctiveQuery;
@@ -34,9 +34,7 @@ fn main() {
 
     for (name, query) in &parsed {
         let lineage = cinstance_lineage(&ci, query);
-        let p = TreewidthWmc::default()
-            .probability(&lineage, &weights)
-            .unwrap();
+        let p = one_shot_probability(&lineage, &weights).unwrap();
         report_value(
             "E2",
             name,
@@ -60,9 +58,7 @@ fn main() {
                 .iter()
                 .map(|(_, q)| {
                     let lineage = cinstance_lineage(&ci, q);
-                    TreewidthWmc::default()
-                        .probability(&lineage, &weights)
-                        .unwrap()
+                    one_shot_probability(&lineage, &weights).unwrap()
                 })
                 .sum::<f64>()
         })

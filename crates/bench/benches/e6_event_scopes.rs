@@ -4,8 +4,9 @@
 //! depth of contributor-conditioned sections.
 
 use criterion::BenchmarkId;
+use std::sync::Arc;
 use stuc_bench::{criterion_config, report_value};
-use stuc_circuit::wmc::TreewidthWmc;
+use stuc_circuit::compiled::CompiledCircuit;
 use stuc_prxml::generator::{wikidata_style_document, WikidataStyleConfig};
 use stuc_prxml::queries::{query_lineage, query_probability, PrxmlQuery};
 use stuc_prxml::scope::analyze_scopes;
@@ -26,7 +27,9 @@ fn main() {
         let doc = wikidata_style_document(&config);
         let scope = analyze_scopes(&doc).max_node_scope();
         let lineage = query_lineage(&doc, &query);
-        let width = TreewidthWmc::default().estimated_width(&lineage);
+        let width = CompiledCircuit::compile(Arc::new(lineage.clone()), Default::default())
+            .unwrap()
+            .width();
         report_value(
             "E6",
             &format!("depth{depth}"),

@@ -281,9 +281,15 @@ mod tests {
 
     #[test]
     fn path_lineage_width_stays_small_while_bipartite_grows() {
-        use crate::wmc::TreewidthWmc;
-        let small = TreewidthWmc::default().estimated_width(&rst_path_lineage(20));
-        let large = TreewidthWmc::default().estimated_width(&rst_bipartite_lineage(6));
+        use crate::compiled::CompiledCircuit;
+        use std::sync::Arc;
+        let width = |c: Circuit| {
+            CompiledCircuit::compile(Arc::new(c), Default::default())
+                .unwrap()
+                .width()
+        };
+        let small = width(rst_path_lineage(20));
+        let large = width(rst_bipartite_lineage(6));
         assert!(small <= 4, "path lineage width {small}");
         assert!(
             large > small,

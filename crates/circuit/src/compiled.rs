@@ -15,11 +15,17 @@
 //! built over it. Re-evaluating under a new [`Weights`] table is a single
 //! message-passing sweep — no decomposition, no circuit construction, no
 //! binarisation.
+//!
+//! The planned sweep is the only production sweep: a circuit whose bags
+//! exceed [`MAX_PLANNED_BAG`] is refused with [`WmcError::WidthTooLarge`]
+//! whatever the caller's budget, and callers route it to DPLL instead
+//! ([`one_shot_probability`] does so for circuits evaluated once).
 
 use crate::circuit::{Circuit, CircuitError, Gate, GateId, VarId};
+use crate::dpll::{DpllCounter, DpllError};
 use crate::plan::{SweepArena, SweepPlan, MAX_PLANNED_BAG};
 use crate::weights::Weights;
-use crate::wmc::{message_passing, TreewidthWmc, WmcError, WmcReport};
+use crate::wmc::{self, message_passing, WmcError, WmcReport};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::{Arc, Mutex, OnceLock};
 use stuc_graph::decomposition::BagId;
@@ -104,13 +110,12 @@ pub struct CompiledCircuit {
     structure: OnceLock<CompiledStructure>,
     /// The flattened sweep plan over `structure`'s decomposition
     /// ([`SweepPlan`]), built on first counting run (or by the caller right
-    /// after a patch). `Some(None)` records that the circuit's bags are too
-    /// wide to plan densely (beyond [`MAX_PLANNED_BAG`]); such circuits
-    /// fall back to the interpreted sparse sweep.
+    /// after a patch). Only a built plan is stored: a circuit too wide to
+    /// plan leaves the cell empty and every sweep refuses.
     /// [`CompiledCircuit::rewire_inputs`] carries it over relabelled
     /// ([`SweepPlan::relabel`]); [`CompiledCircuit::extend_or`] changes the
     /// circuit and its decomposition, so it starts a fresh cell.
-    plan: OnceLock<Option<Arc<SweepPlan>>>,
+    plan: OnceLock<Arc<SweepPlan>>,
     /// Reusable sweep scratch (dense tables + weight slab): steady-state
     /// repeated evaluation allocates nothing. Guarded by a mutex so the
     /// compiled circuit stays `Sync`; concurrent runs fall back to a
@@ -260,7 +265,7 @@ impl CompiledCircuit {
         heuristic: EliminationHeuristic,
     ) -> Result<Self, CircuitError> {
         source.output().ok_or(CircuitError::NoOutput)?;
-        let prepared = TreewidthWmc::prepare(&source);
+        let prepared = wmc::prepare(&source);
         let output_gate = prepared.output().ok_or(CircuitError::NoOutput)?.index();
         let variables = source.variables();
         Ok(CompiledCircuit {
@@ -277,48 +282,33 @@ impl CompiledCircuit {
 
     fn structure(&self) -> &CompiledStructure {
         self.structure.get_or_init(|| {
-            let graph = TreewidthWmc::circuit_graph(&self.prepared);
+            let graph = wmc::circuit_graph(&self.prepared);
             CompiledStructure::new(&decompose_with_heuristic(&graph, self.heuristic))
         })
     }
 
     /// The compiled sweep plan over the circuit-graph decomposition, built
-    /// on first use; `None` when the bags are too wide to plan densely
-    /// (beyond [`MAX_PLANNED_BAG`] — the interpreted sweep still runs for
-    /// counting, but plan-based consumers like the posterior-inference
-    /// subsystem in `stuc-infer` must fall back or refuse) or when a
-    /// transient failure (a tripped evaluation budget, an injected fault)
-    /// interrupted the build this time.
+    /// on first use and memoized. Refuses with [`WmcError::WidthTooLarge`]
+    /// when the bags exceed [`MAX_PLANNED_BAG`], and surfaces a build
+    /// interrupted by a tripped evaluation budget or an injected fault.
+    /// Only a built plan is memoized, so the next call — after the
+    /// deadline is lifted or the fault cleared — builds the plan normally.
     ///
-    /// Callers enforcing an evaluation-time width budget should check
-    /// [`CompiledCircuit::width`] themselves — the plan only refuses beyond
-    /// its own dense-table bound.
-    pub fn sweep_plan(&self) -> Option<&Arc<SweepPlan>> {
-        self.try_sweep_plan().ok().flatten()
-    }
-
-    /// [`CompiledCircuit::sweep_plan`] with transient failures surfaced:
-    /// only a built plan or the permanent too-wide refusal is memoized. A
-    /// build interrupted by a budget trip or an injected fault returns the
-    /// error and leaves the cell empty, so the next call — after the
-    /// deadline is lifted or the fault cleared — builds the plan normally
-    /// instead of inheriting a permanently degraded sweep.
-    pub fn try_sweep_plan(&self) -> Result<Option<&Arc<SweepPlan>>, WmcError> {
-        if let Some(cell) = self.plan.get() {
-            return Ok(cell.as_ref());
+    /// Callers enforcing a smaller evaluation-time width budget check
+    /// [`CompiledCircuit::ensure_width`] first.
+    pub fn try_sweep_plan(&self) -> Result<&Arc<SweepPlan>, WmcError> {
+        if let Some(plan) = self.plan.get() {
+            return Ok(plan);
         }
-        let structure = self.structure();
-        if structure.width + 1 > MAX_PLANNED_BAG {
-            return Ok(self.plan.get_or_init(|| None).as_ref());
-        }
-        let plan = SweepPlan::build(&self.prepared, &structure.nice(), self.output_gate)?;
-        Ok(self.plan.get_or_init(|| Some(Arc::new(plan))).as_ref())
+        self.ensure_width(MAX_PLANNED_BAG)?;
+        let plan = SweepPlan::build(&self.prepared, &self.structure().nice(), self.output_gate)?;
+        Ok(self.plan.get_or_init(|| Arc::new(plan)))
     }
 
     /// True once a dense sweep plan is built for this circuit. Never builds
     /// one: this is how a patch tells whether its source was being swept.
     pub fn is_planned(&self) -> bool {
-        matches!(self.plan.get(), Some(Some(_)))
+        self.plan.get().is_some()
     }
 
     /// The original (uncompiled) lineage circuit.
@@ -414,7 +404,7 @@ impl CompiledCircuit {
         let (prepared, rewired) = rewire(&self.prepared);
         let variables = source.variables();
         let plan = match self.plan.get() {
-            Some(plan) => OnceLock::from(plan.as_ref().map(|p| Arc::new(p.relabel(relabel)))),
+            Some(plan) => OnceLock::from(Arc::new(plan.relabel(relabel))),
             None => OnceLock::new(),
         };
         // The relabelled plan has the same table slots: hand it this
@@ -527,7 +517,7 @@ impl CompiledCircuit {
             None => OnceLock::new(),
             Some(old) => {
                 report.width_before = Some(old.width);
-                let graph = TreewidthWmc::circuit_graph(&prepared);
+                let graph = wmc::circuit_graph(&prepared);
                 let cliques: Vec<Vec<VertexId>> = (before..prepared.len())
                     .map(|g| {
                         let mut clique = vec![VertexId(g)];
@@ -572,8 +562,8 @@ impl CompiledCircuit {
     }
 
     /// Probability that the output gate is true under `weights`, refusing
-    /// (like [`TreewidthWmc`]) when the cached decomposition's bag size
-    /// exceeds `max_bag_size`.
+    /// when the cached decomposition's bag size exceeds `max_bag_size`
+    /// (see [`CompiledCircuit::ensure_width`]).
     ///
     /// This is the weight-only fast path: no decomposition or circuit
     /// transformation happens here, just one message-passing sweep.
@@ -583,16 +573,15 @@ impl CompiledCircuit {
 
     /// Enforces an evaluation-time width budget: refuses with
     /// [`WmcError::WidthTooLarge`] when the circuit-graph decomposition's
-    /// bag size (width + 1) exceeds `max_bag_size`. The single refusal
-    /// check every evaluation mode — counting, lanes, and the posterior
-    /// inference in `stuc-infer` — shares.
+    /// bag size (width + 1) exceeds `max_bag_size`, which is capped at
+    /// [`MAX_PLANNED_BAG`] (the refusal then names the cap as its limit).
+    /// The single refusal check every evaluation mode — counting, lanes,
+    /// and the posterior inference in `stuc-infer` — shares.
     pub fn ensure_width(&self, max_bag_size: usize) -> Result<(), WmcError> {
+        let limit = max_bag_size.min(MAX_PLANNED_BAG);
         let width = self.structure().width;
-        if width + 1 > max_bag_size {
-            return Err(WmcError::WidthTooLarge {
-                width,
-                limit: max_bag_size,
-            });
+        if width + 1 > limit {
+            return Err(WmcError::WidthTooLarge { width, limit });
         }
         Ok(())
     }
@@ -608,9 +597,7 @@ impl CompiledCircuit {
     pub fn run(&self, weights: &Weights, max_bag_size: usize) -> Result<WmcReport, WmcError> {
         self.ensure_width(max_bag_size)?;
         let structure = self.structure();
-        let Some(plan) = self.try_sweep_plan()?.cloned() else {
-            return self.run_interpreted(weights, max_bag_size);
-        };
+        let plan = self.try_sweep_plan()?;
         let (probability, table_allocations) = match self.arena.try_lock() {
             Ok(mut arena) => {
                 let before = arena.allocations();
@@ -635,36 +622,29 @@ impl CompiledCircuit {
         })
     }
 
-    /// Like [`CompiledCircuit::run`], but forcing the legacy interpreted
-    /// sweep (sparse `HashMap` tables, per-node constraint re-derivation).
-    /// Kept as the reference implementation for differential testing and
-    /// for the plan-vs-interpreted speedup benchmarks.
+    /// The reference sweep: like [`CompiledCircuit::run`], but through the
+    /// interpreted dynamic program of [`crate::wmc`] (sparse `HashMap`
+    /// tables, per-node constraint re-derivation). No production path calls
+    /// it; it is the oracle of the plan's differential tests and the
+    /// baseline of the plan-vs-interpreted speedup benchmarks.
     pub fn run_interpreted(
         &self,
         weights: &Weights,
         max_bag_size: usize,
     ) -> Result<WmcReport, WmcError> {
         self.ensure_width(max_bag_size)?;
+        for &v in &self.variables {
+            weights.weight(v, true)?;
+        }
         let structure = self.structure();
         let nice = structure.nice();
         Ok(WmcReport {
-            probability: self.sweep_interpreted(weights, &nice)?,
+            probability: message_passing(&self.prepared, weights, &nice, self.output_gate)?,
             width: structure.width,
             bag_count: structure.bag_count(),
             nice_node_count: nice.len(),
             table_allocations: nice.len(),
         })
-    }
-
-    fn sweep_interpreted(
-        &self,
-        weights: &Weights,
-        nice: &NiceDecomposition,
-    ) -> Result<f64, WmcError> {
-        for &v in &self.variables {
-            weights.weight(v, true)?;
-        }
-        message_passing(&self.prepared, weights, nice, self.output_gate)
     }
 
     /// Evaluates K weight scenarios in a **single sweep**: every dense table
@@ -674,8 +654,7 @@ impl CompiledCircuit {
     /// are bitwise identical to K separate [`CompiledCircuit::run`] calls.
     ///
     /// This is the engine's multi-scenario what-if fast path
-    /// (`Engine::reevaluate_with_weights_many`). Falls back to K interpreted
-    /// sweeps when the circuit's bags are too wide to plan.
+    /// (`Engine::reevaluate_with_weights_many`).
     pub fn run_many(
         &self,
         scenarios: &[Weights],
@@ -683,20 +662,7 @@ impl CompiledCircuit {
     ) -> Result<WmcManyReport, WmcError> {
         self.ensure_width(max_bag_size)?;
         let structure = self.structure();
-        let Some(plan) = self.try_sweep_plan()?.cloned() else {
-            let nice = structure.nice();
-            let probabilities = scenarios
-                .iter()
-                .map(|weights| self.sweep_interpreted(weights, &nice))
-                .collect::<Result<_, _>>()?;
-            return Ok(WmcManyReport {
-                probabilities,
-                width: structure.width,
-                bag_count: structure.bag_count(),
-                nice_node_count: nice.len(),
-                table_allocations: nice.len() * scenarios.len(),
-            });
-        };
+        let plan = self.try_sweep_plan()?;
         // Lane counts are chunked: table memory is `8 << bag` bytes *per
         // lane*, so an unbounded K would multiply every dense table by the
         // scenario count. Chunks of `MAX_LANES_PER_SWEEP` keep the buffers
@@ -737,6 +703,45 @@ impl CompiledCircuit {
     }
 }
 
+/// Default bag-size budget (width + 1) of the treewidth back-end: the
+/// engine's `width_budget` and [`one_shot_probability`] start here. Dense
+/// tables at this bag size hold `8 << 22` bytes (32 MiB) per lane.
+pub const DEFAULT_WIDTH_BUDGET: usize = 22;
+
+stuc_errors::stuc_error! {
+    /// Why [`one_shot_probability`] failed.
+    #[derive(Clone, PartialEq)]
+    pub enum OneShotError {
+        /// The treewidth sweep refused for a reason other than width (a
+        /// variable without a weight, a tripped budget, an injected fault).
+        Wmc(WmcError),
+        /// The circuit was too wide for the sweep, and DPLL failed on it.
+        Dpll(DpllError),
+    }
+    display {
+        Self::Wmc(e) => "{e}",
+        Self::Dpll(e) => "{e}",
+    }
+    from {
+        WmcError => Wmc,
+        DpllError => Dpll,
+    }
+}
+
+/// Probability of a circuit evaluated once: compile, plan and sweep within
+/// [`DEFAULT_WIDTH_BUDGET`], or DPLL when the circuit is too wide for that
+/// budget. Nothing is cached: every call decomposes and plans afresh.
+pub fn one_shot_probability(circuit: &Circuit, weights: &Weights) -> Result<f64, OneShotError> {
+    let compiled = CompiledCircuit::compile(Arc::new(circuit.clone()), Default::default())
+        .map_err(WmcError::from)?;
+    match compiled.probability(weights, DEFAULT_WIDTH_BUDGET) {
+        Err(WmcError::WidthTooLarge { .. }) => {
+            Ok(DpllCounter::default().probability(circuit, weights)?)
+        }
+        answer => Ok(answer?),
+    }
+}
+
 /// Most scenario lanes one sweep carries; larger scenario sets are chunked
 /// so dense-table memory stays bounded by `32 * 8 << bag` bytes per slot.
 const MAX_LANES_PER_SWEEP: usize = 32;
@@ -770,18 +775,72 @@ mod tests {
     }
 
     #[test]
-    fn compiled_probability_matches_uncompiled_wmc() {
+    fn one_shot_probability_matches_enumeration() {
         for seed in 0..10 {
             let circuit = builder::random_circuit(8, 14, seed);
             let weights = Weights::uniform(circuit.variables(), 0.35);
-            let direct = TreewidthWmc::default()
-                .probability(&circuit, &weights)
-                .unwrap();
-            let compiled =
-                CompiledCircuit::compile(Arc::new(circuit), EliminationHeuristic::MinDegree)
-                    .unwrap();
-            assert_close(compiled.probability(&weights, 22).unwrap(), direct);
+            let expected = probability_by_enumeration(&circuit, &weights).unwrap();
+            assert_close(one_shot_probability(&circuit, &weights).unwrap(), expected);
         }
+    }
+
+    /// `(x_i ∨ x_j)` for every pair of `n` variables: the inputs form a
+    /// clique of the circuit graph (width ≥ n − 1), yet one DPLL branch
+    /// per variable settles it by unit propagation.
+    fn pairwise_disjunctions(n: usize) -> Circuit {
+        let mut circuit = Circuit::new();
+        let xs: Vec<GateId> = (0..n).map(|i| circuit.add_input(VarId(i))).collect();
+        let mut pairs = Vec::new();
+        for i in 0..n {
+            for j in i + 1..n {
+                pairs.push(circuit.add_or(vec![xs[i], xs[j]]));
+            }
+        }
+        let and = circuit.add_and(pairs);
+        circuit.set_output(and);
+        circuit
+    }
+
+    #[test]
+    fn one_shot_probability_falls_back_to_dpll_only_on_width() {
+        let circuit = pairwise_disjunctions(MAX_PLANNED_BAG + 2);
+        let weights = Weights::uniform(circuit.variables(), 0.9);
+        let compiled = CompiledCircuit::compile(Arc::new(circuit.clone()), Default::default())
+            .expect("compiles");
+        assert!(compiled.width() + 1 > DEFAULT_WIDTH_BUDGET);
+        let dpll = DpllCounter::default()
+            .probability(&circuit, &weights)
+            .unwrap();
+        assert_eq!(one_shot_probability(&circuit, &weights).unwrap(), dpll);
+        // Any other refusal surfaces instead of running DPLL.
+        let small = builder::conjunction(3);
+        let missing = Weights::uniform([VarId(0)], 0.5);
+        assert!(matches!(
+            one_shot_probability(&small, &missing),
+            Err(OneShotError::Wmc(WmcError::Circuit(
+                CircuitError::UnassignedVariable(_)
+            )))
+        ));
+    }
+
+    /// `run`, `run_many` and the engine route are pinned at the cap by
+    /// `tests/engine_api.rs`; the reference sweep and the plan refuse there
+    /// too.
+    #[test]
+    fn budgets_above_the_plan_cap_refuse_at_the_cap() {
+        let circuit = pairwise_disjunctions(MAX_PLANNED_BAG + 2);
+        let weights = Weights::uniform(circuit.variables(), 0.5);
+        let compiled =
+            CompiledCircuit::compile(Arc::new(circuit), Default::default()).expect("compiles");
+        let at_cap = |r: Result<(), WmcError>| {
+            assert!(
+                matches!(r, Err(WmcError::WidthTooLarge { limit, .. }) if limit == MAX_PLANNED_BAG),
+                "{r:?}"
+            )
+        };
+        at_cap(compiled.run_interpreted(&weights, 40).map(drop));
+        at_cap(compiled.try_sweep_plan().map(drop));
+        assert!(!compiled.is_planned(), "refused before planning");
     }
 
     #[test]
@@ -854,7 +913,7 @@ mod tests {
             CompiledCircuit::compile(Arc::new(circuit), EliminationHeuristic::MinDegree).unwrap();
         let width = compiled.width(); // force the decomposition
         let unplanned = compiled.clone();
-        assert!(compiled.try_sweep_plan().unwrap().is_some());
+        assert!(compiled.try_sweep_plan().is_ok());
 
         // Delete fact 1: pin x1 false, shift x2 -> x1, x3 -> x2.
         let pins = BTreeSet::from([VarId(1)]);

@@ -24,14 +24,17 @@
 //! * [`dpll`] — a Shannon-expansion / DPLL-style weighted model counter with
 //!   constant propagation and memoisation (a knowledge-compilation-flavoured
 //!   baseline).
-//! * [`wmc`] — the flagship back-end: exact weighted model counting by
-//!   dynamic programming over a (nice) tree decomposition of the circuit
-//!   graph, i.e. the "standard message passing techniques" of the paper.
+//! * [`wmc`] — the flagship back-end's vocabulary: the circuit graph, the
+//!   errors and reports of exact weighted model counting by dynamic
+//!   programming over a (nice) tree decomposition of the circuit graph,
+//!   i.e. the "standard message passing techniques" of the paper, and the
+//!   interpreted reference sweep the tests check the plan against.
 //! * [`compiled`] — compiled circuits: the structural half of the treewidth
 //!   back-end (normalisation, circuit-graph decomposition) precomputed once
 //!   behind an [`std::sync::Arc`], so probability re-evaluation under new
 //!   weights is a single message-passing sweep. This is what the engine's
-//!   lineage cache and batch evaluation share across queries and threads.
+//!   lineage cache and batch evaluation share across queries and threads;
+//!   [`compiled::one_shot_probability`] serves circuits evaluated once.
 //! * [`plan`] — the compiled sweep plan behind that sweep: dense tables,
 //!   precomputed mask permutations, bit-position constraint checks, an
 //!   allocation-free scratch arena, and K-wide scenario lanes
@@ -44,7 +47,7 @@
 //! ```
 //! use stuc_circuit::circuit::{Circuit, VarId};
 //! use stuc_circuit::weights::Weights;
-//! use stuc_circuit::wmc::TreewidthWmc;
+//! use stuc_circuit::compiled::one_shot_probability;
 //!
 //! // (x AND y) OR z
 //! let mut c = Circuit::new();
@@ -60,7 +63,7 @@
 //! w.set(VarId(1), 0.5);
 //! w.set(VarId(2), 0.5);
 //!
-//! let p = TreewidthWmc::default().probability(&c, &w).unwrap();
+//! let p = one_shot_probability(&c, &w).unwrap();
 //! assert!((p - 0.625).abs() < 1e-12);
 //! ```
 
@@ -76,7 +79,9 @@ pub mod weights;
 pub mod wmc;
 
 pub use circuit::{Circuit, Gate, GateId, VarId};
-pub use compiled::{CompiledCircuit, ExtendReport, PatchError, WmcManyReport};
+pub use compiled::{
+    one_shot_probability, CompiledCircuit, ExtendReport, OneShotError, PatchError, WmcManyReport,
+    DEFAULT_WIDTH_BUDGET,
+};
 pub use plan::{SweepArena, SweepPlan};
 pub use weights::{ProbabilityError, Weights};
-pub use wmc::TreewidthWmc;

@@ -101,8 +101,9 @@ impl SweepSemiring for MaxProduct {
 /// Largest bag size a plan will compile dense tables for. The binding
 /// constraint is memory, not mask width (`u64` masks only overflow at 64):
 /// a dense table holds `8 << bag` bytes per lane, so bag 25 already costs
-/// 256 MiB per live slot. Wider circuits fall back to the interpreted
-/// sparse sweep, whose memory is proportional to the *reachable* entries.
+/// 256 MiB per live slot. Wider circuits are refused
+/// ([`crate::compiled::CompiledCircuit::ensure_width`] caps every budget
+/// here) and go to a width-oblivious back-end such as DPLL.
 pub const MAX_PLANNED_BAG: usize = 25;
 
 /// One compiled gate constraint, resolved to in-bag bit positions. A mask
@@ -1193,13 +1194,14 @@ fn compile_checks(
 mod tests {
     use super::*;
     use crate::builder;
-    use crate::wmc::TreewidthWmc;
+    use crate::compiled::{CompiledCircuit, DEFAULT_WIDTH_BUDGET};
+    use crate::wmc::{circuit_graph, prepare};
     use stuc_graph::elimination::{decompose_with_heuristic, EliminationHeuristic};
 
     fn plan_for(circuit: &Circuit) -> (Circuit, SweepPlan) {
-        let prepared = TreewidthWmc::prepare(circuit);
+        let prepared = prepare(circuit);
         let output = prepared.output().expect("output");
-        let graph = TreewidthWmc::circuit_graph(&prepared);
+        let graph = circuit_graph(&prepared);
         let td = decompose_with_heuristic(&graph, EliminationHeuristic::MinDegree);
         let nice = NiceDecomposition::from_decomposition(&td);
         let plan = SweepPlan::build(&prepared, &nice, output.index()).expect("plan builds");
@@ -1215,9 +1217,11 @@ mod tests {
         for seed in 0..20 {
             let circuit = builder::random_circuit(10, 18, seed);
             let weights = Weights::uniform(circuit.variables(), 0.4);
-            let reference = TreewidthWmc::default()
-                .probability(&circuit, &weights)
-                .unwrap();
+            let reference = CompiledCircuit::compile(Arc::new(circuit.clone()), Default::default())
+                .unwrap()
+                .run_interpreted(&weights, DEFAULT_WIDTH_BUDGET)
+                .unwrap()
+                .probability;
             let (_, plan) = plan_for(&circuit);
             let mut arena = SweepArena::new();
             assert_close(plan.run(&weights, &mut arena).unwrap(), reference);

@@ -1,5 +1,6 @@
 //! Exact probability of a circuit by message passing over a tree
-//! decomposition of the circuit graph.
+//! decomposition of the circuit graph: the shared vocabulary of the
+//! treewidth back-end and its reference sweep.
 //!
 //! This is the back-end behind Theorems 1 and 2 of the paper: the lineage
 //! circuit produced by running a tree automaton over a bounded-treewidth
@@ -8,25 +9,28 @@
 //!
 //! Concretely, the circuit is viewed as a constraint network: every gate is a
 //! Boolean variable, and every gate contributes the constraint
-//! `gate ⇔ op(inputs)`. The *circuit graph* has one vertex per gate and a
-//! clique over `{gate} ∪ inputs(gate)` for every gate, so every constraint
-//! scope is a clique and is therefore fully contained in some bag of any tree
-//! decomposition. A bottom-up dynamic program over a *nice* decomposition
-//! then sums the weights of all gate assignments that respect every
-//! constraint and set the output gate to true. Input-variable weights are
-//! multiplied in when the corresponding gate is forgotten (or at the root),
-//! so each weight is counted exactly once.
+//! `gate ⇔ op(inputs)`. The *circuit graph* ([`circuit_graph`]) has one
+//! vertex per gate and a clique over `{gate} ∪ inputs(gate)` for every gate,
+//! so every constraint scope is a clique and is therefore fully contained in
+//! some bag of any tree decomposition. A bottom-up dynamic program over a
+//! *nice* decomposition then sums the weights of all gate assignments that
+//! respect every constraint and set the output gate to true. Input-variable
+//! weights are multiplied in when the corresponding gate is forgotten (or at
+//! the root), so each weight is counted exactly once.
 //!
 //! The running time is `O(2^w · |C| · w)` for width `w`: linear in the
 //! circuit for fixed treewidth, which is the tractability the paper claims.
+//!
+//! The production sweep is the compiled dense-table plan in [`crate::plan`],
+//! run through [`crate::compiled::CompiledCircuit`]. The sparse dynamic
+//! program in this module is its test oracle, reachable only through
+//! [`crate::compiled::CompiledCircuit::run_interpreted`].
 
-use crate::circuit::{Circuit, CircuitError, Gate};
+use crate::circuit::{Circuit, CircuitError, Gate, GateId, VarId};
 use crate::weights::Weights;
-use std::collections::{BTreeSet, HashMap};
-use stuc_graph::elimination::{decompose_with_heuristic, EliminationHeuristic};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use stuc_graph::graph::{Graph, VertexId};
 use stuc_graph::nice::{NiceDecomposition, NiceNodeKind};
-use stuc_graph::TreeDecomposition;
 
 stuc_errors::stuc_error! {
     /// Errors raised by the treewidth-based weighted model counter.
@@ -74,148 +78,63 @@ pub struct WmcReport {
     /// Number of nodes in the nice decomposition actually traversed.
     pub nice_node_count: usize,
     /// Number of table buffers this run had to (re)allocate. Planned sweeps
-    /// ([`crate::compiled::CompiledCircuit`]) reuse a
-    /// [`crate::plan::SweepArena`] across runs, so steady-state repeated
-    /// evaluation reports 0 here; the interpreted sweep allocates one table
-    /// per nice node on every run.
+    /// reuse a [`crate::plan::SweepArena`] across runs, so steady-state
+    /// repeated evaluation reports 0 here; the reference sweep
+    /// ([`crate::compiled::CompiledCircuit::run_interpreted`]) allocates one
+    /// table per nice node on every run.
     pub table_allocations: usize,
 }
 
-/// The treewidth-based weighted model counter ("message passing" back-end).
-#[derive(Debug, Clone)]
-pub struct TreewidthWmc {
-    /// Heuristic used to decompose the circuit graph.
-    pub heuristic: EliminationHeuristic,
-    /// Maximum accepted bag size (width + 1). Runs whose decomposition
-    /// exceeds this produce [`WmcError::WidthTooLarge`] instead of taking
-    /// exponential time unannounced.
-    pub max_bag_size: usize,
+/// Builds the *circuit graph*: one vertex per gate, plus a clique over
+/// every gate and its inputs.
+pub fn circuit_graph(circuit: &Circuit) -> Graph {
+    let mut g = Graph::with_vertices(circuit.len());
+    for (id, gate) in circuit.iter() {
+        let mut clique: Vec<VertexId> = vec![VertexId(id.0)];
+        clique.extend(gate.inputs().iter().map(|x| VertexId(x.0)));
+        g.add_clique(&clique);
+    }
+    g
 }
 
-impl Default for TreewidthWmc {
-    fn default() -> Self {
-        TreewidthWmc {
-            heuristic: EliminationHeuristic::MinDegree,
-            max_bag_size: 22,
-        }
+/// Normalises a circuit for message passing: merges duplicate input gates
+/// reading the same variable (they must carry the same value and their
+/// weight must be counted exactly once) and binarises wide gates.
+pub(crate) fn prepare(circuit: &Circuit) -> Circuit {
+    let mut deduped = Circuit::new();
+    let mut input_of_var: BTreeMap<VarId, GateId> = BTreeMap::new();
+    let mut map: Vec<GateId> = Vec::with_capacity(circuit.len());
+    for (_, gate) in circuit.iter() {
+        let id = match gate {
+            Gate::Input(v) => *input_of_var
+                .entry(*v)
+                .or_insert_with(|| deduped.add_input(*v)),
+            Gate::Const(b) => deduped.add_const(*b),
+            Gate::And(xs) => {
+                let inputs = xs.iter().map(|x| map[x.0]).collect();
+                deduped.add_and(inputs)
+            }
+            Gate::Or(xs) => {
+                let inputs = xs.iter().map(|x| map[x.0]).collect();
+                deduped.add_or(inputs)
+            }
+            Gate::Not(x) => deduped.add_not(map[x.0]),
+        };
+        map.push(id);
     }
-}
-
-impl TreewidthWmc {
-    /// Builds the *circuit graph*: one vertex per gate, plus a clique over
-    /// every gate and its inputs.
-    pub fn circuit_graph(circuit: &Circuit) -> Graph {
-        let mut g = Graph::with_vertices(circuit.len());
-        for (id, gate) in circuit.iter() {
-            let mut clique: Vec<VertexId> = vec![VertexId(id.0)];
-            clique.extend(gate.inputs().iter().map(|x| VertexId(x.0)));
-            g.add_clique(&clique);
-        }
-        g
+    if let Some(out) = circuit.output() {
+        deduped.set_output(map[out.0]);
     }
-
-    /// Width of the decomposition this back-end would use for the circuit
-    /// (an upper bound on the treewidth of the binarised circuit).
-    pub fn estimated_width(&self, circuit: &Circuit) -> usize {
-        let prepared = Self::prepare(circuit);
-        let graph = Self::circuit_graph(&prepared);
-        decompose_with_heuristic(&graph, self.heuristic).width()
-    }
-
-    /// Normalises a circuit for the message-passing back-end: merges
-    /// duplicate input gates reading the same variable (they must carry the
-    /// same value and their weight must be counted exactly once) and
-    /// binarises wide gates.
-    pub(crate) fn prepare(circuit: &Circuit) -> Circuit {
-        let mut deduped = Circuit::new();
-        let mut input_of_var: std::collections::BTreeMap<
-            crate::circuit::VarId,
-            crate::circuit::GateId,
-        > = std::collections::BTreeMap::new();
-        let mut map: Vec<crate::circuit::GateId> = Vec::with_capacity(circuit.len());
-        for (_, gate) in circuit.iter() {
-            let id = match gate {
-                Gate::Input(v) => *input_of_var
-                    .entry(*v)
-                    .or_insert_with(|| deduped.add_input(*v)),
-                Gate::Const(b) => deduped.add_const(*b),
-                Gate::And(xs) => {
-                    let inputs = xs.iter().map(|x| map[x.0]).collect();
-                    deduped.add_and(inputs)
-                }
-                Gate::Or(xs) => {
-                    let inputs = xs.iter().map(|x| map[x.0]).collect();
-                    deduped.add_or(inputs)
-                }
-                Gate::Not(x) => deduped.add_not(map[x.0]),
-            };
-            map.push(id);
-        }
-        if let Some(out) = circuit.output() {
-            deduped.set_output(map[out.0]);
-        }
-        if deduped.max_fanin() > 2 {
-            deduped.binarize()
-        } else {
-            deduped
-        }
-    }
-
-    /// Computes the probability that the output gate is true.
-    pub fn probability(&self, circuit: &Circuit, weights: &Weights) -> Result<f64, WmcError> {
-        self.run(circuit, weights).map(|r| r.probability)
-    }
-
-    /// Computes the probability together with decomposition statistics.
-    ///
-    /// The circuit is binarised first (wide gates would otherwise force large
-    /// cliques into the circuit graph) and then decomposed with the
-    /// configured heuristic.
-    pub fn run(&self, circuit: &Circuit, weights: &Weights) -> Result<WmcReport, WmcError> {
-        circuit.output().ok_or(CircuitError::NoOutput)?;
-        // Validate weights up front.
-        for v in circuit.variables() {
-            weights.weight(v, true)?;
-        }
-        let prepared = Self::prepare(circuit);
-        let output = prepared.output().ok_or(CircuitError::NoOutput)?;
-        let graph = Self::circuit_graph(&prepared);
-        let td = decompose_with_heuristic(&graph, self.heuristic);
-        self.run_with_decomposition(&prepared, weights, &td, output.0)
-    }
-
-    /// Like [`TreewidthWmc::run`] but with a caller-provided decomposition of
-    /// the circuit graph (used by Theorem 2 pipelines that already hold a
-    /// joint decomposition of instance and annotations).
-    pub fn run_with_decomposition(
-        &self,
-        circuit: &Circuit,
-        weights: &Weights,
-        td: &TreeDecomposition,
-        output_gate: usize,
-    ) -> Result<WmcReport, WmcError> {
-        if td.max_bag_size() > self.max_bag_size {
-            return Err(WmcError::WidthTooLarge {
-                width: td.width(),
-                limit: self.max_bag_size,
-            });
-        }
-        let nice = NiceDecomposition::from_decomposition(td);
-        let probability = message_passing(circuit, weights, &nice, output_gate)?;
-        Ok(WmcReport {
-            probability,
-            width: td.width(),
-            bag_count: td.bag_count(),
-            nice_node_count: nice.len(),
-            // The interpreted sweep allocates one hash table per nice node.
-            table_allocations: nice.len(),
-        })
+    if deduped.max_fanin() > 2 {
+        deduped.binarize()
+    } else {
+        deduped
     }
 }
 
 /// The message-passing dynamic program itself, over an already-built nice
-/// decomposition of the circuit graph. Shared by [`TreewidthWmc::run`] and
-/// by [`crate::compiled::CompiledCircuit::run_interpreted`].
+/// decomposition of the circuit graph. Its one caller is
+/// [`crate::compiled::CompiledCircuit::run_interpreted`].
 ///
 /// This is the *reference* implementation: sparse `HashMap` tables, bag
 /// index vectors and constraint scopes re-derived per node, weights looked
@@ -263,7 +182,7 @@ pub(crate) fn message_passing(
                 let child_bag: Vec<usize> = child_node.bag.iter().map(|v| v.index()).collect();
                 let v = vertex.index();
                 let multiplier = |value: bool| -> Result<f64, WmcError> {
-                    match circuit.gate(crate::circuit::GateId(v)) {
+                    match circuit.gate(GateId(v)) {
                         Gate::Input(var) => Ok(weights.weight(*var, value)?),
                         _ => Ok(1.0),
                     }
@@ -313,7 +232,7 @@ pub(crate) fn message_passing(
     for (&mask, &weight) in &tables[root] {
         let mut w = weight;
         for (pos, &g) in root_bag.iter().enumerate() {
-            if let Gate::Input(var) = circuit.gate(crate::circuit::GateId(g)) {
+            if let Gate::Input(var) = circuit.gate(GateId(g)) {
                 let value = mask & (1 << pos) != 0;
                 w *= weights.weight(*var, value)?;
             }
@@ -343,7 +262,7 @@ fn constraints_to_check(
     let in_bag: BTreeSet<usize> = bag.iter().copied().collect();
     let mut checks = Vec::new();
     for &g in bag {
-        let gate = circuit.gate(crate::circuit::GateId(g));
+        let gate = circuit.gate(GateId(g));
         if gate.is_leaf() && g != introduced {
             // Leaf scopes are {g}; only relevant when g itself is introduced.
             continue;
@@ -377,7 +296,7 @@ fn checks_pass(circuit: &Circuit, bag: &[usize], mask: u64, checks: &[Check]) ->
                 }
             }
             Check::GateSemantics(g) => {
-                let gate = circuit.gate(crate::circuit::GateId(*g));
+                let gate = circuit.gate(GateId(*g));
                 let expected = match gate {
                     Gate::Input(_) => continue, // free variable, no constraint
                     Gate::Const(b) => *b,
@@ -441,11 +360,32 @@ mod tests {
     use super::*;
     use crate::builder;
     use crate::circuit::VarId;
+    use crate::compiled::{CompiledCircuit, DEFAULT_WIDTH_BUDGET};
     use crate::dpll::DpllCounter;
     use crate::enumeration::probability_by_enumeration;
+    use std::sync::Arc;
+    use stuc_graph::elimination::EliminationHeuristic;
 
     fn assert_close(a: f64, b: f64) {
         assert!((a - b).abs() < 1e-9, "{a} vs {b}");
+    }
+
+    fn compile(c: &Circuit, heuristic: EliminationHeuristic) -> CompiledCircuit {
+        CompiledCircuit::compile(Arc::new(c.clone()), heuristic).unwrap()
+    }
+
+    /// The reference sweep's report, after checking that the planned sweep
+    /// answers the same.
+    fn reference(c: &Circuit, w: &Weights) -> WmcReport {
+        let compiled = compile(c, EliminationHeuristic::MinDegree);
+        let report = compiled.run_interpreted(w, DEFAULT_WIDTH_BUDGET).unwrap();
+        let planned = compiled.probability(w, DEFAULT_WIDTH_BUDGET).unwrap();
+        assert_close(planned, report.probability);
+        report
+    }
+
+    fn probability(c: &Circuit, w: &Weights) -> f64 {
+        reference(c, w).probability
     }
 
     #[test]
@@ -455,7 +395,7 @@ mod tests {
         c.set_output(x);
         let mut w = Weights::new();
         w.set(VarId(0), 0.3);
-        assert_close(TreewidthWmc::default().probability(&c, &w).unwrap(), 0.3);
+        assert_close(probability(&c, &w), 0.3);
     }
 
     #[test]
@@ -466,7 +406,7 @@ mod tests {
         c.set_output(nx);
         let mut w = Weights::new();
         w.set(VarId(0), 0.3);
-        assert_close(TreewidthWmc::default().probability(&c, &w).unwrap(), 0.7);
+        assert_close(probability(&c, &w), 0.7);
     }
 
     #[test]
@@ -480,30 +420,17 @@ mod tests {
         c.set_output(or);
         let w = Weights::uniform([VarId(0), VarId(1), VarId(2)], 0.5);
         // P = 1 - (1 - 0.25)(1 - 0.5) = 0.625
-        assert_close(TreewidthWmc::default().probability(&c, &w).unwrap(), 0.625);
+        assert_close(probability(&c, &w), 0.625);
     }
 
     #[test]
     fn constant_outputs() {
-        let mut c = Circuit::new();
-        let t = c.add_const(true);
-        c.set_output(t);
-        assert_close(
-            TreewidthWmc::default()
-                .probability(&c, &Weights::new())
-                .unwrap(),
-            1.0,
-        );
-
-        let mut c = Circuit::new();
-        let f = c.add_const(false);
-        c.set_output(f);
-        assert_close(
-            TreewidthWmc::default()
-                .probability(&c, &Weights::new())
-                .unwrap(),
-            0.0,
-        );
+        for value in [true, false] {
+            let mut c = Circuit::new();
+            let k = c.add_const(value);
+            c.set_output(k);
+            assert_close(probability(&c, &Weights::new()), f64::from(u8::from(value)));
+        }
     }
 
     #[test]
@@ -513,8 +440,7 @@ mod tests {
             let w = Weights::uniform(c.variables(), 0.4);
             let brute = probability_by_enumeration(&c, &w).unwrap();
             let dpll = DpllCounter::default().probability(&c, &w).unwrap();
-            let mp = TreewidthWmc::default().probability(&c, &w).unwrap();
-            assert_close(mp, brute);
+            assert_close(probability(&c, &w), brute);
             assert_close(dpll, brute);
         }
     }
@@ -525,8 +451,7 @@ mod tests {
             let c = builder::conjunction_of_disjunctions(n, 2);
             let w = Weights::uniform(c.variables(), 0.7);
             let brute = probability_by_enumeration(&c, &w).unwrap();
-            let mp = TreewidthWmc::default().probability(&c, &w).unwrap();
-            assert_close(mp, brute);
+            assert_close(probability(&c, &w), brute);
         }
     }
 
@@ -535,7 +460,7 @@ mod tests {
         // XOR chains have pathwidth 2-ish circuit graphs; P(xor of n fair coins) = 0.5.
         let c = builder::xor_chain(16);
         let w = Weights::uniform(c.variables(), 0.5);
-        let report = TreewidthWmc::default().run(&c, &w).unwrap();
+        let report = reference(&c, &w);
         assert_close(report.probability, 0.5);
         assert!(
             report.width <= 6,
@@ -548,12 +473,13 @@ mod tests {
     fn width_limit_is_enforced() {
         let c = builder::majority_like_dense_circuit(12, 3);
         let w = Weights::uniform(c.variables(), 0.5);
-        let strict = TreewidthWmc {
-            max_bag_size: 2,
-            ..Default::default()
-        };
+        let compiled = compile(&c, EliminationHeuristic::MinDegree);
         assert!(matches!(
-            strict.run(&c, &w),
+            compiled.run_interpreted(&w, 2),
+            Err(WmcError::WidthTooLarge { .. })
+        ));
+        assert!(matches!(
+            compiled.run(&w, 2),
             Err(WmcError::WidthTooLarge { .. })
         ));
     }
@@ -570,16 +496,17 @@ mod tests {
         let or = c.add_or(vec![and, nand]);
         c.set_output(or);
         let w = Weights::uniform([VarId(0), VarId(1)], 0.5);
-        assert_close(TreewidthWmc::default().probability(&c, &w).unwrap(), 1.0);
+        assert_close(probability(&c, &w), 1.0);
     }
 
     #[test]
     fn report_statistics_are_sensible() {
         let c = builder::conjunction_of_disjunctions(6, 3);
         let w = Weights::uniform(c.variables(), 0.5);
-        let report = TreewidthWmc::default().run(&c, &w).unwrap();
+        let report = reference(&c, &w);
         assert!(report.bag_count > 0);
         assert!(report.nice_node_count >= report.bag_count);
+        assert_eq!(report.table_allocations, report.nice_node_count);
         assert!(report.probability > 0.0 && report.probability < 1.0);
     }
 
@@ -593,7 +520,7 @@ mod tests {
         let mut w = Weights::new();
         w.set(VarId(0), 0.0);
         w.set(VarId(1), 0.6);
-        assert_close(TreewidthWmc::default().probability(&c, &w).unwrap(), 0.6);
+        assert_close(probability(&c, &w), 0.6);
     }
 
     #[test]
@@ -608,7 +535,7 @@ mod tests {
         c.set_output(and);
         let mut w = Weights::new();
         w.set(VarId(0), 0.5);
-        assert_close(TreewidthWmc::default().probability(&c, &w).unwrap(), 0.0);
+        assert_close(probability(&c, &w), 0.0);
 
         // x OR (same x through another gate) has probability P(x), not 1-(1-p)².
         let mut c = Circuit::new();
@@ -616,20 +543,19 @@ mod tests {
         let x2 = c.add_input(VarId(0));
         let or = c.add_or(vec![x1, x2]);
         c.set_output(or);
-        assert_close(TreewidthWmc::default().probability(&c, &w).unwrap(), 0.5);
+        assert_close(probability(&c, &w), 0.5);
     }
 
     #[test]
-    fn min_fill_heuristic_backend_agrees() {
+    fn min_fill_heuristic_agrees() {
         let c = builder::random_circuit(12, 20, 3);
         let w = Weights::uniform(c.variables(), 0.35);
-        let a = TreewidthWmc {
-            heuristic: EliminationHeuristic::MinFill,
-            ..Default::default()
-        }
-        .probability(&c, &w)
-        .unwrap();
-        let b = TreewidthWmc::default().probability(&c, &w).unwrap();
-        assert_close(a, b);
+        let min_fill = compile(&c, EliminationHeuristic::MinFill);
+        let a = min_fill.run_interpreted(&w, DEFAULT_WIDTH_BUDGET).unwrap();
+        assert_close(
+            a.probability,
+            min_fill.probability(&w, DEFAULT_WIDTH_BUDGET).unwrap(),
+        );
+        assert_close(a.probability, probability(&c, &w));
     }
 }

@@ -1,9 +1,8 @@
 //! Conditioning pc-instances on observations.
 
 use stuc_circuit::circuit::{Circuit, VarId};
-use stuc_circuit::dpll::DpllCounter;
+use stuc_circuit::compiled::{one_shot_probability, OneShotError};
 use stuc_circuit::weights::Weights;
-use stuc_circuit::wmc::TreewidthWmc;
 use stuc_data::cinstance::PcInstance;
 use stuc_data::instance::FactId;
 use stuc_query::cq::ConjunctiveQuery;
@@ -24,14 +23,9 @@ stuc_errors::stuc_error! {
     }
 }
 
-/// Evaluates a lineage circuit with the treewidth back-end, falling back to
-/// DPLL when the decomposition is too wide.
-fn evaluate(circuit: &Circuit, weights: &Weights) -> Result<f64, ConditioningError> {
-    match TreewidthWmc::default().probability(circuit, weights) {
-        Ok(p) => Ok(p),
-        Err(_) => DpllCounter::default()
-            .probability(circuit, weights)
-            .map_err(|e| ConditioningError::Probability(e.to_string())),
+impl From<OneShotError> for ConditioningError {
+    fn from(e: OneShotError) -> Self {
+        ConditioningError::Probability(e.to_string())
     }
 }
 
@@ -53,7 +47,7 @@ pub fn conditioned_probability(
     observation: &Circuit,
     weights: &Weights,
 ) -> Result<f64, ConditioningError> {
-    let p_observation = evaluate(observation, weights)?;
+    let p_observation = one_shot_probability(observation, weights)?;
     if p_observation <= 0.0 {
         return Err(ConditioningError::ImpossibleObservation);
     }
@@ -95,7 +89,7 @@ pub fn conditioned_probability(
     );
     let and = joint.add_and(vec![query_output, observation_output]);
     joint.set_output(and);
-    let p_joint = evaluate(&joint, weights)?;
+    let p_joint = one_shot_probability(&joint, weights)?;
     Ok(p_joint / p_observation)
 }
 
@@ -149,9 +143,7 @@ mod tests {
         // The query "some trip to Melbourne exists" is now certain.
         let q = ConjunctiveQuery::parse("Trip(x, \"Melbourne_MEL\")").unwrap();
         let lineage = cinstance_lineage(pc.cinstance(), &q);
-        let p = TreewidthWmc::default()
-            .probability(&lineage, pc.probabilities())
-            .unwrap();
+        let p = one_shot_probability(&lineage, pc.probabilities()).unwrap();
         assert!((p - 1.0).abs() < 1e-9);
     }
 
@@ -206,9 +198,7 @@ mod tests {
         tautology.set_output(t);
         let conditional =
             conditioned_probability(&lineage, &tautology, pc.probabilities()).unwrap();
-        let unconditional = TreewidthWmc::default()
-            .probability(&lineage, pc.probabilities())
-            .unwrap();
+        let unconditional = one_shot_probability(&lineage, pc.probabilities()).unwrap();
         assert!((conditional - unconditional).abs() < 1e-9);
     }
 }

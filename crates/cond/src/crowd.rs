@@ -11,9 +11,8 @@
 use crate::conditioning::ConditioningError;
 use rand::Rng;
 use stuc_circuit::circuit::{Circuit, VarId};
-use stuc_circuit::dpll::DpllCounter;
+use stuc_circuit::compiled::one_shot_probability;
 use stuc_circuit::weights::Weights;
-use stuc_circuit::wmc::TreewidthWmc;
 
 /// Binary entropy (in bits) of a probability.
 pub fn entropy(p: f64) -> f64 {
@@ -26,15 +25,6 @@ pub fn entropy(p: f64) -> f64 {
         }
     };
     term(p) + term(1.0 - p)
-}
-
-fn evaluate(circuit: &Circuit, weights: &Weights) -> Result<f64, ConditioningError> {
-    match TreewidthWmc::default().probability(circuit, weights) {
-        Ok(p) => Ok(p),
-        Err(_) => DpllCounter::default()
-            .probability(circuit, weights)
-            .map_err(|e| ConditioningError::Probability(e.to_string())),
-    }
 }
 
 /// Scores candidate questions (events to ask about) against a target query
@@ -75,7 +65,7 @@ impl QuestionSelector {
                 }
                 let mut conditioned = weights.clone();
                 conditioned.fix(event, value);
-                let posterior = evaluate(query_lineage, &conditioned)?;
+                let posterior = one_shot_probability(query_lineage, &conditioned)?;
                 expected += weight * entropy(posterior);
             }
             values.push(QuestionValue {
@@ -152,7 +142,7 @@ pub fn interactive_conditioning(
     let mut remaining: Vec<VarId> = candidates.to_vec();
     let mut asked = Vec::new();
     for _ in 0..budget {
-        let p = evaluate(query_lineage, &current)?;
+        let p = one_shot_probability(query_lineage, &current)?;
         if entropy(p) <= target_entropy || remaining.is_empty() {
             break;
         }
@@ -164,7 +154,7 @@ pub fn interactive_conditioning(
         remaining.retain(|&e| e != best.event);
         asked.push(best.event);
     }
-    let final_probability = evaluate(query_lineage, &current)?;
+    let final_probability = one_shot_probability(query_lineage, &current)?;
     Ok((asked, final_probability))
 }
 

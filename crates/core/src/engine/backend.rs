@@ -9,7 +9,7 @@
 
 use super::error::StucError;
 use super::report::BackendKind;
-use stuc_circuit::compiled::CompiledCircuit;
+use stuc_circuit::compiled::{CompiledCircuit, DEFAULT_WIDTH_BUDGET};
 use stuc_circuit::dpll::DpllCounter;
 use stuc_circuit::enumeration::probability_by_enumeration;
 use stuc_circuit::weights::Weights;
@@ -83,7 +83,9 @@ pub struct TreewidthWmcBackend {
 
 impl Default for TreewidthWmcBackend {
     fn default() -> Self {
-        TreewidthWmcBackend { max_bag_size: 22 }
+        TreewidthWmcBackend {
+            max_bag_size: DEFAULT_WIDTH_BUDGET,
+        }
     }
 }
 

@@ -596,8 +596,10 @@ impl Engine {
         // Building the sweep plan is only worth it when the treewidth
         // sweep would actually use it; the plan is memoized on the shared
         // cache entry, so the evaluation that follows reuses it for free.
+        // A build that fails leaves the stats out; the evaluation itself
+        // reports the error.
         let sweep = (backend == BackendKind::TreewidthWmc)
-            .then(|| entry.compiled.sweep_plan())
+            .then(|| entry.compiled.try_sweep_plan().ok())
             .flatten()
             .map(|plan| SweepPlanStats {
                 nodes: plan.len(),

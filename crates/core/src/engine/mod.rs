@@ -113,7 +113,8 @@ use representation::debug_identity;
 use std::sync::Arc;
 use std::time::Duration;
 use stuc_circuit::circuit::Circuit;
-use stuc_circuit::compiled::CompiledCircuit;
+use stuc_circuit::compiled::{CompiledCircuit, DEFAULT_WIDTH_BUDGET};
+use stuc_circuit::plan::MAX_PLANNED_BAG;
 use stuc_circuit::weights::Weights;
 use stuc_graph::elimination::{decompose_with_heuristic, EliminationHeuristic};
 use stuc_graph::TreeDecomposition;
@@ -139,7 +140,7 @@ impl Default for EngineBuilder {
     fn default() -> Self {
         EngineBuilder {
             heuristic: EliminationHeuristic::MinDegree,
-            width_budget: 22,
+            width_budget: DEFAULT_WIDTH_BUDGET,
             policy: BackendPolicy::Auto,
             cache_decompositions: true,
             cache_lineages: true,
@@ -159,9 +160,10 @@ impl EngineBuilder {
     }
 
     /// Bag-size budget for the treewidth back-end; wider circuits make Auto
-    /// fall back to DPLL (a fixed treewidth policy fails instead).
+    /// fall back to DPLL (a fixed treewidth policy fails instead). Clamped
+    /// to [`MAX_PLANNED_BAG`], the widest bag the sweep plans.
     pub fn width_budget(mut self, budget: usize) -> Self {
-        self.width_budget = budget;
+        self.width_budget = budget.min(MAX_PLANNED_BAG);
         self
     }
 

@@ -14,7 +14,7 @@ use std::borrow::Cow;
 use stuc_circuit::circuit::{Circuit, VarId};
 use stuc_circuit::identity::ContentHasher;
 use stuc_circuit::weights::Weights;
-use stuc_circuit::wmc::TreewidthWmc;
+use stuc_circuit::wmc::circuit_graph;
 use stuc_data::cinstance::{CInstance, PcInstance};
 use stuc_data::pcc::PccInstance;
 use stuc_data::tid::TidInstance;
@@ -398,7 +398,7 @@ impl Representation for PrXmlDocument {
     /// events widen it exactly as the paper's event scopes predict.
     fn structure_graph(&self) -> Graph {
         let (presence, _) = self.presence_circuit();
-        TreewidthWmc::circuit_graph(&presence)
+        circuit_graph(&presence)
     }
 
     fn lineage(

@@ -32,9 +32,11 @@
 //! value) and report over the *full* variable set.
 //!
 //! Every result carries an [`InferenceReport`] saying how it was computed:
-//! sweeps run, dense tables retained, whether the compiled plan or the
-//! interpreted fallback served, and wall time. The engine in `stuc-core`
-//! surfaces all of this as `Engine::marginals`, `Engine::sample_worlds` and
+//! sweeps run, dense tables retained, and wall time. All three tasks run on
+//! the compiled plan, with no fallback: a circuit too wide to plan, a
+//! tripped budget or an injected fault while building the plan surfaces as
+//! [`InferError::Wmc`]. The engine in `stuc-core` surfaces all of this as
+//! `Engine::marginals`, `Engine::sample_worlds` and
 //! `Engine::most_probable_world`, sharing its compiled-lineage cache so one
 //! cached compilation serves WMC and every inference mode.
 
@@ -50,7 +52,9 @@ pub use report::InferenceReport;
 pub use sampler::{sample_worlds, SampledWorlds, WorldSampler};
 pub use world::World;
 
+use std::sync::Arc;
 use stuc_circuit::compiled::CompiledCircuit;
+use stuc_circuit::plan::SweepPlan;
 use stuc_circuit::wmc::WmcError;
 
 stuc_errors::stuc_error! {
@@ -64,30 +68,23 @@ stuc_errors::stuc_error! {
         /// posterior distribution conditioned on it is undefined: there is
         /// nothing to marginalise over, sample from, or maximise.
         ImpossibleEvidence,
-        /// The circuit's bags are too wide for a dense sweep plan
-        /// ([`stuc_circuit::plan::MAX_PLANNED_BAG`]); sampling and
-        /// most-probable-world need the retained plan tables and have no
-        /// interpreted fallback.
-        Unplannable {
-            /// Width of the circuit-graph decomposition.
-            width: usize,
-        },
     }
     display {
         Self::Wmc(e) => "{e}",
         Self::ImpossibleEvidence => "the query lineage has probability 0; posterior inference conditioned on it is undefined",
-        Self::Unplannable { width } => "circuit decomposition width {width} exceeds the dense sweep-plan budget; world sampling and most-probable-world need a compiled plan",
     }
     from {
         WmcError => Wmc,
     }
 }
 
-/// Enforces the caller's evaluation-time width budget — the same refusal
-/// the counting back-end produces ([`CompiledCircuit::ensure_width`]).
-pub(crate) fn ensure_budget(
+/// The compiled sweep plan every task runs on, within the caller's
+/// evaluation-time width budget — the same refusal the counting back-end
+/// produces ([`CompiledCircuit::ensure_width`]).
+pub(crate) fn plan_within(
     compiled: &CompiledCircuit,
     max_bag_size: usize,
-) -> Result<(), InferError> {
-    Ok(compiled.ensure_width(max_bag_size)?)
+) -> Result<&Arc<SweepPlan>, InferError> {
+    compiled.ensure_width(max_bag_size)?;
+    Ok(compiled.try_sweep_plan()?)
 }

@@ -11,13 +11,12 @@
 //! ([`stuc_circuit::plan::SweepPlan::marginal_numerators`]).
 
 use crate::report::InferenceReport;
-use crate::{ensure_budget, InferError};
+use crate::{plan_within, InferError};
 use std::collections::BTreeMap;
 use stuc_circuit::circuit::VarId;
 use stuc_circuit::compiled::CompiledCircuit;
 use stuc_circuit::plan::SumProduct;
 use stuc_circuit::weights::Weights;
-use stuc_circuit::wmc::WmcError;
 use stuc_obs::Stopwatch;
 
 /// The posterior marginal `P(v | query)` of every fact variable, together
@@ -61,66 +60,28 @@ impl Marginals {
 ///
 /// Variables in `weights` that the circuit never reads are independent of
 /// the evidence; their posterior is their prior, included so the result
-/// covers the full fact set. Circuits too wide for a dense plan fall back
-/// to per-variable conditioned interpreted sweeps (same answers, the old
-/// cost — [`InferenceReport::planned`] says which path ran).
+/// covers the full fact set.
 ///
-/// Fails with [`InferError::ImpossibleEvidence`] when `P(lineage) = 0`.
+/// Fails with [`InferError::ImpossibleEvidence`] when `P(lineage) = 0`, and
+/// with [`InferError::Wmc`] when the circuit exceeds `max_bag_size` (capped
+/// at [`stuc_circuit::plan::MAX_PLANNED_BAG`]) or its plan cannot be built.
 pub fn marginals(
     compiled: &CompiledCircuit,
     weights: &Weights,
     max_bag_size: usize,
 ) -> Result<Marginals, InferError> {
     let started = Stopwatch::start();
-    ensure_budget(compiled, max_bag_size)?;
-
-    let mut report = InferenceReport::default();
-    let mut posteriors: BTreeMap<VarId, f64> = BTreeMap::new();
-    let evidence = match compiled.sweep_plan() {
-        Some(plan) => {
-            let plan = plan.clone();
-            let retained = plan.run_retained::<SumProduct>(weights)?;
-            let evidence = retained.value();
-            if evidence <= 0.0 {
-                return Err(InferError::ImpossibleEvidence);
-            }
-            for (v, numerator) in plan.marginal_numerators(&retained) {
-                posteriors.insert(v, (numerator / evidence).clamp(0.0, 1.0));
-            }
-            report.sweeps_run = 2;
-            report.tables_retained = retained.tables_retained();
-            report.table_entries = retained.table_entries();
-            report.planned = true;
-            evidence
-        }
-        None => {
-            // Interpreted fallback: one conditioned sparse sweep per
-            // circuit variable. Same posteriors, pre-backward-pass cost.
-            let evidence = compiled.run_interpreted(weights, max_bag_size)?.probability;
-            if evidence <= 0.0 {
-                return Err(InferError::ImpossibleEvidence);
-            }
-            report.sweeps_run = 1;
-            for &v in compiled.variables() {
-                let prior = weights
-                    .weight(v, true)
-                    .map_err(|e| InferError::Wmc(WmcError::Circuit(e)))?;
-                let posterior = if prior == 0.0 {
-                    0.0
-                } else {
-                    let mut fixed = weights.clone();
-                    fixed.fix(v, true);
-                    // `fix` gives v weight 1, so the conditioned count is
-                    // P(lineage ∧ v) / prior; multiply the prior back in.
-                    let conditioned = compiled.run_interpreted(&fixed, max_bag_size)?.probability;
-                    report.sweeps_run += 1;
-                    (prior * conditioned / evidence).clamp(0.0, 1.0)
-                };
-                posteriors.insert(v, posterior);
-            }
-            evidence
-        }
-    };
+    let plan = plan_within(compiled, max_bag_size)?;
+    let retained = plan.run_retained::<SumProduct>(weights)?;
+    let evidence = retained.value();
+    if evidence <= 0.0 {
+        return Err(InferError::ImpossibleEvidence);
+    }
+    let mut posteriors: BTreeMap<VarId, f64> = plan
+        .marginal_numerators(&retained)
+        .into_iter()
+        .map(|(v, numerator)| (v, (numerator / evidence).clamp(0.0, 1.0)))
+        .collect();
 
     // Variables the lineage never reads are independent of the evidence:
     // posterior = prior.
@@ -128,11 +89,16 @@ pub fn marginals(
         posteriors.entry(v).or_insert(prior);
     }
 
-    report.wall_time = started.elapsed();
     Ok(Marginals {
         evidence_probability: evidence,
         marginals: posteriors,
-        report,
+        report: InferenceReport {
+            sweeps_run: 2,
+            tables_retained: retained.tables_retained(),
+            table_entries: retained.table_entries(),
+            lineage_cached: false,
+            wall_time: started.elapsed(),
+        },
     })
 }
 
@@ -143,6 +109,7 @@ mod tests {
     use stuc_circuit::builder;
     use stuc_circuit::circuit::Circuit;
     use stuc_circuit::enumeration::probability_by_enumeration;
+    use stuc_circuit::wmc::WmcError;
 
     fn compile(circuit: &Circuit) -> CompiledCircuit {
         CompiledCircuit::compile(Arc::new(circuit.clone()), Default::default()).unwrap()
@@ -168,7 +135,6 @@ mod tests {
                 Err(InferError::ImpossibleEvidence) => continue,
                 Err(other) => panic!("{other}"),
             };
-            assert!(result.report.planned);
             assert_eq!(result.report.sweeps_run, 2);
             assert!(result.report.tables_retained > 0);
             for &v in &circuit.variables() {

@@ -9,7 +9,7 @@
 
 use crate::report::InferenceReport;
 use crate::world::World;
-use crate::{ensure_budget, InferError};
+use crate::{plan_within, InferError};
 use stuc_circuit::compiled::CompiledCircuit;
 use stuc_circuit::plan::MaxProduct;
 use stuc_circuit::weights::Weights;
@@ -41,20 +41,15 @@ pub struct MostProbableWorld {
 ///
 /// Fails with [`InferError::ImpossibleEvidence`] when no world satisfies
 /// the lineage (or all satisfying worlds have probability 0), and with
-/// [`InferError::Unplannable`] when the circuit is too wide for a dense
-/// plan.
+/// [`InferError::Wmc`] when the circuit exceeds `max_bag_size` or its plan
+/// cannot be built.
 pub fn most_probable_world(
     compiled: &CompiledCircuit,
     weights: &Weights,
     max_bag_size: usize,
 ) -> Result<MostProbableWorld, InferError> {
     let started = Stopwatch::start();
-    ensure_budget(compiled, max_bag_size)?;
-    let Some(plan) = compiled.sweep_plan() else {
-        return Err(InferError::Unplannable {
-            width: compiled.width(),
-        });
-    };
+    let plan = plan_within(compiled, max_bag_size)?;
     let retained = plan.run_retained::<MaxProduct>(weights)?;
     let mut probability = retained.value();
     if probability <= 0.0 {
@@ -96,7 +91,6 @@ pub fn most_probable_world(
             sweeps_run: 1,
             tables_retained: retained.tables_retained(),
             table_entries: retained.table_entries(),
-            planned: true,
             lineage_cached: false,
             wall_time: started.elapsed(),
         },

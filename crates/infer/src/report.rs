@@ -12,20 +12,15 @@ use std::time::Duration;
 /// peak-live arena.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct InferenceReport {
-    /// Dense (or interpreted-fallback) sweeps over the decomposition this
-    /// task ran: 2 for plan-based marginals (up + down), 1 for a sampler or
-    /// max-product setup (the descents replay stored tables and are not
-    /// sweeps), `1 + n` for the conditioned-fallback marginal path.
+    /// Dense sweeps over the decomposition this task ran: 2 for marginals
+    /// (up + down), 1 for a sampler or max-product setup (the descents
+    /// replay stored tables and are not sweeps).
     pub sweeps_run: usize,
-    /// Dense node tables retained alive for backward passes and descents
-    /// (0 on the interpreted fallback, which retains nothing).
+    /// Dense node tables retained alive for backward passes and descents.
     pub tables_retained: usize,
     /// Total `f64` entries across the retained tables — the memory cost of
     /// retention, in units of 8 bytes.
     pub table_entries: usize,
-    /// True when the compiled dense sweep plan served; false on the
-    /// interpreted conditioned-sweep fallback (marginals only).
-    pub planned: bool,
     /// True when the engine served the compiled lineage from its cache (set
     /// by `stuc-core`; always false when calling `stuc-infer` directly).
     pub lineage_cached: bool,

@@ -10,7 +10,7 @@
 
 use crate::report::InferenceReport;
 use crate::world::World;
-use crate::{ensure_budget, InferError};
+use crate::{plan_within, InferError};
 use rand::rngs::SplitMix64;
 use rand::Rng;
 use std::sync::Arc;
@@ -59,9 +59,8 @@ impl WorldSampler {
     /// Builds a sampler for `compiled` under `weights`, seeding its RNG
     /// stream with `seed` (same seed, same worlds).
     ///
-    /// Fails when the width exceeds `max_bag_size`, when the circuit is too
-    /// wide to plan densely ([`InferError::Unplannable`] — the sampler has
-    /// no interpreted fallback), or when the lineage has probability 0
+    /// Fails when the width exceeds `max_bag_size` or the plan cannot be
+    /// built ([`InferError::Wmc`]), or when the lineage has probability 0
     /// ([`InferError::ImpossibleEvidence`]).
     pub fn new(
         compiled: &CompiledCircuit,
@@ -70,13 +69,7 @@ impl WorldSampler {
         seed: u64,
     ) -> Result<WorldSampler, InferError> {
         let started = Stopwatch::start();
-        ensure_budget(compiled, max_bag_size)?;
-        let Some(plan) = compiled.sweep_plan() else {
-            return Err(InferError::Unplannable {
-                width: compiled.width(),
-            });
-        };
-        let plan = Arc::clone(plan);
+        let plan = Arc::clone(plan_within(compiled, max_bag_size)?);
         let retained = plan.run_retained::<SumProduct>(weights)?;
         let root_weights = plan.weighted_root_table(&retained);
         let evidence_probability = retained.value();
@@ -105,7 +98,6 @@ impl WorldSampler {
             sweeps_run: 1,
             tables_retained: retained.tables_retained(),
             table_entries: retained.table_entries(),
-            planned: true,
             lineage_cached: false,
             wall_time: started.elapsed(),
         };
@@ -259,7 +251,6 @@ mod tests {
             assert!(world.satisfies(&circuit).unwrap(), "conditioned on query");
         }
         assert_eq!(a.report.sweeps_run, 1);
-        assert!(a.report.planned);
     }
 
     #[test]

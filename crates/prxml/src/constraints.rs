@@ -20,8 +20,7 @@ use std::collections::BTreeMap;
 use crate::document::{NodeId, PrXmlDocument};
 use crate::queries::{lineage_gate, query_holds_in_world, PrxmlQuery};
 use stuc_circuit::circuit::{Circuit, GateId, VarId};
-use stuc_circuit::dpll::DpllCounter;
-use stuc_circuit::wmc::TreewidthWmc;
+use stuc_circuit::compiled::{one_shot_probability, OneShotError};
 
 /// An observation (constraint) on a PrXML document.
 #[derive(Debug, Clone, PartialEq)]
@@ -63,6 +62,12 @@ stuc_errors::stuc_error! {
         Self::ImpossibleObservation => "the observed constraint has probability zero",
         Self::Probability(message) => "probability computation failed: {message}",
         Self::UnknownEvent(name) => "unknown global event '{name}'",
+    }
+}
+
+impl From<OneShotError> for PrxmlConstraintError {
+    fn from(e: OneShotError) -> Self {
+        PrxmlConstraintError::Probability(e.to_string())
     }
 }
 
@@ -163,7 +168,7 @@ pub fn constraint_probability(
     let (mut circuit, node_gates) = doc.presence_circuit();
     let gate = constraint_gate(doc, constraint, &mut circuit, &node_gates);
     circuit.set_output(gate);
-    evaluate(&circuit, doc)
+    Ok(one_shot_probability(&circuit, doc.probabilities())?)
 }
 
 /// The conditioned probability `P(query | constraint)` on the document,
@@ -179,14 +184,14 @@ pub fn conditioned_query_probability(
 
     let mut observation = circuit.clone();
     observation.set_output(observed_gate);
-    let evidence = evaluate(&observation, doc)?;
+    let evidence = one_shot_probability(&observation, doc.probabilities())?;
     if evidence <= f64::EPSILON {
         return Err(PrxmlConstraintError::ImpossibleObservation);
     }
 
     let joint_gate = circuit.add_and(vec![query_gate, observed_gate]);
     circuit.set_output(joint_gate);
-    let joint = evaluate(&circuit, doc)?;
+    let joint = one_shot_probability(&circuit, doc.probabilities())?;
     Ok(joint / evidence)
 }
 
@@ -246,17 +251,6 @@ pub fn condition_on_event(
     doc.probabilities_mut()
         .set(event, if value { 1.0 } else { 0.0 });
     Ok(event)
-}
-
-/// Evaluates a circuit over the document's probabilities: the treewidth
-/// back-end first, DPLL as a fallback.
-fn evaluate(circuit: &Circuit, doc: &PrXmlDocument) -> Result<f64, PrxmlConstraintError> {
-    match TreewidthWmc::default().probability(circuit, doc.probabilities()) {
-        Ok(p) => Ok(p),
-        Err(_) => DpllCounter::default()
-            .probability(circuit, doc.probabilities())
-            .map_err(|e| PrxmlConstraintError::Probability(e.to_string())),
-    }
 }
 
 #[cfg(test)]

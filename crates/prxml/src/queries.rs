@@ -9,9 +9,11 @@
 
 use crate::document::{NodeId, PrXmlDocument};
 use std::collections::BTreeMap;
+use std::sync::Arc;
 use stuc_circuit::circuit::{Circuit, GateId, VarId};
+use stuc_circuit::compiled::{CompiledCircuit, DEFAULT_WIDTH_BUDGET};
 use stuc_circuit::enumeration::{probability_by_enumeration, EnumerationError};
-use stuc_circuit::wmc::{TreewidthWmc, WmcError};
+use stuc_circuit::wmc::WmcError;
 
 /// A monotone tree-pattern query on a PrXML document.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -168,12 +170,13 @@ pub(crate) fn lineage_gate(
 }
 
 /// Exact query probability through the treewidth-based back-end (the
-/// structurally tractable path).
+/// structurally tractable path): the lineage compiled, planned and swept
+/// within [`DEFAULT_WIDTH_BUDGET`].
 pub fn query_probability(doc: &PrXmlDocument, query: &PrxmlQuery) -> Result<f64, PrxmlQueryError> {
     let lineage = query_lineage(doc, query);
-    TreewidthWmc::default()
-        .probability(&lineage, doc.probabilities())
-        .map_err(PrxmlQueryError::Wmc)
+    let compiled =
+        CompiledCircuit::compile(Arc::new(lineage), Default::default()).map_err(WmcError::from)?;
+    Ok(compiled.probability(doc.probabilities(), DEFAULT_WIDTH_BUDGET)?)
 }
 
 /// Exact query probability by enumerating all variable valuations (the

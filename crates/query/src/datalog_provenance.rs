@@ -236,9 +236,9 @@ fn instantiated_head(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use stuc_circuit::compiled::one_shot_probability;
     use stuc_circuit::enumeration::probability_by_enumeration;
     use stuc_circuit::weights::Weights;
-    use stuc_circuit::wmc::TreewidthWmc;
     use stuc_data::formula::Formula;
 
     fn transitive_closure() -> DatalogProgram {
@@ -276,9 +276,7 @@ mod tests {
         let p = probability_by_enumeration(&lineage, &tid.fact_weights()).unwrap();
         assert!((p - 0.4375).abs() < 1e-9);
         // The treewidth back-end agrees with enumeration.
-        let p_mp = TreewidthWmc::default()
-            .probability(&lineage, &tid.fact_weights())
-            .unwrap();
+        let p_mp = one_shot_probability(&lineage, &tid.fact_weights()).unwrap();
         assert!((p - p_mp).abs() < 1e-9);
     }
 

@@ -4,9 +4,8 @@
 use crate::rule::Rule;
 use std::collections::{BTreeMap, BTreeSet};
 use stuc_circuit::circuit::{Circuit, GateId, VarId};
-use stuc_circuit::dpll::DpllCounter;
+use stuc_circuit::compiled::{one_shot_probability, OneShotError};
 use stuc_circuit::weights::Weights;
-use stuc_circuit::wmc::TreewidthWmc;
 use stuc_data::instance::{FactId, Instance};
 use stuc_data::tid::TidInstance;
 use stuc_query::cq::{ConjunctiveQuery, Term};
@@ -70,6 +69,12 @@ stuc_errors::stuc_error! {
     }
     from {
         stuc_fault::BudgetError => Budget,
+    }
+}
+
+impl From<OneShotError> for ChaseError {
+    fn from(e: OneShotError) -> Self {
+        ChaseError::Probability(e.to_string())
     }
 }
 
@@ -271,7 +276,7 @@ impl ChaseResult {
     pub fn fact_probability(&self, fact: FactId) -> Result<f64, ChaseError> {
         let mut circuit = self.circuit.clone();
         circuit.set_output(self.fact_gates[fact.0]);
-        evaluate(&circuit, &self.weights)
+        Ok(one_shot_probability(&circuit, &self.weights)?)
     }
 
     /// The probability that a Boolean conjunctive query holds on the
@@ -289,23 +294,12 @@ impl ChaseResult {
         }
         let output = circuit.add_or(disjuncts);
         circuit.set_output(output);
-        evaluate(&circuit, &self.weights)
+        Ok(one_shot_probability(&circuit, &self.weights)?)
     }
 
     /// Number of derived (non-base) facts.
     pub fn derived_fact_count(&self) -> usize {
         self.fact_gates.len() - self.base_fact_count
-    }
-}
-
-/// Evaluates a lineage circuit with the treewidth back-end, falling back to
-/// DPLL when the circuit is too wide.
-fn evaluate(circuit: &Circuit, weights: &Weights) -> Result<f64, ChaseError> {
-    match TreewidthWmc::default().probability(circuit, weights) {
-        Ok(p) => Ok(p),
-        Err(_) => DpllCounter::default()
-            .probability(circuit, weights)
-            .map_err(|e| ChaseError::Probability(e.to_string())),
     }
 }
 

@@ -13,7 +13,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::BTreeMap;
 use stuc::circuit::circuit::VarId;
-use stuc::circuit::wmc::TreewidthWmc;
+use stuc::circuit::compiled::one_shot_probability;
 use stuc::cond::crowd::{entropy, interactive_conditioning, CrowdOracle, QuestionSelector};
 use stuc::core::workloads::contributor_pcc;
 use stuc::query::cq::ConjunctiveQuery;
@@ -26,9 +26,7 @@ fn main() {
     let query = ConjunctiveQuery::parse("Claim(\"entity0\", x), Claim(\"entity1\", y)").unwrap();
     let lineage = pcc_lineage(&pcc, &query);
 
-    let prior = TreewidthWmc::default()
-        .probability(&lineage, pcc.probabilities())
-        .expect("tractable lineage");
+    let prior = one_shot_probability(&lineage, pcc.probabilities()).expect("tractable lineage");
     println!(
         "prior P[query] = {prior:.4}, entropy = {:.4} bits",
         entropy(prior)

@@ -8,8 +8,8 @@
 //!
 //! Run with: `cargo run --example datalog_reachability`
 
+use stuc::circuit::compiled::one_shot_probability;
 use stuc::circuit::enumeration::probability_by_enumeration;
-use stuc::circuit::wmc::TreewidthWmc;
 use stuc::data::tid::TidInstance;
 use stuc::query::cq::ConjunctiveQuery;
 use stuc::query::datalog::DatalogProgram;
@@ -59,10 +59,7 @@ fn main() {
     ] {
         match provenance.fact_lineage("Reach", &[from, to]) {
             Some(lineage) => {
-                let exact = TreewidthWmc::default()
-                    .probability(&lineage, &weights)
-                    .or_else(|_| probability_by_enumeration(&lineage, &weights))
-                    .expect("small circuit");
+                let exact = one_shot_probability(&lineage, &weights).expect("small circuit");
                 let gates = lineage.len();
                 println!("P[reach {from} → {to}] = {exact:.4}   (lineage: {gates} gates)");
             }

@@ -7,8 +7,8 @@
 //!
 //! Run with: `cargo run --example table1_cinstance`
 
+use stuc::circuit::compiled::one_shot_probability;
 use stuc::circuit::weights::Weights;
-use stuc::circuit::wmc::TreewidthWmc;
 use stuc::data::cinstance::CInstance;
 use stuc::data::worlds;
 use stuc::query::cq::ConjunctiveQuery;
@@ -63,9 +63,7 @@ fn main() {
     for (description, text) in queries {
         let query = ConjunctiveQuery::parse(text).unwrap();
         let lineage = cinstance_lineage(&ci, &query);
-        let probability = TreewidthWmc::default()
-            .probability(&lineage, &weights)
-            .unwrap();
+        let probability = one_shot_probability(&lineage, &weights).unwrap();
         // With event probabilities strictly inside (0, 1), the query is
         // possible iff its probability is non-zero and certain iff it is one.
         println!(

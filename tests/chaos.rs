@@ -22,9 +22,11 @@
 use std::net::{SocketAddr, TcpStream};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 use std::time::Duration;
+use stuc::circuit::wmc::WmcError;
 use stuc::core::workloads;
 use stuc::data::tid::TidInstance;
 use stuc::fault::failpoint::{self, FailAction};
+use stuc::infer::InferError;
 use stuc::query::cq::ConjunctiveQuery;
 use stuc::serve::{ServeConfig, Server, ServiceState};
 use stuc::{Engine, EvalBudget, StucError};
@@ -180,6 +182,63 @@ fn plan_build_failpoint_panics_are_isolated() {
         "circuit-plan-build",
         FailAction::Panic,
         &["panic", "failpoint"],
+    );
+}
+
+/// Posterior inference takes its plan through `try_sweep_plan`: on a cold
+/// engine a plan-build fault must surface as a typed error from every
+/// inference mode (never a silent fallback sweep), and once the fault
+/// clears the same engine must answer exactly like a fresh one.
+#[test]
+fn plan_build_faults_surface_typed_from_every_inference_mode() {
+    let _serial = chaos_lock();
+    let (tid, chain) = workload();
+    let engine = Engine::new();
+    {
+        let _armed = failpoint::arm_guard(
+            "circuit-plan-build",
+            FailAction::Error("inference chaos".into()),
+        );
+        let errors = [
+            ("marginals", engine.marginals(&tid, &chain).err()),
+            (
+                "most_probable_world",
+                engine.most_probable_world(&tid, &chain).err(),
+            ),
+            (
+                "sample_worlds",
+                engine.sample_worlds(&tid, &chain, 16, 7).err(),
+            ),
+        ];
+        for (mode, error) in errors {
+            let error = error.unwrap_or_else(|| panic!("{mode} answered under a plan fault"));
+            assert!(
+                matches!(error, StucError::Infer(InferError::Wmc(WmcError::Fault(_)))),
+                "{mode}: {error:?} is not a typed plan fault"
+            );
+            assert!(
+                error.to_string().contains("injected fault"),
+                "{mode}: {error}"
+            );
+        }
+    }
+    let fresh = Engine::new();
+    let posteriors = |e: &Engine| -> Vec<(u64, u64)> {
+        let marginals = e.marginals(&tid, &chain).unwrap();
+        let mut bits = vec![(u64::MAX, marginals.evidence_probability.to_bits())];
+        bits.extend(marginals.iter().map(|(v, p)| (v.0 as u64, p.to_bits())));
+        bits
+    };
+    assert_eq!(posteriors(&engine), posteriors(&fresh));
+    let (mpe, fresh_mpe) = (
+        engine.most_probable_world(&tid, &chain).unwrap(),
+        fresh.most_probable_world(&tid, &chain).unwrap(),
+    );
+    assert_eq!(mpe.world, fresh_mpe.world);
+    assert_eq!(mpe.probability.to_bits(), fresh_mpe.probability.to_bits());
+    assert_eq!(
+        engine.sample_worlds(&tid, &chain, 16, 7).unwrap().worlds,
+        fresh.sample_worlds(&tid, &chain, 16, 7).unwrap().worlds
     );
 }
 

@@ -2,8 +2,8 @@
 //! through the public façade, with all back-ends cross-checked against each
 //! other and against explicit possible-world semantics.
 
+use stuc::circuit::compiled::one_shot_probability;
 use stuc::circuit::weights::Weights;
-use stuc::circuit::wmc::TreewidthWmc;
 use stuc::cond::conditioning::conditioned_query_probability;
 use stuc::core::workloads;
 use stuc::data::cinstance::CInstance;
@@ -66,9 +66,7 @@ fn table1_full_workflow_possibility_certainty_probability() {
     weights.set(stoc, 0.3);
     let query = ConjunctiveQuery::parse("Trip(\"Paris_CDG\", x)").unwrap();
     let lineage = cinstance_lineage(&ci, &query);
-    let p = TreewidthWmc::default()
-        .probability(&lineage, &weights)
-        .unwrap();
+    let p = one_shot_probability(&lineage, &weights).unwrap();
 
     let pc = ci.clone().with_probabilities(weights);
     let cdg = pc.instance().find_constant("Paris_CDG").unwrap();

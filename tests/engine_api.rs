@@ -3,16 +3,23 @@
 //! pcc-instance, PrXML), the `EvaluationReport` names the back-end that
 //! actually ran, and every per-crate error converts into `StucError`.
 
+use std::sync::Arc;
+use stuc::circuit::circuit::VarId;
+use stuc::circuit::compiled::CompiledCircuit;
 use stuc::circuit::enumeration::probability_by_enumeration;
+use stuc::circuit::plan::MAX_PLANNED_BAG;
 use stuc::circuit::weights::Weights;
+use stuc::circuit::wmc::WmcError;
 use stuc::core::workloads;
 use stuc::data::cinstance::CInstance;
+use stuc::data::pcc::PccInstance;
 use stuc::data::worlds;
+use stuc::infer::InferError;
 use stuc::prxml::document::PrXmlDocument;
 use stuc::prxml::queries::{query_probability_by_enumeration, PrxmlQuery};
 use stuc::query::cq::ConjunctiveQuery;
 use stuc::query::lineage::cinstance_lineage;
-use stuc::{BackendKind, Engine, ReprKind, Representation, StucError};
+use stuc::{BackendKind, BackendPolicy, Engine, ReprKind, Representation, StucError};
 
 fn close(a: f64, b: f64) -> bool {
     (a - b).abs() < 1e-9
@@ -262,4 +269,91 @@ fn tid_backends_all_agree_on_the_paper_hard_query() {
             auto.probability
         );
     }
+}
+
+/// One fact `R(a)` annotated with `(e_i ∨ e_j)` for every pair of `n`
+/// events of probability `p`: its lineage's circuit graph holds an
+/// `n`-clique over the events (width ≥ n − 1), yet DPLL settles it in
+/// O(n²) branches.
+fn pairwise_pcc(n: usize, p: f64) -> PccInstance {
+    let mut pcc = PccInstance::new();
+    let circuit = pcc.annotation_circuit_mut();
+    let events: Vec<_> = (0..n).map(|i| circuit.add_input(VarId(i))).collect();
+    // A chain of binary ANDs keeps the joint instance + annotation graph
+    // free of a clique over all the pairs.
+    let mut all = circuit.add_const(true);
+    for i in 0..n {
+        for j in i + 1..n {
+            let pair = circuit.add_or(vec![events[i], events[j]]);
+            all = circuit.add_and(vec![all, pair]);
+        }
+    }
+    pcc.add_fact_with_gate("R", &["a"], all);
+    for i in 0..n {
+        pcc.probabilities_mut().set(VarId(i), p);
+    }
+    pcc
+}
+
+#[test]
+fn width_budgets_above_the_plan_cap_behave_like_the_cap() {
+    let n = MAX_PLANNED_BAG + 2;
+    let pcc = pairwise_pcc(n, 0.9);
+    let query = ConjunctiveQuery::parse("R(x)").unwrap();
+    let capped = |e: &WmcError| matches!(e, WmcError::WidthTooLarge { limit, .. } if *limit == MAX_PLANNED_BAG);
+
+    // Every sweep refuses at the cap, before planning, whatever the budget.
+    let lineage = Engine::new().lineage(&pcc, &query).unwrap();
+    let compiled = CompiledCircuit::compile(Arc::new(lineage), Default::default()).unwrap();
+    assert!(compiled.width() + 1 > MAX_PLANNED_BAG);
+    let weights = pcc.probabilities();
+    assert!(capped(&compiled.run(weights, 40).unwrap_err()));
+    assert!(capped(
+        &compiled
+            .run_many(std::slice::from_ref(weights), 40)
+            .unwrap_err()
+    ));
+    match stuc::infer::marginals(&compiled, weights, 40) {
+        Err(InferError::Wmc(e)) => assert!(capped(&e), "{e}"),
+        other => panic!("marginals over the cap: {other:?}"),
+    }
+    assert!(!compiled.is_planned(), "refused without planning");
+
+    // An engine budget above the cap routes exactly like the cap itself:
+    // Auto falls back to DPLL, a pinned treewidth back-end refuses.
+    let engine = |policy, budget| {
+        Engine::builder()
+            .policy(policy)
+            .width_budget(budget)
+            .build()
+    };
+    let auto = BackendPolicy::Auto;
+    let (at_cap, above) = (
+        engine(auto, MAX_PLANNED_BAG)
+            .evaluate(&pcc, &query)
+            .unwrap(),
+        engine(auto, 40).evaluate(&pcc, &query).unwrap(),
+    );
+    assert_eq!(above.backend, BackendKind::Dpll);
+    assert_eq!(above.backend, at_cap.backend);
+    assert_eq!(above.notes, at_cap.notes);
+    assert_eq!(above.probability.to_bits(), at_cap.probability.to_bits());
+    // P(at most one event false).
+    let expected = 0.9f64.powi(n as i32) + n as f64 * 0.1 * 0.9f64.powi(n as i32 - 1);
+    assert!(close(above.probability, expected));
+
+    let pinned = BackendPolicy::Fixed(BackendKind::TreewidthWmc);
+    let (at_cap, above) = (
+        engine(pinned, MAX_PLANNED_BAG)
+            .evaluate(&pcc, &query)
+            .unwrap_err(),
+        engine(pinned, 40).evaluate(&pcc, &query).unwrap_err(),
+    );
+    assert!(matches!(&above, StucError::Wmc(e) if capped(e)), "{above}");
+    assert_eq!(above.to_string(), at_cap.to_string());
+    let inference = engine(auto, 40).marginals(&pcc, &query).unwrap_err();
+    assert!(
+        matches!(&inference, StucError::Infer(InferError::Wmc(e)) if capped(e)),
+        "{inference}"
+    );
 }

@@ -170,7 +170,7 @@ proptest! {
     ) {
         let circuit = builder::random_circuit(vars, internal, seed);
         let compiled = compile(&circuit);
-        prop_assert!(compiled.try_sweep_plan().unwrap().is_some());
+        prop_assert!(compiled.try_sweep_plan().is_ok());
 
         // Pin every `pin_stride`-th variable and shift the rest down, like
         // a deletion of those facts.
@@ -196,7 +196,7 @@ proptest! {
         prop_assert!((planned.probability - interpreted.probability).abs() < 1e-9);
         prop_assert!((planned.probability - dpll).abs() < 1e-9);
         if planned.probability > 0.0 {
-            let plan = patched.sweep_plan().unwrap();
+            let plan = patched.try_sweep_plan().unwrap();
             let retained = plan.run_retained::<SumProduct>(&weights).unwrap();
             let marginal_vars: BTreeSet<VarId> = plan
                 .marginal_numerators(&retained)

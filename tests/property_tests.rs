@@ -7,10 +7,10 @@ use std::collections::BTreeMap;
 use stuc::automata::courcelle::cq_probability_tid;
 use stuc::circuit::builder;
 use stuc::circuit::circuit::VarId;
+use stuc::circuit::compiled::one_shot_probability;
 use stuc::circuit::dpll::DpllCounter;
 use stuc::circuit::enumeration::probability_by_enumeration;
 use stuc::circuit::weights::Weights;
-use stuc::circuit::wmc::TreewidthWmc;
 use stuc::data::tid::TidInstance;
 use stuc::graph::elimination::{decompose_with_heuristic, EliminationHeuristic};
 use stuc::graph::generators;
@@ -40,7 +40,7 @@ proptest! {
         let weights = Weights::uniform(circuit.variables(), p);
         let brute = probability_by_enumeration(&circuit, &weights).unwrap();
         let dpll = DpllCounter::default().probability(&circuit, &weights).unwrap();
-        let mp = TreewidthWmc::default().probability(&circuit, &weights).unwrap();
+        let mp = one_shot_probability(&circuit, &weights).unwrap();
         prop_assert!((brute - dpll).abs() < 1e-9, "dpll {dpll} vs brute {brute}");
         prop_assert!((brute - mp).abs() < 1e-9, "wmc {mp} vs brute {brute}");
     }
