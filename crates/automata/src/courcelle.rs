@@ -235,7 +235,8 @@ impl CompiledQuery {
 }
 
 /// The facts the body can reach: per atom, the facts of its relation and
-/// arity whose constants and repeated variables fit, then pruned to arc
+/// arity whose constants and repeated variables fit (looked up in the
+/// instance's fact index on the first constant), then pruned to arc
 /// consistency — a fact stays only while every variable it binds has a
 /// value some fact of every other atom using that variable also offers.
 /// Every fact of a match survives, since the match itself supports it.
@@ -260,15 +261,19 @@ fn reachable_facts(instance: &Instance, compiled: &CompiledQuery) -> Vec<FactId>
                     }
                 }
             }
-            instance
-                .facts()
-                .filter(|(_, fact)| {
-                    fact.relation == relation
-                        && fact.args.len() == terms.len()
-                        && constants.iter().all(|&(i, c)| fact.args[i] == c)
-                        && repeats_agree(terms, &fact.args)
+            let seeds = match constants.first() {
+                Some(&(position, c)) => instance.fact_index().facts_with(relation, position, c),
+                None => instance.facts_of(relation),
+            };
+            seeds
+                .iter()
+                .copied()
+                .filter(|&f| {
+                    let args = &instance.fact(f).args;
+                    args.len() == terms.len()
+                        && constants.iter().all(|&(i, c)| args[i] == c)
+                        && repeats_agree(terms, args)
                 })
-                .map(|(id, _)| id)
                 .collect()
         })
         .collect();

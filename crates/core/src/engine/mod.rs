@@ -14,7 +14,7 @@
 //! * [`Backend`] — one probability strategy. Four implementations:
 //!   [`SafePlanBackend`], [`TreewidthWmcBackend`], [`DpllBackend`],
 //!   [`EnumerationBackend`].
-//! * [`Engine`] / [`EngineBuilder`] — configuration (heuristic, width
+//! * [`Engine`] / [`EngineBuilder`] — configuration (width
 //!   budget, back-end policy, batch worker count) plus two fingerprint-keyed
 //!   caches: structure decompositions per instance, and compiled lineage
 //!   circuits per `(instance, query)` pair. [`Engine::evaluate`] is the
@@ -121,44 +121,36 @@ use stuc_graph::TreeDecomposition;
 use stuc_obs::timer::StageRecorder;
 use stuc_obs::{slowlog, trace};
 
-/// Builder for [`Engine`]: heuristic, width budget, back-end policy and
-/// cache behaviour.
+/// The elimination heuristic of every structure and circuit decomposition
+/// the engine builds.
+const HEURISTIC: EliminationHeuristic = EliminationHeuristic::MinDegree;
+
+/// Builder for [`Engine`]: width budget, back-end policy and cache
+/// behaviour.
 #[derive(Debug, Clone)]
 pub struct EngineBuilder {
-    heuristic: EliminationHeuristic,
     width_budget: usize,
     policy: BackendPolicy,
     cache_decompositions: bool,
     cache_lineages: bool,
     cache_capacity: usize,
-    cache_shards: usize,
     batch_threads: usize,
-    dpll_max_branches: u64,
 }
 
 impl Default for EngineBuilder {
     fn default() -> Self {
         EngineBuilder {
-            heuristic: EliminationHeuristic::MinDegree,
             width_budget: DEFAULT_WIDTH_BUDGET,
             policy: BackendPolicy::Auto,
             cache_decompositions: true,
             cache_lineages: true,
             cache_capacity: 1024,
-            cache_shards: cache::DEFAULT_SHARDS,
             batch_threads: 0,
-            dpll_max_branches: DpllBackend::default().max_branches,
         }
     }
 }
 
 impl EngineBuilder {
-    /// Elimination heuristic for structure and circuit decompositions.
-    pub fn heuristic(mut self, heuristic: EliminationHeuristic) -> Self {
-        self.heuristic = heuristic;
-        self
-    }
-
     /// Bag-size budget for the treewidth back-end; wider circuits make Auto
     /// fall back to DPLL (a fixed treewidth policy fails instead). Clamped
     /// to [`MAX_PLANNED_BAG`], the widest bag the sweep plans.
@@ -176,12 +168,6 @@ impl EngineBuilder {
     /// Shorthand for `policy(BackendPolicy::Fixed(kind))`.
     pub fn backend(self, kind: BackendKind) -> Self {
         self.policy(BackendPolicy::Fixed(kind))
-    }
-
-    /// Branch budget of the DPLL back-end.
-    pub fn dpll_max_branches(mut self, budget: u64) -> Self {
-        self.dpll_max_branches = budget;
-        self
     }
 
     /// Disables the fingerprint-keyed decomposition cache.
@@ -209,15 +195,6 @@ impl EngineBuilder {
         self
     }
 
-    /// Number of lock shards in each engine cache (default 16). More shards
-    /// means concurrent readers and writers on *different* fingerprints are
-    /// less likely to touch the same lock; the capacity bound stays global
-    /// regardless of the shard count. Clamped to at least 1.
-    pub fn cache_shards(mut self, shards: usize) -> Self {
-        self.cache_shards = shards.max(1);
-        self
-    }
-
     /// Number of worker threads for [`Engine::evaluate_batch`]; `0` (the
     /// default) uses [`std::thread::available_parallelism`]. The count is
     /// always additionally capped by the batch size.
@@ -240,7 +217,7 @@ impl EngineBuilder {
         } else {
             0
         };
-        let shards = self.cache_shards;
+        let shards = cache::DEFAULT_SHARDS;
         Engine {
             config: self,
             cache: ShardedCache::with_metrics(
@@ -274,12 +251,12 @@ impl EngineBuilder {
 pub struct Engine {
     config: EngineBuilder,
     /// Decompositions of structure graphs, keyed by representation
-    /// fingerprint + heuristic. Entries are validated against the structure
+    /// fingerprint. Entries are validated against the structure
     /// graph before reuse, so a fingerprint collision can never corrupt a
     /// result — it only costs a recomputation.
-    cache: ShardedCache<(u64, EliminationHeuristic), Arc<TreeDecomposition>>,
+    cache: ShardedCache<u64, Arc<TreeDecomposition>>,
     /// Compiled lineage circuits, keyed by `(instance fingerprint, query
-    /// fingerprint, heuristic)`. A hit skips decomposition *and* lineage
+    /// fingerprint)`. A hit skips decomposition *and* lineage
     /// construction — probability re-evaluation under changed weights
     /// (what-if analysis, [`Engine::reevaluate_with_weights`]) pays only
     /// for the counting sweep. Entries additionally store the query's exact
@@ -297,8 +274,8 @@ const _: () = {
 };
 
 /// Key of the compiled-lineage cache: instance fingerprint, query
-/// fingerprint, elimination heuristic.
-type LineageKey = (u64, u64, EliminationHeuristic);
+/// fingerprint.
+type LineageKey = (u64, u64);
 
 /// One lineage-cache lookup of an `(instance, query)` pair: the key, plus
 /// what a hit must additionally match — the exact query text and the
@@ -378,8 +355,8 @@ impl Default for Engine {
 }
 
 impl Engine {
-    /// An engine with default configuration (min-degree heuristic, width
-    /// budget 22, automatic back-end selection, caching on).
+    /// An engine with default configuration (width budget 22, automatic
+    /// back-end selection, caching on).
     pub fn new() -> Engine {
         EngineBuilder::default().build()
     }
@@ -448,7 +425,7 @@ impl Engine {
     /// representation overrides [`Representation::fingerprint`] alone; such
     /// an override only controls the decomposition cache.
     pub fn evict_instance(&self, fingerprint: u64) -> usize {
-        self.cache.drain_matching(|key| key.0 == fingerprint).len()
+        self.cache.drain_matching(|&key| key == fingerprint).len()
             + self
                 .lineage_cache
                 .drain_matching(|key| key.0 == fingerprint)
@@ -872,7 +849,7 @@ impl Engine {
         stuc_fault::failpoint!("lineage-compile", |m| StucError::Internal {
             message: format!("injected fault: {m}"),
         });
-        let compiled = CompiledCircuit::compile(Arc::new(simplified), self.config.heuristic)?;
+        let compiled = CompiledCircuit::compile(Arc::new(simplified), HEURISTIC)?;
         rec.mark("compile-lineage");
         stuc_fault::budget::check("lineage compilation")?;
         let (query_repr, instance_check, key) = match probe {
@@ -896,7 +873,7 @@ impl Engine {
         if let Some(key) = key {
             // Publish under first-writer-wins: if another worker compiled the
             // same pair concurrently, adopt its entry (identical semantics —
-            // same instance identity, same query text, same heuristic) so
+            // same instance identity, same query text) so
             // every thread converges on one shared circuit.
             let (winner, won) = self.lineage_cache.publish(key, Arc::clone(&entry));
             if !won {
@@ -946,11 +923,7 @@ impl Engine {
         }
         let (instance_fp, instance_check) = representation.identity();
         let query_repr = format!("{query:?}");
-        let key = (
-            instance_fp,
-            debug_identity(&query_repr).0,
-            self.config.heuristic,
-        );
+        let key = (instance_fp, debug_identity(&query_repr).0);
         Some(LineageProbe {
             key,
             query_repr,
@@ -987,7 +960,7 @@ impl Engine {
         representation: &R,
     ) -> (Arc<TreeDecomposition>, bool) {
         let graph = representation.structure_graph();
-        let key = (representation.fingerprint(), self.config.heuristic);
+        let key = representation.fingerprint();
         let mut stale_resident = false;
         if self.config.cache_decompositions {
             if let Some(cached) = self.cache.get(&key) {
@@ -1003,7 +976,7 @@ impl Engine {
             }
             self.cache.note_miss();
         }
-        let decomposition = Arc::new(decompose_with_heuristic(&graph, self.config.heuristic));
+        let decomposition = Arc::new(decompose_with_heuristic(&graph, HEURISTIC));
         if stuc_fault::budget::tripped() {
             // The ordering may have taken the budget-tripped degraded path:
             // keep the possibly low-quality decomposition out of the cache
@@ -1188,10 +1161,7 @@ mod tests {
         let query = ConjunctiveQuery::parse("R(x, y), R(y, z)").unwrap();
         let engine = Engine::new();
         engine.evaluate(&tid, &query).unwrap();
-        let decomposition = |tid: &TidInstance| {
-            let key = (tid.fingerprint(), engine.config.heuristic);
-            engine.cache.get(&key).unwrap()
-        };
+        let decomposition = |tid: &TidInstance| engine.cache.get(&tid.fingerprint()).unwrap();
         let planned = |tid: &TidInstance| {
             let probe = engine.lineage_probe(tid, &query).unwrap();
             let entry = engine.lineage_cache.get(&probe.key).unwrap();

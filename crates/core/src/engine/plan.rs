@@ -364,7 +364,7 @@ impl Engine {
                 .iter()
                 .filter_map(|t| t.query.as_ref())
                 .all(|q| self.has_cached_lineage(representation, q));
-        let mut decision = CostModel::default().choose(lowered, &stats, cached);
+        let mut decision = CostModel.choose(lowered, &stats, cached);
         match self.config.policy {
             BackendPolicy::Fixed(BackendKind::SafePlan) => decision.route = Route::SafePlan,
             BackendPolicy::Fixed(_) => decision.route = Route::Circuit,
@@ -596,10 +596,7 @@ impl Engine {
                 max_bag_size: self.config.width_budget,
             }
             .solve(&task),
-            BackendKind::Dpll => DpllBackend {
-                max_branches: self.config.dpll_max_branches,
-            }
-            .solve(&task),
+            BackendKind::Dpll => DpllBackend::default().solve(&task),
             BackendKind::Enumeration => EnumerationBackend.solve(&task),
             BackendKind::SafePlan => SafePlanBackend.solve(&task),
         }?;

@@ -21,7 +21,7 @@
 //! watch the patch rate and the width drift.
 
 use super::metrics::engine_metrics;
-use super::{Engine, Representation, StucError};
+use super::{Engine, Representation, StucError, HEURISTIC};
 use std::sync::Arc;
 use std::time::Duration;
 use stuc_circuit::circuit::Gate;
@@ -179,9 +179,9 @@ impl Engine {
             stale_lineages = ours;
             theirs
         };
-        let old_decomposition = self.cache.get(&(old_fingerprint, self.config.heuristic));
-        // Everything still keyed by the old fingerprint is now stale (other
-        // heuristics, collision leftovers): evict it in one targeted sweep —
+        let old_decomposition = self.cache.get(&old_fingerprint);
+        // Everything still keyed by the old fingerprint is now stale
+        // (collision leftovers): evict it in one targeted sweep —
         // and only then restore the colliding strangers it must not touch.
         self.evict_instance(old_fingerprint);
         for (key, entry) in colliding {
@@ -231,7 +231,7 @@ impl Engine {
                             report.notes.push(format!(
                                 "decomposition repair refused ({refusal}); re-decomposed from scratch"
                             ));
-                            decompose_with_heuristic(&graph, self.config.heuristic)
+                            decompose_with_heuristic(&graph, HEURISTIC)
                         }
                     };
                     Arc::new(rebuilt)
@@ -243,13 +243,12 @@ impl Engine {
                     );
                     Arc::new(decompose_with_heuristic(
                         &representation.structure_graph(),
-                        self.config.heuristic,
+                        HEURISTIC,
                     ))
                 }
             };
             report.width_after = Some(patched.width());
-            self.cache
-                .insert_replacing((new_fingerprint, self.config.heuristic), patched);
+            self.cache.insert_replacing(new_fingerprint, patched);
         }
 
         // --- compiled-lineage maintenance ----------------------------------
@@ -257,10 +256,6 @@ impl Engine {
         let mut budget_gate = stuc_fault::budget::Gate::every(4);
         for (key, entry) in stale_lineages {
             budget_gate.check("update: lineage maintenance")?;
-            if key.2 != self.config.heuristic {
-                report.lineages_dropped += 1;
-                continue;
-            }
             let patched = match &application.lineage {
                 LineagePatch::Rebuild => None,
                 // An update that left the lineage intact: only the
@@ -354,7 +349,7 @@ impl Engine {
                 Some(fresh) => {
                     report.lineages_patched += 1;
                     self.lineage_cache
-                        .insert_replacing((new_lineage_fp, key.1, key.2), Arc::new(fresh));
+                        .insert_replacing((new_lineage_fp, key.1), Arc::new(fresh));
                 }
                 None => report.lineages_dropped += 1,
             }

@@ -21,7 +21,7 @@ use crate::engine::StucError;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::BTreeSet;
-use stuc_circuit::circuit::{Circuit, GateId};
+use stuc_circuit::circuit::Circuit;
 use stuc_circuit::dpll::DpllCounter;
 use stuc_circuit::weights::Weights;
 use stuc_data::instance::FactId;
@@ -29,6 +29,7 @@ use stuc_data::tid::TidInstance;
 use stuc_graph::graph::VertexId;
 use stuc_query::cq::ConjunctiveQuery;
 use stuc_query::eval::all_matches;
+use stuc_query::lineage::match_lineage;
 
 /// Identifies core facts by iteratively peeling vertices of degree at most
 /// `peel_degree` from the Gaifman graph: facts whose constants all survive
@@ -99,36 +100,25 @@ pub fn hybrid_probability(
         // Residual lineage over tentacle facts only: a match contributes if
         // all its core witnesses are present; its tentacle witnesses stay
         // symbolic.
-        let mut circuit = Circuit::new();
+        let residual_matches = matches
+            .iter()
+            .filter(|m| {
+                m.witnesses
+                    .iter()
+                    .all(|w| !core_facts.contains(w) || core_present.contains(w))
+            })
+            .map(|m| {
+                m.witnesses
+                    .iter()
+                    .copied()
+                    .filter(|w| !core_facts.contains(w))
+                    .collect::<Vec<_>>()
+            });
         let mut weights = Weights::new();
-        let mut fact_gate: std::collections::BTreeMap<FactId, GateId> = Default::default();
-        let mut disjuncts = Vec::new();
-        for m in &matches {
-            let mut conjuncts = Vec::new();
-            let mut dead = false;
-            for &witness in &m.witnesses {
-                if core_facts.contains(&witness) {
-                    if !core_present.contains(&witness) {
-                        dead = true;
-                        break;
-                    }
-                } else {
-                    let gate = *fact_gate.entry(witness).or_insert_with(|| {
-                        weights.set(tid.fact_event(witness), tid.probability(witness));
-                        circuit.add_input(tid.fact_event(witness))
-                    });
-                    conjuncts.push(gate);
-                }
-            }
-            if dead {
-                continue;
-            }
-            conjuncts.sort();
-            conjuncts.dedup();
-            disjuncts.push(circuit.add_and(conjuncts));
-        }
-        let output = circuit.add_or(disjuncts);
-        circuit.set_output(output);
+        let circuit = match_lineage(Circuit::new(), residual_matches, |circuit, f| {
+            weights.set(tid.fact_event(f), tid.probability(f));
+            circuit.add_input(tid.fact_event(f))
+        });
         // The tentacle lineage is small and tree-like: DPLL handles it
         // exactly (and cheaply); this integrates the tentacles out.
         let residual = DpllCounter::default().probability(&circuit, &weights)?;
@@ -186,7 +176,7 @@ mod tests {
         let r = tid.instance().find_relation("R").unwrap();
         for f in tid.instance().facts_of(r) {
             assert!(
-                !core.contains(&f),
+                !core.contains(f),
                 "tentacle fact {f:?} wrongly classified as core"
             );
         }

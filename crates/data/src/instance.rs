@@ -303,12 +303,10 @@ impl Instance {
         self.relation_sizes.get(relation.0).copied().unwrap_or(0)
     }
 
-    /// All fact ids of a given relation.
-    pub fn facts_of(&self, relation: RelId) -> Vec<FactId> {
-        self.facts()
-            .filter(|(_, f)| f.relation == relation)
-            .map(|(id, _)| id)
-            .collect()
+    /// All fact ids of a given relation, in id order, read from the
+    /// [`FactIndex`] (built on the first call after a fact change).
+    pub fn facts_of(&self, relation: RelId) -> &[FactId] {
+        self.fact_index().facts_of(relation)
     }
 
     /// The [`FactIndex`] of the current facts: built in one linear pass on
@@ -325,9 +323,16 @@ impl Instance {
 
     /// True if the instance contains the exact fact.
     pub fn contains(&self, relation: RelId, args: &[ConstId]) -> bool {
+        self.find_fact(relation, args).is_some()
+    }
+
+    /// The first fact equal to `relation(args)`, by a scan (no index is
+    /// built, so it is cheap between fact changes).
+    pub fn find_fact(&self, relation: RelId, args: &[ConstId]) -> Option<FactId> {
         self.facts
             .iter()
-            .any(|f| f.relation == relation && f.args == args)
+            .position(|f| f.relation == relation && f.args == args)
+            .map(FactId)
     }
 
     /// Renders a fact for debugging and examples, e.g. `R(a, b)`.
@@ -514,12 +519,18 @@ mod tests {
         let index = inst.fact_index();
         for name in ["R", "S"] {
             let relation = inst.find_relation(name).unwrap();
-            assert_eq!(index.facts_of(relation), inst.facts_of(relation), "{name}");
+            let of_relation: Vec<FactId> = inst
+                .facts()
+                .filter(|(_, f)| f.relation == relation)
+                .map(|(id, _)| id)
+                .collect();
+            assert_eq!(index.facts_of(relation), of_relation, "{name}");
+            assert_eq!(inst.facts_of(relation), of_relation, "{name}");
             for position in 0..3 {
                 for c in 0..inst.constant_count() {
-                    let scan: Vec<FactId> = inst
-                        .facts_of(relation)
-                        .into_iter()
+                    let scan: Vec<FactId> = of_relation
+                        .iter()
+                        .copied()
                         .filter(|&f| inst.fact(f).args.get(position) == Some(&ConstId(c)))
                         .collect();
                     assert_eq!(index.facts_with(relation, position, ConstId(c)), scan);

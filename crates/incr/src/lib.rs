@@ -16,9 +16,9 @@
 //!   a [`StructureImpact`] (what the decomposition cache may keep: nothing
 //!   changed / shrunk in place / grown by these cliques / opaque) and a
 //!   [`LineagePatch`] (reuse verbatim / rewire inputs and extend with the
-//!   new matches / rebuild).
-//! * [`matches`](mod@matches) — delta-join enumeration of the query matches an insertion
-//!   adds, without re-enumerating the old ones.
+//!   new matches / rebuild). The new matches come from the pivoted delta
+//!   join of [`stuc_query::eval::delta_match_witnesses`], without
+//!   re-enumerating the old ones.
 //! * [`log`] — [`UpdateLog`], an append-only record of applied deltas that
 //!   can replay itself onto a replica.
 //!
@@ -46,7 +46,6 @@
 
 pub mod delta;
 pub mod log;
-pub mod matches;
 pub mod updatable;
 
 pub use delta::{Delta, DeltaOp, UpdateError};

@@ -18,7 +18,7 @@
 //! of one identity hash of the instance: a rekey shares the compiled
 //! circuit (same `Arc`, warm sweep arena), a rewire carries the sweep plan
 //! over relabelled, and an extend finds the new matches with the indexed
-//! delta join of [`crate::matches`] (then repairs the circuit-graph
+//! delta join of [`stuc_query::eval::delta_match_witnesses`] (then repairs the circuit-graph
 //! decomposition and re-plans).
 //!
 //! | op | TID | pc | pcc | PrXML |
@@ -28,9 +28,8 @@
 //! | `DeleteFact` | rekey + rewire, keep the plan | rebuild lineage | rebuild lineage | rebuild |
 
 use crate::delta::{Delta, DeltaOp, UpdateError};
-use crate::matches::delta_match_witnesses;
 use std::collections::{BTreeMap, BTreeSet};
-use stuc_circuit::circuit::{Circuit, Gate, GateId, VarId};
+use stuc_circuit::circuit::{Circuit, Gate, VarId};
 use stuc_circuit::weights::validate_probability;
 use stuc_data::cinstance::PcInstance;
 use stuc_data::formula::Formula;
@@ -41,6 +40,8 @@ use stuc_graph::graph::VertexId;
 use stuc_prxml::document::{NodeId, PrXmlDocument};
 use stuc_prxml::queries::PrxmlQuery;
 use stuc_query::cq::ConjunctiveQuery;
+use stuc_query::eval::delta_match_witnesses;
+use stuc_query::lineage::match_lineage;
 
 /// How a delta changed the representation's structure graph.
 #[derive(Debug, Clone, PartialEq)]
@@ -269,26 +270,11 @@ impl Updatable for TidInstance {
     }
 
     fn delta_lineage(&self, query: &ConjunctiveQuery, inserted: &[FactId]) -> Option<Circuit> {
-        let inserted: BTreeSet<FactId> = inserted.iter().copied().collect();
-        let mut circuit = Circuit::new();
-        let mut fact_gate: BTreeMap<usize, GateId> = BTreeMap::new();
-        let mut disjuncts = Vec::new();
-        for witnesses in delta_match_witnesses(self.instance(), query, &inserted) {
-            let mut conjuncts: Vec<GateId> = witnesses
-                .into_iter()
-                .map(|f| {
-                    *fact_gate
-                        .entry(f.0)
-                        .or_insert_with(|| circuit.add_input(self.fact_event(f)))
-                })
-                .collect();
-            conjuncts.sort();
-            conjuncts.dedup();
-            disjuncts.push(circuit.add_and(conjuncts));
-        }
-        let output = circuit.add_or(disjuncts);
-        circuit.set_output(output);
-        Some(circuit)
+        Some(match_lineage(
+            Circuit::new(),
+            delta_match_witnesses(self.instance(), query, inserted),
+            |circuit, f| circuit.add_input(self.fact_event(f)),
+        ))
     }
 }
 
@@ -376,28 +362,11 @@ impl Updatable for PcInstance {
     }
 
     fn delta_lineage(&self, query: &ConjunctiveQuery, inserted: &[FactId]) -> Option<Circuit> {
-        let inserted: BTreeSet<FactId> = inserted.iter().copied().collect();
-        let mut circuit = Circuit::new();
-        let mut fact_gate: BTreeMap<usize, GateId> = BTreeMap::new();
-        let mut disjuncts = Vec::new();
-        for witnesses in delta_match_witnesses(self.instance(), query, &inserted) {
-            let mut conjuncts: Vec<GateId> = witnesses
-                .into_iter()
-                .map(|f| {
-                    *fact_gate.entry(f.0).or_insert_with(|| {
-                        self.cinstance()
-                            .annotation(f)
-                            .append_to_circuit(&mut circuit)
-                    })
-                })
-                .collect();
-            conjuncts.sort();
-            conjuncts.dedup();
-            disjuncts.push(circuit.add_and(conjuncts));
-        }
-        let output = circuit.add_or(disjuncts);
-        circuit.set_output(output);
-        Some(circuit)
+        Some(match_lineage(
+            Circuit::new(),
+            delta_match_witnesses(self.instance(), query, inserted),
+            |circuit, f| self.cinstance().annotation(f).append_to_circuit(circuit),
+        ))
     }
 }
 
@@ -499,23 +468,15 @@ impl Updatable for PccInstance {
     }
 
     fn delta_lineage(&self, query: &ConjunctiveQuery, inserted: &[FactId]) -> Option<Circuit> {
-        let inserted: BTreeSet<FactId> = inserted.iter().copied().collect();
         // Self-contained delta over the event variables: a copy of the
         // annotation circuit plus the OR-of-ANDs of the new matches' gates.
         // Shared variables are merged with the cached circuit's inputs when
         // the engine folds the delta in.
-        let mut circuit = self.annotation_circuit().clone();
-        let mut disjuncts = Vec::new();
-        for witnesses in delta_match_witnesses(self.instance(), query, &inserted) {
-            let mut conjuncts: Vec<GateId> =
-                witnesses.into_iter().map(|f| self.fact_gate(f)).collect();
-            conjuncts.sort();
-            conjuncts.dedup();
-            disjuncts.push(circuit.add_and(conjuncts));
-        }
-        let output = circuit.add_or(disjuncts);
-        circuit.set_output(output);
-        Some(circuit)
+        Some(match_lineage(
+            self.annotation_circuit().clone(),
+            delta_match_witnesses(self.instance(), query, inserted),
+            |_, f| self.fact_gate(f),
+        ))
     }
 }
 
@@ -823,6 +784,40 @@ mod tests {
         assert_eq!(
             remap,
             BTreeMap::from([(VarId(2), VarId(1)), (VarId(4), VarId(2))])
+        );
+    }
+
+    /// Each representation's delta lineage after a two-fact insert, pinned
+    /// gate for gate (the witnesses come in the delta join's pivot order).
+    #[test]
+    fn delta_lineages_are_pinned_gate_for_gate() {
+        let query = ConjunctiveQuery::parse("R(x, y), R(y, z)").unwrap();
+        let delta = Delta::new()
+            .insert("R", &["c4", "c5"], 0.5)
+            .insert("R", &["c5", "c6"], 0.5);
+        let mut tid = path_tid(4, 0.5);
+        let inserted = tid.apply_delta(&delta).unwrap().inserted;
+        assert_eq!(
+            format!("{:?}", tid.delta_lineage(&query, &inserted).unwrap()),
+            "Circuit { gates: [Input(VarId(4)), Input(VarId(5)), And([GateId(0), GateId(1)]), Input(VarId(3)), And([GateId(0), GateId(3)]), Or([GateId(2), GateId(4)])], output: Some(GateId(5)) }"
+        );
+        let mut pc = path_tid(4, 0.5).to_pc_instance();
+        let inserted = pc.apply_delta(&delta).unwrap().inserted;
+        assert_eq!(
+            format!("{:?}", pc.delta_lineage(&query, &inserted).unwrap()),
+            "Circuit { gates: [Input(VarId(4)), Input(VarId(5)), And([GateId(0), GateId(1)]), Input(VarId(3)), And([GateId(0), GateId(3)]), Or([GateId(2), GateId(4)])], output: Some(GateId(5)) }"
+        );
+        let mut pcc = PccInstance::new();
+        let v = VarId(0);
+        let gate = pcc.annotation_circuit_mut().add_input(v);
+        pcc.probabilities_mut().set(v, 0.9);
+        for i in 0..4 {
+            pcc.add_fact_with_gate("R", &[&format!("c{i}"), &format!("c{}", i + 1)], gate);
+        }
+        let inserted = pcc.apply_delta(&delta).unwrap().inserted;
+        assert_eq!(
+            format!("{:?}", pcc.delta_lineage(&query, &inserted).unwrap()),
+            "Circuit { gates: [Input(VarId(0)), Input(VarId(1)), Input(VarId(2)), And([GateId(1), GateId(2)]), And([GateId(0), GateId(1)]), Or([GateId(3), GateId(4)])], output: Some(GateId(5)) }"
         );
     }
 }

@@ -126,25 +126,16 @@ impl RouteDecision {
 /// Cap on the estimated match count, to keep products finite.
 const MATCH_ESTIMATE_CAP: f64 = 1e12;
 
-/// The cost model. Tunable constants are public fields so experiments can
-/// re-weight the routes without recompiling call sites.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CostModel {
-    /// Per-gate cost factor of the compiled-circuit route.
-    pub gate_factor: f64,
-    /// Multiplicative discount applied to the circuit route when a
-    /// compiled circuit is already cached.
-    pub cached_discount: f64,
-}
+/// Per-gate cost factor of the compiled-circuit route.
+const GATE_FACTOR: f64 = 3.0;
 
-impl Default for CostModel {
-    fn default() -> Self {
-        CostModel {
-            gate_factor: 3.0,
-            cached_discount: 0.1,
-        }
-    }
-}
+/// Multiplicative discount applied to the circuit route when a compiled
+/// circuit is already cached.
+const CACHED_DISCOUNT: f64 = 0.1;
+
+/// The cost model that scores the safe-plan and circuit routes.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct CostModel;
 
 impl CostModel {
     /// Estimated cost of evaluating one CQ term with the safe-plan rules:
@@ -176,7 +167,7 @@ impl CostModel {
             matches =
                 (matches * (stats.fan_in(&atom.relation).max(1) as f64)).min(MATCH_ESTIMATE_CAP);
         }
-        scan + self.gate_factor * matches
+        scan + GATE_FACTOR * matches
     }
 
     /// Scores both routes for a lowered goal and picks the cheaper
@@ -200,7 +191,7 @@ impl CostModel {
             circuit_cost += self.circuit_cost(query, stats);
         }
         if cached_lineage {
-            circuit_cost *= self.cached_discount;
+            circuit_cost *= CACHED_DISCOUNT;
         }
         let route = if safe_eligible && safe_cost <= circuit_cost {
             Route::SafePlan
@@ -246,7 +237,7 @@ mod tests {
     #[test]
     fn hierarchical_queries_route_to_the_safe_plan() {
         let goal = lowered("?- R(x), S(x, y).");
-        let decision = CostModel::default().choose(&goal, &stats(&[("R", 100), ("S", 100)]), false);
+        let decision = CostModel.choose(&goal, &stats(&[("R", 100), ("S", 100)]), false);
         assert!(decision.safe_eligible);
         assert_eq!(decision.route, Route::SafePlan);
         assert!(decision.summary().contains("safe-plan"));
@@ -256,8 +247,7 @@ mod tests {
     fn the_hard_query_routes_to_the_circuit() {
         // R(x), S(x, y), T(y) — the canonical non-hierarchical query.
         let goal = lowered("?- R(x), S(x, y), T(y).");
-        let decision =
-            CostModel::default().choose(&goal, &stats(&[("R", 10), ("S", 10), ("T", 10)]), false);
+        let decision = CostModel.choose(&goal, &stats(&[("R", 10), ("S", 10), ("T", 10)]), false);
         assert!(!decision.safe_eligible);
         assert_eq!(decision.route, Route::Circuit);
         assert!(decision.summary().contains("inapplicable"));
@@ -266,7 +256,7 @@ mod tests {
     #[test]
     fn self_joins_disqualify_the_safe_plan() {
         let goal = lowered("?- R(x, y), R(y, z).");
-        let decision = CostModel::default().choose(&goal, &stats(&[("R", 10)]), false);
+        let decision = CostModel.choose(&goal, &stats(&[("R", 10)]), false);
         assert!(!decision.safe_eligible);
         assert_eq!(decision.route, Route::Circuit);
     }
@@ -276,7 +266,7 @@ mod tests {
         // The union's cross term R(x__d0), S(x__d1) stays hierarchical
         // (variables in disjoint atom sets), so the goal is still safe.
         let goal = lowered("?- R(x); S(x).");
-        let decision = CostModel::default().choose(&goal, &stats(&[("R", 5), ("S", 5)]), false);
+        let decision = CostModel.choose(&goal, &stats(&[("R", 5), ("S", 5)]), false);
         assert!(decision.safe_eligible);
         assert_eq!(decision.route, Route::SafePlan);
     }
@@ -284,7 +274,7 @@ mod tests {
     #[test]
     fn cached_lineage_discounts_the_circuit_route() {
         let goal = lowered("?- R(x), S(x, y).");
-        let model = CostModel::default();
+        let model = CostModel;
         let s = stats(&[("R", 3), ("S", 3)]);
         let cold = model.choose(&goal, &s, false);
         let warm = model.choose(&goal, &s, true);
@@ -295,7 +285,7 @@ mod tests {
     #[test]
     fn match_estimates_are_capped() {
         let goal = lowered("?- R(x), S(x, y).");
-        let decision = CostModel::default().choose(
+        let decision = CostModel.choose(
             &goal,
             &stats(&[("R", 10_000_000), ("S", 10_000_000)]),
             false,
@@ -306,7 +296,7 @@ mod tests {
     #[test]
     fn zero_fan_in_relations_cost_nothing_on_the_safe_route() {
         let goal = lowered("?- Missing(x).");
-        let model = CostModel::default();
+        let model = CostModel;
         let decision = model.choose(&goal, &stats(&[]), false);
         assert_eq!(decision.safe_cost, 0.0);
         assert_eq!(decision.route, Route::SafePlan);

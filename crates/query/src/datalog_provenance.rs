@@ -20,6 +20,7 @@ use std::collections::BTreeMap;
 use crate::cq::ConjunctiveQuery;
 use crate::datalog::{DatalogError, DatalogProgram};
 use crate::eval::all_matches;
+use crate::lineage::match_lineage;
 use stuc_circuit::circuit::{Circuit, GateId};
 use stuc_data::cinstance::CInstance;
 use stuc_data::instance::{FactId, Instance};
@@ -177,11 +178,7 @@ impl DatalogProvenance {
             .map(|a| self.saturated.find_constant(a))
             .collect();
         let argument_ids = argument_ids?;
-        let fact = self
-            .saturated
-            .facts()
-            .find(|(_, f)| f.relation == relation_id && f.args == argument_ids)
-            .map(|(id, _)| id)?;
+        let fact = self.saturated.find_fact(relation_id, &argument_ids)?;
         let mut circuit = self.circuit.clone();
         circuit.set_output(self.fact_gates[&fact]);
         Some(circuit)
@@ -192,22 +189,12 @@ impl DatalogProvenance {
     /// lineage gates. This is how a query mixing extensional and derived
     /// relations is evaluated on the uncertain instance.
     pub fn query_lineage(&self, query: &ConjunctiveQuery) -> Circuit {
-        let mut circuit = self.circuit.clone();
         let matches = all_matches(&self.saturated, query);
-        let mut disjuncts = Vec::with_capacity(matches.len());
-        for homomorphism in matches {
-            let mut conjuncts: Vec<GateId> = homomorphism
-                .witnesses
-                .iter()
-                .map(|witness| self.fact_gates[witness])
-                .collect();
-            conjuncts.sort();
-            conjuncts.dedup();
-            disjuncts.push(circuit.add_and(conjuncts));
-        }
-        let output = circuit.add_or(disjuncts);
-        circuit.set_output(output);
-        circuit
+        match_lineage(
+            self.circuit.clone(),
+            matches.into_iter().map(|m| m.witnesses),
+            |_, witness| self.fact_gates[&witness],
+        )
     }
 }
 

@@ -7,11 +7,13 @@
 //!
 //! * [`cq`] — conjunctive queries (existentially quantified conjunctions of
 //!   atoms), with a small parser and free variables for non-Boolean queries;
-//! * [`eval`] — query evaluation on plain instances by backtracking join
-//!   (homomorphism search);
-//! * [`lineage`] — lineage circuits of Boolean CQs over TID instances and
-//!   c-instances: the OR-over-matches / AND-over-atoms circuit whose
-//!   probability is the query probability (the "intensional" method);
+//! * [`eval`] — the one homomorphism search: an indexed backtracking join
+//!   on plain instances, run in query order for all matches or pivoted on
+//!   inserted facts for the matches an insertion adds (the delta join);
+//! * [`lineage`] — lineage circuits of Boolean CQs over TID, c- and
+//!   pcc-instances: the OR-over-matches / AND-over-atoms circuit whose
+//!   probability is the query probability (the "intensional" method),
+//!   built for every caller by one builder, [`lineage::match_lineage`];
 //! * [`safe`] — the hierarchical-query test and safe-plan ("extensional")
 //!   probability evaluation for self-join-free CQs on TIDs, the classic
 //!   Dalvi–Suciu tractable case used as a baseline in experiment E5;

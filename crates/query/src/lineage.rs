@@ -18,8 +18,34 @@ use crate::eval::all_matches;
 use std::collections::BTreeMap;
 use stuc_circuit::circuit::{Circuit, GateId};
 use stuc_data::cinstance::CInstance;
+use stuc_data::instance::FactId;
 use stuc_data::pcc::PccInstance;
 use stuc_data::tid::TidInstance;
+
+/// The one lineage builder: extends `circuit` with the OR, over the witness
+/// lists, of the AND of each list's fact gates (sorted and deduplicated),
+/// and makes that OR the output. `fact_gate` adds or names the gate of a
+/// fact; it is asked once per fact, in order of first use, and memoised.
+pub fn match_lineage(
+    mut circuit: Circuit,
+    witness_lists: impl IntoIterator<Item = Vec<FactId>>,
+    mut fact_gate: impl FnMut(&mut Circuit, FactId) -> GateId,
+) -> Circuit {
+    let mut gates: BTreeMap<FactId, GateId> = BTreeMap::new();
+    let mut disjuncts = Vec::new();
+    for witnesses in witness_lists {
+        let mut conjuncts: Vec<GateId> = witnesses
+            .into_iter()
+            .map(|f| *gates.entry(f).or_insert_with(|| fact_gate(&mut circuit, f)))
+            .collect();
+        conjuncts.sort();
+        conjuncts.dedup();
+        disjuncts.push(circuit.add_and(conjuncts));
+    }
+    let output = circuit.add_or(disjuncts);
+    circuit.set_output(output);
+    circuit
+}
 
 /// Builds the lineage circuit of a Boolean CQ on a TID instance.
 ///
@@ -27,69 +53,36 @@ use stuc_data::tid::TidInstance;
 /// (matching [`TidInstance::fact_event`]); the circuit is the OR over all
 /// matches of the AND of the witnesses' variables.
 pub fn tid_lineage(tid: &TidInstance, query: &ConjunctiveQuery) -> Circuit {
-    let mut circuit = Circuit::new();
     let matches = all_matches(tid.instance(), query);
-    // Share one input gate per fact.
-    let mut fact_gate: BTreeMap<usize, GateId> = BTreeMap::new();
-    let mut disjuncts = Vec::with_capacity(matches.len());
-    for m in matches {
-        let mut conjuncts = Vec::with_capacity(m.witnesses.len());
-        for f in m.witnesses {
-            let gate = *fact_gate
-                .entry(f.0)
-                .or_insert_with(|| circuit.add_input(tid.fact_event(f)));
-            conjuncts.push(gate);
-        }
-        conjuncts.sort();
-        conjuncts.dedup();
-        disjuncts.push(circuit.add_and(conjuncts));
-    }
-    let output = circuit.add_or(disjuncts);
-    circuit.set_output(output);
-    circuit
+    match_lineage(
+        Circuit::new(),
+        matches.into_iter().map(|m| m.witnesses),
+        |circuit, f| circuit.add_input(tid.fact_event(f)),
+    )
 }
 
 /// Builds the lineage circuit of a Boolean CQ on a c-instance: the OR over
 /// matches of the AND of the witnesses' annotation formulas (compiled into
 /// the circuit, shared per fact).
 pub fn cinstance_lineage(ci: &CInstance, query: &ConjunctiveQuery) -> Circuit {
-    let mut circuit = Circuit::new();
     let matches = all_matches(ci.instance(), query);
-    let mut fact_gate: BTreeMap<usize, GateId> = BTreeMap::new();
-    let mut disjuncts = Vec::with_capacity(matches.len());
-    for m in matches {
-        let mut conjuncts = Vec::with_capacity(m.witnesses.len());
-        for f in m.witnesses {
-            let gate = *fact_gate
-                .entry(f.0)
-                .or_insert_with(|| ci.annotation(f).append_to_circuit(&mut circuit));
-            conjuncts.push(gate);
-        }
-        conjuncts.sort();
-        conjuncts.dedup();
-        disjuncts.push(circuit.add_and(conjuncts));
-    }
-    let output = circuit.add_or(disjuncts);
-    circuit.set_output(output);
-    circuit
+    match_lineage(
+        Circuit::new(),
+        matches.into_iter().map(|m| m.witnesses),
+        |circuit, f| ci.annotation(f).append_to_circuit(circuit),
+    )
 }
 
 /// Builds the lineage circuit of a Boolean CQ on a pcc-instance by extending
 /// a copy of the shared annotation circuit with the OR-of-ANDs of the
 /// matched facts' annotation gates.
 pub fn pcc_lineage(pcc: &PccInstance, query: &ConjunctiveQuery) -> Circuit {
-    let mut circuit = pcc.annotation_circuit().clone();
     let matches = all_matches(pcc.instance(), query);
-    let mut disjuncts = Vec::with_capacity(matches.len());
-    for m in matches {
-        let mut conjuncts: Vec<GateId> = m.witnesses.iter().map(|&f| pcc.fact_gate(f)).collect();
-        conjuncts.sort();
-        conjuncts.dedup();
-        disjuncts.push(circuit.add_and(conjuncts));
-    }
-    let output = circuit.add_or(disjuncts);
-    circuit.set_output(output);
-    circuit
+    match_lineage(
+        pcc.annotation_circuit().clone(),
+        matches.into_iter().map(|m| m.witnesses),
+        |_, f| pcc.fact_gate(f),
+    )
 }
 
 #[cfg(test)]
@@ -142,16 +135,20 @@ mod tests {
         assert_eq!(p, 0.0);
     }
 
+    /// "Some round trip CDG → MEL → CDG exists".
+    fn round_trip_query() -> ConjunctiveQuery {
+        ConjunctiveQuery::parse(
+            "Trip(\"Paris_CDG\", \"Melbourne_MEL\"), Trip(\"Melbourne_MEL\", \"Paris_CDG\")",
+        )
+        .unwrap()
+    }
+
     #[test]
     fn cinstance_lineage_on_table1() {
         // "Some round trip CDG → MEL → CDG exists" requires pods (first leg)
         // and pods ∧ ¬stoc (return leg): probability = P(pods) · P(¬stoc).
         let ci = CInstance::table1_example();
-        let q = ConjunctiveQuery::parse(
-            "Trip(\"Paris_CDG\", \"Melbourne_MEL\"), Trip(\"Melbourne_MEL\", \"Paris_CDG\")",
-        )
-        .unwrap();
-        let lineage = cinstance_lineage(&ci, &q);
+        let lineage = cinstance_lineage(&ci, &round_trip_query());
         let pods = ci.events().find("pods").unwrap();
         let stoc = ci.events().find("stoc").unwrap();
         let mut w = Weights::new();
@@ -184,16 +181,22 @@ mod tests {
         assert!((from_lineage - from_worlds).abs() < 1e-12);
     }
 
-    #[test]
-    fn pcc_lineage_uses_shared_annotations() {
-        // Two facts correlated by a single trust event: the query needing
-        // both facts has probability equal to the trust probability.
+    /// Two facts correlated by a single trust event.
+    fn shared_trust_pcc() -> PccInstance {
         let mut pcc = PccInstance::new();
         let jane = stuc_circuit::circuit::VarId(0);
         let gate = pcc.annotation_circuit_mut().add_input(jane);
         pcc.probabilities_mut().set(jane, 0.9);
         pcc.add_fact_with_gate("PlaceOfBirth", &["manning", "crescent"], gate);
         pcc.add_fact_with_gate("Surname", &["manning", "manning_s"], gate);
+        pcc
+    }
+
+    #[test]
+    fn pcc_lineage_uses_shared_annotations() {
+        // The query needing both facts has probability equal to the trust
+        // probability.
+        let pcc = shared_trust_pcc();
         let q = ConjunctiveQuery::parse("PlaceOfBirth(x, y), Surname(x, z)").unwrap();
         let lineage = pcc_lineage(&pcc, &q);
         let p = probability_by_enumeration(&lineage, pcc.probabilities()).unwrap();
@@ -218,5 +221,26 @@ mod tests {
         let lineage = tid_lineage(&tid, &q);
         let p = probability_by_enumeration(&lineage, &tid.fact_weights()).unwrap();
         assert!((p - 0.5).abs() < 1e-12);
+    }
+
+    /// The circuits are pinned gate for gate: a change of match order, gate
+    /// order or deduplication shows here even when probabilities agree.
+    #[test]
+    fn lineage_circuits_are_pinned_gate_for_gate() {
+        let ci = CInstance::table1_example();
+        assert_eq!(
+            format!("{:?}", cinstance_lineage(&ci, &round_trip_query())),
+            "Circuit { gates: [Input(VarId(0)), Input(VarId(0)), Input(VarId(1)), Not(GateId(2)), And([GateId(1), GateId(3)]), And([GateId(0), GateId(4)]), Or([GateId(5)])], output: Some(GateId(6)) }"
+        );
+        let q = ConjunctiveQuery::parse("PlaceOfBirth(x, y), Surname(x, z)").unwrap();
+        assert_eq!(
+            format!("{:?}", pcc_lineage(&shared_trust_pcc(), &q)),
+            "Circuit { gates: [Input(VarId(0)), And([GateId(0)]), Or([GateId(1)])], output: Some(GateId(2)) }"
+        );
+        let q = ConjunctiveQuery::parse("R(x, y), R(y, z)").unwrap();
+        assert_eq!(
+            format!("{:?}", tid_lineage(&path_tid(6, 0.5), &q)),
+            "Circuit { gates: [Input(VarId(0)), Input(VarId(1)), And([GateId(0), GateId(1)]), Input(VarId(2)), And([GateId(1), GateId(3)]), Input(VarId(3)), And([GateId(3), GateId(5)]), Input(VarId(4)), And([GateId(5), GateId(7)]), Input(VarId(5)), And([GateId(7), GateId(9)]), Or([GateId(2), GateId(4), GateId(6), GateId(8), GateId(10)])], output: Some(GateId(11)) }"
+        );
     }
 }

@@ -126,7 +126,8 @@ fn compatible_facts(tid: &TidInstance, atom: &Atom) -> Vec<FactId> {
     }
     tid.instance()
         .facts_of(relation)
-        .into_iter()
+        .iter()
+        .copied()
         .filter(|&f| {
             let args = &tid.instance().fact(f).args;
             args.len() == atom.args.len()

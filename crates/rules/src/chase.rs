@@ -6,10 +6,11 @@ use std::collections::{BTreeMap, BTreeSet};
 use stuc_circuit::circuit::{Circuit, GateId, VarId};
 use stuc_circuit::compiled::{one_shot_probability, OneShotError};
 use stuc_circuit::weights::Weights;
-use stuc_data::instance::{FactId, Instance};
+use stuc_data::instance::{ConstId, FactId, Instance};
 use stuc_data::tid::TidInstance;
 use stuc_query::cq::{ConjunctiveQuery, Term};
 use stuc_query::eval::all_matches;
+use stuc_query::lineage::match_lineage;
 
 /// Configuration of the probabilistic chase.
 #[derive(Debug, Clone)]
@@ -200,19 +201,15 @@ impl ProbabilisticChase {
                         // Reuse an existing identical fact if the head has no
                         // existential variables; otherwise always create a
                         // fresh fact (fresh nulls are never equal to anything).
-                        let relation_id = instance.find_relation(&head_atom.relation);
+                        // An unknown relation or constant name means no
+                        // such fact exists yet.
                         let existing = if null_names.is_empty() {
-                            relation_id.and_then(|r| {
-                                instance.facts_of(r).into_iter().find(|&f| {
-                                    let fact = instance.fact(f);
-                                    fact.args.len() == args.len()
-                                        && fact
-                                            .args
-                                            .iter()
-                                            .zip(&args)
-                                            .all(|(&c, a)| instance.constant_name(c) == a)
-                                })
-                            })
+                            let relation = instance.find_relation(&head_atom.relation);
+                            let constants: Option<Vec<ConstId>> =
+                                args.iter().map(|a| instance.find_constant(a)).collect();
+                            relation
+                                .zip(constants)
+                                .and_then(|(r, constants)| instance.find_fact(r, &constants))
                         } else {
                             None
                         };
@@ -282,18 +279,12 @@ impl ChaseResult {
     /// The probability that a Boolean conjunctive query holds on the
     /// completed instance (base and derived facts together).
     pub fn query_probability(&self, query: &ConjunctiveQuery) -> Result<f64, ChaseError> {
-        let mut circuit = self.circuit.clone();
         let matches = all_matches(&self.instance, query);
-        let mut disjuncts = Vec::with_capacity(matches.len());
-        for m in matches {
-            let mut gates: Vec<GateId> =
-                m.witnesses.iter().map(|&f| self.fact_gates[f.0]).collect();
-            gates.sort();
-            gates.dedup();
-            disjuncts.push(circuit.add_and(gates));
-        }
-        let output = circuit.add_or(disjuncts);
-        circuit.set_output(output);
+        let circuit = match_lineage(
+            self.circuit.clone(),
+            matches.into_iter().map(|m| m.witnesses),
+            |_, f| self.fact_gates[f.0],
+        );
         Ok(one_shot_probability(&circuit, &self.weights)?)
     }
 
@@ -327,7 +318,8 @@ mod tests {
         let alice_lives = result
             .instance
             .facts_of(lives)
-            .into_iter()
+            .iter()
+            .copied()
             .find(|&f| result.instance.render_fact(f).contains("alice"))
             .unwrap();
         let p = result.fact_probability(alice_lives).unwrap();
