@@ -29,7 +29,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 use stuc_circuit::circuit::{Circuit, GateId, VarId};
-use stuc_data::instance::{ConstId, FactId, Instance};
+use stuc_data::instance::{ConstId, FactId, Instance, RelId};
 use stuc_data::tid::TidInstance;
 use stuc_graph::graph::VertexId;
 use stuc_graph::nice::{NiceDecomposition, NiceNodeKind};
@@ -234,75 +234,126 @@ impl CompiledQuery {
     }
 }
 
-/// The facts the body can reach: per atom, the facts of its relation and
-/// arity whose constants and repeated variables fit (looked up in the
-/// instance's fact index on the first constant), then pruned to arc
-/// consistency — a fact stays only while every variable it binds has a
-/// value some fact of every other atom using that variable also offers.
-/// Every fact of a match survives, since the match itself supports it.
-/// Propagation stops after `atoms + 1` rounds (each round only drops
-/// facts, so stopping early keeps a superset, which is still exact).
-/// Returns the kept facts in identifier order; none when some atom has no
-/// candidate left.
+/// The facts the body can reach, seeded from the instance's fact index and
+/// then pruned to arc consistency — a fact stays only while every variable
+/// it binds has a value some fact of every other atom using that variable
+/// also offers.
+///
+/// Seeding touches only what the constants reach. An atom with a constant
+/// starts from the facts holding that constant at its position. An atom
+/// sharing a variable with seeded atoms starts from the facts holding, at
+/// that variable's position, a value all those atoms offer — repeated until
+/// no atom can be seeded this way. Only atoms in a body component without a
+/// constant start from their whole relation. Every seed has the atom's
+/// relation and arity, its constants and agreeing repeated variables.
+///
+/// Every fact of a match survives: its seeds contain it (the match's facts
+/// for the seeded atoms offer its values), and the match itself supports
+/// it in every round. Propagation stops after `atoms + 1` rounds (each
+/// round only drops facts, so stopping early keeps a superset, which is
+/// still exact). Returns the kept facts in identifier order; none when some
+/// atom has no candidate left.
 fn reachable_facts(instance: &Instance, compiled: &CompiledQuery) -> Vec<FactId> {
-    let mut candidates: Vec<Vec<FactId>> = compiled
+    let index = instance.fact_index();
+    let fits = |terms: &[AtomTerm], constants: &[(usize, ConstId)], f: FactId| {
+        let args = &instance.fact(f).args;
+        args.len() == terms.len()
+            && constants.iter().all(|&(i, c)| args[i] == c)
+            && repeats_agree(terms, args)
+    };
+    // Per atom: its relation and its constants with their positions. An
+    // unknown relation or constant matches nothing.
+    let resolved = compiled
         .atoms
         .iter()
         .map(|(relation, terms)| {
-            let Some(relation) = instance.find_relation(relation) else {
-                return Vec::new();
-            };
+            let relation = instance.find_relation(relation)?;
             let mut constants = Vec::new();
             for (position, term) in terms.iter().enumerate() {
                 if let AtomTerm::Constant(name) = term {
-                    match instance.find_constant(name) {
-                        Some(c) => constants.push((position, c)),
-                        None => return Vec::new(),
-                    }
+                    constants.push((position, instance.find_constant(name)?));
                 }
             }
-            let seeds = match constants.first() {
-                Some(&(position, c)) => instance.fact_index().facts_with(relation, position, c),
-                None => instance.facts_of(relation),
-            };
-            seeds
+            Some((relation, constants))
+        })
+        .collect::<Option<Vec<(RelId, Vec<(usize, ConstId)>)>>>();
+    let Some(resolved) = resolved else {
+        return Vec::new();
+    };
+    let mut seeded: Vec<Option<Vec<FactId>>> = compiled
+        .atoms
+        .iter()
+        .zip(&resolved)
+        .map(|((_, terms), (relation, constants))| {
+            let &(position, c) = constants.first()?;
+            let seeds = index.facts_with(*relation, position, c);
+            Some(
+                seeds
+                    .iter()
+                    .copied()
+                    .filter(|&f| fits(terms, constants, f))
+                    .collect(),
+            )
+        })
+        .collect();
+    loop {
+        if seeded.iter().flatten().any(Vec::is_empty) {
+            return Vec::new();
+        }
+        let domains = variable_domains(instance, compiled, seeded.iter().map(Option::as_ref));
+        let mut progressed = false;
+        for atom in 0..compiled.atoms.len() {
+            if seeded[atom].is_some() {
+                continue;
+            }
+            let (_, terms) = &compiled.atoms[atom];
+            let (relation, constants) = &resolved[atom];
+            // The first variable seeded atoms already bind, with the values
+            // they all offer.
+            let bound = terms
                 .iter()
+                .enumerate()
+                .find_map(|(position, term)| match term {
+                    AtomTerm::Variable(v) => domains[*v].as_ref().map(|values| (position, values)),
+                    AtomTerm::Constant(_) => None,
+                });
+            let Some((position, values)) = bound else {
+                continue;
+            };
+            let mut seeds: Vec<FactId> = values
+                .iter()
+                .flat_map(|&c| index.facts_with(*relation, position, c))
                 .copied()
-                .filter(|&f| {
-                    let args = &instance.fact(f).args;
-                    args.len() == terms.len()
-                        && constants.iter().all(|&(i, c)| args[i] == c)
-                        && repeats_agree(terms, args)
-                })
-                .collect()
+                .filter(|&f| fits(terms, constants, f))
+                .collect();
+            seeds.sort_unstable();
+            seeds.dedup();
+            seeded[atom] = Some(seeds);
+            progressed = true;
+        }
+        if !progressed {
+            break;
+        }
+    }
+    let mut candidates: Vec<Vec<FactId>> = seeded
+        .into_iter()
+        .zip(compiled.atoms.iter().zip(&resolved))
+        .map(|(seeds, ((_, terms), (relation, constants)))| {
+            seeds.unwrap_or_else(|| {
+                index
+                    .facts_of(*relation)
+                    .iter()
+                    .copied()
+                    .filter(|&f| fits(terms, constants, f))
+                    .collect()
+            })
         })
         .collect();
     for _ in 0..=compiled.atoms.len() {
         if candidates.iter().any(Vec::is_empty) {
             break;
         }
-        // Each variable's domain (sorted): the values every atom using it
-        // offers.
-        let mut domains: Vec<Option<Vec<ConstId>>> = vec![None; compiled.variables.len()];
-        for ((_, terms), facts) in compiled.atoms.iter().zip(&candidates) {
-            for (position, term) in terms.iter().enumerate() {
-                if let AtomTerm::Variable(v) = term {
-                    let mut offered: Vec<ConstId> = facts
-                        .iter()
-                        .map(|&f| instance.fact(f).args[position])
-                        .collect();
-                    offered.sort_unstable();
-                    offered.dedup();
-                    domains[*v] = Some(match domains[*v].take() {
-                        None => offered,
-                        Some(mut domain) => {
-                            domain.retain(|c| offered.binary_search(c).is_ok());
-                            domain
-                        }
-                    });
-                }
-            }
-        }
+        let domains = variable_domains(instance, compiled, candidates.iter().map(Some));
         let mut changed = false;
         for ((_, terms), facts) in compiled.atoms.iter().zip(&mut candidates) {
             let before = facts.len();
@@ -330,6 +381,40 @@ fn reachable_facts(instance: &Instance, compiled: &CompiledQuery) -> Vec<FactId>
     kept
 }
 
+/// Each variable's domain (sorted): the values every atom using it offers,
+/// over the atoms whose candidates are given (`None` for a variable no such
+/// atom uses).
+fn variable_domains<'a>(
+    instance: &Instance,
+    compiled: &CompiledQuery,
+    candidates: impl Iterator<Item = Option<&'a Vec<FactId>>>,
+) -> Vec<Option<Vec<ConstId>>> {
+    let mut domains: Vec<Option<Vec<ConstId>>> = vec![None; compiled.variables.len()];
+    for ((_, terms), facts) in compiled.atoms.iter().zip(candidates) {
+        let Some(facts) = facts else {
+            continue;
+        };
+        for (position, term) in terms.iter().enumerate() {
+            if let AtomTerm::Variable(v) = term {
+                let mut offered: Vec<ConstId> = facts
+                    .iter()
+                    .map(|&f| instance.fact(f).args[position])
+                    .collect();
+                offered.sort_unstable();
+                offered.dedup();
+                domains[*v] = Some(match domains[*v].take() {
+                    None => offered,
+                    Some(mut domain) => {
+                        domain.retain(|c| offered.binary_search(c).is_ok());
+                        domain
+                    }
+                });
+            }
+        }
+    }
+    domains
+}
+
 /// True when every variable repeated in `terms` meets one constant in
 /// `args` (`R(x, x)` only matches loops).
 fn repeats_agree(terms: &[AtomTerm], args: &[ConstId]) -> bool {
@@ -347,6 +432,13 @@ fn repeats_agree(terms: &[AtomTerm], args: &[ConstId]) -> bool {
 /// constants ([`TreeDecomposition::project`]). The projection is a valid
 /// decomposition of the kept facts' Gaifman graph whenever `decomposition`
 /// is one of the instance's. The automaton runs walk exactly this.
+///
+/// Both halves cost O(reach) once the instance's fact index and the
+/// decomposition's projection index are built (each once per change):
+/// the facts are seeded outward from the body's constants through the
+/// fact index, and the projection visits only bags holding a kept
+/// constant. Only a body component without any constant scans its
+/// relations.
 pub fn restrict_to_reach(
     instance: &Instance,
     decomposition: &TreeDecomposition,
@@ -362,13 +454,13 @@ fn restrict(
     compiled: &CompiledQuery,
 ) -> (Vec<FactId>, TreeDecomposition) {
     let facts = reachable_facts(instance, compiled);
-    let mut kept = vec![false; instance.constant_count()];
-    for &f in &facts {
-        for c in &instance.fact(f).args {
-            kept[c.0] = true;
-        }
-    }
-    let projected = decomposition.project(|v| kept.get(v.index()).copied().unwrap_or(false));
+    let mut kept: Vec<VertexId> = facts
+        .iter()
+        .flat_map(|&f| instance.fact(f).args.iter().map(|c| VertexId(c.0)))
+        .collect();
+    kept.sort_unstable();
+    kept.dedup();
+    let projected = decomposition.project(&kept);
     (facts, projected)
 }
 

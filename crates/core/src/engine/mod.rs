@@ -117,6 +117,7 @@ use stuc_circuit::compiled::{CompiledCircuit, DEFAULT_WIDTH_BUDGET};
 use stuc_circuit::plan::MAX_PLANNED_BAG;
 use stuc_circuit::weights::Weights;
 use stuc_graph::elimination::{decompose_with_heuristic, EliminationHeuristic};
+use stuc_graph::graph::Graph;
 use stuc_graph::TreeDecomposition;
 use stuc_obs::timer::StageRecorder;
 use stuc_obs::{slowlog, trace};
@@ -251,10 +252,13 @@ impl EngineBuilder {
 pub struct Engine {
     config: EngineBuilder,
     /// Decompositions of structure graphs, keyed by representation
-    /// fingerprint. Entries are validated against the structure
-    /// graph before reuse, so a fingerprint collision can never corrupt a
+    /// fingerprint, each beside the structure graph it was built from or
+    /// last validated against (`None` when no graph is known to match).
+    /// An entry is reused unvalidated only by a representation whose
+    /// structure graph is that very allocation; every other hit is
+    /// validated first, so a fingerprint collision can never corrupt a
     /// result — it only costs a recomputation.
-    cache: ShardedCache<u64, Arc<TreeDecomposition>>,
+    cache: ShardedCache<u64, DecompositionEntry>,
     /// Compiled lineage circuits, keyed by `(instance fingerprint, query
     /// fingerprint)`. A hit skips decomposition *and* lineage
     /// construction — probability re-evaluation under changed weights
@@ -276,6 +280,12 @@ const _: () = {
 /// Key of the compiled-lineage cache: instance fingerprint, query
 /// fingerprint.
 type LineageKey = (u64, u64);
+
+/// A decomposition-cache value: the decomposition, and the structure graph
+/// it is known to be valid for. The strong reference keeps that graph
+/// allocated, so `Arc::ptr_eq` against a representation's current graph
+/// cannot be fooled by a freed and reused address.
+type DecompositionEntry = (Arc<TreeDecomposition>, Option<Arc<Graph>>);
 
 /// One lineage-cache lookup of an `(instance, query)` pair: the key, plus
 /// what a hit must additionally match — the exact query text and the
@@ -948,13 +958,19 @@ impl Engine {
     /// served from the cache when the fingerprint matches a prior call.
     ///
     /// A cache hit amortizes the decomposition itself (the superlinear
-    /// part), but still rebuilds the structure graph to validate the cached
-    /// decomposition against it, so a fingerprint collision can never
-    /// yield a wrong width. Both are linear in the instance
-    /// ([`TreeDecomposition::validate`] finds edge coverage through
-    /// per-vertex bag lists). Within the engine, only lineage-cache misses
-    /// come here, and the lineage run then walks only the part of the
-    /// returned decomposition the query can reach.
+    /// part). It is validated once per structure graph: a hit whose stored
+    /// graph is the very allocation [`Representation::structure_graph`]
+    /// returns now is reused as is, since the entry's reference keeps that
+    /// allocation alive and the built-in representations drop their graph
+    /// on every structural change. Any other hit — a fingerprint
+    /// collision, a clone that built its own graph, a representation that
+    /// builds a fresh graph per call, an entry kept across a delete — is
+    /// validated against today's graph (linear, see
+    /// [`TreeDecomposition::validate`]) and, if valid, re-published with
+    /// that graph; so a collision never yields a wrong width. Within the
+    /// engine, only lineage-cache misses come here, and the lineage run
+    /// then walks only the part of the returned decomposition the query can
+    /// reach.
     pub fn decomposition_for<R: Representation + ?Sized>(
         &self,
         representation: &R,
@@ -963,13 +979,19 @@ impl Engine {
         let key = representation.fingerprint();
         let mut stale_resident = false;
         if self.config.cache_decompositions {
-            if let Some(cached) = self.cache.get(&key) {
+            if let Some((cached, known)) = self.cache.get(&key) {
+                if known.is_some_and(|known| Arc::ptr_eq(&known, &graph)) {
+                    self.cache.note_hit();
+                    return (cached, true);
+                }
                 // Fingerprints are not cryptographic: re-validate the
                 // cached decomposition against today's graph so a
                 // collision degrades to a recomputation, never to a
                 // wrong width or an invalid lineage run.
                 if cached.validate(&graph).is_ok() {
                     self.cache.note_hit();
+                    self.cache
+                        .insert_replacing(key, (Arc::clone(&cached), Some(graph)));
                     return (cached, true);
                 }
                 stale_resident = true;
@@ -983,16 +1005,17 @@ impl Engine {
             // so an un-budgeted re-run rebuilds it at full quality.
             return (decomposition, false);
         }
+        let entry = (Arc::clone(&decomposition), Some(graph));
         if stale_resident {
             // A fingerprint-colliding stranger holds the key: replace it, or
             // every future lookup would keep missing.
-            self.cache.insert_replacing(key, Arc::clone(&decomposition));
+            self.cache.insert_replacing(key, entry);
             return (decomposition, false);
         }
         // First-writer-wins publish: concurrent workers that raced on the
         // same fingerprint all converge on whichever decomposition landed
         // first (any valid decomposition of the graph is equally correct).
-        let (decomposition, _won) = self.cache.publish(key, decomposition);
+        let ((decomposition, _), _won) = self.cache.publish(key, entry);
         (decomposition, false)
     }
 }
@@ -1161,7 +1184,7 @@ mod tests {
         let query = ConjunctiveQuery::parse("R(x, y), R(y, z)").unwrap();
         let engine = Engine::new();
         engine.evaluate(&tid, &query).unwrap();
-        let decomposition = |tid: &TidInstance| engine.cache.get(&tid.fingerprint()).unwrap();
+        let decomposition = |tid: &TidInstance| engine.cache.get(&tid.fingerprint()).unwrap().0;
         let planned = |tid: &TidInstance| {
             let probe = engine.lineage_probe(tid, &query).unwrap();
             let entry = engine.lineage_cache.get(&probe.key).unwrap();

@@ -11,6 +11,7 @@
 
 use super::error::StucError;
 use std::borrow::Cow;
+use std::sync::Arc;
 use stuc_circuit::circuit::{Circuit, VarId};
 use stuc_circuit::identity::ContentHasher;
 use stuc_circuit::weights::Weights;
@@ -116,7 +117,16 @@ pub trait Representation: std::fmt::Debug {
     /// tractability parameter: the Gaifman graph for TID and c-instances,
     /// the joint instance+circuit graph for pcc-instances (Theorem 2), the
     /// presence-circuit graph for PrXML.
-    fn structure_graph(&self) -> Graph;
+    ///
+    /// TID, c- and pc-instances hand out their instance's memoised graph
+    /// ([`stuc_data::instance::Instance::shared_gaifman_graph`]): the same
+    /// allocation until a fact or constant changes, so the engine validates
+    /// a cached decomposition once per graph instead of once per goal. A
+    /// representation may return a fresh graph on every call, as
+    /// pcc-instances and PrXML do; that costs a validation per cold goal,
+    /// never a wrong answer. Returning a shared graph that no longer matches
+    /// the content is the one thing an implementation must not do.
+    fn structure_graph(&self) -> Arc<Graph>;
 
     /// The lineage circuit of `query`: true in exactly the possible worlds
     /// where the query holds. `decomposition` is a tree decomposition of
@@ -152,9 +162,11 @@ pub trait Representation: std::fmt::Debug {
 
     /// The primary half of [`Representation::identity`]: the key of the
     /// engine's decomposition cache and of [`crate::engine::Engine::evict_instance`].
-    /// Collisions merely cost a recomputation there, because cached
-    /// decompositions are validated against the structure graph before
-    /// reuse.
+    /// Collisions merely cost a recomputation there: a cached decomposition
+    /// is reused without validation only when it was built from, or
+    /// validated against, the very [`Representation::structure_graph`]
+    /// allocation this representation returns now; any other hit is
+    /// validated against the structure graph first.
     fn fingerprint(&self) -> u64 {
         self.identity().0
     }
@@ -204,8 +216,8 @@ impl Representation for TidInstance {
         TidInstance::fact_count(self)
     }
 
-    fn structure_graph(&self) -> Graph {
-        self.gaifman_graph()
+    fn structure_graph(&self) -> Arc<Graph> {
+        self.instance().shared_gaifman_graph()
     }
 
     fn lineage(
@@ -263,8 +275,8 @@ impl Representation for CInstance {
         self.instance().fact_count()
     }
 
-    fn structure_graph(&self) -> Graph {
-        self.instance().gaifman_graph()
+    fn structure_graph(&self) -> Arc<Graph> {
+        self.instance().shared_gaifman_graph()
     }
 
     fn lineage(
@@ -307,8 +319,8 @@ impl Representation for PcInstance {
         self.instance().fact_count()
     }
 
-    fn structure_graph(&self) -> Graph {
-        self.instance().gaifman_graph()
+    fn structure_graph(&self) -> Arc<Graph> {
+        self.instance().shared_gaifman_graph()
     }
 
     fn lineage(
@@ -355,8 +367,8 @@ impl Representation for PccInstance {
 
     /// The joint instance + annotation-circuit graph, whose treewidth is the
     /// Theorem 2 parameter.
-    fn structure_graph(&self) -> Graph {
-        self.joint_graph()
+    fn structure_graph(&self) -> Arc<Graph> {
+        Arc::new(self.joint_graph())
     }
 
     fn lineage(
@@ -396,9 +408,9 @@ impl Representation for PrXmlDocument {
     /// The graph of the document's presence circuit: tree-shaped documents
     /// with local uncertainty stay width-bounded, and long-range `cie`
     /// events widen it exactly as the paper's event scopes predict.
-    fn structure_graph(&self) -> Graph {
+    fn structure_graph(&self) -> Arc<Graph> {
         let (presence, _) = self.presence_circuit();
-        circuit_graph(&presence)
+        Arc::new(circuit_graph(&presence))
     }
 
     fn lineage(
@@ -462,7 +474,7 @@ mod tests {
             self.0.fact_count()
         }
 
-        fn structure_graph(&self) -> Graph {
+        fn structure_graph(&self) -> Arc<Graph> {
             self.0.structure_graph()
         }
 

@@ -193,15 +193,21 @@ impl Engine {
         // out: from here on a budget trip only costs cache warmth (dropped
         // entries rebuild lazily), never consistency.
         stuc_fault::budget::check("update: decomposition maintenance")?;
-        if let Some(old) = old_decomposition {
+        if let Some((old, known_graph)) = old_decomposition {
             report.width_before = Some(old.width());
-            let patched: Arc<TreeDecomposition> = match &application.structure {
+            // Each arm also says which structure graph the decomposition is
+            // known to be valid for: the next cold goal skips validation
+            // when that is the graph the representation hands out.
+            let (patched, graph): (Arc<TreeDecomposition>, _) = match &application.structure {
                 StructureImpact::Unchanged | StructureImpact::Shrunk => {
                     report
                         .notes
                         .push("structure decomposition rekeyed unchanged".into());
-                    // Shared, not copied: the cached value is immutable.
-                    Arc::clone(&old)
+                    // Shared, not copied: the cached value is immutable. A
+                    // weight change keeps the graph; a deletion leaves it
+                    // unknown, so the next cold goal validates once.
+                    let unchanged = matches!(application.structure, StructureImpact::Unchanged);
+                    (Arc::clone(&old), known_graph.filter(|_| unchanged))
                 }
                 StructureImpact::Grown {
                     vertex_remap,
@@ -234,21 +240,21 @@ impl Engine {
                             decompose_with_heuristic(&graph, HEURISTIC)
                         }
                     };
-                    Arc::new(rebuilt)
+                    (Arc::new(rebuilt), Some(graph))
                 }
                 StructureImpact::Opaque => {
                     report.fell_back = true;
                     report.notes.push(
                         "structural change is opaque for this representation; re-decomposed".into(),
                     );
-                    Arc::new(decompose_with_heuristic(
-                        &representation.structure_graph(),
-                        HEURISTIC,
-                    ))
+                    let graph = representation.structure_graph();
+                    let rebuilt = decompose_with_heuristic(&graph, HEURISTIC);
+                    (Arc::new(rebuilt), Some(graph))
                 }
             };
             report.width_after = Some(patched.width());
-            self.cache.insert_replacing(new_fingerprint, patched);
+            self.cache
+                .insert_replacing(new_fingerprint, (patched, graph));
         }
 
         // --- compiled-lineage maintenance ----------------------------------

@@ -107,11 +107,14 @@ impl CInstance {
     }
 
     /// The content identity `(primary, check)`: two independently keyed
-    /// hashes of the facts, annotations and event names, computed once
+    /// hashes of the annotations, the event names and the instance's own
+    /// memoised identity ([`Instance::content_identity`]), computed once
     /// between mutations (see [`stuc_circuit::identity`]).
     pub fn content_identity(&self) -> (u64, u64) {
         self.memo.identity("CInstance", |h| {
-            self.instance.hash(h);
+            let (primary, check) = self.instance.content_identity();
+            h.write_u64(primary);
+            h.write_u64(check);
             self.annotations.hash(h);
             self.events.hash(h);
         })

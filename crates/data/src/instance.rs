@@ -8,7 +8,8 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::hash::{Hash, Hasher};
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
+use stuc_circuit::identity::ContentHasher;
 use stuc_graph::graph::{Graph, VertexId};
 
 /// An interned relation name.
@@ -48,8 +49,9 @@ pub struct Instance {
     facts: Vec<Fact>,
     /// Number of facts per relation, indexed by `RelId`.
     relation_sizes: Vec<usize>,
-    /// The fact index, built on first use and dropped by every fact change.
-    index: IndexMemo,
+    /// The fact index, Gaifman graph and content identity, each built on
+    /// first use and dropped by every change it depends on.
+    derived: DerivedMemo,
 }
 
 /// The facts of an [`Instance`] by relation and by `(relation, position,
@@ -154,26 +156,49 @@ impl FactIndex {
     }
 }
 
-/// The memoised [`FactIndex`] of an [`Instance`]. Like the content memos of
-/// the uncertain representations it is invisible: it always compares equal,
-/// renders as nothing and is never hashed. A clone starts empty (a copy is
-/// usually made to be mutated), and every fact change resets it.
+/// What an [`Instance`] derives from its content, each part built on first
+/// use: the [`FactIndex`], the Gaifman graph and the content identity. Like
+/// the content memos of the uncertain representations it is invisible: it
+/// always compares equal, renders as nothing and is never hashed.
+///
+/// Each part is dropped by exactly the changes it depends on: a fact change
+/// drops all three, interning a new constant drops the graph (a new vertex)
+/// and the identity, interning a new relation name drops the identity. A
+/// clone shares the graph and the identity (an `Arc` and a pair, cheap and
+/// equal for equal content) but starts without an index (a copy is usually
+/// made to be mutated).
 #[derive(Default)]
-struct IndexMemo(OnceLock<FactIndex>);
+struct DerivedMemo {
+    index: OnceLock<FactIndex>,
+    graph: OnceLock<Arc<Graph>>,
+    identity: OnceLock<(u64, u64)>,
+}
 
-impl Clone for IndexMemo {
-    fn clone(&self) -> IndexMemo {
-        IndexMemo::default()
+impl DerivedMemo {
+    fn facts_changed(&mut self) {
+        self.index.take();
+        self.graph.take();
+        self.identity.take();
     }
 }
 
-impl PartialEq for IndexMemo {
-    fn eq(&self, _: &IndexMemo) -> bool {
+impl Clone for DerivedMemo {
+    fn clone(&self) -> DerivedMemo {
+        DerivedMemo {
+            index: OnceLock::new(),
+            graph: self.graph.clone(),
+            identity: self.identity.clone(),
+        }
+    }
+}
+
+impl PartialEq for DerivedMemo {
+    fn eq(&self, _: &DerivedMemo) -> bool {
         true
     }
 }
 
-impl fmt::Debug for IndexMemo {
+impl fmt::Debug for DerivedMemo {
     fn fmt(&self, _: &mut fmt::Formatter<'_>) -> fmt::Result {
         Ok(())
     }
@@ -201,6 +226,7 @@ impl Instance {
             return id;
         }
         let id = RelId(self.relation_names.len());
+        self.derived.identity.take();
         self.relation_names.push(name.to_string());
         self.relation_index.insert(name.to_string(), id);
         self.relation_sizes.push(0);
@@ -213,6 +239,8 @@ impl Instance {
             return id;
         }
         let id = ConstId(self.constant_names.len());
+        self.derived.graph.take();
+        self.derived.identity.take();
         self.constant_names.push(name.to_string());
         self.constant_index.insert(name.to_string(), id);
         id
@@ -254,7 +282,7 @@ impl Instance {
             self.relation_sizes.resize(relation.0 + 1, 0);
         }
         self.relation_sizes[relation.0] += 1;
-        self.index.0.take();
+        self.derived.facts_changed();
         self.facts.push(Fact { relation, args });
         FactId(self.facts.len() - 1)
     }
@@ -283,7 +311,7 @@ impl Instance {
     pub fn remove_fact(&mut self, f: FactId) -> Fact {
         let fact = self.facts.remove(f.0);
         self.relation_sizes[fact.relation.0] -= 1;
-        self.index.0.take();
+        self.derived.facts_changed();
         fact
     }
 
@@ -313,12 +341,12 @@ impl Instance {
     /// the first call after a fact change, then shared by every later call
     /// (concurrent first calls all get the one stored index).
     pub fn fact_index(&self) -> &FactIndex {
-        self.index.0.get_or_init(|| FactIndex::build(self))
+        self.derived.index.get_or_init(|| FactIndex::build(self))
     }
 
     /// True while the [`FactIndex`] of the current facts is memoised.
     pub fn is_fact_indexed(&self) -> bool {
-        self.index.0.get().is_some()
+        self.derived.index.get().is_some()
     }
 
     /// True if the instance contains the exact fact.
@@ -359,6 +387,31 @@ impl Instance {
             g.add_clique(&clique);
         }
         g
+    }
+
+    /// The [`Instance::gaifman_graph`], built on the first call after a
+    /// change of the facts or constants and then shared: every later call
+    /// returns the same allocation, so `Arc::ptr_eq` between two calls
+    /// proves the graph did not change in between.
+    pub fn shared_gaifman_graph(&self) -> Arc<Graph> {
+        Arc::clone(
+            self.derived
+                .graph
+                .get_or_init(|| Arc::new(self.gaifman_graph())),
+        )
+    }
+
+    /// The content identity `(primary, check)`: two independently keyed
+    /// hashes of the interned names and the facts (see
+    /// [`stuc_circuit::identity`]), computed once between changes. The
+    /// uncertain representations built on an instance fold this pair into
+    /// their own identity instead of rehashing the facts.
+    pub fn content_identity(&self) -> (u64, u64) {
+        *self.derived.identity.get_or_init(|| {
+            let mut hasher = ContentHasher::new("Instance");
+            self.hash(&mut hasher);
+            hasher.finish_pair()
+        })
     }
 
     /// The *fact graph*: one vertex per fact, with an edge between two facts

@@ -9,7 +9,7 @@
 use crate::cinstance::{CInstance, PcInstance};
 use crate::formula::Formula;
 use crate::instance::{Fact, FactId, Instance};
-use std::hash::Hash;
+use std::hash::Hasher;
 use stuc_circuit::circuit::VarId;
 use stuc_circuit::identity::ContentMemo;
 use stuc_circuit::weights::{validate_probability, ProbabilityError, Weights};
@@ -141,11 +141,16 @@ impl TidInstance {
     }
 
     /// The content identity `(primary, check)`: two independently keyed
-    /// hashes of the facts and the exact probability bits, computed once
-    /// between mutations (see [`stuc_circuit::identity`]).
+    /// hashes of the exact probability bits and of the instance's own
+    /// memoised identity ([`Instance::content_identity`]), computed once
+    /// between mutations (see [`stuc_circuit::identity`]). A reweight
+    /// leaves the instance untouched, so it rehashes only the
+    /// probabilities.
     pub fn content_identity(&self) -> (u64, u64) {
         self.memo.identity("TidInstance", |h| {
-            self.instance.hash(h);
+            let (primary, check) = self.instance.content_identity();
+            h.write_u64(primary);
+            h.write_u64(check);
             for &p in &self.probabilities {
                 h.write_f64(p);
             }

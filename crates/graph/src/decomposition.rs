@@ -15,6 +15,7 @@
 use crate::graph::{Graph, VertexId};
 use std::collections::VecDeque;
 use std::fmt;
+use std::sync::OnceLock;
 
 /// A handle to a bag (node) of a [`TreeDecomposition`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -67,6 +68,49 @@ pub struct TreeDecomposition {
     bags: Vec<Vec<VertexId>>,
     /// Adjacency of the bag tree (sorted, deduplicated).
     tree: Vec<Vec<usize>>,
+    /// What [`TreeDecomposition::project`] looks up, built on first use and
+    /// dropped by every change to the bags or the tree.
+    index: IndexMemo,
+}
+
+/// The lookup structure of [`TreeDecomposition::project`], with the bag
+/// tree rooted at bag 0: which bags hold each vertex, each bag's position
+/// in depth-first preorder (`preorder`, [`UNREACHED`] for bags not
+/// connected to bag 0), and, by preorder position, the last position in
+/// its subtree (so `a` is an ancestor of `b` exactly when `b`'s position
+/// lies in `a`'s range) and its breadth-first rank.
+#[derive(Debug)]
+struct ProjectionIndex {
+    occurrences: Occurrences,
+    preorder: Vec<u32>,
+    subtree_end: Vec<u32>,
+    bfs_rank: Vec<u32>,
+}
+
+/// The memoised [`ProjectionIndex`] of a decomposition. Invisible like the
+/// instance memos: it always compares equal and renders as nothing. A
+/// clone starts empty (a copy is usually made to be repaired).
+#[derive(Default)]
+struct IndexMemo(OnceLock<ProjectionIndex>);
+
+impl Clone for IndexMemo {
+    fn clone(&self) -> IndexMemo {
+        IndexMemo::default()
+    }
+}
+
+impl PartialEq for IndexMemo {
+    fn eq(&self, _: &IndexMemo) -> bool {
+        true
+    }
+}
+
+impl Eq for IndexMemo {}
+
+impl fmt::Debug for IndexMemo {
+    fn fmt(&self, _: &mut fmt::Formatter<'_>) -> fmt::Result {
+        Ok(())
+    }
 }
 
 /// Inserts `value` into the sorted, deduplicated `items`; `true` if it was
@@ -109,6 +153,7 @@ impl TreeDecomposition {
 
     /// Adds a bag with the given content and returns its identifier.
     pub fn add_bag(&mut self, content: impl IntoIterator<Item = VertexId>) -> BagId {
+        self.index.0.take();
         self.bags.push(sorted_set(content));
         self.tree.push(Vec::new());
         BagId(self.bags.len() - 1)
@@ -125,6 +170,7 @@ impl TreeDecomposition {
             "bag out of range"
         );
         if a != b {
+            self.index.0.take();
             insert_sorted(&mut self.tree[a.0], b.0);
             insert_sorted(&mut self.tree[b.0], a.0);
         }
@@ -142,6 +188,7 @@ impl TreeDecomposition {
     ///
     /// Panics if the bag does not exist.
     pub fn add_to_bag(&mut self, b: BagId, v: VertexId) -> bool {
+        self.index.0.take();
         insert_sorted(&mut self.bags[b.0], v)
     }
 
@@ -161,6 +208,7 @@ impl TreeDecomposition {
                 .map(|bag| sorted_set(bag.iter().map(|v| map[v.0])))
                 .collect(),
             tree: self.tree.clone(),
+            index: IndexMemo::default(),
         }
     }
 
@@ -332,54 +380,97 @@ impl TreeDecomposition {
         }
     }
 
-    /// The decomposition restricted to the vertices `keep` accepts: every
-    /// bag is intersected with them, bags left empty are dropped, a bag
-    /// whose content is contained in (or contains) its kept parent's is
-    /// merged into it, and the trees left after dropping are linked back
-    /// into one.
+    /// The decomposition restricted to the vertices of `kept` (sorted,
+    /// deduplicated): every bag is intersected with them, bags left empty
+    /// are dropped, a bag whose content is contained in (or contains) its
+    /// kept parent's is merged into it, and the trees left after dropping
+    /// are linked back into one. Bags are taken in breadth-first order from
+    /// bag 0; bags not connected to it are left out.
     ///
     /// The result is a valid decomposition of every subgraph of the
-    /// decomposed graph whose vertices `keep` accepts, of width at most
-    /// this one's: the bags containing a kept vertex are never emptied, so
-    /// they still form a subtree, and merging contracts tree edges. Trees
+    /// decomposed graph on vertices of `kept`, of width at most this
+    /// one's: the bags containing a kept vertex are never emptied, so they
+    /// still form a subtree, and merging contracts tree edges. Trees
     /// separated by an emptied bag share no vertex, so any link between
-    /// them is valid. Runs in one pass over the bags.
-    pub fn project(&self, keep: impl Fn(VertexId) -> bool) -> TreeDecomposition {
+    /// them is valid.
+    ///
+    /// Runs in O(r log r) for the r bag slots of the kept vertices: it
+    /// visits only the bags that hold a kept vertex, found through a
+    /// memoised per-vertex index (built in one linear pass on the first
+    /// call after a change), and finds each one's nearest such ancestor
+    /// with a stack walk in depth-first order.
+    pub fn project(&self, kept: &[VertexId]) -> TreeDecomposition {
+        debug_assert!(kept.windows(2).all(|w| w[0] < w[1]), "kept must be sorted");
         let mut projected = TreeDecomposition::new();
         if self.bags.is_empty() {
             return projected;
         }
-        // into[b]: the projected bag `b` was merged into, or for an emptied
-        // bag the one its nearest kept ancestor was merged into.
-        let mut into: Vec<Option<usize>> = vec![None; self.bags.len()];
-        let mut seen = vec![false; self.bags.len()];
-        let mut queue = VecDeque::from([(0usize, None::<usize>)]);
-        seen[0] = true;
-        while let Some((b, parent)) = queue.pop_front() {
-            let content: Vec<VertexId> =
-                self.bags[b].iter().copied().filter(|&v| keep(v)).collect();
-            let above = parent.and_then(|p| into[p]);
-            into[b] = match above {
-                _ if content.is_empty() => above,
-                Some(a) if is_sorted_subset(&content, &projected.bags[a]) => Some(a),
+        let index = self.index.0.get_or_init(|| ProjectionIndex::of(self));
+        // One `(preorder position, vertex)` slot per kept vertex of each
+        // bag holding one: sorted, each touched bag is a run of slots, in
+        // preorder, listing its kept content in order.
+        let mut slots: Vec<u64> = kept
+            .iter()
+            .flat_map(|&v| {
+                index.occurrences.bags_of(v).iter().filter_map(move |&b| {
+                    let position = index.preorder[b];
+                    (position != UNREACHED).then(|| u64::from(position) << 32 | vertex_index(v))
+                })
+            })
+            .collect();
+        slots.sort_unstable();
+        let mut touched: Vec<(u32, Vec<VertexId>)> = slots
+            .chunk_by(|a, b| a >> 32 == b >> 32)
+            .map(|run| {
+                let content = run.iter().map(|&slot| VertexId(slot as u32 as usize));
+                ((run[0] >> 32) as u32, content.collect())
+            })
+            .collect();
+        // above[i]: the nearest touched ancestor of touched[i], read off
+        // the stack of touched bags on the current root path.
+        let mut above: Vec<Option<usize>> = Vec::with_capacity(touched.len());
+        let mut path: Vec<usize> = Vec::new();
+        for (i, &(position, _)) in touched.iter().enumerate() {
+            while path
+                .last()
+                .is_some_and(|&top| index.subtree_end[touched[top].0 as usize] < position)
+            {
+                path.pop();
+            }
+            above.push(path.last().copied());
+            path.push(i);
+        }
+        // into[i]: the projected bag touched[i] was merged into. Parents
+        // come before children in breadth-first order.
+        let mut order: Vec<u64> = touched
+            .iter()
+            .enumerate()
+            .map(|(i, &(position, _))| {
+                u64::from(index.bfs_rank[position as usize]) << 32 | i as u64
+            })
+            .collect();
+        order.sort_unstable();
+        let mut into = vec![0usize; touched.len()];
+        for i in order.into_iter().map(|key| key as u32 as usize) {
+            let content = std::mem::take(&mut touched[i].1);
+            let above = above[i].map(|a| into[a]);
+            into[i] = match above {
+                Some(a) if is_sorted_subset(&content, &projected.bags[a]) => a,
                 Some(a) if is_sorted_subset(&projected.bags[a], &content) => {
                     projected.bags[a] = content;
-                    Some(a)
+                    a
                 }
                 _ => {
-                    let id = projected.add_bag(content);
+                    // Already sorted and deduplicated: no `add_bag` copy.
+                    projected.bags.push(content);
+                    projected.tree.push(Vec::new());
+                    let id = BagId(projected.bags.len() - 1);
                     // A bag with no kept ancestor starts a new tree: hang
                     // it under the first one.
                     projected.add_tree_edge(BagId(above.unwrap_or(0)), id);
-                    Some(id.0)
+                    id.0
                 }
             };
-            for &c in &self.tree[b] {
-                if !seen[c] {
-                    seen[c] = true;
-                    queue.push_back((c, Some(b)));
-                }
-            }
         }
         projected
     }
@@ -424,6 +515,7 @@ fn bag_index(b: usize) -> u32 {
 /// Per-vertex bag lists of a decomposition in one flat buffer:
 /// `bags[start[v]..start[v + 1]]` are the bags containing vertex `v`, in
 /// increasing order. Vertices at or beyond `vertex_count` are left out.
+#[derive(Debug)]
 struct Occurrences {
     start: Vec<usize>,
     bags: Vec<usize>,
@@ -452,8 +544,87 @@ impl Occurrences {
         Occurrences { start, bags }
     }
 
+    /// The bags containing `v`; none for a vertex out of range.
     fn bags_of(&self, v: VertexId) -> &[usize] {
-        &self.bags[self.start[v.0]..self.start[v.0 + 1]]
+        match self.start.get(v.0..v.0 + 2) {
+            Some(&[start, end]) => &self.bags[start..end],
+            _ => &[],
+        }
+    }
+}
+
+/// The preorder position of bags not connected to bag 0 in
+/// [`ProjectionIndex`].
+const UNREACHED: u32 = u32::MAX;
+
+/// A vertex in the `u32` form projection slots pack.
+fn vertex_index(v: VertexId) -> u64 {
+    u64::from(u32::try_from(v.0).expect("a decomposition has fewer than 2^32 vertices"))
+}
+
+impl ProjectionIndex {
+    /// Two linear passes: a breadth-first search from bag 0 gives the
+    /// ranks and the parents, and a depth-first walk over those parents'
+    /// tree gives the preorder (so both orders root the same tree,
+    /// whatever the bag graph's shape).
+    fn of(td: &TreeDecomposition) -> ProjectionIndex {
+        let n = td.bags.len();
+        let vertex_count = td
+            .bags
+            .iter()
+            .filter_map(|bag| bag.last())
+            .map(|v| v.0 + 1)
+            .max()
+            .unwrap_or(0);
+        let mut rank_of_bag = vec![UNREACHED; n];
+        let mut parent = vec![NO_PARENT; n];
+        let mut queue = VecDeque::from([0usize]);
+        rank_of_bag[0] = 0;
+        let mut rank = 1;
+        while let Some(a) = queue.pop_front() {
+            for &b in &td.tree[a] {
+                if rank_of_bag[b] == UNREACHED {
+                    rank_of_bag[b] = rank;
+                    rank += 1;
+                    parent[b] = bag_index(a);
+                    queue.push_back(b);
+                }
+            }
+        }
+        let mut preorder = vec![UNREACHED; n];
+        let mut subtree_end = Vec::with_capacity(rank as usize);
+        let mut bfs_rank = Vec::with_capacity(rank as usize);
+        // (bag, next neighbour position to look at)
+        let mut stack = vec![(0usize, 0usize)];
+        preorder[0] = 0;
+        subtree_end.push(0);
+        bfs_rank.push(0);
+        while let Some((a, next)) = stack.last_mut() {
+            let a = *a;
+            let child = td.tree[a][*next..]
+                .iter()
+                .position(|&b| parent[b] == bag_index(a));
+            match child {
+                Some(offset) => {
+                    let b = td.tree[a][*next + offset];
+                    *next += offset + 1;
+                    preorder[b] = bag_index(subtree_end.len());
+                    subtree_end.push(0);
+                    bfs_rank.push(rank_of_bag[b]);
+                    stack.push((b, 0));
+                }
+                None => {
+                    subtree_end[preorder[a] as usize] = bag_index(subtree_end.len() - 1);
+                    stack.pop();
+                }
+            }
+        }
+        ProjectionIndex {
+            occurrences: Occurrences::of(td, vertex_count),
+            preorder,
+            subtree_end,
+            bfs_rank,
+        }
     }
 }
 
@@ -516,6 +687,59 @@ mod tests {
         Ok(())
     }
 
+    /// The breadth-first projection `project` replaced: every bag visited
+    /// and filtered, in one pass from bag 0. Kept as the reference the
+    /// indexed projection must reproduce bag for bag and edge for edge.
+    fn project_by_scan(
+        td: &TreeDecomposition,
+        keep: impl Fn(VertexId) -> bool,
+    ) -> TreeDecomposition {
+        let mut projected = TreeDecomposition::new();
+        if td.bags.is_empty() {
+            return projected;
+        }
+        // into[b]: the projected bag `b` was merged into, or for an emptied
+        // bag the one its nearest kept ancestor was merged into.
+        let mut into: Vec<Option<usize>> = vec![None; td.bags.len()];
+        let mut seen = vec![false; td.bags.len()];
+        let mut queue = VecDeque::from([(0usize, None::<usize>)]);
+        seen[0] = true;
+        while let Some((b, parent)) = queue.pop_front() {
+            let content: Vec<VertexId> = td.bags[b].iter().copied().filter(|&v| keep(v)).collect();
+            let above = parent.and_then(|p| into[p]);
+            into[b] = match above {
+                _ if content.is_empty() => above,
+                Some(a) if is_sorted_subset(&content, &projected.bags[a]) => Some(a),
+                Some(a) if is_sorted_subset(&projected.bags[a], &content) => {
+                    projected.bags[a] = content;
+                    Some(a)
+                }
+                _ => {
+                    let id = projected.add_bag(content);
+                    projected.add_tree_edge(BagId(above.unwrap_or(0)), id);
+                    Some(id.0)
+                }
+            };
+            for &c in &td.tree[b] {
+                if !seen[c] {
+                    seen[c] = true;
+                    queue.push_back((c, Some(b)));
+                }
+            }
+        }
+        projected
+    }
+
+    /// The projection, checked against the scan: same bags in the same
+    /// order, same tree edges.
+    fn assert_projects_like_the_scan(td: &TreeDecomposition, keep: &[bool]) {
+        let kept: Vec<VertexId> = (0..keep.len()).filter(|&v| keep[v]).map(VertexId).collect();
+        let projected = td.project(&kept);
+        let reference = project_by_scan(td, |v| keep.get(v.0).copied().unwrap_or(false));
+        assert_eq!(projected.bags, reference.bags);
+        assert_eq!(projected.tree, reference.tree);
+    }
+
     /// Applies `edits` random corruptions: a vertex dropped from or added
     /// to a bag (sometimes one beyond the graph), a tree edge moved, or a
     /// bag appended dangling or linked.
@@ -556,6 +780,8 @@ mod tests {
                 }
             }
         }
+        // Some edits above write the fields directly.
+        td.index = IndexMemo::default();
     }
 
     proptest! {
@@ -580,7 +806,10 @@ mod tests {
         }
 
         /// Projecting onto any vertex subset leaves a valid decomposition
-        /// of the induced subgraph, never wider than the original.
+        /// of the induced subgraph, never wider than the original, and is
+        /// exactly the breadth-first scan's projection — also after
+        /// `add_bag`/`add_to_bag` changed a decomposition whose index was
+        /// already built.
         #[test]
         fn projections_decompose_induced_subgraphs(
             n in 1usize..16,
@@ -589,20 +818,46 @@ mod tests {
             keep_probability in 0.0f64..1.0,
         ) {
             let graph = generators::erdos_renyi(n, p, seed);
-            let td = decompose_with_heuristic(&graph, EliminationHeuristic::MinFill);
             let mut rng = SplitMix64::new(seed ^ 0x9e37);
-            let keep: Vec<bool> = (0..n).map(|_| rng.next_bool(keep_probability)).collect();
-            let projected = td.project(|v| keep[v.0]);
-            let kept: Vec<VertexId> = graph.vertices().filter(|v| keep[v.0]).collect();
-            let (sub, map) = graph.induced_subgraph(&kept);
-            let mut renumber = vec![VertexId(usize::MAX); n];
-            for (new, old) in map.iter().enumerate() {
-                renumber[old.0] = VertexId(new);
+            for heuristic in [EliminationHeuristic::MinDegree, EliminationHeuristic::MinFill] {
+                let mut td = decompose_with_heuristic(&graph, heuristic);
+                let keep: Vec<bool> = (0..n).map(|_| rng.next_bool(keep_probability)).collect();
+                let kept: Vec<VertexId> = graph.vertices().filter(|v| keep[v.0]).collect();
+                let projected = td.project(&kept);
+                assert_projects_like_the_scan(&td, &keep);
+                let (sub, map) = graph.induced_subgraph(&kept);
+                let mut renumber = vec![VertexId(usize::MAX); n];
+                for (new, old) in map.iter().enumerate() {
+                    renumber[old.0] = VertexId(new);
+                }
+                let renumbered = projected.remap_vertices(&renumber);
+                prop_assert_eq!(renumbered.validate(&sub), Ok(()));
+                prop_assert!(projected.width() <= td.width());
+                prop_assert!(projected.bag_count() <= td.bag_count());
+
+                // Grow the decomposition after its index was built: new
+                // leaf bags (some over vertices beyond the graph), grown
+                // bags, and a bag left unlinked.
+                for _ in 0..3 {
+                    let b = BagId(rng.next_below(td.bag_count()));
+                    let v = VertexId(rng.next_below(n + 2));
+                    match rng.next_below(3) {
+                        0 => {
+                            let leaf = td.add_bag([v, VertexId(rng.next_below(n + 2))]);
+                            td.add_tree_edge(b, leaf);
+                        }
+                        1 => {
+                            td.add_to_bag(b, v);
+                        }
+                        _ => {
+                            td.add_bag([v]);
+                        }
+                    }
+                    let keep: Vec<bool> =
+                        (0..n + 2).map(|_| rng.next_bool(keep_probability)).collect();
+                    assert_projects_like_the_scan(&td, &keep);
+                }
             }
-            let renumbered = projected.remap_vertices(&renumber);
-            prop_assert_eq!(renumbered.validate(&sub), Ok(()));
-            prop_assert!(projected.width() <= td.width());
-            prop_assert!(projected.bag_count() <= td.bag_count());
         }
     }
 
@@ -612,7 +867,7 @@ mod tests {
         // {0, 1, 3, 4} empties nothing but leaves {1} and {3} inside their
         // neighbours, and no kept vertex links the two halves.
         let td = path_decomposition(5);
-        let projected = td.project(|v| v.0 != 2);
+        let projected = td.project(&[VertexId(0), VertexId(1), VertexId(3), VertexId(4)]);
         assert_eq!(projected.bag_count(), 2);
         let bags: Vec<Vec<usize>> = projected
             .bag_ids()
@@ -621,7 +876,7 @@ mod tests {
         assert_eq!(bags, vec![vec![0, 1], vec![3, 4]]);
         assert_eq!(projected.tree_edges().count(), 1);
         // Keeping nothing leaves nothing.
-        assert_eq!(td.project(|_| false).bag_count(), 0);
+        assert_eq!(td.project(&[]).bag_count(), 0);
     }
 
     fn path_graph(n: usize) -> Graph {

@@ -357,3 +357,102 @@ fn width_budgets_above_the_plan_cap_behave_like_the_cap() {
         "{inference}"
     );
 }
+
+/// A user-defined representation whose decomposition-cache key collides
+/// with every other instance of it: `fingerprint` is a constant, while the
+/// default `identity` (the `Debug` rendering) still tells instances apart.
+#[derive(Debug)]
+struct Colliding(stuc::data::tid::TidInstance);
+
+impl Representation for Colliding {
+    type Query = ConjunctiveQuery;
+
+    fn kind(&self) -> ReprKind {
+        ReprKind::Tid
+    }
+
+    fn fact_count(&self) -> usize {
+        self.0.fact_count()
+    }
+
+    fn structure_graph(&self) -> Arc<stuc::graph::graph::Graph> {
+        self.0.structure_graph()
+    }
+
+    fn lineage(
+        &self,
+        query: &ConjunctiveQuery,
+        decomposition: &stuc::graph::TreeDecomposition,
+    ) -> Result<stuc::core::engine::LineageOutcome, StucError> {
+        self.0.lineage(query, decomposition)
+    }
+
+    fn weights(&self) -> Result<std::borrow::Cow<'_, Weights>, StucError> {
+        self.0.weights()
+    }
+
+    fn fingerprint(&self) -> u64 {
+        7
+    }
+}
+
+/// A fingerprint collision in the decomposition cache degrades to a
+/// recomputation, never to a wrong width or answer: two structurally
+/// different instances under one cache key, alternated over cold goals,
+/// each get their own decomposition width and their own probability.
+#[test]
+fn decomposition_fingerprint_collisions_degrade_to_recomputation() {
+    let relabelled = |order: &[usize], closed: bool| {
+        let mut tid = stuc::data::tid::TidInstance::new();
+        // Unary facts first, so both instances number the constants alike.
+        for c in 0..order.len() {
+            tid.add_fact_named("S", &[&format!("c{c}")], 0.5);
+        }
+        let mut links: Vec<(usize, usize)> = order.windows(2).map(|w| (w[0], w[1])).collect();
+        if closed {
+            links.push((order[order.len() - 1], order[0]));
+        }
+        for (i, (a, b)) in links.into_iter().enumerate() {
+            let p = 0.3 + 0.05 * i as f64;
+            tid.add_fact_named("R", &[&format!("c{a}"), &format!("c{b}")], p);
+        }
+        Colliding(tid)
+    };
+    // A width-1 path and a width-2 cycle over the same eight constants,
+    // sharing no link: the cycle's decomposition adds five fill edges, too
+    // few to cover the path's seven, so neither decomposition fits the
+    // other.
+    let path = relabelled(&[0, 1, 2, 3, 4, 5, 6, 7], false);
+    let cycle = relabelled(&[0, 4, 1, 5, 2, 6, 3, 7], true);
+    let own = |r: &Colliding| Engine::new().decomposition_for(r).0;
+    let (path_td, cycle_td) = (own(&path), own(&cycle));
+    assert!(path_td.validate(&cycle.structure_graph()).is_err());
+    assert!(cycle_td.validate(&path.structure_graph()).is_err());
+    assert_eq!((path_td.width(), cycle_td.width()), (1, 2));
+
+    let engine = Engine::builder().without_lineage_cache().build();
+    let queries = ["R(x, y), R(y, z)", "R(x, y), R(y, z), R(z, w)"];
+    for round in 0..3 {
+        for (name, representation, width) in [("path", &path, 1), ("cycle", &cycle, 2)] {
+            let query = ConjunctiveQuery::parse(queries[round % 2]).unwrap();
+            let report = engine.evaluate(representation, &query).unwrap();
+            assert_eq!(
+                report.decomposition_width,
+                Some(width),
+                "{name}, round {round}"
+            );
+            assert!(!report.lineage_cached);
+            let expected = probability_by_enumeration(
+                &stuc::query::lineage::tid_lineage(&representation.0, &query),
+                &representation.0.fact_weights(),
+            )
+            .unwrap();
+            assert!(close(report.probability, expected), "{name}, round {round}");
+        }
+    }
+    assert_eq!(
+        engine.cached_decompositions(),
+        1,
+        "one key, replaced on every miss"
+    );
+}

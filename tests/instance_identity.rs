@@ -11,12 +11,20 @@
 //!   mutation a warm engine answers what a fresh engine answers — no stale
 //!   cache hit is possible;
 //! * concurrent first calls agree on one value.
+//!
+//! The relational `Instance` under the TID and c-instances memoises its own
+//! Gaifman graph and identity, which those representations hand out and
+//! fold in; the last test checks that memo against fresh computations
+//! after random mutation sequences.
 
 use proptest::prelude::*;
+use std::hash::Hash;
+use std::sync::Arc;
 use stuc::circuit::circuit::VarId;
+use stuc::circuit::identity::ContentHasher;
 use stuc::data::cinstance::{CInstance, PcInstance};
 use stuc::data::formula::Formula;
-use stuc::data::instance::FactId;
+use stuc::data::instance::{ConstId, FactId, Instance, RelId};
 use stuc::data::pcc::PccInstance;
 use stuc::data::tid::TidInstance;
 use stuc::graph::generators::SplitMix64;
@@ -287,6 +295,127 @@ fn the_fact_index_memo_is_invisible_and_dropped_by_fact_changes() {
         assert_eq!(
             live.instance().fact_index().facts_of(relation).len(),
             live.fact_count()
+        );
+    }
+}
+
+/// The instance's memoised graph and identity equal a fresh Gaifman graph
+/// and a fresh hashing pass.
+fn assert_memo_is_fresh(instance: &Instance, step: &str) {
+    assert_eq!(
+        *instance.shared_gaifman_graph(),
+        instance.gaifman_graph(),
+        "{step}: stale graph"
+    );
+    let mut hasher = ContentHasher::new("Instance");
+    instance.hash(&mut hasher);
+    assert_eq!(
+        instance.content_identity(),
+        hasher.finish_pair(),
+        "{step}: stale identity"
+    );
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// Random interning, fact changes and clone-then-mutate on a plain
+    /// instance whose memo is warm before every step: afterwards the memo
+    /// is never stale, and the graph is a new allocation exactly when the
+    /// step added a vertex or changed a fact.
+    #[test]
+    fn the_instance_memo_follows_every_change(seed in 0u64..10_000, steps in 1usize..24) {
+        let mut rng = SplitMix64::new(seed);
+        let mut live = Instance::new();
+        let mut snapshots: Vec<Instance> = Vec::new();
+        for step in 0..steps {
+            let graph = live.shared_gaifman_graph();
+            let identity = live.content_identity();
+            let (constants, relations) = (live.constant_count(), live.relation_count());
+            let op = rng.next_below(6);
+            let (name, graph_moves, identity_moves) = match op {
+                0 => {
+                    live.constant(&format!("c{}", rng.next_below(constants + 2)));
+                    ("constant", live.constant_count() > constants, live.constant_count() > constants)
+                }
+                1 => {
+                    live.relation(&format!("R{}", rng.next_below(relations + 2)));
+                    ("relation", false, live.relation_count() > relations)
+                }
+                2 | 3 if constants > 0 && relations > 0 => {
+                    let relation = RelId(rng.next_below(relations));
+                    let arity = rng.next_below(4);
+                    let args = (0..arity).map(|_| ConstId(rng.next_below(constants))).collect();
+                    live.add_fact(relation, args);
+                    ("add_fact", true, true)
+                }
+                4 if live.fact_count() > 0 => {
+                    live.remove_fact(FactId(rng.next_below(live.fact_count())));
+                    ("remove_fact", true, true)
+                }
+                5 => {
+                    // The original keeps its memo; the clone starts from it.
+                    snapshots.push(live.clone());
+                    ("clone", false, false)
+                }
+                _ => ("nothing", false, false),
+            };
+            let label = format!("step {step} ({name})");
+            assert_memo_is_fresh(&live, &label);
+            let graph_moved = !Arc::ptr_eq(&graph, &live.shared_gaifman_graph());
+            prop_assert!(graph_moved == graph_moves, "{label}: graph moved: {graph_moved}");
+            let identity_moved = identity != live.content_identity();
+            prop_assert!(identity_moved == identity_moves, "{label}: identity moved: {identity_moved}");
+            for snapshot in &snapshots {
+                assert_memo_is_fresh(snapshot, &format!("{label}, snapshot"));
+            }
+        }
+    }
+}
+
+/// What the engine's decomposition cache sees: a TID reweight hands out
+/// the very same structure graph, while an insert, a delete, and interning
+/// a constant alone each make a new one. Equal content still means equal
+/// identity, and the identity moves with every change.
+#[test]
+fn structure_graphs_are_shared_until_the_structure_changes() {
+    for seed in 0..6 {
+        let mut live = tid(seed);
+        let graph = live.structure_graph();
+        let identity = live.identity();
+        live.set_probability(FactId(0), 0.9);
+        assert!(Arc::ptr_eq(&graph, &live.structure_graph()), "reweight");
+        assert_ne!(live.identity(), identity, "reweight moves the identity");
+
+        let mut cloned = live.clone();
+        assert_eq!(cloned.identity(), live.identity(), "clone");
+        cloned.add_fact_named("R", &["c0", "c1"], 0.5);
+        assert!(!Arc::ptr_eq(&graph, &cloned.structure_graph()), "insert");
+        assert!(
+            Arc::ptr_eq(&graph, &live.structure_graph()),
+            "the original keeps its graph"
+        );
+        let inserted = cloned.structure_graph();
+        cloned.remove_fact(FactId(0));
+        assert!(!Arc::ptr_eq(&inserted, &cloned.structure_graph()), "delete");
+        assert_eq!(*cloned.structure_graph(), cloned.instance().gaifman_graph());
+
+        let mut instance = live.instance().clone();
+        let before = instance.shared_gaifman_graph();
+        let known = instance.constant_name(ConstId(0)).to_string();
+        instance.constant(&known);
+        assert!(
+            Arc::ptr_eq(&before, &instance.shared_gaifman_graph()),
+            "known constant"
+        );
+        instance.constant("fresh");
+        assert!(
+            !Arc::ptr_eq(&before, &instance.shared_gaifman_graph()),
+            "new constant"
+        );
+        assert_eq!(
+            instance.shared_gaifman_graph().vertex_count(),
+            before.vertex_count() + 1
         );
     }
 }

@@ -3,18 +3,21 @@
 //! onto their constants. These tests check that the restriction changes
 //! nothing about the answer (differential against match enumeration on
 //! random small TIDs), that the projection is a valid decomposition of what
-//! it keeps, and that an anchored goal's run does not grow with the
-//! instance.
+//! it keeps, that the index-seeded reach pass keeps no more than a
+//! whole-relation seeding and no less than every match, and that an
+//! anchored goal's run does not grow with the instance.
 
 use proptest::prelude::*;
 use stuc::automata::courcelle::{cq_lineage_circuit, restrict_to_reach};
 use stuc::circuit::enumeration::probability_by_enumeration;
 use stuc::core::workloads;
+use stuc::data::instance::{ConstId, FactId, Instance};
 use stuc::data::tid::TidInstance;
 use stuc::graph::elimination::{decompose_with_heuristic, EliminationHeuristic};
 use stuc::graph::graph::{Graph, VertexId};
 use stuc::graph::TreeDecomposition;
-use stuc::query::cq::ConjunctiveQuery;
+use stuc::query::cq::{ConjunctiveQuery, Term};
+use stuc::query::eval::all_matches;
 use stuc::query::lineage::tid_lineage;
 
 /// Bodies covering every shape the restriction must get right.
@@ -28,8 +31,12 @@ const BODIES: &[&str] = &[
     "R(x, y), S(y)",
     "R(x, y), R(y, x)",
     "R(x, y), R(y, z), R(z, x)",
+    // seeded outward from a constant, through shared variables
+    "R(\"c0\", x), R(x, y), S(y)",
+    "R(x, \"c1\"), R(y, x), R(y, y)",
     // disconnected
     "R(x, y), S(z)",
+    "R(\"c2\", x), S(x), R(y, z), S(z)",
     "R(\"c1\", x), R(y, \"c3\")",
     "S(x), S(y), R(\"c4\", z)",
     // repeated variables
@@ -100,6 +107,116 @@ fn check_projection(
         .remap_vertices(&map)
         .validate(&graph)
         .map_err(|e| e.to_string())
+}
+
+/// The reach pass as it was before index seeding, kept as the upper bound
+/// of the seeded one: every atom starts from all facts of its relation that
+/// fit its arity, constants and repeated variables, followed by the same
+/// arc-consistency rounds (at most `atoms + 1`, stopping at a fixpoint or
+/// an atom without candidates).
+fn reachable_by_scan(instance: &Instance, query: &ConjunctiveQuery) -> Vec<FactId> {
+    let variables: Vec<String> = query.variables().into_iter().collect();
+    let variable = |name: &str| variables.iter().position(|v| v == name).unwrap();
+    let fits = |terms: &[Term], args: &[ConstId]| {
+        args.len() == terms.len()
+            && terms
+                .iter()
+                .zip(args)
+                .enumerate()
+                .all(|(i, (term, c))| match term {
+                    Term::Const(name) => instance.find_constant(name) == Some(*c),
+                    Term::Var(_) => terms[..i]
+                        .iter()
+                        .zip(args)
+                        .all(|(t, d)| t != term || d == c),
+                })
+    };
+    let mut candidates: Vec<Vec<FactId>> = query
+        .atoms
+        .iter()
+        .map(|atom| {
+            instance
+                .facts()
+                .filter(|(_, fact)| instance.relation_name(fact.relation) == atom.relation)
+                .filter(|(_, fact)| fits(&atom.args, &fact.args))
+                .map(|(id, _)| id)
+                .collect()
+        })
+        .collect();
+    for _ in 0..=query.atoms.len() {
+        if candidates.iter().any(Vec::is_empty) {
+            break;
+        }
+        let mut domains: Vec<Option<Vec<ConstId>>> = vec![None; variables.len()];
+        for (atom, facts) in query.atoms.iter().zip(&candidates) {
+            for (position, term) in atom.args.iter().enumerate() {
+                if let Term::Var(name) = term {
+                    let offered: Vec<ConstId> = facts
+                        .iter()
+                        .map(|&f| instance.fact(f).args[position])
+                        .collect();
+                    let domain = &mut domains[variable(name)];
+                    *domain = Some(match domain.take() {
+                        None => offered,
+                        Some(d) => d.into_iter().filter(|c| offered.contains(c)).collect(),
+                    });
+                }
+            }
+        }
+        let mut changed = false;
+        for (atom, facts) in query.atoms.iter().zip(&mut candidates) {
+            let before = facts.len();
+            facts.retain(|&f| {
+                atom.args
+                    .iter()
+                    .zip(&instance.fact(f).args)
+                    .all(|(term, c)| match term {
+                        Term::Var(name) => domains[variable(name)]
+                            .as_ref()
+                            .is_some_and(|d| d.contains(c)),
+                        Term::Const(_) => true,
+                    })
+            });
+            changed |= facts.len() != before;
+        }
+        if !changed {
+            break;
+        }
+    }
+    if candidates.iter().any(Vec::is_empty) {
+        return Vec::new();
+    }
+    let mut kept = candidates.concat();
+    kept.sort_unstable();
+    kept.dedup();
+    kept
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The index-seeded reach pass keeps a subset of what whole-relation
+    /// seeding keeps, and every fact of every match, for every body shape.
+    #[test]
+    fn seeded_reach_lies_between_the_matches_and_the_scan(
+        facts in collection::vec((0usize..3, 0usize..6, 0usize..6, 0.05f64..0.95), 1..12),
+    ) {
+        let tid = tid_of(&facts);
+        let instance = tid.instance();
+        let decomposition =
+            decompose_with_heuristic(&tid.gaifman_graph(), EliminationHeuristic::MinDegree);
+        for (body, query) in queries() {
+            let (kept, _) = restrict_to_reach(instance, &decomposition, &query).unwrap();
+            let scanned = reachable_by_scan(instance, &query);
+            let extra: Vec<&FactId> = kept.iter().filter(|f| !scanned.contains(f)).collect();
+            prop_assert!(extra.is_empty(), "{body}: kept {extra:?} beyond the scan's {scanned:?}");
+            for found in all_matches(instance, &query) {
+                let missed: Vec<&FactId> =
+                    found.witnesses.iter().filter(|f| kept.binary_search(f).is_err()).collect();
+                prop_assert!(missed.is_empty(), "{body}: match facts {missed:?} not kept in {kept:?}");
+            }
+        }
+    }
 }
 
 proptest! {
