@@ -65,44 +65,56 @@ stuc_errors::stuc_error! {
     }
 }
 
-/// The status of one query variable in a partial-match state.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-enum VarStatus {
-    /// Not yet bound.
-    Unused,
-    /// Bound to a constant currently present in the bag.
-    Active(ConstId),
-    /// Bound to a constant that has been forgotten; all atoms using the
-    /// variable were matched before the constant was forgotten.
-    Done,
+/// Packed partial-match types: the automaton states of the query's
+/// Courcelle automaton. A state is [`CompiledQuery::stride`] words: one
+/// status per query variable — [`UNUSED`] (not yet bound), `c + 1` for a
+/// variable bound to constant `c` of the current bag, or [`DONE`] (bound to
+/// a forgotten constant, all atoms using it matched) — then the set of
+/// matched atoms as a bit mask. Comparing two states as word slices orders
+/// them by statuses (unused, then active by constant, then done) and then
+/// by matched set, which fixes the order the runs create gates in.
+type State = [u32];
+
+/// Status word of an unbound variable.
+const UNUSED: u32 = 0;
+
+/// Status word of a variable bound to an already forgotten constant.
+const DONE: u32 = u32::MAX;
+
+/// Status word of a variable bound to constant `c`.
+fn active(c: ConstId) -> u32 {
+    u32::try_from(c.0 + 1)
+        .ok()
+        .filter(|&word| word != DONE)
+        .expect("fewer than 2^32 - 1 constants")
 }
 
-/// A partial-match type: the automaton state of the query's Courcelle
-/// automaton.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
-struct MatchState {
-    statuses: Vec<VarStatus>,
-    matched: u64,
-}
-
-/// Pre-processed query: variable order, per-atom variable positions.
+/// The query resolved against one instance: variable count, per-atom
+/// relation and terms, and which atoms use each variable.
 struct CompiledQuery {
-    variables: Vec<String>,
-    /// For each atom: relation name, and for each position either a variable
-    /// index or a constant name.
-    atoms: Vec<(String, Vec<AtomTerm>)>,
+    variables: usize,
+    /// For each atom: its relation (`None` when the instance has no such
+    /// relation, so the atom matches nothing), and for each position either
+    /// a variable index or a constant (`None` when the instance has no such
+    /// constant).
+    atoms: Vec<(Option<RelId>, Vec<AtomTerm>)>,
     /// For each variable, the bitmask of atoms it occurs in.
-    atoms_of_variable: Vec<u64>,
-    all_matched: u64,
+    atoms_of_variable: Vec<u32>,
+    all_matched: u32,
 }
 
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum AtomTerm {
     Variable(usize),
-    Constant(String),
+    Constant(Option<ConstId>),
 }
 
-fn compile_query(query: &ConjunctiveQuery) -> Result<CompiledQuery, CourcelleError> {
+/// Compiles `query` against `instance`: relation and constant names are
+/// resolved here once, so the runs compare identifiers only.
+fn compile_query(
+    query: &ConjunctiveQuery,
+    instance: &Instance,
+) -> Result<CompiledQuery, CourcelleError> {
     if !query.is_boolean() {
         return Err(CourcelleError::NotBoolean);
     }
@@ -111,7 +123,7 @@ fn compile_query(query: &ConjunctiveQuery) -> Result<CompiledQuery, CourcelleErr
     }
     let variables: Vec<String> = query.variables().into_iter().collect();
     let index_of = |name: &str| variables.iter().position(|v| v == name).expect("known var");
-    let atoms: Vec<(String, Vec<AtomTerm>)> = query
+    let atoms: Vec<(Option<RelId>, Vec<AtomTerm>)> = query
         .atoms
         .iter()
         .map(|a| {
@@ -120,13 +132,13 @@ fn compile_query(query: &ConjunctiveQuery) -> Result<CompiledQuery, CourcelleErr
                 .iter()
                 .map(|t| match t {
                     Term::Var(v) => AtomTerm::Variable(index_of(v)),
-                    Term::Const(c) => AtomTerm::Constant(c.clone()),
+                    Term::Const(c) => AtomTerm::Constant(instance.find_constant(c)),
                 })
                 .collect();
-            (a.relation.clone(), terms)
+            (instance.find_relation(&a.relation), terms)
         })
         .collect();
-    let mut atoms_of_variable = vec![0u64; variables.len()];
+    let mut atoms_of_variable = vec![0u32; variables.len()];
     for (i, (_, terms)) in atoms.iter().enumerate() {
         for t in terms {
             if let AtomTerm::Variable(v) = t {
@@ -134,13 +146,9 @@ fn compile_query(query: &ConjunctiveQuery) -> Result<CompiledQuery, CourcelleErr
             }
         }
     }
-    let all_matched = if atoms.is_empty() {
-        0
-    } else {
-        (1u64 << atoms.len()) - 1
-    };
+    let all_matched = ((1u64 << atoms.len()) - 1) as u32;
     Ok(CompiledQuery {
-        variables,
+        variables: variables.len(),
         atoms,
         atoms_of_variable,
         all_matched,
@@ -148,89 +156,99 @@ fn compile_query(query: &ConjunctiveQuery) -> Result<CompiledQuery, CourcelleErr
 }
 
 impl CompiledQuery {
-    fn initial_state(&self) -> MatchState {
-        MatchState {
-            statuses: vec![VarStatus::Unused; self.variables.len()],
-            matched: 0,
-        }
+    /// Words per packed state.
+    fn stride(&self) -> usize {
+        self.variables + 1
+    }
+
+    /// Appends the initial state: nothing bound, nothing matched.
+    fn initial_state(&self, out: &mut Vec<u32>) {
+        out.resize(out.len() + self.stride(), UNUSED);
     }
 
     /// Attempts to match atom `atom_index` with the given fact under the
-    /// state; returns the successor state if the match is consistent.
+    /// state; appends the successor state and returns `true` if the match
+    /// is consistent.
     fn try_match(
         &self,
-        state: &MatchState,
+        state: &State,
         atom_index: usize,
         fact: &stuc_data::instance::Fact,
-        instance: &Instance,
-    ) -> Option<MatchState> {
-        if state.matched & (1 << atom_index) != 0 {
-            return None; // already matched; re-matching adds nothing
+        out: &mut Vec<u32>,
+    ) -> bool {
+        let matched = state[self.variables];
+        if matched & (1 << atom_index) != 0 {
+            return false; // already matched; re-matching adds nothing
         }
         let (relation, terms) = &self.atoms[atom_index];
-        if instance.relation_name(fact.relation) != relation || fact.args.len() != terms.len() {
-            return None;
+        if *relation != Some(fact.relation) || fact.args.len() != terms.len() {
+            return false;
         }
-        let mut statuses = state.statuses.clone();
+        let start = out.len();
+        out.extend_from_slice(state);
         for (term, &constant) in terms.iter().zip(&fact.args) {
-            match term {
-                AtomTerm::Constant(name) => {
-                    if instance.find_constant(name) != Some(constant) {
-                        return None;
+            let consistent = match *term {
+                AtomTerm::Constant(c) => c == Some(constant),
+                AtomTerm::Variable(v) => {
+                    let word = &mut out[start + v];
+                    if *word == UNUSED {
+                        *word = active(constant);
+                        true
+                    } else {
+                        *word == active(constant)
                     }
                 }
-                AtomTerm::Variable(v) => match statuses[*v] {
-                    VarStatus::Unused => statuses[*v] = VarStatus::Active(constant),
-                    VarStatus::Active(c) if c == constant => {}
-                    VarStatus::Active(_) | VarStatus::Done => return None,
-                },
+            };
+            if !consistent {
+                out.truncate(start);
+                return false;
             }
         }
-        Some(MatchState {
-            statuses,
-            matched: state.matched | (1 << atom_index),
-        })
+        out[start + self.variables] = matched | (1 << atom_index);
+        true
     }
 
     /// Applies the forget of constant `c`: variables bound to `c` become
-    /// `Done` provided every atom using them has been matched; otherwise the
-    /// state dies.
-    fn forget(&self, state: &MatchState, c: ConstId) -> Option<MatchState> {
-        let mut statuses = state.statuses.clone();
-        for (v, status) in statuses.iter_mut().enumerate() {
-            if *status == VarStatus::Active(c) {
-                if self.atoms_of_variable[v] & !state.matched != 0 {
-                    return None;
+    /// done provided every atom using them has been matched (the successor
+    /// is appended and `true` returned); otherwise the state dies.
+    fn forget(&self, state: &State, c: ConstId, out: &mut Vec<u32>) -> bool {
+        let matched = state[self.variables];
+        let bound = active(c);
+        let start = out.len();
+        out.extend_from_slice(state);
+        for v in 0..self.variables {
+            if out[start + v] == bound {
+                if self.atoms_of_variable[v] & !matched != 0 {
+                    out.truncate(start);
+                    return false;
                 }
-                *status = VarStatus::Done;
+                out[start + v] = DONE;
             }
         }
-        Some(MatchState {
-            statuses,
-            matched: state.matched,
-        })
+        true
     }
 
-    /// Combines the states of the two children of a join node; `None` if they
-    /// are inconsistent.
-    fn join(&self, left: &MatchState, right: &MatchState) -> Option<MatchState> {
-        let mut statuses = Vec::with_capacity(left.statuses.len());
-        for (l, r) in left.statuses.iter().zip(&right.statuses) {
-            let combined = match (l, r) {
-                (VarStatus::Unused, other) | (other, VarStatus::Unused) => *other,
-                (VarStatus::Active(a), VarStatus::Active(b)) if a == b => VarStatus::Active(*a),
-                _ => return None,
+    /// Combines the states of the two children of a join node, appending
+    /// the combination and returning `true` when they are consistent.
+    fn join(&self, left: &State, right: &State, out: &mut Vec<u32>) -> bool {
+        let start = out.len();
+        for (&l, &r) in left[..self.variables].iter().zip(&right[..self.variables]) {
+            let combined = if l == UNUSED {
+                r
+            } else if r == UNUSED || (l == r && l != DONE) {
+                l
+            } else {
+                out.truncate(start);
+                return false;
             };
-            statuses.push(combined);
+            out.push(combined);
         }
-        Some(MatchState {
-            statuses,
-            matched: left.matched | right.matched,
-        })
+        out.push(left[self.variables] | right[self.variables]);
+        true
     }
 
-    fn is_accepting(&self, state: &MatchState) -> bool {
-        state.matched == self.all_matched
+    fn is_accepting(&self, state: &State) -> bool {
+        state[self.variables] == self.all_matched
     }
 }
 
@@ -267,11 +285,11 @@ fn reachable_facts(instance: &Instance, compiled: &CompiledQuery) -> Vec<FactId>
         .atoms
         .iter()
         .map(|(relation, terms)| {
-            let relation = instance.find_relation(relation)?;
+            let relation = (*relation)?;
             let mut constants = Vec::new();
             for (position, term) in terms.iter().enumerate() {
-                if let AtomTerm::Constant(name) = term {
-                    constants.push((position, instance.find_constant(name)?));
+                if let AtomTerm::Constant(c) = term {
+                    constants.push((position, (*c)?));
                 }
             }
             Some((relation, constants))
@@ -389,7 +407,7 @@ fn variable_domains<'a>(
     compiled: &CompiledQuery,
     candidates: impl Iterator<Item = Option<&'a Vec<FactId>>>,
 ) -> Vec<Option<Vec<ConstId>>> {
-    let mut domains: Vec<Option<Vec<ConstId>>> = vec![None; compiled.variables.len()];
+    let mut domains: Vec<Option<Vec<ConstId>>> = vec![None; compiled.variables];
     for ((_, terms), facts) in compiled.atoms.iter().zip(candidates) {
         let Some(facts) = facts else {
             continue;
@@ -444,7 +462,7 @@ pub fn restrict_to_reach(
     decomposition: &TreeDecomposition,
     query: &ConjunctiveQuery,
 ) -> Result<(Vec<FactId>, TreeDecomposition), CourcelleError> {
-    let compiled = compile_query(query)?;
+    let compiled = compile_query(query, instance)?;
     Ok(restrict(instance, decomposition, &compiled))
 }
 
@@ -478,48 +496,74 @@ fn prepare_run(
 }
 
 /// Anchors each of `facts` at a nice-decomposition node whose bag contains
-/// all its constants. Nullary facts are anchored at the root.
+/// all its constants: the first such node bottom-up among those holding the
+/// fact's rarest constant. Nullary facts are anchored at the root.
 fn anchor_facts(
     instance: &Instance,
     facts: &[FactId],
     nice: &NiceDecomposition,
 ) -> Result<Vec<Vec<FactId>>, CourcelleError> {
     let mut anchored: Vec<Vec<FactId>> = vec![Vec::new(); nice.len()];
-    // Occurrence lists: constant → nice nodes containing it.
-    let mut occurrences: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
-    for (i, node) in nice.iter_bottom_up() {
-        for v in &node.bag {
-            occurrences.entry(v.index()).or_default().push(i);
-        }
-    }
+    // Occurrences: `(constant, nice node)` for every bag entry, sorted, so
+    // the nodes holding a constant are one run, bottom-up.
+    let mut occurrences: Vec<(usize, usize)> = nice
+        .iter_bottom_up()
+        .flat_map(|(i, node)| node.bag.iter().map(move |v| (v.index(), i)))
+        .collect();
+    occurrences.sort_unstable();
+    let nodes_holding = |c: usize| {
+        let from = occurrences.partition_point(|&(v, _)| v < c);
+        let len = occurrences[from..].partition_point(|&(v, _)| v == c);
+        occurrences[from..from + len].iter().map(|&(_, node)| node)
+    };
+    let mut constants: Vec<usize> = Vec::new();
     for &fid in facts {
-        let fact = instance.fact(fid);
-        let constants: BTreeSet<usize> = fact.args.iter().map(|c| c.0).collect();
+        constants.clear();
+        constants.extend(instance.fact(fid).args.iter().map(|c| c.0));
+        constants.sort_unstable();
+        constants.dedup();
         if constants.is_empty() {
             anchored[nice.root()].push(fid);
             continue;
         }
-        // Search the occurrence list of the rarest constant.
-        let rarest = constants
+        // Search the nodes holding the rarest constant (the smallest one
+        // among equally rare).
+        let rarest = *constants
             .iter()
-            .min_by_key(|c| occurrences.get(c).map(|o| o.len()).unwrap_or(0))
-            .copied()
+            .min_by_key(|&&c| nodes_holding(c).len())
             .expect("non-empty");
-        let candidates = occurrences
-            .get(&rarest)
-            .ok_or(CourcelleError::AnchorNotFound(fid))?;
-        let anchor = candidates
-            .iter()
-            .find(|&&node| {
+        let anchor = nodes_holding(rarest)
+            .find(|&node| {
+                let bag = nice.node(node).bag;
                 constants
                     .iter()
-                    .all(|&c| nice.node(node).bag.contains(&VertexId(c)))
+                    .all(|&c| bag.binary_search(&VertexId(c)).is_ok())
             })
-            .copied()
             .ok_or(CourcelleError::AnchorNotFound(fid))?;
         anchored[anchor].push(fid);
     }
     Ok(anchored)
+}
+
+/// Packed states back to back, each with a gate: a node's table in the
+/// lineage run (its reachable states, sorted and distinct, each with the
+/// gate that is true exactly when the run can reach it), or the
+/// contributions to one, in the order they were made.
+#[derive(Default)]
+struct Entries {
+    states: Vec<u32>,
+    gates: Vec<GateId>,
+}
+
+impl Entries {
+    fn clear(&mut self) {
+        self.states.clear();
+        self.gates.clear();
+    }
+
+    fn state(&self, i: usize, stride: usize) -> &State {
+        &self.states[i * stride..(i + 1) * stride]
+    }
 }
 
 /// Runs the query automaton nondeterministically over the decomposition,
@@ -535,102 +579,166 @@ pub fn cq_lineage_circuit(
     query: &ConjunctiveQuery,
     fact_variable: impl Fn(FactId) -> VarId,
 ) -> Result<Circuit, CourcelleError> {
-    let compiled = compile_query(query)?;
+    let compiled = compile_query(query, instance)?;
     let (nice, anchored) = prepare_run(instance, decomposition, &compiled)?;
+    let stride = compiled.stride();
 
     let mut circuit = Circuit::new();
     let true_gate = circuit.add_const(true);
-    let mut fact_gates: BTreeMap<FactId, GateId> = BTreeMap::new();
-    let mut gate_of_fact = |fid: FactId, circuit: &mut Circuit| -> GateId {
-        *fact_gates
-            .entry(fid)
-            .or_insert_with(|| circuit.add_input(fact_variable(fid)))
-    };
 
-    // tables[node]: state → gate.
-    let mut tables: Vec<BTreeMap<MatchState, GateId>> = Vec::with_capacity(nice.len());
+    // tables[node]: its states and their gates. A child's table is taken
+    // by its one parent, and its buffers are reused for a later table.
+    let mut tables: Vec<Entries> = Vec::with_capacity(nice.len());
+    let mut spare: Vec<Entries> = Vec::new();
+    let recycle = |spare: &mut Vec<Entries>, mut table: Entries| {
+        table.clear();
+        spare.push(table);
+    };
+    // Sorts contribution indices by state, keeping the order they were
+    // made in among equal states.
+    let by_state = |order: &mut [usize], contributions: &Entries| {
+        order.sort_by(|&a, &b| {
+            contributions
+                .state(a, stride)
+                .cmp(contributions.state(b, stride))
+        })
+    };
+    let mut contributions = Entries::default();
+    let mut order: Vec<usize> = Vec::new();
+    let mut worklist: Vec<usize> = Vec::new();
+    let mut current: Vec<u32> = Vec::with_capacity(stride);
+    let mut fact_gates: Vec<Option<GateId>> = Vec::new();
 
     for (idx, node) in nice.iter_bottom_up() {
+        let facts = &anchored[idx];
         // Structural step.
-        let mut contributions: BTreeMap<MatchState, Vec<GateId>> = BTreeMap::new();
-        match &node.kind {
+        contributions.clear();
+        match node.kind {
             NiceNodeKind::Leaf => {
-                contributions
-                    .entry(compiled.initial_state())
-                    .or_default()
-                    .push(true_gate);
+                compiled.initial_state(&mut contributions.states);
+                contributions.gates.push(true_gate);
             }
             NiceNodeKind::Introduce { child, .. } => {
-                for (state, &gate) in &tables[*child] {
-                    contributions.entry(state.clone()).or_default().push(gate);
+                let table = std::mem::take(&mut tables[child]);
+                if facts.is_empty() {
+                    // Nothing to match: the child's table, sorted and
+                    // distinct, is this node's.
+                    tables.push(table);
+                    continue;
                 }
+                contributions.states.extend_from_slice(&table.states);
+                contributions.gates.extend_from_slice(&table.gates);
+                recycle(&mut spare, table);
             }
             NiceNodeKind::Forget { vertex, child } => {
                 let c = ConstId(vertex.index());
-                for (state, &gate) in &tables[*child] {
-                    if let Some(next) = compiled.forget(state, c) {
-                        contributions.entry(next).or_default().push(gate);
+                let table = std::mem::take(&mut tables[child]);
+                for (state, &gate) in table.states.chunks_exact(stride).zip(&table.gates) {
+                    if compiled.forget(state, c, &mut contributions.states) {
+                        contributions.gates.push(gate);
                     }
                 }
+                recycle(&mut spare, table);
             }
             NiceNodeKind::Join { left, right } => {
-                for (ls, &lg) in &tables[*left] {
-                    for (rs, &rg) in &tables[*right] {
-                        if let Some(next) = compiled.join(ls, rs) {
+                let left = std::mem::take(&mut tables[left]);
+                let right = std::mem::take(&mut tables[right]);
+                for (ls, &lg) in left.states.chunks_exact(stride).zip(&left.gates) {
+                    for (rs, &rg) in right.states.chunks_exact(stride).zip(&right.gates) {
+                        if compiled.join(ls, rs, &mut contributions.states) {
                             let gate = circuit.add_and(vec![lg, rg]);
-                            contributions.entry(next).or_default().push(gate);
+                            contributions.gates.push(gate);
                         }
                     }
                 }
+                recycle(&mut spare, left);
+                recycle(&mut spare, right);
             }
         }
+        order.clear();
+        order.extend(0..contributions.gates.len());
+        by_state(&mut order, &contributions);
 
-        // Matching closure for facts anchored at this node.
-        if !anchored[idx].is_empty() {
-            let mut worklist: Vec<(MatchState, GateId)> = contributions
-                .iter()
-                .flat_map(|(s, gates)| gates.iter().map(move |&g| (s.clone(), g)))
-                .collect();
-            while let Some((state, gate)) = worklist.pop() {
-                for &fid in &anchored[idx] {
+        // Matching closure for facts anchored at this node: the grouped
+        // contributions are the worklist, popped from the back.
+        if !facts.is_empty() {
+            fact_gates.clear();
+            fact_gates.resize(facts.len(), None);
+            worklist.clear();
+            worklist.extend_from_slice(&order);
+            while let Some(entry) = worklist.pop() {
+                current.clear();
+                current.extend_from_slice(contributions.state(entry, stride));
+                let gate = contributions.gates[entry];
+                for (k, &fid) in facts.iter().enumerate() {
                     let fact = instance.fact(fid);
                     for atom_index in 0..compiled.atoms.len() {
-                        if let Some(next) = compiled.try_match(&state, atom_index, fact, instance) {
-                            let fact_gate = gate_of_fact(fid, &mut circuit);
+                        if compiled.try_match(&current, atom_index, fact, &mut contributions.states)
+                        {
+                            let fact_gate = *fact_gates[k]
+                                .get_or_insert_with(|| circuit.add_input(fact_variable(fid)));
                             let new_gate = circuit.add_and(vec![gate, fact_gate]);
-                            contributions
-                                .entry(next.clone())
-                                .or_default()
-                                .push(new_gate);
-                            worklist.push((next, new_gate));
+                            contributions.gates.push(new_gate);
+                            order.push(contributions.gates.len() - 1);
+                            worklist.push(contributions.gates.len() - 1);
                         }
                     }
                 }
             }
+            by_state(&mut order, &contributions);
         }
 
         // Collapse contributions into one OR gate per state.
-        let mut table = BTreeMap::new();
-        for (state, gates) in contributions {
-            let gate = if gates.len() == 1 {
-                gates[0]
+        let mut table = spare.pop().unwrap_or_default();
+        let mut run = 0;
+        while run < order.len() {
+            let state = contributions.state(order[run], stride);
+            let mut end = run + 1;
+            while end < order.len() && contributions.state(order[end], stride) == state {
+                end += 1;
+            }
+            let gate = if end - run == 1 {
+                contributions.gates[order[run]]
             } else {
-                circuit.add_or(gates)
+                circuit.add_or(
+                    order[run..end]
+                        .iter()
+                        .map(|&i| contributions.gates[i])
+                        .collect(),
+                )
             };
-            table.insert(state, gate);
+            table.states.extend_from_slice(state);
+            table.gates.push(gate);
+            run = end;
         }
         tables.push(table);
     }
 
     // Output: OR over accepting states at the root.
-    let accepting: Vec<GateId> = tables[nice.root()]
-        .iter()
+    let root = &tables[nice.root()];
+    let accepting: Vec<GateId> = root
+        .states
+        .chunks_exact(stride)
+        .zip(&root.gates)
         .filter(|(s, _)| compiled.is_accepting(s))
         .map(|(_, &g)| g)
         .collect();
     let output = circuit.add_or(accepting);
     circuit.set_output(output);
     Ok(circuit)
+}
+
+/// A deterministic state of the probability run: the sorted, distinct
+/// packed states the nondeterministic run could be in, back to back.
+/// Comparing two of them as word vectors compares them as state sequences.
+type DetState = Vec<u32>;
+
+/// Sorts and deduplicates the packed states of `states`.
+fn normalise(states: &[u32], stride: usize) -> DetState {
+    let mut chunks: Vec<&State> = states.chunks_exact(stride).collect();
+    chunks.sort_unstable();
+    chunks.dedup();
+    chunks.concat()
 }
 
 /// Runs the query automaton deterministically (subset construction) over the
@@ -642,54 +750,48 @@ pub fn cq_probability_tid(
     decomposition: &TreeDecomposition,
     query: &ConjunctiveQuery,
 ) -> Result<f64, CourcelleError> {
-    let compiled = compile_query(query)?;
     let instance = tid.instance();
+    let compiled = compile_query(query, instance)?;
     let (nice, anchored) = prepare_run(instance, decomposition, &compiled)?;
+    let stride = compiled.stride();
 
-    type DetState = Vec<MatchState>; // sorted, deduplicated
-                                     // distributions[node]: det-state → probability.
+    // distributions[node]: det-state → probability.
     let mut distributions: Vec<BTreeMap<DetState, f64>> = Vec::with_capacity(nice.len());
-
-    let normalise = |mut states: Vec<MatchState>| -> DetState {
-        states.sort();
-        states.dedup();
-        states
-    };
+    let mut scratch: Vec<u32> = Vec::new();
 
     for (idx, node) in nice.iter_bottom_up() {
         let mut dist: BTreeMap<DetState, f64> = BTreeMap::new();
-        match &node.kind {
+        match node.kind {
             NiceNodeKind::Leaf => {
-                dist.insert(vec![compiled.initial_state()], 1.0);
+                let mut initial = Vec::new();
+                compiled.initial_state(&mut initial);
+                dist.insert(initial, 1.0);
             }
             NiceNodeKind::Introduce { child, .. } => {
-                for (states, &p) in &distributions[*child] {
+                for (states, &p) in &distributions[child] {
                     *dist.entry(states.clone()).or_insert(0.0) += p;
                 }
             }
             NiceNodeKind::Forget { vertex, child } => {
                 let c = ConstId(vertex.index());
-                for (states, &p) in &distributions[*child] {
-                    let next: Vec<MatchState> = states
-                        .iter()
-                        .filter_map(|s| compiled.forget(s, c))
-                        .collect();
-                    *dist.entry(normalise(next)).or_insert(0.0) += p;
+                for (states, &p) in &distributions[child] {
+                    scratch.clear();
+                    for s in states.chunks_exact(stride) {
+                        compiled.forget(s, c, &mut scratch);
+                    }
+                    *dist.entry(normalise(&scratch, stride)).or_insert(0.0) += p;
                 }
             }
             NiceNodeKind::Join { left, right } => {
-                let left_dist = distributions[*left].clone();
-                for (ls, &lp) in &left_dist {
-                    for (rs, &rp) in &distributions[*right] {
-                        let mut combined = Vec::new();
-                        for a in ls {
-                            for b in rs {
-                                if let Some(s) = compiled.join(a, b) {
-                                    combined.push(s);
-                                }
+                for (ls, &lp) in &distributions[left] {
+                    for (rs, &rp) in &distributions[right] {
+                        scratch.clear();
+                        for a in ls.chunks_exact(stride) {
+                            for b in rs.chunks_exact(stride) {
+                                compiled.join(a, b, &mut scratch);
                             }
                         }
-                        *dist.entry(normalise(combined)).or_insert(0.0) += lp * rp;
+                        *dist.entry(normalise(&scratch, stride)).or_insert(0.0) += lp * rp;
                     }
                 }
             }
@@ -713,8 +815,9 @@ pub fn cq_probability_tid(
                         continue;
                     }
                     // Deterministic closure with the present facts.
-                    let mut closure: BTreeSet<MatchState> = states.iter().cloned().collect();
-                    let mut worklist: Vec<MatchState> = states.clone();
+                    let mut closure: BTreeSet<Vec<u32>> =
+                        states.chunks_exact(stride).map(<[u32]>::to_vec).collect();
+                    let mut worklist: Vec<Vec<u32>> = closure.iter().cloned().collect();
                     while let Some(state) = worklist.pop() {
                         for (i, &fid) in facts.iter().enumerate() {
                             if mask & (1 << i) == 0 {
@@ -722,17 +825,16 @@ pub fn cq_probability_tid(
                             }
                             let fact = instance.fact(fid);
                             for atom_index in 0..compiled.atoms.len() {
-                                if let Some(next) =
-                                    compiled.try_match(&state, atom_index, fact, instance)
+                                scratch.clear();
+                                if compiled.try_match(&state, atom_index, fact, &mut scratch)
+                                    && closure.insert(scratch.clone())
                                 {
-                                    if closure.insert(next.clone()) {
-                                        worklist.push(next);
-                                    }
+                                    worklist.push(scratch.clone());
                                 }
                             }
                         }
                     }
-                    let det: DetState = closure.into_iter().collect();
+                    let det: DetState = closure.into_iter().flatten().collect();
                     *with_facts.entry(det).or_insert(0.0) += p * weight;
                 }
             }
@@ -744,7 +846,10 @@ pub fn cq_probability_tid(
 
     let mut accepted = 0.0;
     for (states, &p) in &distributions[nice.root()] {
-        if states.iter().any(|s| compiled.is_accepting(s)) {
+        if states
+            .chunks_exact(stride)
+            .any(|s| compiled.is_accepting(s))
+        {
             accepted += p;
         }
     }

@@ -7,14 +7,15 @@
 //! every change. This bench measures that claim on the a4 workload (80-fact
 //! path TID, 64 anchored self-join queries):
 //!
-//! * **warm** — `Engine::apply_update` (which patches + rekeys the caches)
-//!   followed by re-evaluating all 64 queries against the warm engine;
+//! * **warm** — `Engine::apply_update` (which maintains + rekeys the
+//!   caches) followed by re-evaluating all 64 queries against the warm
+//!   engine;
 //! * **cold** — a fresh engine evaluating the same 64 queries on the
 //!   mutated instance from scratch.
 //!
 //! Update sizes sweep 1, 8 and 64 touched facts (probability overwrites —
 //! the live-traffic shape), plus a single-fact insertion and a single-fact
-//! deletion (the two structural patch paths). The `[A5]` report lines
+//! deletion (the two structural write paths). The `[A5]` report lines
 //! record the speedups; the acceptance bar is ≥5x for single-fact updates
 //! on the 64-query workload.
 
@@ -157,7 +158,9 @@ fn main() {
         }
     }
 
-    // --- single-fact insertion: the structural patch path.
+    // --- single-fact insertion: each round extends the path beyond the
+    // anchored queries' reach, so the delta join finds no new match, every
+    // cached lineage is kept, and the structure decomposition is repaired.
     {
         let engine = Engine::new();
         let mut live = base.clone();

@@ -520,7 +520,7 @@ fn writes_scale_linearly_from_2k_to_20k_facts() {
                 let inserted = engine.apply_update(&mut tid, &insert).unwrap();
                 let deleted = engine.apply_update(&mut tid, &delete).unwrap();
                 let elapsed = started.elapsed();
-                assert_eq!(inserted.lineages_patched + deleted.lineages_patched, 2);
+                assert_eq!(inserted.lineages_rebuilt + deleted.lineages_patched, 2);
                 if check {
                     let warm = engine.evaluate(&tid, &query).unwrap();
                     let cold = Engine::new().evaluate(&tid, &query).unwrap();
@@ -545,6 +545,113 @@ fn writes_scale_linearly_from_2k_to_20k_facts() {
         ratio < 20.0,
         "an insert and a delete at 20k facts must cost less than 20x the same \
          writes at 2k ({small:?} -> {large:?}, {ratio:.2}x)"
+    );
+}
+
+/// Inserts alone scale linearly: an insert that extends a path holding
+/// the warm unanchored pair `R(x, y), R(y, z)` rebuilds that lineage with a
+/// cold build, which is linear in the instance, so it costs less than
+/// INSERT_BAR times as much at 20k facts as at 2k (linear is about 10x;
+/// ten interleaved measurements read 6.9-14.9x, and 9.9-17.3x for the
+/// insert that patched the circuit). Each insert is checked against a cold
+/// engine at 2k; in debug builds only that agreement runs.
+#[test]
+fn inserts_scale_linearly_from_2k_to_20k_facts() {
+    const INSERT_BAR: f64 = 18.0;
+    use stuc_core::engine::Delta;
+    let query = ConjunctiveQuery::parse("R(x, y), R(y, z)").unwrap();
+    // Best of five inserts on one warm engine, each extending the path.
+    let insert_time = |n: usize, check: bool| {
+        let mut tid = workloads::path_tid(n, 0.5, 13);
+        let engine = Engine::new();
+        engine.evaluate(&tid, &query).unwrap();
+        (0..5)
+            .map(|round| {
+                let end = n + round;
+                let insert =
+                    Delta::new().insert("R", &[&format!("c{end}"), &format!("c{}", end + 1)], 0.4);
+                let started = std::time::Instant::now();
+                let report = engine.apply_update(&mut tid, &insert).unwrap();
+                let elapsed = started.elapsed();
+                assert_eq!(report.lineages_rebuilt, 1);
+                if check {
+                    let warm = engine.evaluate(&tid, &query).unwrap();
+                    let cold = Engine::new().evaluate(&tid, &query).unwrap();
+                    assert!(warm.lineage_cached);
+                    assert!((warm.probability - cold.probability).abs() < 1e-9);
+                }
+                elapsed
+            })
+            .min()
+            .unwrap()
+    };
+    let small = insert_time(2_000, true);
+    if cfg!(debug_assertions) {
+        eprintln!("debug build: skipping the 20k rung and the insert scaling bar (run in release)");
+        return;
+    }
+    let large = insert_time(20_000, false);
+    let ratio = large.as_secs_f64() / small.as_secs_f64().max(f64::MIN_POSITIVE);
+    assert!(
+        ratio < INSERT_BAR,
+        "an insert at 20k facts must cost less than {INSERT_BAR}x one at 2k \
+         ({small:?} -> {large:?}, {ratio:.2}x)"
+    );
+}
+
+/// Reads do not drift across writes: on `path_tid(1000)` holding the warm
+/// unanchored pair `R(x, y), R(y, z)`, eight rounds of an insert (which
+/// rebuilds the lineage) and a delete (which rewires it) leave the median
+/// warm read under 2x the one before the first round (patching the
+/// circuit on every insert made it 226-351x). Every read after a round
+/// agrees with a cold engine; in debug builds only that agreement runs.
+#[test]
+fn reads_stay_flat_across_an_insert_history() {
+    use stuc_core::engine::Delta;
+    use stuc_data::instance::FactId;
+    let n = 1_000;
+    let query = ConjunctiveQuery::parse("R(x, y), R(y, z)").unwrap();
+    let mut tid = workloads::path_tid(n, 0.5, 13);
+    let engine = Engine::new();
+    engine.evaluate(&tid, &query).unwrap();
+    // Median of 41 warm reads.
+    let read = |tid: &stuc_data::tid::TidInstance| {
+        let mut times: Vec<Duration> = (0..41)
+            .map(|_| {
+                let started = std::time::Instant::now();
+                std::hint::black_box(engine.evaluate(tid, &query).unwrap());
+                started.elapsed()
+            })
+            .collect();
+        times.sort_unstable();
+        times[times.len() / 2]
+    };
+    let before = read(&tid);
+    for round in 0..8 {
+        let end = n + round;
+        let insert = Delta::new().insert("R", &[&format!("c{end}"), &format!("c{}", end + 1)], 0.4);
+        engine.apply_update(&mut tid, &insert).unwrap();
+        engine
+            .apply_update(&mut tid, &Delta::new().delete(FactId(n / 2 + round)))
+            .unwrap();
+        let warm = engine.evaluate(&tid, &query).unwrap();
+        let cold = Engine::new().evaluate(&tid, &query).unwrap();
+        assert!(warm.lineage_cached);
+        assert!(
+            (warm.probability - cold.probability).abs() < 1e-9,
+            "round {round}"
+        );
+    }
+    if cfg!(debug_assertions) {
+        eprintln!("debug build: skipping the <2x read drift bar (run in release)");
+        return;
+    }
+    let after = read(&tid);
+    let ratio = after.as_secs_f64() / before.as_secs_f64().max(f64::MIN_POSITIVE);
+    assert!(
+        ratio < 2.0,
+        "a warm read after 8 insert+delete rounds must cost under 2x one before \
+         ({before:?} -> {after:?}, {ratio:.2}x)"
     );
 }
 

@@ -21,7 +21,7 @@
 //! whatever the caller's budget, and callers route it to DPLL instead
 //! ([`one_shot_probability`] does so for circuits evaluated once).
 
-use crate::circuit::{Circuit, CircuitError, Gate, GateId, VarId};
+use crate::circuit::{Circuit, CircuitError, Gate, VarId};
 use crate::dpll::{DpllCounter, DpllError};
 use crate::plan::{SweepArena, SweepPlan, MAX_PLANNED_BAG};
 use crate::weights::Weights;
@@ -32,7 +32,6 @@ use stuc_graph::decomposition::BagId;
 use stuc_graph::elimination::{decompose_with_heuristic, EliminationHeuristic};
 use stuc_graph::graph::VertexId;
 use stuc_graph::nice::NiceDecomposition;
-use stuc_graph::repair::{repair_decomposition, RepairError};
 use stuc_graph::TreeDecomposition;
 use stuc_obs::metrics::{registry, Counter};
 
@@ -109,12 +108,11 @@ pub struct CompiledCircuit {
     /// subsequent run.
     structure: OnceLock<CompiledStructure>,
     /// The flattened sweep plan over `structure`'s decomposition
-    /// ([`SweepPlan`]), built on first counting run (or by the caller right
-    /// after a patch). Only a built plan is stored: a circuit too wide to
-    /// plan leaves the cell empty and every sweep refuses.
-    /// [`CompiledCircuit::rewire_inputs`] carries it over relabelled
-    /// ([`SweepPlan::relabel`]); [`CompiledCircuit::extend_or`] changes the
-    /// circuit and its decomposition, so it starts a fresh cell.
+    /// ([`SweepPlan`]), built on first counting run (or by the engine
+    /// inside the write that rebuilt the circuit). Only a built plan is
+    /// stored: a circuit too wide to plan leaves the cell empty and every
+    /// sweep refuses. [`CompiledCircuit::rewire_inputs`] carries it over
+    /// relabelled ([`SweepPlan::relabel`]).
     plan: OnceLock<Arc<SweepPlan>>,
     /// Reusable sweep scratch (dense tables + weight slab): steady-state
     /// repeated evaluation allocates nothing. Guarded by a mutex so the
@@ -141,10 +139,9 @@ impl Clone for CompiledCircuit {
 }
 
 /// The lazily-built decomposition state of a [`CompiledCircuit`]: the
-/// circuit-graph decomposition, kept so incremental patches
-/// ([`CompiledCircuit::extend_or`]) can repair it instead of re-decomposing
-/// the grown circuit graph. Its nice form is derived only while a sweep
-/// plan is built, and the plan keeps what the sweep needs of it.
+/// circuit-graph decomposition, packed, with its width. Its nice form is
+/// derived only while a sweep plan is built (and by the reference sweep),
+/// and the plan keeps what the sweep needs of it.
 #[derive(Debug, Clone)]
 struct CompiledStructure {
     width: usize,
@@ -214,43 +211,6 @@ impl PackedDecomposition {
     }
 }
 
-stuc_errors::stuc_error! {
-    /// Why an incremental circuit patch refused; the caller should fall
-    /// back to a fresh compilation.
-    #[derive(Clone, PartialEq)]
-    pub enum PatchError {
-        /// The delta circuit has no output gate.
-        Circuit(CircuitError),
-        /// The patched circuit-graph decomposition would exceed the bag-size
-        /// budget (or failed validation).
-        Repair(RepairError),
-    }
-    display {
-        Self::Circuit(e) => "{e}",
-        Self::Repair(e) => "{e}",
-    }
-    from {
-        CircuitError => Circuit,
-        RepairError => Repair,
-    }
-}
-
-/// What [`CompiledCircuit::extend_or`] did: the dirty-cone size and the
-/// decomposition-repair statistics.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct ExtendReport {
-    /// Gates appended to the prepared circuit (the rebuilt cone).
-    pub gates_appended: usize,
-    /// Existing decomposition bags grown by the repair.
-    pub bags_touched: usize,
-    /// Bags added by the repair.
-    pub bags_added: usize,
-    /// Circuit-graph decomposition width before the patch (if built).
-    pub width_before: Option<usize>,
-    /// Width after the patch (if built).
-    pub width_after: Option<usize>,
-}
-
 impl CompiledCircuit {
     /// Compiles `source` for repeated evaluation; its circuit graph is
     /// decomposed with `heuristic` on first use.
@@ -306,7 +266,8 @@ impl CompiledCircuit {
     }
 
     /// True once a dense sweep plan is built for this circuit. Never builds
-    /// one: this is how a patch tells whether its source was being swept.
+    /// one: this is how a write tells whether the circuit it replaces was
+    /// being swept.
     pub fn is_planned(&self) -> bool {
         self.plan.get().is_some()
     }
@@ -427,138 +388,6 @@ impl CompiledCircuit {
             },
             rewired,
         )
-    }
-
-    /// Extends the compiled lineage with a delta circuit: the new output is
-    /// `old_output OR delta_output`. This is the insertion patch — the delta
-    /// holds the lineage of the *new* query matches only, and instead of
-    /// recompiling, the appended gates (the dirty cone) are folded into the
-    /// prepared circuit and the cached circuit-graph decomposition is
-    /// repaired locally under the `max_bag_size` budget.
-    ///
-    /// Fails with [`PatchError`] when the delta has no output or the repair
-    /// exceeds the budget; callers then fall back to a fresh compilation.
-    pub fn extend_or(
-        &self,
-        delta: &Circuit,
-        max_bag_size: usize,
-    ) -> Result<(CompiledCircuit, ExtendReport), PatchError> {
-        let delta_out = delta.output().ok_or(CircuitError::NoOutput)?;
-
-        // New source: append the delta arena, OR the outputs.
-        let mut source = self.source.as_ref().clone();
-        let source_out = source.output().ok_or(CircuitError::NoOutput)?;
-        let offset = source.len();
-        for (_, gate) in delta.iter() {
-            let shifted = match gate {
-                Gate::Input(v) => Gate::Input(*v),
-                Gate::Const(b) => Gate::Const(*b),
-                Gate::And(xs) => Gate::And(xs.iter().map(|g| GateId(g.0 + offset)).collect()),
-                Gate::Or(xs) => Gate::Or(xs.iter().map(|g| GateId(g.0 + offset)).collect()),
-                Gate::Not(x) => Gate::Not(GateId(x.0 + offset)),
-            };
-            match shifted {
-                Gate::Input(v) => source.add_input(v),
-                Gate::Const(b) => source.add_const(b),
-                Gate::And(xs) => source.add_and(xs),
-                Gate::Or(xs) => source.add_or(xs),
-                Gate::Not(x) => source.add_not(x),
-            };
-        }
-        let new_source_out = source.add_or(vec![source_out, GateId(delta_out.0 + offset)]);
-        source.set_output(new_source_out);
-
-        // New prepared circuit: existing gates keep their identifiers (this
-        // is what makes the decomposition patchable); the binarised delta is
-        // appended, sharing the existing per-variable input gates.
-        let mut prepared = self.prepared.clone();
-        let before = prepared.len();
-        let mut input_of_var: BTreeMap<VarId, GateId> = BTreeMap::new();
-        for (id, gate) in prepared.iter() {
-            if let Gate::Input(v) = gate {
-                input_of_var.entry(*v).or_insert(id);
-            }
-        }
-        let delta_prepared = delta.binarize();
-        let delta_prepared_out = delta_prepared
-            .output()
-            .expect("binarize preserves the output");
-        let mut map: Vec<GateId> = Vec::with_capacity(delta_prepared.len());
-        for (_, gate) in delta_prepared.iter() {
-            let id = match gate {
-                Gate::Input(v) => *input_of_var
-                    .entry(*v)
-                    .or_insert_with(|| prepared.add_input(*v)),
-                Gate::Const(b) => prepared.add_const(*b),
-                Gate::And(xs) => {
-                    let inputs = xs.iter().map(|x| map[x.0]).collect();
-                    prepared.add_and(inputs)
-                }
-                Gate::Or(xs) => {
-                    let inputs = xs.iter().map(|x| map[x.0]).collect();
-                    prepared.add_or(inputs)
-                }
-                Gate::Not(x) => prepared.add_not(map[x.0]),
-            };
-            map.push(id);
-        }
-        let old_out = GateId(self.output_gate);
-        let new_out = prepared.add_or(vec![old_out, map[delta_prepared_out.0]]);
-        prepared.set_output(new_out);
-
-        let mut report = ExtendReport {
-            gates_appended: prepared.len() - before,
-            ..Default::default()
-        };
-
-        // Patch the cached decomposition, if one was ever built; otherwise
-        // the grown circuit simply decomposes lazily like a fresh compile.
-        let structure = match self.structure.get() {
-            None => OnceLock::new(),
-            Some(old) => {
-                report.width_before = Some(old.width);
-                let graph = wmc::circuit_graph(&prepared);
-                let cliques: Vec<Vec<VertexId>> = (before..prepared.len())
-                    .map(|g| {
-                        let mut clique = vec![VertexId(g)];
-                        clique.extend(
-                            prepared
-                                .gate(GateId(g))
-                                .inputs()
-                                .iter()
-                                .map(|x| VertexId(x.0)),
-                        );
-                        clique
-                    })
-                    .collect();
-                let (patched, repair) = repair_decomposition(
-                    &old.decomposition.unpack(),
-                    &graph,
-                    &cliques,
-                    max_bag_size,
-                )?;
-                report.bags_touched = repair.bags_touched;
-                report.bags_added = repair.bags_added;
-                report.width_after = Some(repair.width_after);
-                OnceLock::from(CompiledStructure::new(&patched))
-            }
-        };
-        let variables = source.variables();
-        Ok((
-            CompiledCircuit {
-                source: Arc::new(source),
-                prepared,
-                output_gate: new_out.0,
-                variables,
-                heuristic: self.heuristic,
-                structure,
-                // The appended dirty cone changed both the circuit and its
-                // (repaired) decomposition: the plan is re-derived lazily.
-                plan: OnceLock::new(),
-                arena: Mutex::new(SweepArena::new()),
-            },
-            report,
-        ))
     }
 
     /// Probability that the output gate is true under `weights`, refusing
@@ -768,6 +597,7 @@ pub struct WmcManyReport {
 mod tests {
     use super::*;
     use crate::builder;
+    use crate::circuit::GateId;
     use crate::enumeration::probability_by_enumeration;
 
     fn assert_close(a: f64, b: f64) {
@@ -942,91 +772,6 @@ mod tests {
             assert_close(patched.probability(&weights, 22).unwrap(), want);
             assert_close(lazy.probability(&weights, 22).unwrap(), want);
         }
-    }
-
-    #[test]
-    fn extend_or_patches_the_cached_decomposition() {
-        // Old lineage: x0 & x1. Delta (new matches): x1 & x2.
-        let mut old = Circuit::new();
-        let x0 = old.add_input(VarId(0));
-        let x1 = old.add_input(VarId(1));
-        let and = old.add_and(vec![x0, x1]);
-        old.set_output(and);
-        let compiled =
-            CompiledCircuit::compile(Arc::new(old), EliminationHeuristic::MinDegree).unwrap();
-        let _ = compiled.width(); // structure is built, so the patch must repair it
-
-        let mut delta = Circuit::new();
-        let d1 = delta.add_input(VarId(1));
-        let d2 = delta.add_input(VarId(2));
-        let dand = delta.add_and(vec![d1, d2]);
-        delta.set_output(dand);
-
-        let (patched, report) = compiled.extend_or(&delta, 22).unwrap();
-        assert!(report.gates_appended > 0);
-        assert!(report.width_before.is_some() && report.width_after.is_some());
-
-        // Agreement with the full OR circuit by enumeration.
-        let mut full = Circuit::new();
-        let y0 = full.add_input(VarId(0));
-        let y1 = full.add_input(VarId(1));
-        let y2 = full.add_input(VarId(2));
-        let a = full.add_and(vec![y0, y1]);
-        let b = full.add_and(vec![y1, y2]);
-        let or = full.add_or(vec![a, b]);
-        full.set_output(or);
-        for p in [0.25, 0.5, 0.75] {
-            let weights = Weights::uniform([VarId(0), VarId(1), VarId(2)], p);
-            let want = probability_by_enumeration(&full, &weights).unwrap();
-            assert_close(patched.probability(&weights, 22).unwrap(), want);
-        }
-        // Repeated extension keeps working (patch of a patch).
-        let mut delta2 = Circuit::new();
-        let e = delta2.add_input(VarId(3));
-        delta2.set_output(e);
-        let (patched2, _) = patched.extend_or(&delta2, 22).unwrap();
-        let weights = Weights::uniform([VarId(0), VarId(1), VarId(2), VarId(3)], 0.5);
-        // P((x0&x1)|(x1&x2)|x3) = 1 - (1 - 0.375) * 0.5 = 0.6875.
-        assert_close(patched2.probability(&weights, 22).unwrap(), 0.6875);
-    }
-
-    #[test]
-    fn extend_or_is_lazy_when_no_structure_was_built() {
-        let mut old = Circuit::new();
-        let x = old.add_input(VarId(0));
-        old.set_output(x);
-        let compiled = CompiledCircuit::compile(Arc::new(old), Default::default()).unwrap();
-        let mut delta = Circuit::new();
-        let y = delta.add_input(VarId(1));
-        delta.set_output(y);
-        let (patched, report) = compiled.extend_or(&delta, 22).unwrap();
-        assert_eq!(report.width_before, None);
-        assert_eq!(report.width_after, None);
-        let weights = Weights::uniform([VarId(0), VarId(1)], 0.5);
-        assert_close(patched.probability(&weights, 22).unwrap(), 0.75);
-    }
-
-    #[test]
-    fn extend_or_refuses_on_budget_and_missing_output() {
-        let mut old = Circuit::new();
-        let x = old.add_input(VarId(0));
-        old.set_output(x);
-        let compiled = CompiledCircuit::compile(Arc::new(old), Default::default()).unwrap();
-        let _ = compiled.width();
-        let mut no_output = Circuit::new();
-        no_output.add_input(VarId(1));
-        assert!(matches!(
-            compiled.extend_or(&no_output, 22),
-            Err(PatchError::Circuit(CircuitError::NoOutput))
-        ));
-        // A bag-size budget of 1 cannot host the OR clique: repair refuses.
-        let mut delta = Circuit::new();
-        let y = delta.add_input(VarId(1));
-        delta.set_output(y);
-        assert!(matches!(
-            compiled.extend_or(&delta, 1),
-            Err(PatchError::Repair(_))
-        ));
     }
 
     #[test]

@@ -80,8 +80,7 @@ pub mod wmc;
 
 pub use circuit::{Circuit, Gate, GateId, VarId};
 pub use compiled::{
-    one_shot_probability, CompiledCircuit, ExtendReport, OneShotError, PatchError, WmcManyReport,
-    DEFAULT_WIDTH_BUDGET,
+    one_shot_probability, CompiledCircuit, OneShotError, WmcManyReport, DEFAULT_WIDTH_BUDGET,
 };
 pub use plan::{SweepArena, SweepPlan};
 pub use weights::{ProbabilityError, Weights};

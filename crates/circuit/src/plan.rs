@@ -53,6 +53,7 @@ use crate::weights::Weights;
 use crate::wmc::WmcError;
 use std::collections::HashMap;
 use std::sync::Arc;
+use stuc_graph::graph::VertexId;
 use stuc_graph::nice::{NiceDecomposition, NiceNodeKind};
 
 /// The scalar semiring one dense sweep runs in. Multiplication is always
@@ -284,8 +285,6 @@ impl SweepPlan {
 
         let mut nodes: Vec<PlanNode> = Vec::with_capacity(nice.len());
         let mut checks: Vec<CompiledCheck> = Vec::new();
-        // Sorted bag layouts, kept only during the build.
-        let mut bags: Vec<Vec<usize>> = Vec::with_capacity(nice.len());
         // Static slot allocation: each table is consumed by exactly one
         // parent, so freeing the child slots after assigning the parent's
         // keeps the live-slot count at the sweep's actual peak.
@@ -301,17 +300,17 @@ impl SweepPlan {
         let mut gate = stuc_fault::budget::Gate::every(64);
         for (idx, node) in nice.iter_bottom_up() {
             gate.check("sweep plan build")?;
-            let bag = node.bag_indices();
+            // Bags are sorted: bit `i` of a table mask is the gate
+            // `bag[i]`.
+            let bag = node.bag;
             let op = match &node.kind {
                 NiceNodeKind::Leaf => PlanOp::Leaf,
                 NiceNodeKind::Introduce { vertex, child } => {
                     let v = vertex.index();
                     let intro_pos =
-                        bag.iter()
-                            .position(|&g| g == v)
-                            .expect("introduced gate in bag") as u32;
+                        bag.binary_search(vertex).expect("introduced gate in bag") as u32;
                     let checks_start = checks.len() as u32;
-                    compile_checks(circuit, &bag, v, output_gate, &mut checks);
+                    compile_checks(circuit, bag, v, output_gate, &mut checks);
                     PlanOp::Introduce {
                         child: *child,
                         low_mask: (1u64 << intro_pos) - 1,
@@ -322,11 +321,11 @@ impl SweepPlan {
                 }
                 NiceNodeKind::Forget { vertex, child } => {
                     let v = vertex.index();
-                    let forget_pos = bags[*child]
-                        .iter()
-                        .position(|&g| g == v)
-                        .expect("forgotten gate in child bag")
-                        as u32;
+                    let forget_pos =
+                        nice.node(*child)
+                            .bag
+                            .binary_search(vertex)
+                            .expect("forgotten gate in child bag") as u32;
                     let multiplier_slot = match circuit.gate(GateId(v)) {
                         Gate::Input(var) => slot_of_var[var],
                         _ => u32::MAX,
@@ -362,14 +361,13 @@ impl SweepPlan {
                 table_len: 1usize << bag.len(),
                 slot,
             });
-            bags.push(bag);
             debug_assert_eq!(nodes.len(), idx + 1);
         }
 
         let root = nice.root();
         let mut root_inputs = Vec::new();
-        for (pos, &g) in bags[root].iter().enumerate() {
-            if let Gate::Input(var) = circuit.gate(GateId(g)) {
+        for (pos, g) in nice.node(root).bag.iter().enumerate() {
+            if let Gate::Input(var) = circuit.gate(GateId(g.index())) {
                 root_inputs.push((pos as u32, slot_of_var[var]));
             }
         }
@@ -1135,14 +1133,17 @@ impl RetainedSweep {
 /// positions.
 fn compile_checks(
     circuit: &Circuit,
-    bag: &[usize],
+    bag: &[VertexId],
     introduced: usize,
     output_gate: usize,
     out: &mut Vec<CompiledCheck>,
 ) {
-    let bit_of =
-        |gate: usize| -> Option<u64> { bag.binary_search(&gate).ok().map(|pos| 1u64 << pos) };
-    for &g in bag {
+    let bit_of = |gate: usize| -> Option<u64> {
+        bag.binary_search(&VertexId(gate))
+            .ok()
+            .map(|pos| 1u64 << pos)
+    };
+    'gates: for g in bag.iter().map(|v| v.index()) {
         let gate = circuit.gate(GateId(g));
         if gate.is_leaf() && g != introduced {
             continue;
@@ -1152,15 +1153,15 @@ fn compile_checks(
         if !scope_contains_introduced {
             continue;
         }
-        let in_bits = match gate
-            .inputs()
-            .iter()
-            .map(|x| bit_of(x.0))
-            .collect::<Option<Vec<u64>>>()
-        {
-            Some(bits) => bits,
-            None => continue, // scope not fully in the bag yet
-        };
+        // The inputs' bits, or the next gate when the scope is not fully
+        // in the bag yet.
+        let mut in_mask = 0u64;
+        for x in gate.inputs() {
+            match bit_of(x.0) {
+                Some(bit) => in_mask |= bit,
+                None => continue 'gates,
+            }
+        }
         let out_bit = bit_of(g).expect("gate is in its own bag");
         let check = match gate {
             Gate::Input(_) => continue, // free variable, no constraint
@@ -1170,15 +1171,15 @@ fn compile_checks(
             },
             Gate::Not(_) => CompiledCheck::NotGate {
                 out: out_bit,
-                input: in_bits[0],
+                input: in_mask,
             },
             Gate::And(_) => CompiledCheck::AndGate {
                 out: out_bit,
-                in_mask: in_bits.iter().fold(0, |acc, b| acc | b),
+                in_mask,
             },
             Gate::Or(_) => CompiledCheck::OrGate {
                 out: out_bit,
-                in_mask: in_bits.iter().fold(0, |acc, b| acc | b),
+                in_mask,
             },
         };
         out.push(check);

@@ -133,8 +133,9 @@ impl SafePlanEligibility {
 pub struct CircuitExplanation {
     /// Gate count after simplification (what the sweep walks).
     pub gates: usize,
-    /// Gate count when the circuit was last compiled cold (differs from
-    /// `gates` after incremental patches).
+    /// Gate count when the circuit was last built cold. Writes keep every
+    /// cached circuit a cold build (an insert rebuilds it, a deletion pins
+    /// inputs without removing gates), so this equals `gates`.
     pub cold_gates: usize,
     /// Distinct lineage variables (the dimension of the weight space).
     pub variables: usize,
@@ -608,7 +609,7 @@ impl Engine {
             });
         CircuitExplanation {
             gates: entry.compiled.len(),
-            cold_gates: entry.cold_gates,
+            cold_gates: entry.compiled.len(),
             variables: entry.compiled.variables().len(),
             bags: entry.compiled.bag_count(),
             width,

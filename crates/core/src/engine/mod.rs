@@ -320,20 +320,14 @@ pub(crate) struct CompiledLineage {
     /// Secondary instance hash, validated on every hit.
     pub(crate) instance_check: u64,
     /// The query itself (type-erased): [`Engine::apply_update`] downcasts
-    /// it back to re-derive delta lineages when the instance changes.
+    /// it back to look for new matches and rebuild the lineage when facts
+    /// are inserted.
     pub(crate) query: Arc<dyn std::any::Any + Send + Sync>,
-    /// Gate count of the circuit when it was last compiled cold. Patches
-    /// only ever grow a circuit (deleted cones become constants, inserted
-    /// cones are appended), so [`Engine::apply_update`] compares against
-    /// this watermark and schedules a fresh compile once a patched circuit
-    /// has bloated past a fixed factor — sustained churn degrades to an
-    /// amortized rebuild, never to an unboundedly slower sweep.
-    pub(crate) cold_gates: usize,
 }
 
 impl CompiledLineage {
-    /// A copy carrying a patched circuit (and, when known, the patched
-    /// structure-decomposition width).
+    /// A copy carrying another circuit for the changed instance (and, when
+    /// known, the width of the structure decomposition it was built from).
     pub(crate) fn with_patched_circuit(
         &self,
         compiled: Arc<CompiledCircuit>,
@@ -347,14 +341,7 @@ impl CompiledLineage {
             query_repr: self.query_repr.clone(),
             instance_check,
             query: Arc::clone(&self.query),
-            cold_gates: self.cold_gates,
         }
-    }
-
-    /// True when patched growth has outrun the cold-compiled size enough
-    /// that a fresh compile beats further patching.
-    pub(crate) fn is_bloated(&self, patched_gates: usize) -> bool {
-        patched_gates > self.cold_gates.saturating_mul(4) + 64
     }
 }
 
@@ -846,27 +833,12 @@ impl Engine {
         // erroring mid-loop; this checkpoint is where the degraded run turns
         // into the typed error (before any lineage work is attempted).
         stuc_fault::budget::check("structure decomposition")?;
-        let outcome = representation.lineage(query, &decomposition)?;
-        let build_notes = outcome.note.into_iter().collect();
-        // Constant-fold and prune the raw lineage before compiling:
-        // automaton-built circuits carry a constant gate per decomposition
-        // node, so for selective (e.g. anchored) queries the reachable
-        // non-constant core is a tiny fraction of the raw circuit, and both
-        // the circuit-graph decomposition and every later counting sweep
-        // shrink with it.
-        let simplified = outcome.circuit.simplify()?;
-        stuc_fault::budget::check("lineage construction")?;
-        stuc_fault::failpoint!("lineage-compile", |m| StucError::Internal {
-            message: format!("injected fault: {m}"),
-        });
-        let compiled = CompiledCircuit::compile(Arc::new(simplified), HEURISTIC)?;
+        let (compiled, build_notes) = self.build_lineage(representation, query, &decomposition)?;
         rec.mark("compile-lineage");
-        stuc_fault::budget::check("lineage compilation")?;
         let (query_repr, instance_check, key) = match probe {
             Some(probe) => (probe.query_repr, probe.instance_check, Some(probe.key)),
             None => (String::new(), 0, None),
         };
-        let cold_gates = compiled.len();
         let entry = Arc::new(CompiledLineage {
             compiled: Arc::new(compiled),
             decomposition_width: Some(decomposition.width()),
@@ -874,7 +846,6 @@ impl Engine {
             query_repr,
             instance_check,
             query: Arc::new(query.clone()),
-            cold_gates,
         });
         let flags = CacheFlags {
             lineage_cached: false,
@@ -899,6 +870,35 @@ impl Engine {
             }
         }
         Ok((entry, flags))
+    }
+
+    /// The cold build of the lineage of `(representation, query)` over
+    /// `decomposition`: the automaton run, simplification and compilation,
+    /// with the build-time notes. A lineage-cache miss runs it, and so does
+    /// [`Engine::apply_update`] for a cached lineage an insert gave new
+    /// matches, so a rebuilt entry is exactly what a miss would build.
+    fn build_lineage<R: Representation + ?Sized>(
+        &self,
+        representation: &R,
+        query: &R::Query,
+        decomposition: &TreeDecomposition,
+    ) -> Result<(CompiledCircuit, Vec<String>), StucError> {
+        let outcome = representation.lineage(query, decomposition)?;
+        let build_notes = outcome.note.into_iter().collect();
+        // Constant-fold and prune the raw lineage before compiling:
+        // automaton-built circuits carry a constant gate per decomposition
+        // node, so for selective (e.g. anchored) queries the reachable
+        // non-constant core is a tiny fraction of the raw circuit, and both
+        // the circuit-graph decomposition and every later counting sweep
+        // shrink with it.
+        let simplified = outcome.circuit.simplify()?;
+        stuc_fault::budget::check("lineage construction")?;
+        stuc_fault::failpoint!("lineage-compile", |m| StucError::Internal {
+            message: format!("injected fault: {m}"),
+        });
+        let compiled = CompiledCircuit::compile(Arc::new(simplified), HEURISTIC)?;
+        stuc_fault::budget::check("lineage compilation")?;
+        Ok((compiled, build_notes))
     }
 
     /// True when the lineage cache already holds a compiled circuit for
@@ -1207,11 +1207,11 @@ mod tests {
         assert!(Arc::ptr_eq(&circuit_before, &compiled(&tid)));
         assert!(planned(&tid));
 
-        // An insertion (`extend_or`) and a deletion (`rewire_inputs`) patch
-        // the lineage and re-plan it inside the write.
+        // An insertion with a new match rebuilds the lineage and plans it
+        // inside the write; a deletion (`rewire_inputs`) carries the plan.
         let insert = Delta::new().insert("R", &["c12", "c13"], 0.5);
         let report = engine.apply_update(&mut tid, &insert).unwrap();
-        assert!(report.gates_rebuilt > 0 && report.lineages_patched == 1);
+        assert!(report.gates_rebuilt > 0 && report.lineages_rebuilt == 1);
         assert!(planned(&tid));
         let report = engine
             .apply_update(&mut tid, &Delta::new().delete(FactId(0)))

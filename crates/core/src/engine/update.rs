@@ -1,4 +1,5 @@
-//! Incremental updates: patch the caches, don't rebuild the world.
+//! Incremental updates: patch the caches, rebuild only what an insert
+//! changed.
 //!
 //! [`Engine::apply_update`] is the write path of the engine. It applies a
 //! typed [`Delta`] to the instance and then *maintains* both engine caches
@@ -9,19 +10,22 @@
 //!   locally through [`stuc_graph::repair`] when it grew by fact cliques,
 //!   and rebuilt from scratch only when the repair would exceed the
 //!   engine's width budget or the representation reports an opaque change;
-//! * every **compiled-lineage cache** entry for the instance is patched
+//! * every **compiled-lineage cache** entry for the instance is maintained
 //!   according to the representation's [`LineagePatch`]: reused verbatim
 //!   for weight-only deltas, input-rewired for deletions (pin + renumber,
-//!   no recompilation), extended with the delta lineage of the new matches
-//!   for insertions — and dropped for rebuilds the patch model does not
-//!   cover.
+//!   no recompilation), and for insertions left as is when the inserted
+//!   facts add no match (an O(delta) check) or else rebuilt inside the
+//!   write with the very build a cache miss runs, over the maintained
+//!   structure decomposition — so a rebuilt circuit is exactly what a cold
+//!   build gives, and its width cannot drift; rebuilds the patch model does
+//!   not cover drop the entry for a lazy rebuild.
 //!
-//! The returned [`UpdateReport`] says exactly what was reused vs rebuilt,
-//! so operational dashboards (and the `a5_incremental_updates` bench) can
-//! watch the patch rate and the width drift.
+//! The returned [`UpdateReport`] says exactly what was reused, rebuilt and
+//! dropped, so operational dashboards (and the `a5_incremental_updates`
+//! bench) can watch the write path.
 
 use super::metrics::engine_metrics;
-use super::{Engine, Representation, StucError, HEURISTIC};
+use super::{CompiledLineage, Engine, Representation, StucError, HEURISTIC};
 use std::sync::Arc;
 use std::time::Duration;
 use stuc_circuit::circuit::Gate;
@@ -41,11 +45,12 @@ pub struct UpdateReport {
     pub deleted: usize,
     /// Probabilities overwritten by the delta.
     pub reweighted: usize,
-    /// Decomposition bags grown or added across all repairs (structure
-    /// graph and circuit graphs).
+    /// Structure-decomposition bags grown or added by its repair. A rebuilt
+    /// lineage adds none: its circuit-graph decomposition is built afresh,
+    /// not repaired.
     pub bags_touched: usize,
-    /// Lineage gates rewired or appended across all patched circuits; 0 for
-    /// a weights-only update.
+    /// Lineage gates rewired by deletions plus the gates of every rebuilt
+    /// circuit; 0 for a weights-only update.
     pub gates_rebuilt: usize,
     /// Width of the cached structure decomposition before the update (when
     /// one was cached).
@@ -56,8 +61,11 @@ pub struct UpdateReport {
     /// True when any patch was abandoned for a full rebuild (repair over
     /// the width budget, opaque structural change, unpatchable lineage).
     pub fell_back: bool,
-    /// Compiled lineages patched (or rekeyed) and kept warm.
+    /// Compiled lineages reused or rewired and kept warm.
     pub lineages_patched: usize,
+    /// Compiled lineages an insert gave new matches, rebuilt inside the
+    /// write (and planned when the replaced circuit was) and kept warm.
+    pub lineages_rebuilt: usize,
     /// Compiled lineages dropped; they rebuild lazily on the next query.
     pub lineages_dropped: usize,
     /// Wall-clock time of the whole update, mutation included.
@@ -67,9 +75,10 @@ pub struct UpdateReport {
 }
 
 impl UpdateReport {
-    /// Width drift of this update: `width_after - width_before`, when both
-    /// are known. Positive drift accumulating across updates is the signal
-    /// to schedule a full re-decomposition.
+    /// Width drift of the structure decomposition in this update:
+    /// `width_after - width_before`, when both are known. Cached lineage
+    /// circuits do not drift: an insert rebuilds them over the maintained
+    /// decomposition, and a deletion keeps their topology.
     pub fn width_drift(&self) -> Option<isize> {
         match (self.width_before, self.width_after) {
             (Some(before), Some(after)) => Some(after as isize - before as isize),
@@ -81,10 +90,11 @@ impl UpdateReport {
 impl Engine {
     /// Applies a [`Delta`] to the instance **and** incrementally maintains
     /// the engine's caches across the mutation: the decomposition and every
-    /// compiled lineage of the instance are patched and rekeyed from the
-    /// old fingerprint to the new one, falling back to targeted eviction
-    /// (see [`Engine::evict_instance`]) plus lazy rebuild only where a
-    /// patch is impossible or would exceed the width budget.
+    /// compiled lineage of the instance are patched (or, for lineages an
+    /// insert gave new matches, rebuilt) and rekeyed from the old
+    /// fingerprint to the new one, falling back to targeted eviction (see
+    /// [`Engine::evict_instance`]) plus lazy rebuild only where a patch is
+    /// impossible or would exceed the width budget.
     ///
     /// Fact identifiers in the delta refer to the pre-update instance; see
     /// [`Delta`] for the in-transaction application order. A rejected delta
@@ -127,11 +137,12 @@ impl Engine {
                 if let Ok(report) = result {
                     slowlog::global().note("apply_update", report.wall_time, 0, || {
                         format!(
-                            "+{} -{} ~{} patched={} dropped={}",
+                            "+{} -{} ~{} patched={} rebuilt={} dropped={}",
                             report.inserted,
                             report.deleted,
                             report.reweighted,
                             report.lineages_patched,
+                            report.lineages_rebuilt,
                             report.lineages_dropped
                         )
                     });
@@ -262,103 +273,40 @@ impl Engine {
         let mut budget_gate = stuc_fault::budget::Gate::every(4);
         for (key, entry) in stale_lineages {
             budget_gate.check("update: lineage maintenance")?;
-            let patched = match &application.lineage {
-                LineagePatch::Rebuild => None,
+            let maintained = match &application.lineage {
+                LineagePatch::Rebuild => Maintained::Dropped,
                 // An update that left the lineage intact: only the
                 // secondary instance hash changes, and the entry keeps the
                 // very same circuit (with its plan and warm arena).
-                LineagePatch::Reusable => {
-                    Some(entry.with_patched_circuit(Arc::clone(&entry.compiled), new_check, None))
+                LineagePatch::Reusable => Maintained::Patched(entry.with_patched_circuit(
+                    Arc::clone(&entry.compiled),
+                    new_check,
+                    None,
+                )),
+                LineagePatch::Steps(steps) => self.apply_steps(
+                    representation,
+                    &entry,
+                    steps,
+                    (new_check, structure_width),
+                    &mut report,
+                )?,
+            };
+            let fresh = match maintained {
+                Maintained::Patched(fresh) => {
+                    report.lineages_patched += 1;
+                    fresh
                 }
-                LineagePatch::Steps(steps) => {
-                    let mut compiled = Arc::clone(&entry.compiled);
-                    let mut alive = true;
-                    for step in steps {
-                        match step {
-                            LineagePatchStep::RewireInputs { pin_false, remap } => {
-                                // Carries the plan over relabelled: nothing
-                                // to re-plan for a deletion.
-                                let (rewired, gates) = compiled.rewire_inputs(pin_false, remap);
-                                compiled = Arc::new(rewired);
-                                report.gates_rebuilt += gates;
-                            }
-                            LineagePatchStep::ExtendWithNewMatches { inserted } => {
-                                let Some(query) =
-                                    entry.query.downcast_ref::<<R as Representation>::Query>()
-                                else {
-                                    alive = false;
-                                    break;
-                                };
-                                let Some(delta_circuit) =
-                                    representation.delta_lineage(query, inserted)
-                                else {
-                                    alive = false;
-                                    break;
-                                };
-                                let Ok(simplified) = delta_circuit.simplify() else {
-                                    alive = false;
-                                    break;
-                                };
-                                let constant_false = simplified
-                                    .output()
-                                    .map(|out| matches!(simplified.gate(out), Gate::Const(false)))
-                                    .unwrap_or(true);
-                                if constant_false {
-                                    // The insertion created no new match for
-                                    // this query: the old circuit is exact.
-                                    continue;
-                                }
-                                match compiled.extend_or(&simplified, self.config.width_budget) {
-                                    Ok((extended, stats)) => {
-                                        compiled = Arc::new(extended);
-                                        report.gates_rebuilt += stats.gates_appended;
-                                        report.bags_touched +=
-                                            stats.bags_touched + stats.bags_added;
-                                    }
-                                    Err(refusal) => {
-                                        report.fell_back = true;
-                                        report.notes.push(format!(
-                                            "lineage patch refused ({refusal}); dropped for lazy rebuild"
-                                        ));
-                                        alive = false;
-                                        break;
-                                    }
-                                }
-                            }
-                        }
-                    }
-                    // Patches only ever grow a circuit (dead cones become
-                    // constants, new cones are appended): once the patched
-                    // size has outrun the cold-compiled watermark, drop the
-                    // entry so the next query recompiles it compactly —
-                    // sustained churn amortizes to a rebuild instead of
-                    // degrading every sweep forever.
-                    if alive && entry.is_bloated(compiled.len()) {
-                        report.notes.push(format!(
-                            "patched lineage grew to {} gates (cold: {}); dropped for compacting rebuild",
-                            compiled.len(),
-                            entry.cold_gates
-                        ));
-                        alive = false;
-                    }
-                    // Re-plan an extended circuit inside the write, so the
-                    // first read after it finds a ready plan (a transient
-                    // failure leaves the planning to that read). A rewired
-                    // one already carries its plan.
-                    if alive && entry.compiled.is_planned() {
-                        let _ = compiled.try_sweep_plan();
-                    }
-                    alive.then(|| entry.with_patched_circuit(compiled, new_check, structure_width))
+                Maintained::Rebuilt(fresh) => {
+                    report.lineages_rebuilt += 1;
+                    fresh
+                }
+                Maintained::Dropped => {
+                    report.lineages_dropped += 1;
+                    continue;
                 }
             };
-            match patched {
-                Some(fresh) => {
-                    report.lineages_patched += 1;
-                    self.lineage_cache
-                        .insert_replacing((new_lineage_fp, key.1), Arc::new(fresh));
-                }
-                None => report.lineages_dropped += 1,
-            }
+            self.lineage_cache
+                .insert_replacing((new_lineage_fp, key.1), Arc::new(fresh));
         }
         if report.lineages_dropped > 0 && matches!(application.lineage, LineagePatch::Rebuild) {
             report.notes.push(format!(
@@ -371,4 +319,105 @@ impl Engine {
         report.wall_time = watch.elapsed();
         Ok(report)
     }
+
+    /// Applies one delta's patch steps to a cached lineage. A deletion
+    /// rewires the circuit's inputs (its plan carried over). An insertion
+    /// keeps the circuit when the inserted facts add no match to it (an
+    /// O(delta) check of [`Updatable::delta_lineage`]), and otherwise
+    /// rebuilds the lineage with the build a cache miss runs, over the
+    /// structure decomposition the engine now holds, planning it inside
+    /// the write when the replaced circuit was planned.
+    ///
+    /// A rebuild the budget interrupts fails the write (the mutation and
+    /// the entries maintained so far stand; this one is dropped and
+    /// rebuilds on its next read); any other failed rebuild drops the
+    /// entry.
+    ///
+    /// `(instance_check, structure_width)` are the changed instance's
+    /// secondary hash and its structure-decomposition width, when known.
+    fn apply_steps<R>(
+        &self,
+        representation: &R,
+        entry: &CompiledLineage,
+        steps: &[LineagePatchStep],
+        (instance_check, structure_width): (u64, Option<usize>),
+        report: &mut UpdateReport,
+    ) -> Result<Maintained, StucError>
+    where
+        R: Representation + Updatable<Query = <R as Representation>::Query> + ?Sized,
+    {
+        let mut compiled = Arc::clone(&entry.compiled);
+        let mut rebuild_for = None;
+        for step in steps {
+            match step {
+                LineagePatchStep::RewireInputs { pin_false, remap } => {
+                    let (rewired, gates) = compiled.rewire_inputs(pin_false, remap);
+                    compiled = Arc::new(rewired);
+                    report.gates_rebuilt += gates;
+                }
+                LineagePatchStep::RebuildOnNewMatches { inserted } => {
+                    let Some(query) = entry.query.downcast_ref::<<R as Representation>::Query>()
+                    else {
+                        return Ok(Maintained::Dropped);
+                    };
+                    let Some(Ok(delta)) = representation
+                        .delta_lineage(query, inserted)
+                        .map(|delta| delta.simplify())
+                    else {
+                        return Ok(Maintained::Dropped);
+                    };
+                    let new_match = delta
+                        .output()
+                        .is_some_and(|out| !matches!(delta.gate(out), Gate::Const(false)));
+                    if new_match {
+                        rebuild_for = Some(query);
+                    }
+                }
+            }
+        }
+        let Some(query) = rebuild_for else {
+            return Ok(Maintained::Patched(entry.with_patched_circuit(
+                compiled,
+                instance_check,
+                structure_width,
+            )));
+        };
+        let (decomposition, _) = self.decomposition_for(representation);
+        match self.build_lineage(representation, query, &decomposition) {
+            Ok((rebuilt, build_notes)) => {
+                // A transient planning failure leaves the planning to the
+                // next read.
+                if entry.compiled.is_planned() {
+                    let _ = rebuilt.try_sweep_plan();
+                }
+                report.gates_rebuilt += rebuilt.len();
+                Ok(Maintained::Rebuilt(CompiledLineage {
+                    compiled: Arc::new(rebuilt),
+                    decomposition_width: Some(decomposition.width()),
+                    build_notes,
+                    query_repr: entry.query_repr.clone(),
+                    instance_check,
+                    query: Arc::clone(&entry.query),
+                }))
+            }
+            Err(err) if stuc_fault::budget::tripped() => Err(err),
+            Err(err) => {
+                report.fell_back = true;
+                report.notes.push(format!(
+                    "lineage rebuild failed ({err}); dropped for lazy rebuild"
+                ));
+                Ok(Maintained::Dropped)
+            }
+        }
+    }
+}
+
+/// What became of one cached lineage in a write.
+enum Maintained {
+    /// Reused or rewired.
+    Patched(CompiledLineage),
+    /// Rebuilt for new matches.
+    Rebuilt(CompiledLineage),
+    /// Dropped; it rebuilds on its next read.
+    Dropped,
 }

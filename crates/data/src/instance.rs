@@ -5,7 +5,7 @@
 //! algorithms (Gaifman graphs, tree decompositions, tree encodings) can work
 //! with plain indices.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::sync::{Arc, OnceLock};
@@ -57,31 +57,38 @@ pub struct Instance {
 /// The facts of an [`Instance`] by relation and by `(relation, position,
 /// constant)`: what a join with some arguments already bound looks up
 /// instead of scanning a relation. Built in one linear pass by
-/// [`Instance::fact_index`] and memoised until the facts change.
+/// [`Instance::fact_index`], memoised, and kept up to date by
+/// [`Instance::add_fact`] until a removal renumbers the facts.
 #[derive(Debug)]
 pub struct FactIndex {
-    /// The facts of relation `r` are `relation_facts[relation_starts[r]..
-    /// relation_starts[r + 1]]`, in id order.
-    relation_starts: Vec<usize>,
-    relation_facts: Vec<FactId>,
-    /// The occurrences of constant `c` are the entries
-    /// `constant_starts[c]..constant_starts[c + 1]` of `occurrence_keys`
-    /// (`(relation, position)`) and `occurrence_facts`, sorted by key and
-    /// then by fact id.
+    /// The facts of each relation, in id order.
+    relation_facts: Vec<Vec<FactId>>,
+    /// The occurrences of constant `c` when the index was built are the
+    /// entries `constant_starts[c]..constant_starts[c + 1]` of
+    /// `occurrence_keys` (`(relation, position)`) and `occurrence_facts`,
+    /// sorted by key and then by fact id.
     constant_starts: Vec<usize>,
     occurrence_keys: Vec<(RelId, usize)>,
     occurrence_facts: Vec<FactId>,
+    /// Every `(constant, relation, position)` a fact added since the build
+    /// holds: its whole run of facts, in id order. It replaces the built
+    /// run.
+    appended: HashMap<(ConstId, RelId, usize), Vec<FactId>>,
 }
 
 impl FactIndex {
     fn build(instance: &Instance) -> FactIndex {
-        // Two counting sorts: facts by relation, argument slots by constant.
-        // (`add_fact` takes identifiers that need not be interned, hence
-        // the growth checks.)
-        let mut relation_starts = vec![0usize; instance.relation_sizes.len() + 1];
+        // Facts by relation, then a counting sort of the argument slots by
+        // constant. (`add_fact` takes identifiers that need not be
+        // interned, hence the growth check.)
+        let mut relation_facts: Vec<Vec<FactId>> = instance
+            .relation_sizes
+            .iter()
+            .map(|&size| Vec::with_capacity(size))
+            .collect();
         let mut constant_starts = vec![0usize; instance.constant_count() + 1];
-        for fact in &instance.facts {
-            relation_starts[fact.relation.0 + 1] += 1;
+        for (id, fact) in instance.facts() {
+            relation_facts[fact.relation.0].push(id);
             for c in &fact.args {
                 if constant_starts.len() < c.0 + 2 {
                     constant_starts.resize(c.0 + 2, 0);
@@ -89,17 +96,8 @@ impl FactIndex {
                 constant_starts[c.0 + 1] += 1;
             }
         }
-        for i in 1..relation_starts.len() {
-            relation_starts[i] += relation_starts[i - 1];
-        }
         for i in 1..constant_starts.len() {
             constant_starts[i] += constant_starts[i - 1];
-        }
-        let mut relation_next = relation_starts.clone();
-        let mut relation_facts = vec![FactId(0); instance.facts.len()];
-        for (id, fact) in instance.facts() {
-            relation_facts[relation_next[fact.relation.0]] = id;
-            relation_next[fact.relation.0] += 1;
         }
         // Distributing the argument slots in (relation, position, fact)
         // order leaves every constant's range sorted the same way.
@@ -107,8 +105,7 @@ impl FactIndex {
         let occurrences = constant_starts[constant_starts.len() - 1];
         let mut occurrence_keys = vec![(RelId(0), 0); occurrences];
         let mut occurrence_facts = vec![FactId(0); occurrences];
-        for (r, range) in relation_starts.windows(2).enumerate() {
-            let facts = &relation_facts[range[0]..range[1]];
+        for (r, facts) in relation_facts.iter().enumerate() {
             let arity = facts
                 .iter()
                 .map(|&f| instance.fact(f).args.len())
@@ -126,25 +123,52 @@ impl FactIndex {
             }
         }
         FactIndex {
-            relation_starts,
             relation_facts,
             constant_starts,
             occurrence_keys,
             occurrence_facts,
+            appended: HashMap::new(),
+        }
+    }
+
+    /// Indexes fact `id`, which must be the instance's newest fact. Costs
+    /// O(arity) hash-map pushes, plus a copy of the built run the first
+    /// time a `(constant, relation, position)` gains a fact.
+    fn append(&mut self, id: FactId, fact: &Fact) {
+        if self.relation_facts.len() <= fact.relation.0 {
+            self.relation_facts.resize(fact.relation.0 + 1, Vec::new());
+        }
+        self.relation_facts[fact.relation.0].push(id);
+        for (position, &c) in fact.args.iter().enumerate() {
+            let key = (c, fact.relation, position);
+            if !self.appended.contains_key(&key) {
+                let built = self.built_facts_with(fact.relation, position, c).to_vec();
+                self.appended.insert(key, built);
+            }
+            self.appended.get_mut(&key).expect("just inserted").push(id);
         }
     }
 
     /// The facts of `relation`, in id order.
     pub fn facts_of(&self, relation: RelId) -> &[FactId] {
-        match self.relation_starts.get(relation.0..relation.0 + 2) {
-            Some(&[start, end]) => &self.relation_facts[start..end],
-            _ => &[],
-        }
+        self.relation_facts
+            .get(relation.0)
+            .map_or(&[], Vec::as_slice)
     }
 
     /// The facts of `relation` whose argument at `position` is `constant`,
     /// in id order.
     pub fn facts_with(&self, relation: RelId, position: usize, constant: ConstId) -> &[FactId] {
+        if !self.appended.is_empty() {
+            if let Some(run) = self.appended.get(&(constant, relation, position)) {
+                return run;
+            }
+        }
+        self.built_facts_with(relation, position, constant)
+    }
+
+    /// [`FactIndex::facts_with`] as of the build.
+    fn built_facts_with(&self, relation: RelId, position: usize, constant: ConstId) -> &[FactId] {
         let Some(&[start, end]) = self.constant_starts.get(constant.0..constant.0 + 2) else {
             return &[];
         };
@@ -161,12 +185,13 @@ impl FactIndex {
 /// the content memos of the uncertain representations it is invisible: it
 /// always compares equal, renders as nothing and is never hashed.
 ///
-/// Each part is dropped by exactly the changes it depends on: a fact change
-/// drops all three, interning a new constant drops the graph (a new vertex)
-/// and the identity, interning a new relation name drops the identity. A
-/// clone shares the graph and the identity (an `Arc` and a pair, cheap and
-/// equal for equal content) but starts without an index (a copy is usually
-/// made to be mutated).
+/// Each part follows exactly the changes it depends on: a fact insertion
+/// appends to the index and drops the graph and the identity, a fact
+/// removal (which renumbers the facts) drops all three, interning a new
+/// constant drops the graph (a new vertex) and the identity, interning a
+/// new relation name drops the identity. A clone shares the graph and the
+/// identity (an `Arc` and a pair, cheap and equal for equal content) but
+/// starts without an index (a copy is usually made to be mutated).
 #[derive(Default)]
 struct DerivedMemo {
     index: OnceLock<FactIndex>,
@@ -175,7 +200,7 @@ struct DerivedMemo {
 }
 
 impl DerivedMemo {
-    fn facts_changed(&mut self) {
+    fn facts_removed(&mut self) {
         self.index.take();
         self.graph.take();
         self.identity.take();
@@ -282,9 +307,14 @@ impl Instance {
             self.relation_sizes.resize(relation.0 + 1, 0);
         }
         self.relation_sizes[relation.0] += 1;
-        self.derived.facts_changed();
+        self.derived.graph.take();
+        self.derived.identity.take();
         self.facts.push(Fact { relation, args });
-        FactId(self.facts.len() - 1)
+        let id = FactId(self.facts.len() - 1);
+        if let Some(index) = self.derived.index.get_mut() {
+            index.append(id, &self.facts[id.0]);
+        }
+        id
     }
 
     /// Adds a fact given by names, interning as needed.
@@ -311,7 +341,7 @@ impl Instance {
     pub fn remove_fact(&mut self, f: FactId) -> Fact {
         let fact = self.facts.remove(f.0);
         self.relation_sizes[fact.relation.0] -= 1;
-        self.derived.facts_changed();
+        self.derived.facts_removed();
         fact
     }
 
@@ -332,14 +362,15 @@ impl Instance {
     }
 
     /// All fact ids of a given relation, in id order, read from the
-    /// [`FactIndex`] (built on the first call after a fact change).
+    /// [`FactIndex`] (built on the first call after a fact removal).
     pub fn facts_of(&self, relation: RelId) -> &[FactId] {
         self.fact_index().facts_of(relation)
     }
 
     /// The [`FactIndex`] of the current facts: built in one linear pass on
-    /// the first call after a fact change, then shared by every later call
-    /// (concurrent first calls all get the one stored index).
+    /// the first call after a fact removal, kept up to date by insertions,
+    /// and shared by every later call (concurrent first calls all get the
+    /// one stored index).
     pub fn fact_index(&self) -> &FactIndex {
         self.derived.index.get_or_init(|| FactIndex::build(self))
     }

@@ -151,6 +151,23 @@ impl TreeDecomposition {
         td
     }
 
+    /// A decomposition from its parts, which must already be in the stored
+    /// form: every bag and every tree adjacency list sorted and
+    /// deduplicated, and the adjacency symmetric.
+    pub(crate) fn from_sorted_parts(
+        bags: Vec<Vec<VertexId>>,
+        tree: Vec<Vec<usize>>,
+    ) -> TreeDecomposition {
+        debug_assert_eq!(bags.len(), tree.len());
+        debug_assert!(bags.iter().all(|b| b.windows(2).all(|w| w[0] < w[1])));
+        debug_assert!(tree.iter().all(|t| t.windows(2).all(|w| w[0] < w[1])));
+        TreeDecomposition {
+            bags,
+            tree,
+            index: IndexMemo::default(),
+        }
+    }
+
     /// Adds a bag with the given content and returns its identifier.
     pub fn add_bag(&mut self, content: impl IntoIterator<Item = VertexId>) -> BagId {
         self.index.0.take();

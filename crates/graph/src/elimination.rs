@@ -83,37 +83,116 @@ pub fn elimination_order(g: &Graph, heuristic: EliminationHeuristic) -> Eliminat
 /// Min-degree ordering with a lazy binary heap: near-linear on sparse graphs,
 /// which is what the Theorem 1 scaling benchmark needs (10⁵-fact instances).
 fn min_degree_order(g: &Graph) -> EliminationOrder {
+    EliminationOrder(min_degree_elimination(g, |_, _| {}))
+}
+
+/// The min-degree elimination itself, over sorted-`Vec` adjacency: returns
+/// the order and calls `visit(v, neighbourhood)` as each vertex `v` is
+/// eliminated, with its (sorted) neighbourhood at that moment.
+///
+/// The lazy heap holds `(degree, vertex)` entries that may be stale; a
+/// popped entry whose degree no longer matches is pushed back with the
+/// current degree, so ties always go to the smallest vertex. Eliminated
+/// vertices stay in their neighbours' lists until a fill edge rewrites the
+/// list, and `degree` counts the live ones: eliminating a leaf of a hub
+/// costs O(log n), not a pass over the hub's list.
+fn min_degree_elimination(g: &Graph, mut visit: impl FnMut(usize, &[usize])) -> Vec<VertexId> {
     use std::cmp::Reverse;
     use std::collections::BinaryHeap;
 
     let n = g.vertex_count();
-    let mut adjacency: Vec<BTreeSet<usize>> = (0..n)
+    let mut adjacency: Vec<Vec<usize>> = (0..n)
         .map(|v| g.neighbors(VertexId(v)).map(|u| u.0).collect())
         .collect();
+    let mut degree: Vec<usize> = adjacency.iter().map(Vec::len).collect();
     let mut alive = vec![true; n];
     let mut order = Vec::with_capacity(n);
-    // Lazy heap: entries may be stale; re-check the degree on pop.
     let mut heap: BinaryHeap<Reverse<(usize, usize)>> =
-        (0..n).map(|v| Reverse((adjacency[v].len(), v))).collect();
+        (0..n).map(|v| Reverse((degree[v], v))).collect();
+    let (mut neighbours, mut missing) = (Vec::new(), Vec::new());
 
     while order.len() < n {
         let Reverse((recorded_degree, v)) = heap.pop().expect("heap exhausted too early");
-        if !alive[v] || adjacency[v].len() != recorded_degree {
+        if !alive[v] || degree[v] != recorded_degree {
             if alive[v] {
-                heap.push(Reverse((adjacency[v].len(), v)));
+                heap.push(Reverse((degree[v], v)));
             }
             continue;
         }
-        let neighbours: Vec<usize> = adjacency[v].iter().copied().collect();
-        eliminate(&mut adjacency, &mut alive, v);
-        order.push(VertexId(v));
-        for u in neighbours {
-            if alive[u] {
-                heap.push(Reverse((adjacency[u].len(), u)));
+        alive[v] = false;
+        neighbours.clear();
+        neighbours.extend(adjacency[v].iter().copied().filter(|&u| alive[u]));
+        adjacency[v] = Vec::new();
+        visit(v, &neighbours);
+        // Turn the neighbourhood into a clique: each neighbour loses `v`
+        // and gains the others it is not adjacent to yet.
+        for &a in &neighbours {
+            missing.clear();
+            missing.extend(
+                neighbours
+                    .iter()
+                    .copied()
+                    .filter(|&u| u != a && adjacency[a].binary_search(&u).is_err()),
+            );
+            degree[a] = degree[a] - 1 + missing.len();
+            if !missing.is_empty() {
+                let list = &mut adjacency[a];
+                list.retain(|&u| alive[u]);
+                list.extend_from_slice(&missing);
+                list.sort_unstable();
             }
         }
+        order.push(VertexId(v));
+        for &u in &neighbours {
+            heap.push(Reverse((degree[u], u)));
+        }
     }
-    EliminationOrder(order)
+    order
+}
+
+/// The min-degree decomposition in one elimination: each vertex's bag is
+/// itself plus its neighbourhood when eliminated, bags are numbered in
+/// elimination order, and each bag links to the bag of its neighbour
+/// eliminated first. This is exactly
+/// `decompose_with_order(g, &elimination_order(g, MinDegree))`, without
+/// simulating the elimination a second time.
+fn min_degree_decomposition(g: &Graph) -> TreeDecomposition {
+    let n = g.vertex_count();
+    if n == 0 {
+        return TreeDecomposition::new();
+    }
+    let mut bags: Vec<Vec<VertexId>> = Vec::with_capacity(n);
+    let order = min_degree_elimination(g, |v, neighbours| {
+        let at = neighbours.partition_point(|&u| u < v);
+        let mut bag = Vec::with_capacity(neighbours.len() + 1);
+        bag.extend(neighbours[..at].iter().map(|&u| VertexId(u)));
+        bag.push(VertexId(v));
+        bag.extend(neighbours[at..].iter().map(|&u| VertexId(u)));
+        bags.push(bag);
+    });
+    let mut position = vec![0usize; n];
+    for (i, v) in order.iter().enumerate() {
+        position[v.0] = i;
+    }
+    // Every neighbour at elimination time is eliminated later, so the
+    // parent is the one with the smallest position. Bags are visited in
+    // increasing order, so every adjacency list is built sorted: a bag
+    // hears from its children (smaller ids) before it names its parent.
+    let mut tree: Vec<Vec<usize>> = vec![Vec::new(); n];
+    for (i, &v) in order.iter().enumerate() {
+        let parent = bags[i]
+            .iter()
+            .filter(|&&u| u != v)
+            .map(|u| position[u.0])
+            .min();
+        if let Some(parent) = parent {
+            tree[i].push(parent);
+            tree[parent].push(i);
+        }
+    }
+    let mut td = TreeDecomposition::from_sorted_parts(bags, tree);
+    td.connect_components();
+    td
 }
 
 /// Vertex count above which min-fill falls back to the reference BTreeSet
@@ -414,6 +493,9 @@ pub fn order_width(g: &Graph, order: &EliminationOrder) -> usize {
 pub fn decompose_with_heuristic(g: &Graph, heuristic: EliminationHeuristic) -> TreeDecomposition {
     // Infallible site: an armed Error action is ignored, Panic/Sleep apply.
     stuc_fault::failpoint!("graph-decompose");
+    if heuristic == EliminationHeuristic::MinDegree {
+        return min_degree_decomposition(g);
+    }
     let order = elimination_order(g, heuristic);
     decompose_with_order(g, &order)
 }
@@ -569,6 +651,43 @@ mod tests {
                 reference_min_fill_order(g),
                 "bitset and reference min-fill orders diverge on graph {i}"
             );
+        }
+    }
+
+    /// The fused min-degree decomposition is the oracle composition
+    /// `decompose_with_order(g, elimination_order(g, MinDegree))`, bag for
+    /// bag and tree edge for tree edge.
+    #[test]
+    fn fused_min_degree_decomposition_equals_the_two_pass_oracle() {
+        let mut graphs = vec![
+            Graph::new(),
+            generators::path(1),
+            generators::grid(6, 7),
+            generators::star(15),
+            generators::caterpillar(12, 2),
+            generators::complete(7),
+        ];
+        for seed in 0..12 {
+            graphs.push(generators::partial_k_tree(
+                50,
+                1 + (seed as usize % 4),
+                0.5,
+                seed,
+            ));
+            graphs.push(generators::erdos_renyi(40, 0.08, seed));
+            graphs.push(generators::random_tree(60, seed));
+            // Disconnected pieces: the forest is linked the same way.
+            let mut g = generators::erdos_renyi(25, 0.05, seed + 100);
+            for _ in 0..3 {
+                g.add_vertex();
+            }
+            graphs.push(g);
+        }
+        for (i, g) in graphs.iter().enumerate() {
+            let order = elimination_order(g, EliminationHeuristic::MinDegree);
+            let fused = decompose_with_heuristic(g, EliminationHeuristic::MinDegree);
+            assert_eq!(fused, decompose_with_order(g, &order), "graph {i}");
+            assert!(fused.validate(g).is_ok(), "graph {i}");
         }
     }
 

@@ -15,10 +15,9 @@
 
 use crate::decomposition::{BagId, TreeDecomposition};
 use crate::graph::VertexId;
-use std::collections::BTreeSet;
 
 /// The kind of a node in a [`NiceDecomposition`].
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum NiceNodeKind {
     /// A leaf with an empty bag.
     Leaf,
@@ -30,44 +29,51 @@ pub enum NiceNodeKind {
     Join { left: usize, right: usize },
 }
 
-/// One node of a nice decomposition: its kind plus its bag content.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct NiceNode {
+/// One node of a nice decomposition: its kind plus its bag content, both
+/// borrowed from the decomposition's arena.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct NiceNode<'a> {
     /// The structural kind of the node.
     pub kind: NiceNodeKind,
-    /// The bag carried by this node.
-    pub bag: BTreeSet<VertexId>,
+    /// The bag carried by this node, sorted.
+    pub bag: &'a [VertexId],
 }
 
-impl NiceNode {
-    /// The bag as a sorted vector of raw vertex indices — the layout sweep
-    /// plans index their dense tables by (bit `i` of a table mask is the
-    /// value of `bag_indices()[i]`).
-    pub fn bag_indices(&self) -> Vec<usize> {
-        self.bag.iter().map(|v| v.index()).collect()
-    }
-}
-
-/// A nice tree decomposition, stored as a flat arena with an explicit root.
+/// A nice tree decomposition, stored as a flat arena with an explicit root:
+/// one kind per node, and every node's sorted bag as one run of a shared
+/// vertex vector (node `i`'s bag is `vertices[bounds[i]..bounds[i + 1]]`).
 ///
 /// Children always have smaller indices than their parents, so iterating
 /// `0..len()` visits nodes bottom-up — exactly the order dynamic programs
 /// need.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct NiceDecomposition {
-    nodes: Vec<NiceNode>,
+    kinds: Vec<NiceNodeKind>,
+    bounds: Vec<usize>,
+    vertices: Vec<VertexId>,
     root: usize,
+}
+
+impl Default for NiceDecomposition {
+    fn default() -> Self {
+        NiceDecomposition {
+            kinds: Vec::new(),
+            bounds: vec![0],
+            vertices: Vec::new(),
+            root: 0,
+        }
+    }
 }
 
 impl NiceDecomposition {
     /// Number of nodes.
     pub fn len(&self) -> usize {
-        self.nodes.len()
+        self.kinds.len()
     }
 
     /// True if the decomposition has no nodes.
     pub fn is_empty(&self) -> bool {
-        self.nodes.is_empty()
+        self.kinds.is_empty()
     }
 
     /// Index of the root node.
@@ -76,13 +82,16 @@ impl NiceDecomposition {
     }
 
     /// Access a node by index.
-    pub fn node(&self, i: usize) -> &NiceNode {
-        &self.nodes[i]
+    pub fn node(&self, i: usize) -> NiceNode<'_> {
+        NiceNode {
+            kind: self.kinds[i],
+            bag: &self.vertices[self.bounds[i]..self.bounds[i + 1]],
+        }
     }
 
     /// Iterate over `(index, node)` bottom-up (children before parents).
-    pub fn iter_bottom_up(&self) -> impl Iterator<Item = (usize, &NiceNode)> {
-        self.nodes.iter().enumerate()
+    pub fn iter_bottom_up(&self) -> impl Iterator<Item = (usize, NiceNode<'_>)> {
+        (0..self.len()).map(|i| (i, self.node(i)))
     }
 
     /// The width of the nice decomposition.
@@ -93,7 +102,19 @@ impl NiceDecomposition {
     /// Size of the largest bag (width + 1 on non-empty decompositions) —
     /// what sweep-plan construction checks against its dense-table budget.
     pub fn max_bag_len(&self) -> usize {
-        self.nodes.iter().map(|n| n.bag.len()).max().unwrap_or(0)
+        self.bounds
+            .windows(2)
+            .map(|w| w[1] - w[0])
+            .max()
+            .unwrap_or(0)
+    }
+
+    /// Appends a node and returns its index.
+    fn push(&mut self, kind: NiceNodeKind, bag: &[VertexId]) -> usize {
+        self.kinds.push(kind);
+        self.vertices.extend_from_slice(bag);
+        self.bounds.push(self.vertices.len());
+        self.kinds.len() - 1
     }
 
     /// Converts a (rooted) tree decomposition into nice form.
@@ -101,13 +122,10 @@ impl NiceDecomposition {
     /// The result has the same width. If `td` is empty, the result is a
     /// single leaf node so that dynamic programs always have a root to read.
     pub fn from_decomposition(td: &TreeDecomposition) -> Self {
-        let mut builder = Builder { nodes: Vec::new() };
+        let mut nice = NiceDecomposition::default();
         if td.bag_count() == 0 {
-            let root = builder.push(NiceNodeKind::Leaf, BTreeSet::new());
-            return NiceDecomposition {
-                nodes: builder.nodes,
-                root,
-            };
+            nice.root = nice.push(NiceNodeKind::Leaf, &[]);
+            return nice;
         }
 
         // Root the decomposition at bag 0 and collect children lists.
@@ -127,35 +145,36 @@ impl NiceDecomposition {
         // top[b] = index of the nice node whose bag equals bag(b) and which
         // summarises the whole subtree rooted at b.
         let mut top: Vec<Option<usize>> = vec![None; td.bag_count()];
+        let mut scratch = Vec::new();
         for &b in &order {
-            let bag_b: BTreeSet<VertexId> = td.bag(b).iter().copied().collect();
+            let bag_b = td.bag(b);
             let kids = &children[b.index()];
             let node = if kids.is_empty() {
                 // Leaf bag: introduce its vertices one by one above an empty leaf.
-                let leaf = builder.push(NiceNodeKind::Leaf, BTreeSet::new());
-                builder.introduce_chain(leaf, &BTreeSet::new(), &bag_b)
+                let leaf = nice.push(NiceNodeKind::Leaf, &[]);
+                scratch.clear();
+                nice.introduce_chain(leaf, &mut scratch, bag_b)
             } else {
                 // One branch per child: forget the child-only vertices then
                 // introduce the parent-only vertices; then join the branches.
                 let mut branch_tops = Vec::with_capacity(kids.len());
                 for &child in kids {
                     let child_top = top[child.index()].expect("children processed first");
-                    let bag_child: BTreeSet<VertexId> = td.bag(child).iter().copied().collect();
-                    let after_forget = builder.forget_chain(child_top, &bag_child, &bag_b);
-                    let kept: BTreeSet<VertexId> =
-                        bag_child.intersection(&bag_b).copied().collect();
-                    let branch = builder.introduce_chain(after_forget, &kept, &bag_b);
+                    scratch.clear();
+                    scratch.extend_from_slice(td.bag(child));
+                    let after_forget = nice.forget_chain(child_top, &mut scratch, bag_b);
+                    let branch = nice.introduce_chain(after_forget, &mut scratch, bag_b);
                     branch_tops.push(branch);
                 }
                 // Fold the branches with binary joins.
                 let mut acc = branch_tops[0];
                 for &other in &branch_tops[1..] {
-                    acc = builder.push(
+                    acc = nice.push(
                         NiceNodeKind::Join {
                             left: acc,
                             right: other,
                         },
-                        bag_b.clone(),
+                        bag_b,
                     );
                 }
                 acc
@@ -163,17 +182,56 @@ impl NiceDecomposition {
             top[b.index()] = Some(node);
         }
 
-        let root = top[root_bag.index()].expect("root processed last");
-        NiceDecomposition {
-            nodes: builder.nodes,
-            root,
+        nice.root = top[root_bag.index()].expect("root processed last");
+        nice
+    }
+
+    /// Adds introduce nodes above `below`, whose bag is `bag`, until the bag
+    /// equals `to`; `bag` ends as `to`. Requires `bag ⊆ to`.
+    fn introduce_chain(&mut self, below: usize, bag: &mut Vec<VertexId>, to: &[VertexId]) -> usize {
+        let mut current = below;
+        for &v in to {
+            if let Err(at) = bag.binary_search(&v) {
+                bag.insert(at, v);
+                current = self.push(
+                    NiceNodeKind::Introduce {
+                        vertex: v,
+                        child: current,
+                    },
+                    bag,
+                );
+            }
         }
+        current
+    }
+
+    /// Adds forget nodes above `below`, whose bag is `bag`, removing every
+    /// vertex not in `keep`; `bag` ends as its intersection with `keep`.
+    fn forget_chain(&mut self, below: usize, bag: &mut Vec<VertexId>, keep: &[VertexId]) -> usize {
+        let mut current = below;
+        let mut at = 0;
+        while at < bag.len() {
+            let v = bag[at];
+            if keep.binary_search(&v).is_ok() {
+                at += 1;
+                continue;
+            }
+            bag.remove(at);
+            current = self.push(
+                NiceNodeKind::Forget {
+                    vertex: v,
+                    child: current,
+                },
+                bag,
+            );
+        }
+        current
     }
 
     /// Checks internal consistency: child indices precede parents, bags match
     /// the introduce/forget/join constraints. Used by tests.
     pub fn check_consistency(&self) -> Result<(), String> {
-        for (i, node) in self.nodes.iter().enumerate() {
+        for (i, node) in self.iter_bottom_up() {
             match &node.kind {
                 NiceNodeKind::Leaf => {
                     if !node.bag.is_empty() {
@@ -184,10 +242,10 @@ impl NiceDecomposition {
                     if *child >= i {
                         return Err(format!("introduce {i} references later child {child}"));
                     }
-                    let child_bag = &self.nodes[*child].bag;
-                    let mut expected = child_bag.clone();
-                    if !expected.insert(*vertex) {
-                        return Err(format!("introduce {i} re-introduces {vertex}"));
+                    let mut expected = self.node(*child).bag.to_vec();
+                    match expected.binary_search(vertex) {
+                        Ok(_) => return Err(format!("introduce {i} re-introduces {vertex}")),
+                        Err(at) => expected.insert(at, *vertex),
                     }
                     if expected != node.bag {
                         return Err(format!("introduce {i} bag mismatch"));
@@ -197,11 +255,11 @@ impl NiceDecomposition {
                     if *child >= i {
                         return Err(format!("forget {i} references later child {child}"));
                     }
-                    let child_bag = &self.nodes[*child].bag;
-                    let mut expected = child_bag.clone();
-                    if !expected.remove(vertex) {
-                        return Err(format!("forget {i} forgets absent {vertex}"));
-                    }
+                    let mut expected = self.node(*child).bag.to_vec();
+                    match expected.binary_search(vertex) {
+                        Ok(at) => expected.remove(at),
+                        Err(_) => return Err(format!("forget {i} forgets absent {vertex}")),
+                    };
                     if expected != node.bag {
                         return Err(format!("forget {i} bag mismatch"));
                     }
@@ -210,13 +268,13 @@ impl NiceDecomposition {
                     if *left >= i || *right >= i {
                         return Err(format!("join {i} references a later child"));
                     }
-                    if self.nodes[*left].bag != node.bag || self.nodes[*right].bag != node.bag {
+                    if self.node(*left).bag != node.bag || self.node(*right).bag != node.bag {
                         return Err(format!("join {i} children bags differ from its own"));
                     }
                 }
             }
         }
-        if self.root >= self.nodes.len() && !self.nodes.is_empty() {
+        if self.root >= self.len() && !self.is_empty() {
             return Err("root out of range".to_string());
         }
         Ok(())
@@ -240,71 +298,12 @@ fn post_order(root: BagId, children: &[Vec<BagId>]) -> Vec<BagId> {
     order
 }
 
-struct Builder {
-    nodes: Vec<NiceNode>,
-}
-
-impl Builder {
-    fn push(&mut self, kind: NiceNodeKind, bag: BTreeSet<VertexId>) -> usize {
-        self.nodes.push(NiceNode { kind, bag });
-        self.nodes.len() - 1
-    }
-
-    /// Adds introduce nodes above `below` (whose bag is `from`) until the bag
-    /// equals `to`. Requires `from ⊆ to`.
-    fn introduce_chain(
-        &mut self,
-        below: usize,
-        from: &BTreeSet<VertexId>,
-        to: &BTreeSet<VertexId>,
-    ) -> usize {
-        let mut current = below;
-        let mut bag = from.clone();
-        for &v in to.iter() {
-            if !bag.contains(&v) {
-                bag.insert(v);
-                current = self.push(
-                    NiceNodeKind::Introduce {
-                        vertex: v,
-                        child: current,
-                    },
-                    bag.clone(),
-                );
-            }
-        }
-        current
-    }
-
-    /// Adds forget nodes above `below` (whose bag is `from`) removing every
-    /// vertex not in `keep ∩ from`.
-    fn forget_chain(
-        &mut self,
-        below: usize,
-        from: &BTreeSet<VertexId>,
-        keep: &BTreeSet<VertexId>,
-    ) -> usize {
-        let mut current = below;
-        let mut bag = from.clone();
-        let to_forget: Vec<VertexId> = from.iter().filter(|v| !keep.contains(v)).copied().collect();
-        for v in to_forget {
-            bag.remove(&v);
-            current = self.push(
-                NiceNodeKind::Forget {
-                    vertex: v,
-                    child: current,
-                },
-                bag.clone(),
-            );
-        }
-        current
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::elimination::{decompose_with_heuristic, EliminationHeuristic};
     use crate::generators;
+    use std::collections::BTreeSet;
 
     fn nice_of(g: &crate::graph::Graph) -> NiceDecomposition {
         let td = decompose_with_heuristic(g, EliminationHeuristic::MinFill);
@@ -413,8 +412,8 @@ mod tests {
         assert_eq!(nd.width(), 1);
         assert_eq!(nd.max_bag_len(), 2);
         assert!(nd.len() >= n);
-        // The accessors used by sweep-plan construction agree with the bags.
-        let root_bag = nd.node(nd.root()).bag_indices();
+        // Bags are sorted, as sweep-plan construction reads them.
+        let root_bag = nd.node(nd.root()).bag;
         assert!(root_bag.windows(2).all(|w| w[0] < w[1]));
     }
 

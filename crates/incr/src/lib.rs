@@ -15,10 +15,10 @@
 //!   TID, pc-, pcc-instances and PrXML documents. Applying a delta reports
 //!   a [`StructureImpact`] (what the decomposition cache may keep: nothing
 //!   changed / shrunk in place / grown by these cliques / opaque) and a
-//!   [`LineagePatch`] (reuse verbatim / rewire inputs and extend with the
-//!   new matches / rebuild). The new matches come from the pivoted delta
-//!   join of [`stuc_query::eval::delta_match_witnesses`], without
-//!   re-enumerating the old ones.
+//!   [`LineagePatch`] (reuse verbatim / rewire inputs and rebuild on new
+//!   matches / rebuild). The new matches come from the pivoted delta join
+//!   of [`stuc_query::eval::delta_match_witnesses`], without re-enumerating
+//!   the old ones.
 //! * [`log`] — [`UpdateLog`], an append-only record of applied deltas that
 //!   can replay itself onto a replica.
 //!

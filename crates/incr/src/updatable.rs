@@ -11,20 +11,21 @@
 //! * [`LineagePatch`] — what a cached compiled lineage needs. Weight-only
 //!   deltas reuse it verbatim; TID deletions pin the deleted fact variables
 //!   to false and renumber the survivors (pure input rewiring, no
-//!   recompilation); insertions extend the circuit with the lineage of the
-//!   *new* matches only; correlated cases fall back to a rebuild.
+//!   recompilation); insertions that create new matches rebuild the lineage
+//!   (the engine runs the same build a cache miss runs), and insertions
+//!   that create none keep it; correlated cases drop it for a lazy rebuild.
 //!
-//! The per-representation update matrix. Every write costs O(delta) on top
-//! of one identity hash of the instance: a rekey shares the compiled
-//! circuit (same `Arc`, warm sweep arena), a rewire carries the sweep plan
-//! over relabelled, and an extend finds the new matches with the indexed
-//! delta join of [`stuc_query::eval::delta_match_witnesses`] (then repairs the circuit-graph
-//! decomposition and re-plans).
+//! The per-representation update matrix. A rekey shares the compiled
+//! circuit (same `Arc`, warm sweep arena) and a rewire carries the sweep
+//! plan over relabelled, both O(delta) on top of one identity hash of the
+//! instance. An insert first looks for new matches with the indexed delta
+//! join of [`stuc_query::eval::delta_match_witnesses`], also O(delta); only
+//! an entry that gains one is rebuilt, which costs a cold build.
 //!
 //! | op | TID | pc | pcc | PrXML |
 //! |---|---|---|---|---|
 //! | `SetProbability` | rekey caches, share circuits | rekey (single-event annotations) | rekey (input-gate facts) | rekey (private `ind` edges) |
-//! | `InsertFact` | repair + extend | repair + extend | remap + repair + extend | rebuild |
+//! | `InsertFact` | repair + rebuild on new matches | repair + rebuild on new matches | remap + repair + rebuild on new matches | rebuild |
 //! | `DeleteFact` | rekey + rewire, keep the plan | rebuild lineage | rebuild lineage | rebuild |
 
 use crate::delta::{Delta, DeltaOp, UpdateError};
@@ -81,10 +82,10 @@ pub enum LineagePatchStep {
         /// Surviving-variable renumbering `old → new`, identity elsewhere.
         remap: BTreeMap<VarId, VarId>,
     },
-    /// OR the cached circuit with the lineage of the matches introduced by
-    /// these (post-delta) fact identifiers, obtained from
-    /// [`Updatable::delta_lineage`].
-    ExtendWithNewMatches {
+    /// Rebuild the cached lineage if these (post-delta) fact identifiers
+    /// introduced a match, that is when [`Updatable::delta_lineage`] is not
+    /// constant false; keep it otherwise.
+    RebuildOnNewMatches {
         /// The inserted facts, in post-delta numbering.
         inserted: Vec<FactId>,
     },
@@ -133,9 +134,9 @@ pub trait Updatable {
 
     /// The lineage circuit of only the matches introduced by `inserted`
     /// (post-delta identifiers), over the **post-delta** event variables —
-    /// the delta that [`LineagePatchStep::ExtendWithNewMatches`] ORs onto a
-    /// cached circuit. `None` when this representation cannot compute one
-    /// (the engine then drops the cached lineage instead).
+    /// what [`LineagePatchStep::RebuildOnNewMatches`] checks for a new
+    /// match. `None` when this representation cannot compute one (the
+    /// engine then drops the cached lineage instead).
     fn delta_lineage(&self, query: &Self::Query, inserted: &[FactId]) -> Option<Circuit>;
 }
 
@@ -251,7 +252,7 @@ impl Updatable for TidInstance {
             steps.push(LineagePatchStep::RewireInputs { pin_false, remap });
         }
         if !inserted.is_empty() {
-            steps.push(LineagePatchStep::ExtendWithNewMatches {
+            steps.push(LineagePatchStep::RebuildOnNewMatches {
                 inserted: inserted.clone(),
             });
         }
@@ -342,11 +343,12 @@ impl Updatable for PcInstance {
             }
         };
         // Deleting an annotated fact removes OR-branches we cannot locate
-        // inside the cached circuit: rebuild. Pure insertions extend.
+        // inside the cached circuit: rebuild. Pure insertions rebuild only
+        // on new matches.
         let lineage = if !deletes.is_empty() {
             LineagePatch::Rebuild
         } else if !inserted.is_empty() {
-            LineagePatch::Steps(vec![LineagePatchStep::ExtendWithNewMatches {
+            LineagePatch::Steps(vec![LineagePatchStep::RebuildOnNewMatches {
                 inserted: inserted.clone(),
             }])
         } else {
@@ -452,7 +454,7 @@ impl Updatable for PccInstance {
         let lineage = if !deletes.is_empty() {
             LineagePatch::Rebuild
         } else if !inserted.is_empty() {
-            LineagePatch::Steps(vec![LineagePatchStep::ExtendWithNewMatches {
+            LineagePatch::Steps(vec![LineagePatchStep::RebuildOnNewMatches {
                 inserted: inserted.clone(),
             }])
         } else {

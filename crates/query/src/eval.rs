@@ -18,9 +18,9 @@
 //! The same search also enumerates the matches an insertion *adds*
 //! ([`delta_match_witnesses`]). The lineage of a Boolean CQ is the OR over
 //! all matches of the AND of the matched facts' events. Inserting facts
-//! leaves every old match intact, so the patched lineage is `old OR delta`,
+//! leaves every old match intact, so the new lineage is `old OR delta`,
 //! where the delta ranges over the matches using **at least one inserted
-//! fact**. Enumerating those without re-enumerating everything is the
+//! fact** (an insert whose delta is empty leaves a cached lineage exact). Enumerating those without re-enumerating everything is the
 //! classic delta-join trick: partition the new matches by the first atom
 //! position that uses an inserted fact — atom positions before the pivot
 //! are restricted to old facts, the pivot to inserted facts, and positions

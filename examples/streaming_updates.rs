@@ -4,9 +4,10 @@
 //! A knowledge-base service keeps an 80-fact path instance hot behind an
 //! `Engine` and serves anchored chain queries. Updates stream in as typed
 //! [`Delta`] transactions; `Engine::apply_update` patches the cached
-//! decomposition and every cached compiled lineage in place, rekeys them to
-//! the mutated instance, and reports what was reused vs rebuilt. Every
-//! answer is cross-checked against a cold engine.
+//! decomposition in place, keeps or rewires every cached compiled lineage
+//! (rebuilding those an insert gave new matches), rekeys them to the
+//! mutated instance, and reports what was reused vs rebuilt. Every answer
+//! is cross-checked against a cold engine.
 //!
 //! Run with `cargo run --example streaming_updates`.
 
@@ -73,11 +74,12 @@ fn main() {
         let report = engine.apply_update(&mut live, &delta).unwrap();
         println!("update: {label}");
         println!(
-            "  +{} facts, -{} facts, {} re-weighted | lineages: {} patched, {} dropped",
+            "  +{} facts, -{} facts, {} re-weighted | lineages: {} patched, {} rebuilt, {} dropped",
             report.inserted,
             report.deleted,
             report.reweighted,
             report.lineages_patched,
+            report.lineages_rebuilt,
             report.lineages_dropped
         );
         println!(
@@ -89,7 +91,7 @@ fn main() {
             if report.fell_back { " (fell back)" } else { "" }
         );
 
-        // Serve the workload from the patched caches and cross-check.
+        // Serve the workload from the maintained caches and cross-check.
         let cold = Engine::new();
         for query in &queries {
             let warm = engine.evaluate(&live, query).unwrap();
@@ -104,7 +106,7 @@ fn main() {
             .filter(|q| engine.evaluate(&live, q).unwrap().lineage_cached)
             .count();
         println!(
-            "  all {} answers match a cold engine; {hits} served from patched lineages\n",
+            "  all {} answers match a cold engine; {hits} served from cached lineages\n",
             queries.len()
         );
     }

@@ -311,6 +311,33 @@ fn repair_failpoint_degrades_to_full_rebuild() {
     );
 }
 
+/// A budget that trips while a write rebuilds a cached lineage costs that
+/// entry's warmth, not consistency: the write reports the typed error with
+/// the mutation committed, and the next read rebuilds the lineage and
+/// answers like a fresh engine.
+#[test]
+fn a_budget_trip_during_a_rebuild_costs_warmth_not_consistency() {
+    let _serial = chaos_lock();
+    let (mut tid, chain) = workload();
+    let engine = Engine::new();
+    engine.evaluate(&tid, &chain).unwrap();
+    // The rebuild stalls at its compile step, past the deadline.
+    let _armed = failpoint::arm_guard("lineage-compile", FailAction::SleepMs(200));
+    let delta = stuc::Delta::new().insert("R", &["c10", "c11"], 0.5);
+    let budget = EvalBudget::with_deadline(Duration::from_millis(50));
+    let tripped = engine.with_budget(&budget, || engine.apply_update(&mut tid, &delta));
+    assert!(
+        matches!(tripped, Err(StucError::DeadlineExceeded { .. })),
+        "{tripped:?}"
+    );
+    assert_eq!(tid.fact_count(), 11, "the mutation is committed");
+    drop(_armed);
+    let read = engine.evaluate(&tid, &chain).unwrap();
+    assert!(!read.lineage_cached, "the tripped entry was dropped");
+    let fresh = Engine::new().evaluate(&tid, &chain).unwrap();
+    assert_eq!(read.probability.to_bits(), fresh.probability.to_bits());
+}
+
 // ---------------------------------------------------------------------------
 // Serve-side chaos
 // ---------------------------------------------------------------------------

@@ -4,14 +4,15 @@
 //! For random update sequences on every representation (TID, pc-, pcc-
 //! instances, PrXML), applying a delta through the engine and then
 //! evaluating must agree — within 1e-9 — with a cold engine evaluating the
-//! mutated instance from scratch. This must hold on the patch paths
-//! (weights-only rekey, deletion rewiring, insertion extension) *and* on
-//! every forced-fallback path (tiny width budgets, opaque structural
-//! changes, rebuild-class deltas).
+//! mutated instance from scratch. This must hold on the maintenance paths
+//! (weights-only rekey, deletion rewiring, rebuild on new matches) *and*
+//! on every forced-fallback path (tiny width budgets, opaque structural
+//! changes, rebuild-class deltas). Inserts with new matches rebuild the
+//! cached circuits, which then equal a cold build gate for gate.
 
 use proptest::prelude::*;
 use std::collections::BTreeSet;
-use stuc::circuit::circuit::VarId;
+use stuc::circuit::circuit::{Circuit, VarId};
 use stuc::core::workloads;
 use stuc::data::instance::FactId;
 use stuc::data::tid::TidInstance;
@@ -24,6 +25,18 @@ use stuc::{Engine, Representation};
 
 fn close(a: f64, b: f64) -> bool {
     (a - b).abs() < 1e-9
+}
+
+/// The lineage a cache miss of `engine` would build now: the cold build
+/// (run, simplify) over the structure decomposition the engine holds.
+fn cold_build(engine: &Engine, tid: &TidInstance, query: &ConjunctiveQuery) -> Circuit {
+    let (decomposition, cached) = engine.decomposition_for(tid);
+    assert!(cached, "the write left the decomposition cached");
+    tid.lineage(query, &decomposition)
+        .unwrap()
+        .circuit
+        .simplify()
+        .unwrap()
 }
 
 /// Evaluates on a fresh engine: no cache, no patching — the ground truth.
@@ -245,26 +258,35 @@ fn weights_only_update_reuses_everything() {
 }
 
 #[test]
-fn insertion_patches_instead_of_recompiling() {
+fn insertion_with_new_matches_rebuilds_inside_the_write() {
     let mut tid = workloads::path_tid(12, 0.5, 9);
     let query = ConjunctiveQuery::parse("R(x, y), R(y, z)").unwrap();
     let engine = Engine::new();
     engine.evaluate(&tid, &query).unwrap();
 
-    // Extend the path: the new fact joins the chain at both ends.
+    // Extend the path: the new fact joins the chain at its end.
     let delta = Delta::new().insert("R", &["c12", "c13"], 0.4);
     let report = engine.apply_update(&mut tid, &delta).unwrap();
     assert_eq!(report.inserted, 1);
     assert!(!report.fell_back, "a path extension fits every budget");
-    assert!(report.gates_rebuilt > 0, "the dirty cone was appended");
+    assert!(report.gates_rebuilt > 0, "the lineage was rebuilt");
     assert!(
         report.bags_touched > 0,
         "decomposition repaired, not rebuilt"
     );
-    assert_eq!(report.lineages_patched, 1);
+    assert_eq!(report.lineages_rebuilt, 1);
+    assert_eq!(report.lineages_patched + report.lineages_dropped, 0);
+    assert_eq!(
+        engine.lineage(&tid, &query).unwrap(),
+        cold_build(&engine, &tid, &query),
+        "the rebuilt lineage is a cold build, gate for gate"
+    );
 
     let after = engine.evaluate(&tid, &query).unwrap();
-    assert!(after.lineage_cached, "patched lineage must serve the hit");
+    assert!(
+        after.lineage_cached,
+        "the rebuilt lineage must serve the hit"
+    );
     assert!(close(after.probability, cold_probability(&tid, &query)));
 }
 
@@ -306,36 +328,41 @@ fn insertion_with_no_new_matches_keeps_the_circuit() {
 }
 
 #[test]
-fn sustained_churn_stays_correct_and_triggers_compacting_rebuilds() {
-    // Alternately insert and delete on the same instance for many rounds:
-    // every patch only grows the compiled circuit, so the engine must
-    // eventually *drop* patched entries and recompile compactly (either the
-    // circuit-bloat watermark or the width budget trips) instead of letting
-    // every sweep degrade forever — and stay correct throughout.
+fn sustained_churn_stays_correct_and_equal_to_cold_builds() {
+    // Alternately delete and insert on the same instance for many rounds:
+    // a deletion rewires the cached circuit, an insertion rebuilds it, so
+    // the circuit never grows past a cold build — after every insert, and
+    // so after the 30 rounds, it is one gate for gate — and every answer
+    // stays correct.
     let mut tid = workloads::path_tid(8, 0.5, 21);
     let query = ConjunctiveQuery::parse("R(x, y), R(y, z)").unwrap();
     let engine = Engine::new();
     engine.evaluate(&tid, &query).unwrap();
 
-    let mut saw_bounded_degradation_drop = false;
     for round in 0..30 {
-        let delta = if round % 2 == 0 {
+        let inserts = round % 2 == 1;
+        let delta = if inserts {
             Delta::new().insert("R", &["c3", &format!("b{round}")], 0.5)
         } else {
             Delta::new().delete(FactId(tid.fact_count() - 1))
         };
         let report = engine.apply_update(&mut tid, &delta).unwrap();
-        saw_bounded_degradation_drop |= report.lineages_dropped > 0;
-        let warm = engine.evaluate(&tid, &query).unwrap().probability;
+        assert!(!report.fell_back, "round {round}: {:?}", report.notes);
+        assert_eq!(report.lineages_dropped, 0, "round {round}");
+        let warm = engine.evaluate(&tid, &query).unwrap();
+        assert!(warm.lineage_cached, "round {round}");
         assert!(
-            close(warm, cold_probability(&tid, &query)),
+            close(warm.probability, cold_probability(&tid, &query)),
             "round {round} diverged"
         );
+        if inserts {
+            assert_eq!(
+                engine.lineage(&tid, &query).unwrap(),
+                cold_build(&engine, &tid, &query),
+                "round {round}: the cached circuit is a cold build"
+            );
+        }
     }
-    assert!(
-        saw_bounded_degradation_drop,
-        "30 churn rounds must drop a patched lineage for a compacting rebuild at least once"
-    );
 }
 
 #[test]
@@ -523,7 +550,11 @@ fn a_long_write_history_at_scale_matches_a_cold_engine_on_every_inference() {
         };
         let report = engine.apply_update(&mut live, &delta).unwrap();
         assert!(!report.fell_back, "write {write}: {:?}", report.notes);
-        assert_eq!(report.lineages_patched, 2, "write {write}");
+        assert_eq!(
+            report.lineages_patched + report.lineages_rebuilt,
+            2,
+            "write {write}"
+        );
 
         let cold = Engine::new();
         let fact_vars: BTreeSet<VarId> = (0..live.fact_count()).map(VarId).collect();
@@ -575,6 +606,103 @@ fn a_long_write_history_at_scale_matches_a_cold_engine_on_every_inference() {
                 assert_eq!(vars, cold_vars, "{context}");
                 assert_eq!(vars, fact_vars, "{context}: no pinned or stale variable");
                 assert!(world.satisfies(&lineage).unwrap(), "{context}");
+            }
+        }
+    }
+}
+
+/// The benchmark's update history, pinned: a 64-write history with its
+/// schedule (per ten writes, eight reweights, one insert and one delete;
+/// an insert puts the most recently deleted fact back, or extends the
+/// path) on a path holding its four standing goals — three anchored
+/// three-hop goals and the unanchored pair. After every write each cached
+/// circuit is no wider than a cold engine's and every answer agrees with
+/// a cold engine; after every insert each cached circuit is, gate for
+/// gate, the build a cache miss would make over the engine's
+/// decomposition. Writes cannot make the circuits drift.
+#[test]
+fn an_update_mix_history_keeps_every_cached_circuit_a_cold_build() {
+    const FACTS: usize = 240;
+    let mut live = workloads::path_tid(FACTS, 0.5, 0x0bda);
+    let mut rng = SplitMix64::new(0x0bda_ffff);
+    let third = FACTS / 3;
+    let mut goals: Vec<ConjunctiveQuery> = (0..3)
+        .map(|k| {
+            let a = k * third + rng.next_below(third - 4);
+            ConjunctiveQuery::parse(&format!("R(\"c{a}\", x), R(x, y), R(y, z)")).unwrap()
+        })
+        .collect();
+    goals.push(ConjunctiveQuery::parse("R(x, y), R(y, z)").unwrap());
+    let engine = Engine::new();
+    for goal in &goals {
+        engine.evaluate(&live, goal).unwrap();
+    }
+    let probability = |rng: &mut SplitMix64| {
+        format!("{:.6}", 0.1 + 0.8 * rng.next_f64())
+            .parse::<f64>()
+            .unwrap()
+    };
+
+    // The path position of every fact, in fact-id order, and the deleted
+    // positions, most recent last.
+    let mut order: Vec<usize> = (0..FACTS).collect();
+    let mut deleted: Vec<usize> = Vec::new();
+    let mut next_position = FACTS;
+    for write in 0..64 {
+        let inserts = write % 10 == 4;
+        let delta = match write % 10 {
+            4 => {
+                let position = deleted.pop().unwrap_or_else(|| {
+                    next_position += 1;
+                    next_position - 1
+                });
+                order.push(position);
+                let (a, b) = (format!("c{position}"), format!("c{}", position + 1));
+                Delta::new().insert("R", &[&a, &b], probability(&mut rng))
+            }
+            9 => {
+                let index = rng.next_below(order.len());
+                deleted.push(order.remove(index));
+                Delta::new().delete(FactId(index))
+            }
+            _ => {
+                let index = rng.next_below(order.len());
+                Delta::new().set_probability(FactId(index), probability(&mut rng))
+            }
+        };
+        let report = engine.apply_update(&mut live, &delta).unwrap();
+        assert!(!report.fell_back, "write {write}: {:?}", report.notes);
+        assert_eq!(
+            report.lineages_patched + report.lineages_rebuilt,
+            goals.len(),
+            "write {write}"
+        );
+
+        let cold = Engine::new();
+        for goal in &goals {
+            let context = format!("write {write}, {goal:?}");
+            let warm = engine.evaluate(&live, goal).unwrap();
+            assert!(warm.lineage_cached, "{context}");
+            let truth = cold.evaluate(&live, goal).unwrap();
+            assert!(close(warm.probability, truth.probability), "{context}");
+            let width = |engine: &Engine| {
+                engine
+                    .explain(&live, goal)
+                    .unwrap()
+                    .circuit
+                    .expect("a circuit is swept")
+                    .width
+            };
+            assert!(
+                width(&engine) <= width(&cold),
+                "{context}: the circuit drifted"
+            );
+            if inserts {
+                assert_eq!(
+                    engine.lineage(&live, goal).unwrap(),
+                    cold_build(&engine, &live, goal),
+                    "{context}: the cached circuit is a cold build"
+                );
             }
         }
     }

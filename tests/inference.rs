@@ -7,23 +7,25 @@
 //!   marginals, and every sampled world must satisfy the query lineage.
 //! * **MPE**: the most-probable-world weight must equal the maximum over
 //!   exhaustively enumerated worlds on small instances.
-//! * All of it must also hold on circuits patched by `rewire_inputs` /
-//!   `extend_or` (the incremental-update paths re-derive the plan).
+//! * All of it must also hold on circuits patched by `rewire_inputs` (the
+//!   deletion path carries the plan over) and on the circuits the engine
+//!   rebuilt for inserts.
 
 use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 use stuc::circuit::builder;
-use stuc::circuit::circuit::VarId;
+use stuc::circuit::circuit::{Circuit, VarId};
 use stuc::circuit::compiled::CompiledCircuit;
 use stuc::circuit::weights::Weights;
 use stuc::core::workloads;
 use stuc::graph::elimination::EliminationHeuristic;
+use stuc::graph::generators::SplitMix64;
 use stuc::infer::{self, World};
 use stuc::prxml::document::PrXmlDocument;
 use stuc::prxml::queries::PrxmlQuery;
 use stuc::query::cq::ConjunctiveQuery;
-use stuc::{Engine, Representation, StucError};
+use stuc::{Delta, Engine, Representation, StucError};
 
 const BUDGET: usize = 22;
 
@@ -220,41 +222,66 @@ proptest! {
         assert_patched_inference_agrees(&patched, &weights)?;
     }
 
-    /// Same on circuits patched by `extend_or` (insertion path).
+    /// Same on extended circuits, the lineages the engine rebuilt when
+    /// inserts extended the instance: the engine's inference modes,
+    /// sweeping its cached circuit, agree with enumerating the worlds of
+    /// that circuit's lineage.
     #[test]
     fn inference_agrees_on_extended_circuits(
-        vars in 2usize..5,
-        internal in 2usize..8,
+        n in 3usize..6,
+        inserts in 1usize..3,
         seed in 0u64..300,
-        delta_seed in 0u64..300,
     ) {
-        let circuit = builder::random_circuit(vars, internal, seed);
-        let compiled = CompiledCircuit::compile(
-            Arc::new(circuit.clone()),
-            EliminationHeuristic::MinDegree,
-        ).unwrap();
-        let _ = compiled.width();
-        let delta = builder::random_circuit(vars + 1, internal.min(5), delta_seed);
-        let (patched, _) = match compiled.extend_or(&delta, BUDGET) {
-            Ok(result) => result,
-            Err(_) => return Ok(()), // repair over budget: rebuild path, not this test
+        let mut tid = workloads::path_tid(n, 0.5, seed);
+        let query = ConjunctiveQuery::parse("R(x, y), R(y, z)").unwrap();
+        let engine = Engine::new();
+        engine.evaluate(&tid, &query).unwrap();
+        let mut rng = SplitMix64::new(seed ^ 0x1f);
+        for _ in 0..inserts {
+            let a = format!("c{}", rng.next_below(n + 2));
+            let b = format!("c{}", rng.next_below(n + 2));
+            let p = 0.05 + 0.9 * rng.next_f64();
+            engine.apply_update(&mut tid, &Delta::new().insert("R", &[&a, &b], p)).unwrap();
+        }
+        let source = engine.lineage(&tid, &query).unwrap();
+        // Every fact, also one an insert left outside the lineage: the
+        // engine's modes range over the whole instance.
+        let weights = tid.weights().unwrap();
+        let (evidence, numerators, best) = enumerate_worlds(&source, &weights)?;
+
+        let marginals = match engine.marginals(&tid, &query) {
+            Ok(marginals) => marginals,
+            Err(StucError::Infer(infer::InferError::ImpossibleEvidence)) => {
+                prop_assert!(close(evidence, 0.0));
+                return Ok(());
+            }
+            Err(other) => panic!("{other}"),
         };
-        let weights = Weights::uniform(patched.variables().iter().copied(), 0.35);
-        assert_patched_inference_agrees(&patched, &weights)?;
+        prop_assert!(marginals.report.lineage_cached);
+        prop_assert!(close(marginals.evidence_probability, evidence));
+        for (&v, &numerator) in &numerators {
+            let got = marginals.get(v).unwrap();
+            prop_assert!(close(got, numerator / evidence), "{v}: {got} vs {}", numerator / evidence);
+        }
+        let mpe = engine.most_probable_world(&tid, &query).unwrap();
+        prop_assert!(close(mpe.probability, best), "{} vs {best}", mpe.probability);
+        prop_assert!(mpe.world.satisfies(&source).unwrap());
+        let sampled = engine.sample_worlds(&tid, &query, 64, 7).unwrap();
+        for world in &sampled.worlds {
+            prop_assert!(world.satisfies(&source).unwrap());
+        }
     }
 }
 
-/// Ground-truth check of all three inference modes on a compiled (possibly
-/// patched) circuit, by enumerating every world of its source lineage.
-fn assert_patched_inference_agrees(
-    patched: &CompiledCircuit,
+/// Enumerates every world of `source` over the variables of `weights`:
+/// the evidence mass, each variable's numerator (the mass of the worlds
+/// where it is present) and the weight of the best world.
+fn enumerate_worlds(
+    source: &Circuit,
     weights: &Weights,
-) -> Result<(), TestCaseError> {
-    let source = patched.source().as_ref().clone();
+) -> Result<(f64, BTreeMap<VarId, f64>, f64), TestCaseError> {
     let vars: Vec<VarId> = weights.iter().map(|(v, _)| v).collect();
     prop_assert!(vars.len() <= 16, "enumeration stays small");
-
-    // Enumerate: evidence mass, per-variable numerators, best world.
     let mut evidence = 0.0f64;
     let mut numerators: BTreeMap<VarId, f64> = vars.iter().map(|&v| (v, 0.0)).collect();
     let mut best = 0.0f64;
@@ -264,7 +291,7 @@ fn assert_patched_inference_agrees(
                 .enumerate()
                 .map(|(i, &v)| (v, (mask >> i) & 1 == 1)),
         );
-        if !world.satisfies(&source).unwrap() {
+        if !world.satisfies(source).unwrap() {
             continue;
         }
         let p = world.probability(weights).unwrap();
@@ -274,6 +301,17 @@ fn assert_patched_inference_agrees(
             *numerators.get_mut(&v).unwrap() += p;
         }
     }
+    Ok((evidence, numerators, best))
+}
+
+/// Ground-truth check of all three inference modes on a compiled (possibly
+/// patched) circuit, by enumerating every world of its source lineage.
+fn assert_patched_inference_agrees(
+    patched: &CompiledCircuit,
+    weights: &Weights,
+) -> Result<(), TestCaseError> {
+    let source = patched.source().as_ref().clone();
+    let (evidence, numerators, best) = enumerate_worlds(&source, weights)?;
 
     match infer::marginals(patched, weights, BUDGET) {
         Ok(marginals) => {

@@ -246,7 +246,7 @@ fn concurrent_first_identity_calls_agree_on_every_representation() {
 /// The memoised fact index of an `Instance` (what the insertion delta join
 /// looks candidates up in) is invisible and never stale: building it
 /// leaves `==`, `Debug` and the identity unchanged, a clone starts without
-/// it, and adding or removing a fact drops it.
+/// it, adding a fact appends to it, and removing one drops it.
 #[test]
 fn the_fact_index_memo_is_invisible_and_dropped_by_fact_changes() {
     for seed in 0..6 {
@@ -273,8 +273,8 @@ fn the_fact_index_memo_is_invisible_and_dropped_by_fact_changes() {
 
         let added = live.add_fact_named("R", &["c0", "c7"], 0.5);
         assert!(
-            !live.instance().is_fact_indexed(),
-            "add_fact drops the index"
+            live.instance().is_fact_indexed(),
+            "add_fact keeps the index"
         );
         let c7 = live.instance().find_constant("c7").unwrap();
         assert_eq!(
@@ -296,6 +296,66 @@ fn the_fact_index_memo_is_invisible_and_dropped_by_fact_changes() {
             live.instance().fact_index().facts_of(relation).len(),
             live.fact_count()
         );
+    }
+}
+
+/// Every lookup of `instance`'s fact index equals the same lookup in an
+/// index built fresh from its facts.
+fn assert_index_is_fresh(instance: &Instance, step: &str) {
+    let fresh = instance.clone(); // a clone starts without an index
+    assert!(!fresh.is_fact_indexed());
+    let (kept, built) = (instance.fact_index(), fresh.fact_index());
+    for r in 0..instance.relation_count() + 1 {
+        let relation = RelId(r);
+        assert_eq!(
+            kept.facts_of(relation),
+            built.facts_of(relation),
+            "{step}: {r}"
+        );
+        for position in 0..3 {
+            for c in 0..instance.constant_count() + 1 {
+                assert_eq!(
+                    kept.facts_with(relation, position, ConstId(c)),
+                    built.facts_with(relation, position, ConstId(c)),
+                    "{step}: ({r}, {position}, {c})"
+                );
+            }
+        }
+    }
+}
+
+/// The fact index `add_fact` maintains equals a fresh build after random
+/// sequences of additions (new and known names, repeated constants, a
+/// unary relation) and removals, with lookups between the writes.
+#[test]
+fn the_maintained_fact_index_equals_a_fresh_build() {
+    for seed in 0..16 {
+        let mut rng = SplitMix64::new(seed);
+        let mut instance = Instance::new();
+        for step in 0..40 {
+            let name = |rng: &mut SplitMix64| format!("c{}", rng.next_below(9));
+            match rng.next_below(6) {
+                0 if instance.fact_count() > 0 => {
+                    instance.remove_fact(FactId(rng.next_below(instance.fact_count())));
+                }
+                1 => {
+                    let a = name(&mut rng);
+                    instance.add_fact_named("S", &[&a]);
+                }
+                2 => {
+                    let a = name(&mut rng);
+                    instance.add_fact_named("R", &[&a, &a]);
+                }
+                _ => {
+                    let (a, b) = (name(&mut rng), name(&mut rng));
+                    instance.add_fact_named("R", &[&a, &b]);
+                }
+            }
+            if rng.next_below(3) == 0 {
+                assert_index_is_fresh(&instance, &format!("seed {seed}, step {step}"));
+            }
+        }
+        assert_index_is_fresh(&instance, &format!("seed {seed}, end"));
     }
 }
 

@@ -1,9 +1,9 @@
 //! Differential tests for the compiled sweep plan: the dense-table planned
 //! sweep, the legacy interpreted HashMap sweep and DPLL must agree (within
 //! 1e-9) on random circuits — including zero-weight variables, bags at the
-//! width-budget boundary, and circuits patched by `rewire_inputs` /
-//! `extend_or` — and `run_many` scenario lanes must equal per-scenario
-//! `run` results exactly (bitwise).
+//! width-budget boundary, circuits patched by `rewire_inputs` and circuits
+//! the engine rebuilt for inserts — and `run_many` scenario lanes must
+//! equal per-scenario `run` results exactly (bitwise).
 
 use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
@@ -14,7 +14,11 @@ use stuc::circuit::compiled::CompiledCircuit;
 use stuc::circuit::dpll::DpllCounter;
 use stuc::circuit::plan::SumProduct;
 use stuc::circuit::weights::Weights;
+use stuc::core::workloads;
 use stuc::graph::elimination::EliminationHeuristic;
+use stuc::graph::generators::SplitMix64;
+use stuc::query::cq::ConjunctiveQuery;
+use stuc::{Delta, Engine};
 
 const BUDGET: usize = 22;
 
@@ -207,33 +211,34 @@ proptest! {
         }
     }
 
-    /// Circuits patched by `extend_or` (insertion: append the dirty cone,
-    /// repair the decomposition) keep the three-way agreement.
+    /// Extended circuits — the lineages the engine rebuilt when inserts
+    /// extended the instance — keep the three-way agreement, and the
+    /// engine's cached circuit, planned inside the write, sweeps to the
+    /// same answer.
     #[test]
     fn extended_circuits_agree(
-        vars in 2usize..6,
-        internal in 2usize..10,
+        n in 3usize..8,
+        inserts in 1usize..4,
         seed in 0u64..500,
-        delta_seed in 0u64..500,
     ) {
-        let circuit = builder::random_circuit(vars, internal, seed);
-        let compiled = compile(&circuit);
-        let _ = compiled.width(); // force the decomposition so the patch repairs it
-        let delta = builder::random_circuit(vars + 1, internal.min(6), delta_seed);
-        let (patched, _) = match compiled.extend_or(&delta, BUDGET) {
-            Ok(result) => result,
-            Err(_) => return Ok(()), // repair over budget: fresh-compile fallback path
-        };
-        let weights = weights_for(patched.source(), seed ^ delta_seed, 3);
-        let planned = patched.run(&weights, BUDGET).expect("patched plan runs");
-        let interpreted = patched
-            .run_interpreted(&weights, BUDGET)
-            .expect("patched interpreted runs");
-        let dpll = DpllCounter::default()
-            .probability(patched.source(), &weights)
-            .expect("dpll on patched source");
-        prop_assert!((planned.probability - interpreted.probability).abs() < 1e-9);
-        prop_assert!((planned.probability - dpll).abs() < 1e-9);
+        let mut tid = workloads::path_tid(n, 0.5, seed);
+        let query = ConjunctiveQuery::parse("R(x, y), R(y, z)").unwrap();
+        let engine = Engine::new();
+        engine.evaluate(&tid, &query).unwrap();
+        let mut rng = SplitMix64::new(seed ^ 0x5eed);
+        for _ in 0..inserts {
+            let a = format!("c{}", rng.next_below(n + 2));
+            let b = format!("c{}", rng.next_below(n + 2));
+            let p = 0.05 + 0.9 * rng.next_f64();
+            engine.apply_update(&mut tid, &Delta::new().insert("R", &[&a, &b], p)).unwrap();
+        }
+        let circuit = engine.lineage(&tid, &query).unwrap();
+        let weights = weights_for(&circuit, seed, 3);
+        assert_three_way_agreement(&circuit, &weights);
+        let cached = engine.reevaluate_with_weights(&tid, &query, &weights).unwrap();
+        prop_assert!(cached.lineage_cached);
+        let dpll = DpllCounter::default().probability(&circuit, &weights).expect("dpll runs");
+        prop_assert!((cached.probability - dpll).abs() < 1e-9);
     }
 
     /// `run_many` scenario lanes are bitwise identical to per-scenario
