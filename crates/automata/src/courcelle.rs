@@ -10,27 +10,22 @@
 //! decomposition of the instance's Gaifman graph, with each fact anchored at
 //! a node whose bag contains all its constants.
 //!
-//! Both runs walk only what the query can reach ([`restrict_to_reach`]):
+//! The run walks only what the query can reach ([`restrict_to_reach`]):
 //! the facts that survive arc consistency against the body, and the
 //! decomposition projected onto their constants. For an anchored body that
 //! is a few bags whatever the instance size; a fact outside the reach is
 //! in no match, so the run's answer is the same as over the whole instance.
 //!
-//! Two run modes are provided, mirroring [`crate::uncertain`]:
-//!
-//! * [`cq_lineage_circuit`] — the nondeterministic provenance run, producing
-//!   a lineage circuit over per-fact Boolean variables (substitute
-//!   annotation circuits for these variables to obtain Theorem 2 for
-//!   pcc-instances);
-//! * [`cq_probability_tid`] — the deterministic subset run for
-//!   tuple-independent instances, computing the exact query probability in a
-//!   single pass: linear time in the instance for a fixed query and width,
-//!   which is Theorem 1.
+//! [`cq_lineage_circuit`] is the nondeterministic provenance run: it
+//! produces a lineage circuit over per-fact Boolean variables (substitute
+//! annotation circuits for these variables to obtain Theorem 2 for
+//! pcc-instances). On a tuple-independent instance, sweeping that circuit
+//! over its own bounded-width decomposition gives the exact query
+//! probability in linear time for a fixed query and width, which is
+//! Theorem 1.
 
-use std::collections::{BTreeMap, BTreeSet};
 use stuc_circuit::circuit::{Circuit, GateId, VarId};
 use stuc_data::instance::{ConstId, FactId, Instance, RelId};
-use stuc_data::tid::TidInstance;
 use stuc_graph::graph::VertexId;
 use stuc_graph::nice::{NiceDecomposition, NiceNodeKind};
 use stuc_graph::TreeDecomposition;
@@ -39,12 +34,8 @@ use stuc_query::cq::{ConjunctiveQuery, Term};
 /// Maximum number of query atoms (matched-atom sets are stored as a `u64`).
 pub const MAX_ATOMS: usize = 32;
 
-/// Maximum number of facts anchored at a single decomposition node for the
-/// deterministic (probability) run, which enumerates their presence subsets.
-pub const MAX_ANCHORED_FACTS: usize = 16;
-
 stuc_errors::stuc_error! {
-    /// Errors raised by the Courcelle-style runs.
+    /// Errors raised by the Courcelle-style run.
     #[derive(Clone, PartialEq, Eq)]
     pub enum CourcelleError {
         /// The query has more atoms than [`MAX_ATOMS`].
@@ -52,15 +43,12 @@ stuc_errors::stuc_error! {
         /// A fact's constants are not jointly contained in any bag — the
         /// decomposition does not cover the instance.
         AnchorNotFound(FactId),
-        /// Too many facts anchored at one node for the probability run.
-        TooManyAnchoredFacts(usize),
         /// The query is not Boolean (has free variables).
         NotBoolean,
     }
     display {
         Self::TooManyAtoms(n) => "query has {n} atoms, more than the supported {MAX_ATOMS}",
         Self::AnchorNotFound(fact) => "no bag contains all constants of fact {fact}",
-        Self::TooManyAnchoredFacts(n) => "{n} facts anchored at one node exceed the limit {MAX_ANCHORED_FACTS}",
         Self::NotBoolean => "query must be Boolean (no free variables)",
     }
 }
@@ -72,7 +60,7 @@ stuc_errors::stuc_error! {
 /// a forgotten constant, all atoms using it matched) — then the set of
 /// matched atoms as a bit mask. Comparing two states as word slices orders
 /// them by statuses (unused, then active by constant, then done) and then
-/// by matched set, which fixes the order the runs create gates in.
+/// by matched set, which fixes the order the run creates gates in.
 type State = [u32];
 
 /// Status word of an unbound variable.
@@ -110,7 +98,7 @@ enum AtomTerm {
 }
 
 /// Compiles `query` against `instance`: relation and constant names are
-/// resolved here once, so the runs compare identifiers only.
+/// resolved here once, so the run compares identifiers only.
 fn compile_query(
     query: &ConjunctiveQuery,
     instance: &Instance,
@@ -449,7 +437,7 @@ fn repeats_agree(terms: &[AtomTerm], args: &[ConstId]) -> bool {
 /// and repeated variables), and `decomposition` projected onto their
 /// constants ([`TreeDecomposition::project`]). The projection is a valid
 /// decomposition of the kept facts' Gaifman graph whenever `decomposition`
-/// is one of the instance's. The automaton runs walk exactly this.
+/// is one of the instance's. The automaton run walks exactly this.
 ///
 /// Both halves cost O(reach) once the instance's fact index and the
 /// decomposition's projection index are built (each once per change):
@@ -480,19 +468,6 @@ fn restrict(
     kept.dedup();
     let projected = decomposition.project(&kept);
     (facts, projected)
-}
-
-/// The nice decomposition a run walks and the facts anchored at each of its
-/// nodes, restricted to what the query reaches.
-fn prepare_run(
-    instance: &Instance,
-    decomposition: &TreeDecomposition,
-    compiled: &CompiledQuery,
-) -> Result<(NiceDecomposition, Vec<Vec<FactId>>), CourcelleError> {
-    let (facts, projected) = restrict(instance, decomposition, compiled);
-    let nice = NiceDecomposition::from_decomposition(&projected);
-    let anchored = anchor_facts(instance, &facts, &nice)?;
-    Ok((nice, anchored))
 }
 
 /// Anchors each of `facts` at a nice-decomposition node whose bag contains
@@ -568,7 +543,8 @@ impl Entries {
 
 /// Runs the query automaton nondeterministically over the decomposition,
 /// producing a lineage circuit over per-fact variables given by
-/// `fact_variable` (for a TID, use [`TidInstance::fact_event`]; for a
+/// `fact_variable` (for a TID, use
+/// [`TidInstance::fact_event`](stuc_data::tid::TidInstance::fact_event); for a
 /// pcc-instance, use fresh variables and substitute annotation circuits
 /// afterwards). The run walks only what the query reaches
 /// ([`restrict_to_reach`]), so an anchored body costs the same on any
@@ -580,7 +556,9 @@ pub fn cq_lineage_circuit(
     fact_variable: impl Fn(FactId) -> VarId,
 ) -> Result<Circuit, CourcelleError> {
     let compiled = compile_query(query, instance)?;
-    let (nice, anchored) = prepare_run(instance, decomposition, &compiled)?;
+    let (facts, projected) = restrict(instance, decomposition, &compiled);
+    let nice = NiceDecomposition::from_decomposition(&projected);
+    let anchored = anchor_facts(instance, &facts, &nice)?;
     let stride = compiled.stride();
 
     let mut circuit = Circuit::new();
@@ -728,146 +706,30 @@ pub fn cq_lineage_circuit(
     Ok(circuit)
 }
 
-/// A deterministic state of the probability run: the sorted, distinct
-/// packed states the nondeterministic run could be in, back to back.
-/// Comparing two of them as word vectors compares them as state sequences.
-type DetState = Vec<u32>;
-
-/// Sorts and deduplicates the packed states of `states`.
-fn normalise(states: &[u32], stride: usize) -> DetState {
-    let mut chunks: Vec<&State> = states.chunks_exact(stride).collect();
-    chunks.sort_unstable();
-    chunks.dedup();
-    chunks.concat()
-}
-
-/// Runs the query automaton deterministically (subset construction) over the
-/// decomposition of a TID instance, computing the exact probability that the
-/// Boolean query holds. Linear time in the instance for a fixed query and
-/// bounded width / facts-per-bag (Theorem 1).
-pub fn cq_probability_tid(
-    tid: &TidInstance,
-    decomposition: &TreeDecomposition,
-    query: &ConjunctiveQuery,
-) -> Result<f64, CourcelleError> {
-    let instance = tid.instance();
-    let compiled = compile_query(query, instance)?;
-    let (nice, anchored) = prepare_run(instance, decomposition, &compiled)?;
-    let stride = compiled.stride();
-
-    // distributions[node]: det-state → probability.
-    let mut distributions: Vec<BTreeMap<DetState, f64>> = Vec::with_capacity(nice.len());
-    let mut scratch: Vec<u32> = Vec::new();
-
-    for (idx, node) in nice.iter_bottom_up() {
-        let mut dist: BTreeMap<DetState, f64> = BTreeMap::new();
-        match node.kind {
-            NiceNodeKind::Leaf => {
-                let mut initial = Vec::new();
-                compiled.initial_state(&mut initial);
-                dist.insert(initial, 1.0);
-            }
-            NiceNodeKind::Introduce { child, .. } => {
-                for (states, &p) in &distributions[child] {
-                    *dist.entry(states.clone()).or_insert(0.0) += p;
-                }
-            }
-            NiceNodeKind::Forget { vertex, child } => {
-                let c = ConstId(vertex.index());
-                for (states, &p) in &distributions[child] {
-                    scratch.clear();
-                    for s in states.chunks_exact(stride) {
-                        compiled.forget(s, c, &mut scratch);
-                    }
-                    *dist.entry(normalise(&scratch, stride)).or_insert(0.0) += p;
-                }
-            }
-            NiceNodeKind::Join { left, right } => {
-                for (ls, &lp) in &distributions[left] {
-                    for (rs, &rp) in &distributions[right] {
-                        scratch.clear();
-                        for a in ls.chunks_exact(stride) {
-                            for b in rs.chunks_exact(stride) {
-                                compiled.join(a, b, &mut scratch);
-                            }
-                        }
-                        *dist.entry(normalise(&scratch, stride)).or_insert(0.0) += lp * rp;
-                    }
-                }
-            }
-        }
-
-        // Facts anchored here: branch on their presence subsets.
-        let facts = &anchored[idx];
-        if !facts.is_empty() {
-            if facts.len() > MAX_ANCHORED_FACTS {
-                return Err(CourcelleError::TooManyAnchoredFacts(facts.len()));
-            }
-            let mut with_facts: BTreeMap<DetState, f64> = BTreeMap::new();
-            for (states, &p) in &dist {
-                for mask in 0..(1u64 << facts.len()) {
-                    let mut weight = 1.0;
-                    for (i, &fid) in facts.iter().enumerate() {
-                        let q = tid.probability(fid);
-                        weight *= if mask & (1 << i) != 0 { q } else { 1.0 - q };
-                    }
-                    if weight == 0.0 {
-                        continue;
-                    }
-                    // Deterministic closure with the present facts.
-                    let mut closure: BTreeSet<Vec<u32>> =
-                        states.chunks_exact(stride).map(<[u32]>::to_vec).collect();
-                    let mut worklist: Vec<Vec<u32>> = closure.iter().cloned().collect();
-                    while let Some(state) = worklist.pop() {
-                        for (i, &fid) in facts.iter().enumerate() {
-                            if mask & (1 << i) == 0 {
-                                continue;
-                            }
-                            let fact = instance.fact(fid);
-                            for atom_index in 0..compiled.atoms.len() {
-                                scratch.clear();
-                                if compiled.try_match(&state, atom_index, fact, &mut scratch)
-                                    && closure.insert(scratch.clone())
-                                {
-                                    worklist.push(scratch.clone());
-                                }
-                            }
-                        }
-                    }
-                    let det: DetState = closure.into_iter().flatten().collect();
-                    *with_facts.entry(det).or_insert(0.0) += p * weight;
-                }
-            }
-            dist = with_facts;
-        }
-
-        distributions.push(dist);
-    }
-
-    let mut accepted = 0.0;
-    for (states, &p) in &distributions[nice.root()] {
-        if states
-            .chunks_exact(stride)
-            .any(|s| compiled.is_accepting(s))
-        {
-            accepted += p;
-        }
-    }
-    Ok(accepted)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::sync::Arc;
     use stuc_circuit::compiled::{one_shot_probability, CompiledCircuit};
     use stuc_circuit::enumeration::probability_by_enumeration;
+    use stuc_data::tid::TidInstance;
     use stuc_data::worlds;
     use stuc_graph::elimination::{decompose_with_heuristic, EliminationHeuristic};
     use stuc_query::lineage::tid_lineage;
 
     fn decomposition_of(tid: &TidInstance) -> TreeDecomposition {
         decompose_with_heuristic(&tid.gaifman_graph(), EliminationHeuristic::MinFill)
+    }
+
+    /// The query's probability on `tid`: the lineage run, counted by the
+    /// one-shot sweep.
+    fn probability(
+        tid: &TidInstance,
+        td: &TreeDecomposition,
+        query: &ConjunctiveQuery,
+    ) -> Result<f64, CourcelleError> {
+        let circuit = cq_lineage_circuit(tid.instance(), td, query, |f| tid.fact_event(f))?;
+        Ok(one_shot_probability(&circuit, &tid.fact_weights()).unwrap())
     }
 
     fn path_tid(n: usize, p: f64) -> TidInstance {
@@ -907,7 +769,7 @@ mod tests {
         let tid = star_tid();
         let td = decomposition_of(&tid);
         let query = ConjunctiveQuery::parse("R(x), S(x, y), T(y)").unwrap();
-        let exact = cq_probability_tid(&tid, &td, &query).unwrap();
+        let exact = probability(&tid, &td, &query).unwrap();
         let lineage = tid_lineage(&tid, &query);
         let reference = probability_by_enumeration(&lineage, &tid.fact_weights()).unwrap();
         assert!((exact - reference).abs() < 1e-9, "{exact} vs {reference}");
@@ -919,7 +781,7 @@ mod tests {
             let tid = path_tid(n, 0.4);
             let td = decomposition_of(&tid);
             let query = ConjunctiveQuery::parse("R(x, y), R(y, z)").unwrap();
-            let exact = cq_probability_tid(&tid, &td, &query).unwrap();
+            let exact = probability(&tid, &td, &query).unwrap();
             let reference = worlds::tid_query_probability(&tid, |facts| {
                 (0..n.saturating_sub(1))
                     .any(|i| facts.contains(&FactId(i)) && facts.contains(&FactId(i + 1)))
@@ -950,7 +812,7 @@ mod tests {
         let tid = star_tid();
         let td = decomposition_of(&tid);
         let query = ConjunctiveQuery::parse("S(\"a\", y), T(y)").unwrap();
-        let exact = cq_probability_tid(&tid, &td, &query).unwrap();
+        let exact = probability(&tid, &td, &query).unwrap();
         // S(a, c) present (0.8) and T(c) present (0.5).
         assert!((exact - 0.4).abs() < 1e-9);
     }
@@ -960,7 +822,7 @@ mod tests {
         let tid = path_tid(3, 0.9);
         let td = decomposition_of(&tid);
         let query = ConjunctiveQuery::parse("Missing(x)").unwrap();
-        assert_eq!(cq_probability_tid(&tid, &td, &query).unwrap(), 0.0);
+        assert_eq!(probability(&tid, &td, &query).unwrap(), 0.0);
     }
 
     #[test]
@@ -970,7 +832,7 @@ mod tests {
         tid.add_certain_fact("R", &["b", "c"]);
         let td = decomposition_of(&tid);
         let query = ConjunctiveQuery::parse("R(x, y), R(y, z)").unwrap();
-        let exact = cq_probability_tid(&tid, &td, &query).unwrap();
+        let exact = probability(&tid, &td, &query).unwrap();
         assert!((exact - 1.0).abs() < 1e-12);
     }
 
@@ -980,8 +842,8 @@ mod tests {
         let td = decomposition_of(&tid);
         let query = ConjunctiveQuery::parse("ans(x) <- R(x, y)").unwrap();
         assert_eq!(
-            cq_probability_tid(&tid, &td, &query),
-            Err(CourcelleError::NotBoolean)
+            cq_lineage_circuit(tid.instance(), &td, &query, |f| tid.fact_event(f)).err(),
+            Some(CourcelleError::NotBoolean)
         );
     }
 
@@ -994,7 +856,7 @@ mod tests {
         tid.add_fact_named("E", &["c", "a"], 0.5);
         let td = decomposition_of(&tid);
         let query = ConjunctiveQuery::parse("E(x, y), E(y, z), E(z, x)").unwrap();
-        let exact = cq_probability_tid(&tid, &td, &query).unwrap();
+        let exact = probability(&tid, &td, &query).unwrap();
         assert!((exact - 0.125).abs() < 1e-9);
     }
 
@@ -1012,7 +874,7 @@ mod tests {
         }
         let td = decomposition_of(&tid);
         let query = ConjunctiveQuery::parse("R(x), S(x, y), T(y)").unwrap();
-        let exact = cq_probability_tid(&tid, &td, &query).unwrap();
+        let exact = probability(&tid, &td, &query).unwrap();
         let reference =
             probability_by_enumeration(&tid_lineage(&tid, &query), &tid.fact_weights()).unwrap();
         assert!((exact - reference).abs() < 1e-9, "{exact} vs {reference}");

@@ -1,4 +1,4 @@
-//! # stuc-automata — tree automata, uncertain trees, and Courcelle-style runs
+//! # stuc-automata — the Courcelle-style lineage run
 //!
 //! The technical core of the paper's Theorems 1 and 2: "one compiles the MSO
 //! query q, in a data-independent fashion, to a tree automaton A which can
@@ -6,50 +6,35 @@
 //! can also be run on an uncertain instance I, producing a lineage circuit C
 //! that describes which possible worlds of I are accepted by A."
 //!
-//! * [`tree`] — labeled binary trees, the input of tree automata.
-//! * [`bta`] — bottom-up (nondeterministic) tree automata, Boolean
-//!   operations, and a library of MSO-style properties built directly as
-//!   automata (existence, modular counting, forbidden patterns).
-//! * [`uncertain`] — *uncertain trees*: trees whose node labels depend on
-//!   independent Boolean variables (the shape PrXML documents compile to).
-//!   Running an automaton over an uncertain tree yields either a lineage
-//!   circuit (nondeterministic provenance run, Theorem 2 style) or directly
-//!   the acceptance probability (deterministic subset run, the
-//!   Cohen–Kimelfeld–Sagiv algorithm behind the paper's local-uncertainty
-//!   tractability and Theorem 1).
-//! * [`courcelle`] — the relational side: facts of a bounded-treewidth
-//!   instance are anchored to the bags of a tree decomposition and a
-//!   query-specific automaton (whose states are partial-match types) is run
-//!   bottom-up, producing a lineage circuit or, for tuple-independent
-//!   instances, the exact query probability in linear time.
+//! The queries compiled here are Boolean conjunctive queries; the engine
+//! builds their unions and ground negation from these runs. [`courcelle`]
+//! anchors the facts of a bounded-treewidth instance at the bags of a tree
+//! decomposition and runs the query's automaton (whose states are
+//! partial-match types) bottom-up over what the query can reach, producing a
+//! lineage circuit over per-fact variables. Counting that circuit over its
+//! own bounded-width decomposition is Theorem 1 on tuple-independent
+//! instances; substituting annotation circuits for the fact variables is
+//! Theorem 2.
 //!
-//! ## Example: an MSO property on an uncertain tree
+//! ## Example: the lineage of a two-hop path on a TID
 //!
 //! ```
-//! use stuc_automata::bta::BottomUpTreeAutomaton;
-//! use stuc_automata::uncertain::UncertainTree;
-//! use stuc_circuit::circuit::VarId;
-//! use stuc_circuit::weights::Weights;
+//! use stuc_automata::courcelle::cq_lineage_circuit;
+//! use stuc_circuit::compiled::one_shot_probability;
+//! use stuc_data::tid::TidInstance;
+//! use stuc_graph::{decompose_with_heuristic, EliminationHeuristic};
+//! use stuc_query::cq::ConjunctiveQuery;
 //!
-//! // A root with one uncertain leaf labeled 1 (present → label 1, absent → label 0).
-//! let mut tree = UncertainTree::new();
-//! let leaf = tree.add_leaf_with_variable(VarId(0), 0, 1);
-//! let root = tree.add_node(5, vec![leaf]);
-//! tree.set_root(root);
+//! // The path a -> b -> c, each edge present with probability 0.5.
+//! let mut tid = TidInstance::new();
+//! tid.add_fact_named("R", &["a", "b"], 0.5);
+//! tid.add_fact_named("R", &["b", "c"], 0.5);
+//! let td = decompose_with_heuristic(&tid.gaifman_graph(), EliminationHeuristic::MinFill);
 //!
-//! // Automaton: "some node is labeled 1".
-//! let automaton = BottomUpTreeAutomaton::exists_label(1, &[0, 1, 5]);
-//! let mut weights = Weights::new();
-//! weights.set(VarId(0), 0.4);
-//! let p = tree.acceptance_probability(&automaton, &weights).unwrap();
-//! assert!((p - 0.4).abs() < 1e-9);
+//! let query = ConjunctiveQuery::parse("R(x, y), R(y, z)").unwrap();
+//! let lineage = cq_lineage_circuit(tid.instance(), &td, &query, |f| tid.fact_event(f)).unwrap();
+//! let p = one_shot_probability(&lineage, &tid.fact_weights()).unwrap();
+//! assert!((p - 0.25).abs() < 1e-12); // both edges must be present
 //! ```
 
-pub mod bta;
 pub mod courcelle;
-pub mod tree;
-pub mod uncertain;
-
-pub use bta::BottomUpTreeAutomaton;
-pub use tree::LabeledTree;
-pub use uncertain::UncertainTree;

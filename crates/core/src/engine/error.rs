@@ -8,7 +8,6 @@
 //! the return type.
 
 use stuc_automata::courcelle::CourcelleError;
-use stuc_automata::uncertain::UncertainTreeError;
 use stuc_circuit::circuit::CircuitError;
 use stuc_circuit::dpll::DpllError;
 use stuc_circuit::enumeration::EnumerationError;
@@ -56,8 +55,6 @@ stuc_errors::stuc_error! {
         Datalog(DatalogError),
         /// The Courcelle-style automaton run failed.
         Courcelle(CourcelleError),
-        /// A run over an uncertain tree failed.
-        UncertainTree(UncertainTreeError),
         /// PrXML query evaluation failed.
         PrxmlQuery(PrxmlQueryError),
         /// PrXML constraint conditioning failed.
@@ -123,7 +120,6 @@ stuc_errors::stuc_error! {
         Self::SafePlan(e) => "{e}",
         Self::Datalog(e) => "{e}",
         Self::Courcelle(e) => "{e}",
-        Self::UncertainTree(e) => "{e}",
         Self::PrxmlQuery(e) => "{e}",
         Self::PrxmlConstraint(e) => "{e}",
         Self::BackendUnsupported { backend, reason } => "back-end {backend} cannot run here: {reason}",
@@ -148,7 +144,6 @@ stuc_errors::stuc_error! {
         SafePlanError => SafePlan,
         DatalogError => Datalog,
         CourcelleError => Courcelle,
-        UncertainTreeError => UncertainTree,
         PrxmlQueryError => PrxmlQuery,
         PrxmlConstraintError => PrxmlConstraint,
         ProbabilityError => Probability,

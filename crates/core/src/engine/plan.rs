@@ -590,7 +590,7 @@ impl Engine {
             lineage: &lineage.entry.compiled,
             weights,
         };
-        rec.skip();
+        rec.mark("weights");
         let probability = match backend {
             BackendKind::TreewidthWmc => TreewidthWmcBackend {
                 max_bag_size: self.config.width_budget,

@@ -97,8 +97,8 @@ pub struct EvaluationReport {
     /// the slow-query log and the span tracer.
     pub trace_id: u64,
     /// Per-stage wall-time breakdown (`parse`, `safe-plan`, `cache-lookup`,
-    /// `decompose`, `compile-lineage`, `sweep`, …), recorded on the same
-    /// monotonic clock as [`EvaluationReport::wall_time`], so
+    /// `decompose`, `compile-lineage`, `weights`, `sweep`, …), recorded on
+    /// the same monotonic clock as [`EvaluationReport::wall_time`], so
     /// `stage_timings.total() <= wall_time` holds by construction.
     pub stage_timings: StageTimings,
 }

@@ -138,12 +138,6 @@ impl StageRecorder {
         trace::record_complete(name, self.watch.started_at() + (now - lap), lap);
     }
 
-    /// Advance the cursor without attributing the lap to any stage
-    /// (bookkeeping gaps that should not show up in the breakdown).
-    pub fn skip(&mut self) {
-        self.cursor = self.watch.elapsed();
-    }
-
     /// Fold a nested breakdown (e.g. from a sub-evaluation's report) into
     /// this one without moving the cursor.
     pub fn absorb(&mut self, other: &StageTimings) {

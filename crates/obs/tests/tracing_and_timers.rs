@@ -180,8 +180,6 @@ fn stage_recorder_laps_share_one_clock() {
     spin(Duration::from_micros(200));
     recorder.mark("first");
     spin(Duration::from_micros(200));
-    recorder.skip(); // a gap the breakdown must not attribute to anything
-    spin(Duration::from_micros(200));
     recorder.mark("second");
 
     let wall = recorder.elapsed();
@@ -191,11 +189,8 @@ fn stage_recorder_laps_share_one_clock() {
     assert_eq!(timings.stages()[1].name, "second");
     assert!(timings.get("first").unwrap() >= Duration::from_micros(200));
     assert!(timings.get("second").unwrap() >= Duration::from_micros(200));
-    assert!(timings.get("skipped-gap").is_none());
-    // One shared clock: the breakdown can never exceed the wall time, and
-    // the skipped gap keeps it strictly below.
+    // One shared clock: the breakdown can never exceed the wall time.
     assert!(timings.total() <= wall);
-    assert!(wall - timings.total() >= Duration::from_micros(200));
 }
 
 #[test]

@@ -1,8 +1,8 @@
 //! # stuc-query — conjunctive queries, lineage, and the extensional baseline
 //!
 //! The query-language layer of STUC. The paper's data-complexity results are
-//! stated for MSO (handled by `stuc-automata` via tree automata); this crate
-//! provides the *relational* query machinery those results are compared
+//! realised for conjunctive queries by `stuc-automata`'s lineage run; this
+//! crate provides the *relational* query machinery that run is compared
 //! against and composed with:
 //!
 //! * [`cq`] — conjunctive queries (existentially quantified conjunctions of

@@ -29,8 +29,8 @@
 //!   analysis, lowering to signed sums of conjunctive queries, and the
 //!   cost model behind [`Engine::evaluate_text`]. The `stuc-repl` binary
 //!   wraps it interactively.
-//! * [`automata`] — bottom-up tree automata, tree encodings of
-//!   bounded-treewidth instances, provenance-producing runs.
+//! * [`automata`] — the Courcelle-style run of a conjunctive query over a
+//!   tree decomposition, producing its lineage circuit.
 //! * [`prxml`] — probabilistic XML (`ind`/`mux`/`cie` nodes, global events,
 //!   event scopes).
 //! * [`order`] — order-uncertain data: labeled partial orders and the

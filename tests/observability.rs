@@ -82,11 +82,12 @@ const ENTRY_COUNTERS: [&str; 9] = [
 
 /// Stage names the engine is allowed to report, across both the
 /// programmatic and the textual pipeline.
-const STAGE_VOCABULARY: [&str; 7] = [
+const STAGE_VOCABULARY: [&str; 8] = [
     "safe-plan",
     "cache-lookup",
     "decompose",
     "compile-lineage",
+    "weights",
     "sweep",
     "lower",
     "route",
@@ -121,7 +122,13 @@ fn reports_carry_trace_ids_and_stage_breakdowns() {
     // Circuit pipeline: the compile and sweep stages must be visible.
     let cold = engine.evaluate(&tid, &circuit_query()).unwrap();
     check_report_timing(&cold);
-    for stage in ["cache-lookup", "decompose", "compile-lineage", "sweep"] {
+    for stage in [
+        "cache-lookup",
+        "decompose",
+        "compile-lineage",
+        "weights",
+        "sweep",
+    ] {
         assert!(
             cold.stage_timings.get(stage).is_some(),
             "cold circuit evaluation must record {stage:?}: {:?}",

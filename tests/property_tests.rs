@@ -4,7 +4,7 @@
 
 use proptest::prelude::*;
 use std::collections::BTreeMap;
-use stuc::automata::courcelle::cq_probability_tid;
+use stuc::automata::courcelle::cq_lineage_circuit;
 use stuc::circuit::builder;
 use stuc::circuit::circuit::VarId;
 use stuc::circuit::compiled::one_shot_probability;
@@ -14,9 +14,17 @@ use stuc::circuit::weights::Weights;
 use stuc::data::tid::TidInstance;
 use stuc::graph::elimination::{decompose_with_heuristic, EliminationHeuristic};
 use stuc::graph::generators;
+use stuc::graph::TreeDecomposition;
 use stuc::order::porelation::PoRelation;
 use stuc::query::cq::ConjunctiveQuery;
 use stuc::query::lineage::tid_lineage;
+
+/// The query's probability on `tid` by Theorem 1's pipeline: the lineage
+/// run over `td`, counted by the one-shot sweep.
+fn tid_probability(tid: &TidInstance, td: &TreeDecomposition, query: &ConjunctiveQuery) -> f64 {
+    let circuit = cq_lineage_circuit(tid.instance(), td, query, |f| tid.fact_event(f)).unwrap();
+    one_shot_probability(&circuit, &tid.fact_weights()).unwrap()
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
@@ -74,7 +82,7 @@ proptest! {
         }
         let query = ConjunctiveQuery::parse("R(x, y), R(y, z)").unwrap();
         let td = decompose_with_heuristic(&tid.gaifman_graph(), EliminationHeuristic::MinFill);
-        let exact = cq_probability_tid(&tid, &td, &query).unwrap();
+        let exact = tid_probability(&tid, &td, &query);
         let lineage = tid_lineage(&tid, &query);
         let reference = probability_by_enumeration(&lineage, &tid.fact_weights()).unwrap();
         prop_assert!((exact - reference).abs() < 1e-9, "{exact} vs {reference}");
@@ -116,8 +124,8 @@ proptest! {
         let high = make((p * 2.0).min(0.95));
         let td_low = decompose_with_heuristic(&low.gaifman_graph(), EliminationHeuristic::MinDegree);
         let td_high = decompose_with_heuristic(&high.gaifman_graph(), EliminationHeuristic::MinDegree);
-        let p_low = cq_probability_tid(&low, &td_low, &query).unwrap();
-        let p_high = cq_probability_tid(&high, &td_high, &query).unwrap();
+        let p_low = tid_probability(&low, &td_low, &query);
+        let p_high = tid_probability(&high, &td_high, &query);
         prop_assert!((0.0..=1.0 + 1e-12).contains(&p_low));
         prop_assert!(p_high >= p_low - 1e-12, "{p_high} < {p_low}");
         let _ = seed;
