@@ -424,31 +424,45 @@ impl CompiledCircuit {
     /// re-weighting, incremental-update revalidation — allocate nothing in
     /// steady state ([`WmcReport::table_allocations`] is 0).
     pub fn run(&self, weights: &Weights, max_bag_size: usize) -> Result<WmcReport, WmcError> {
+        let (probability, report) =
+            self.planned_sweep(max_bag_size, |plan, arena| plan.run(weights, arena))?;
+        Ok(WmcReport {
+            probability,
+            ..report
+        })
+    }
+
+    /// One planned sweep within `max_bag_size`: `sweep` runs on this
+    /// value's warm arena, or on a throwaway one when another thread is
+    /// mid-sweep on it (rather than serializing the sweeps). Returns its
+    /// result and the sweep's report, whose `probability` is the caller's
+    /// to fill in.
+    fn planned_sweep<T>(
+        &self,
+        max_bag_size: usize,
+        sweep: impl FnOnce(&SweepPlan, &mut SweepArena) -> Result<T, WmcError>,
+    ) -> Result<(T, WmcReport), WmcError> {
         self.ensure_width(max_bag_size)?;
         let structure = self.structure();
         let plan = self.try_sweep_plan()?;
-        let (probability, table_allocations) = match self.arena.try_lock() {
-            Ok(mut arena) => {
-                let before = arena.allocations();
-                let p = plan.run(weights, &mut arena)?;
-                (p, arena.allocations() - before)
-            }
-            // Another thread is mid-sweep on this very value: run on a
-            // throwaway arena rather than serializing the sweeps.
-            Err(_) => {
-                let mut arena = SweepArena::new();
-                let p = plan.run(weights, &mut arena)?;
-                (p, arena.allocations())
-            }
+        let mut held = self.arena.try_lock();
+        let mut throwaway = SweepArena::new();
+        let arena = match held {
+            Ok(ref mut arena) => &mut **arena,
+            Err(_) => &mut throwaway,
         };
+        let before = arena.allocations();
+        let result = sweep(plan, arena)?;
+        let table_allocations = arena.allocations() - before;
         sweep_metrics().observe(plan.len(), table_allocations);
-        Ok(WmcReport {
-            probability,
+        let report = WmcReport {
+            probability: 0.0,
             width: structure.width,
             bag_count: structure.bag_count(),
             nice_node_count: plan.len(),
             table_allocations,
-        })
+        };
+        Ok((result, report))
     }
 
     /// The reference sweep: like [`CompiledCircuit::run`], but through the
@@ -489,45 +503,26 @@ impl CompiledCircuit {
         scenarios: &[Weights],
         max_bag_size: usize,
     ) -> Result<WmcManyReport, WmcError> {
-        self.ensure_width(max_bag_size)?;
-        let structure = self.structure();
-        let plan = self.try_sweep_plan()?;
         // Lane counts are chunked: table memory is `8 << bag` bytes *per
         // lane*, so an unbounded K would multiply every dense table by the
         // scenario count. Chunks of `MAX_LANES_PER_SWEEP` keep the buffers
         // bounded while still amortizing the traversal 32-fold; each lane's
         // arithmetic order is unchanged, so results stay bitwise identical
         // to per-scenario runs at any K.
-        let sweep_chunk =
-            |chunk: &[Weights], arena: &mut SweepArena| -> Result<Vec<f64>, WmcError> {
+        let (probabilities, report) = self.planned_sweep(max_bag_size, |plan, arena| {
+            let mut all = Vec::with_capacity(scenarios.len());
+            for chunk in scenarios.chunks(MAX_LANES_PER_SWEEP) {
                 let refs: Vec<&Weights> = chunk.iter().collect();
-                plan.run_many(&refs, arena)
-            };
-        let (probabilities, table_allocations) = match self.arena.try_lock() {
-            Ok(mut arena) => {
-                let before = arena.allocations();
-                let mut all = Vec::with_capacity(scenarios.len());
-                for chunk in scenarios.chunks(MAX_LANES_PER_SWEEP) {
-                    all.extend(sweep_chunk(chunk, &mut arena)?);
-                }
-                (all, arena.allocations() - before)
+                all.extend(plan.run_many(&refs, arena)?);
             }
-            Err(_) => {
-                let mut arena = SweepArena::new();
-                let mut all = Vec::with_capacity(scenarios.len());
-                for chunk in scenarios.chunks(MAX_LANES_PER_SWEEP) {
-                    all.extend(sweep_chunk(chunk, &mut arena)?);
-                }
-                (all, arena.allocations())
-            }
-        };
-        sweep_metrics().observe(plan.len(), table_allocations);
+            Ok(all)
+        })?;
         Ok(WmcManyReport {
             probabilities,
-            width: structure.width,
-            bag_count: structure.bag_count(),
-            nice_node_count: plan.len(),
-            table_allocations,
+            width: report.width,
+            bag_count: report.bag_count,
+            nice_node_count: report.nice_node_count,
+            table_allocations: report.table_allocations,
         })
     }
 }

@@ -37,8 +37,10 @@
 //!   [`compiled::one_shot_probability`] serves circuits evaluated once.
 //! * [`plan`] — the compiled sweep plan behind that sweep: dense tables,
 //!   precomputed mask permutations, bit-position constraint checks, an
-//!   allocation-free scratch arena, and K-wide scenario lanes
-//!   (`run_many`) that evaluate K weight tables in one traversal.
+//!   allocation-free scratch arena, and one forward kernel, generic over
+//!   the semiring and the lane count, behind the single-scenario run, the
+//!   K-lane run (`run_many`) and the table-retaining run of posterior
+//!   inference (`run_retained`).
 //! * [`builder`] — convenience builders for common circuit shapes used by
 //!   tests, examples and benchmarks.
 //!

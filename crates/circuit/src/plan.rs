@@ -18,32 +18,36 @@
 //!   `bit(g) == (mask & in_mask) == in_mask`, etc.); no gate or bag lookup
 //!   happens during the sweep.
 //! * **Forget multipliers** — the weight source of each forgotten gate is
-//!   resolved to a dense *variable slot* (or no-op); at sweep start the
-//!   [`crate::weights::Weights`] table is resolved once into a flat
-//!   `[w_false, w_true]`-per-slot slab.
+//!   resolved to a dense *variable slot* (a non-input gate to the slab's
+//!   unit pair); at sweep start the [`crate::weights::Weights`] table is
+//!   resolved once into a flat `[w_false, w_true]`-per-slot slab.
 //! * **Dense tables** — node tables are `Vec<f64>` of length `1 << |bag|`
 //!   (bounded by the evaluation-time width budget) indexed directly by the
-//!   assignment mask. Table buffers live in a [`SweepArena`] and are
-//!   assigned to *slots* by a static liveness analysis at plan-build time,
-//!   so repeated evaluations — batch sweeps, weight-only re-evaluation, the
-//!   incremental-update revalidation path — allocate nothing in steady
-//!   state.
-//! * **Scenario lanes** — [`SweepPlan::run_many`] evaluates K weight tables
-//!   in a single traversal by widening every table slot to K adjacent `f64`
-//!   lanes: the masks, permutations and checks (the expensive, branchy part)
-//!   are computed once and amortized over all K scenarios.
-//! * **Semiring-generic inner loop** — the per-node op application is
-//!   generic over a [`SweepSemiring`] (how alternatives combine):
-//!   [`SumProduct`] is weighted model counting, [`MaxProduct`] is the
-//!   Viterbi sweep behind most-probable-world queries.
-//! * **Table retention & backward permutations** — posterior inference
-//!   needs more than the root total: [`SweepPlan::run_retained`] keeps
-//!   every node table alive, [`SweepPlan::marginal_numerators`] runs the
-//!   backward (outward) sweep over them — inverting each forward
-//!   split-shift permutation — to produce *all* per-variable marginals in
-//!   one reverse traversal, and [`SweepPlan::descend`] decodes concrete
-//!   worlds top-down (stochastic for exact sampling, argmax for MPE). The
-//!   `stuc-infer` crate builds its subsystem on these three.
+//!   assignment mask, and live in the slots of a [`SweepArena`].
+//!
+//! One forward kernel runs the sweep. It is generic over the
+//! [`SweepSemiring`] (how alternatives combine: [`SumProduct`] is weighted
+//! model counting, [`MaxProduct`] the Viterbi sweep behind
+//! most-probable-world queries) and over the lane count (how many weight
+//! tables it carries side by side: every table entry widens to K adjacent
+//! `f64` lanes, so the masks, permutations and checks, the branchy part,
+//! are paid once for all K). It has three instantiations:
+//!
+//! * [`SweepPlan::run`] — sum-product at a lane count of one fixed at
+//!   compile time. Tables sit in the slots a static liveness analysis at
+//!   plan-build time assigned, so repeated evaluations allocate nothing in
+//!   steady state.
+//! * [`SweepPlan::run_many`] — sum-product over K lanes in the same
+//!   slots; each lane's arithmetic is the single-lane run's, bit for bit.
+//! * [`SweepPlan::run_retained`] — either semiring at one lane, with one
+//!   slot per node, so every table outlives the sweep: those slots and the
+//!   weight slab form the [`RetainedSweep`]. Posterior inference reads it
+//!   backwards: [`SweepPlan::marginal_numerators`] runs the outward sweep —
+//!   inverting each forward split-shift permutation — to produce *all*
+//!   per-variable marginals in one reverse traversal, and
+//!   [`SweepPlan::descend`] decodes concrete worlds top-down (stochastic
+//!   for exact sampling, argmax for MPE). The `stuc-infer` crate builds its
+//!   subsystem on these.
 //!
 //! The interpreted HashMap sweep remains in [`crate::wmc`] as the reference
 //! implementation; differential tests assert agreement within 1e-9.
@@ -96,6 +100,31 @@ impl SweepSemiring for MaxProduct {
     #[inline(always)]
     fn combine(a: f64, b: f64) -> f64 {
         a.max(b)
+    }
+}
+
+/// How many scenario lanes one sweep carries side by side. [`One`] fixes
+/// the count at compile time, so the single-scenario sweeps compile to a
+/// plain one-entry-per-mask loop; a `usize` is a lane sweep's runtime K.
+trait Lanes: Copy {
+    fn count(self) -> usize;
+}
+
+/// The single-scenario lane count.
+#[derive(Clone, Copy)]
+struct One;
+
+impl Lanes for One {
+    #[inline(always)]
+    fn count(self) -> usize {
+        1
+    }
+}
+
+impl Lanes for usize {
+    #[inline(always)]
+    fn count(self) -> usize {
+        self
     }
 }
 
@@ -438,25 +467,24 @@ impl SweepPlan {
         self.nodes.iter().map(|node| node.table_len).sum()
     }
 
-    /// Resolves `weights` into the dense `[w_false, w_true]`-per-slot slab,
-    /// laid out lane-major: `slab[(slot * 2 + value) * lanes + lane]`.
+    /// Resolves `scenarios` into the arena's dense `[w_false, w_true]`
+    /// slab, laid out lane-major: `slab[(slot * 2 + value) * lanes + lane]`.
+    /// Weighted slots come from the tables, pinned slots are `[1, 0]`, and
+    /// one unit pair `[1, 1]` after the last slot is the multiplier of a
+    /// forgotten non-input gate.
     fn fill_slab(
         &self,
         scenarios: &[&Weights],
         arena: &mut SweepArena,
     ) -> Result<(), CircuitError> {
-        if arena.slab.capacity() < self.var_slots * 2 * scenarios.len() {
+        let lanes = scenarios.len();
+        let len = (self.var_slots + 1) * 2 * lanes;
+        if arena.slab.capacity() < len {
             arena.allocations += 1;
         }
-        self.write_slab(scenarios, &mut arena.slab)
-    }
-
-    /// Overwrites `slab` with the lane-major weight slab of `scenarios`:
-    /// weighted slots from the tables, pinned slots `[1, 0]`.
-    fn write_slab(&self, scenarios: &[&Weights], slab: &mut Vec<f64>) -> Result<(), CircuitError> {
-        let lanes = scenarios.len();
+        let slab = &mut arena.slab;
         slab.clear();
-        slab.resize(self.var_slots * 2 * lanes, 0.0);
+        slab.resize(len, 0.0);
         for &(slot, var) in &self.inputs {
             let slot = slot as usize;
             for (lane, weights) in scenarios.iter().enumerate() {
@@ -469,6 +497,7 @@ impl SweepPlan {
             let start = slot as usize * 2 * lanes;
             slab[start..start + lanes].fill(1.0);
         }
+        slab[self.var_slots * 2 * lanes..].fill(1.0);
         Ok(())
     }
 
@@ -476,138 +505,9 @@ impl SweepPlan {
     /// buffers. Equivalent to the interpreted
     /// [`crate::wmc`] message passing, within floating-point association.
     pub fn run(&self, weights: &Weights, arena: &mut SweepArena) -> Result<f64, WmcError> {
-        self.run_in::<SumProduct>(weights, arena)
-    }
-
-    /// Runs the planned sweep in an arbitrary [`SweepSemiring`] — the same
-    /// dense tables, permutations and compiled checks, with only the
-    /// alternative-combining operation swapped. [`SumProduct`] recovers
-    /// [`SweepPlan::run`] exactly; [`MaxProduct`] computes the weight of the
-    /// most probable consistent assignment instead of the probability mass.
-    pub fn run_in<S: SweepSemiring>(
-        &self,
-        weights: &Weights,
-        arena: &mut SweepArena,
-    ) -> Result<f64, WmcError> {
-        stuc_fault::failpoint!("circuit-sweep", WmcError::Fault);
-        // One unconditional poll per sweep: tiny circuits never reach the
-        // gated in-loop checks, yet time may already have been spent (e.g.
-        // a sleeping failpoint above) — without this, a tripped deadline on
-        // a 3-gate sweep would go unnoticed and the request would succeed.
-        stuc_fault::budget::check("circuit sweep")?;
-        self.fill_slab(&[weights], arena)?;
-        // Local slices: the shared structure is read through one pointer,
-        // not reloaded through the `Arc` for every node.
-        let nodes: &[PlanNode] = &self.nodes;
-        let root_inputs: &[(u32, u32)] = &self.root_inputs;
-        let mut total = 0.0f64;
-        let mut gate = stuc_fault::budget::Gate::every(256);
-        for (idx, node) in nodes.iter().enumerate() {
-            gate.check("circuit sweep")?;
-            let mut table = arena.take_zeroed(node.slot as usize, node.table_len);
-            match node.op {
-                PlanOp::Leaf => table[0] = 1.0,
-                PlanOp::Introduce { child, .. } | PlanOp::Forget { child, .. } => {
-                    let child_table = &arena.slots[nodes[child].slot as usize];
-                    self.apply_unary::<S>(
-                        &node.op,
-                        &child_table[..nodes[child].table_len],
-                        &mut table,
-                        &arena.slab,
-                    );
-                }
-                PlanOp::Join { left, right } => {
-                    let left_table = &arena.slots[nodes[left].slot as usize];
-                    let right_table = &arena.slots[nodes[right].slot as usize];
-                    for (slot, (l, r)) in table
-                        .iter_mut()
-                        .zip(left_table.iter().zip(right_table.iter()))
-                    {
-                        *slot = l * r;
-                    }
-                }
-            }
-            if idx == self.root {
-                for (mask, &weight) in table.iter().enumerate() {
-                    if weight == 0.0 {
-                        continue;
-                    }
-                    let mut w = weight;
-                    for &(pos, slot) in root_inputs.iter() {
-                        let value = (mask as u64 >> pos) & 1;
-                        w *= arena.slab[slot as usize * 2 + value as usize];
-                    }
-                    total = S::combine(total, w);
-                }
-            }
-            arena.put_back(node.slot as usize, table);
-        }
-        Ok(total)
-    }
-
-    /// The shared single-lane inner loop of the planned sweep: applies one
-    /// Introduce/Forget op to a child table, generic over the semiring.
-    /// Reused by the arena-slot sweep ([`SweepPlan::run_in`]) and the
-    /// table-retaining sweep ([`SweepPlan::run_retained`]).
-    fn apply_unary<S: SweepSemiring>(
-        &self,
-        op: &PlanOp,
-        child_table: &[f64],
-        table: &mut [f64],
-        slab: &[f64],
-    ) {
-        match *op {
-            PlanOp::Introduce {
-                low_mask,
-                intro_pos,
-                checks_start,
-                checks_len,
-                ..
-            } => {
-                let checks =
-                    &self.checks[checks_start as usize..(checks_start + checks_len) as usize];
-                for (child_mask, &weight) in child_table.iter().enumerate() {
-                    if weight == 0.0 {
-                        continue;
-                    }
-                    let child_mask = child_mask as u64;
-                    let base = (child_mask & low_mask) | ((child_mask & !low_mask) << 1);
-                    for value in 0u64..2 {
-                        let mask = base | (value << intro_pos);
-                        if checks.iter().all(|c| c.passes(mask)) {
-                            // Child masks map to disjoint parent masks, so a
-                            // plain store needs no semiring combine.
-                            table[mask as usize] = weight;
-                        }
-                    }
-                }
-            }
-            PlanOp::Forget {
-                low_mask,
-                forget_pos,
-                multiplier_slot,
-                ..
-            } => {
-                let (w_false, w_true) = if multiplier_slot == u32::MAX {
-                    (1.0, 1.0)
-                } else {
-                    let base = multiplier_slot as usize * 2;
-                    (slab[base], slab[base + 1])
-                };
-                for (child_mask, &weight) in child_table.iter().enumerate() {
-                    if weight == 0.0 {
-                        continue;
-                    }
-                    let child_mask = child_mask as u64;
-                    let value = (child_mask >> forget_pos) & 1;
-                    let projected = (child_mask & low_mask) | ((child_mask >> 1) & !low_mask);
-                    let multiplier = if value == 0 { w_false } else { w_true };
-                    table[projected as usize] =
-                        S::combine(table[projected as usize], weight * multiplier);
-                }
-            }
-            PlanOp::Leaf | PlanOp::Join { .. } => unreachable!("apply_unary takes unary ops"),
-        }
+        let mut total = [0.0];
+        self.sweep::<SumProduct, One>(&[weights], One, false, arena, &mut total)?;
+        Ok(total[0])
     }
 
     /// Runs the planned sweep for K weight tables in a **single traversal**:
@@ -622,127 +522,206 @@ impl SweepPlan {
         scenarios: &[&Weights],
         arena: &mut SweepArena,
     ) -> Result<Vec<f64>, WmcError> {
-        let lanes = scenarios.len();
-        if lanes == 0 {
+        if scenarios.is_empty() {
             return Ok(Vec::new());
         }
+        let mut totals = vec![0.0; scenarios.len()];
+        self.sweep::<SumProduct, usize>(scenarios, scenarios.len(), false, arena, &mut totals)?;
+        Ok(totals)
+    }
+
+    /// Runs the upward sweep in semiring `S`, **retaining every node table**
+    /// instead of recycling arena slots — the table-retention mode that
+    /// posterior inference builds on. The retained tables are what a
+    /// backward pass ([`SweepPlan::marginal_numerators`]) or a top-down
+    /// stochastic/argmax descent ([`SweepPlan::descend`]) consumes; plain
+    /// probability queries should keep using [`SweepPlan::run`], which
+    /// holds only the peak-live tables. [`SumProduct`] gives the value of
+    /// [`SweepPlan::run`] bit for bit; [`MaxProduct`] gives the weight of
+    /// the most probable consistent assignment instead.
+    ///
+    /// Memory is one dense table per nice node (`8 << |bag|` bytes each)
+    /// plus the weight slab, reported by [`RetainedSweep::table_entries`].
+    pub fn run_retained<S: SweepSemiring>(
+        &self,
+        weights: &Weights,
+    ) -> Result<RetainedSweep, WmcError> {
+        let mut arena = SweepArena::new();
+        let mut value = [0.0];
+        self.sweep::<S, One>(&[weights], One, true, &mut arena, &mut value)?;
+        Ok(RetainedSweep {
+            tables: arena.slots,
+            slab: arena.slab,
+            value: value[0],
+        })
+    }
+
+    /// The one forward sweep behind [`SweepPlan::run`],
+    /// [`SweepPlan::run_many`] and [`SweepPlan::run_retained`]: resolves
+    /// the slab, computes every node table bottom-up in semiring `S` with
+    /// `lanes` scenarios side by side, and folds the root table into
+    /// `totals` (one per lane). Tables live in the arena slots the
+    /// liveness analysis assigned, or with `retain` in one slot per node,
+    /// where they stay for a backward pass or a descent.
+    fn sweep<S: SweepSemiring, L: Lanes>(
+        &self,
+        scenarios: &[&Weights],
+        lanes: L,
+        retain: bool,
+        arena: &mut SweepArena,
+        totals: &mut [f64],
+    ) -> Result<(), WmcError> {
         stuc_fault::failpoint!("circuit-sweep", WmcError::Fault);
-        // See `run_in`: small circuits must still poll the budget once.
+        // One unconditional poll per sweep: tiny circuits never reach the
+        // gated in-loop checks, yet time may already have been spent (e.g.
+        // a sleeping failpoint above) — without this, a tripped deadline on
+        // a 3-gate sweep would go unnoticed and the request would succeed.
         stuc_fault::budget::check("circuit sweep")?;
         self.fill_slab(scenarios, arena)?;
-        // See `run_in`: local slices of the shared structure.
+        let width = lanes.count();
+        // Local slices: the shared structure is read through one pointer,
+        // not reloaded through the `Arc` for every node.
         let nodes: &[PlanNode] = &self.nodes;
-        let root_inputs: &[(u32, u32)] = &self.root_inputs;
-        let mut totals = vec![0.0f64; lanes];
+        let slot = |idx: usize| {
+            if retain {
+                idx
+            } else {
+                nodes[idx].slot as usize
+            }
+        };
         let mut gate = stuc_fault::budget::Gate::every(256);
         for (idx, node) in nodes.iter().enumerate() {
             gate.check("circuit sweep")?;
-            let mut table = arena.take_zeroed(node.slot as usize, node.table_len * lanes);
+            let mut table = arena.take_zeroed(slot(idx), node.table_len * width);
             match node.op {
-                PlanOp::Leaf => table[..lanes].fill(1.0),
-                PlanOp::Introduce {
-                    child,
-                    low_mask,
-                    intro_pos,
-                    checks_start,
-                    checks_len,
-                } => {
-                    let child_node = &nodes[child];
-                    let child_table = &arena.slots[child_node.slot as usize];
-                    let checks =
-                        &self.checks[checks_start as usize..(checks_start + checks_len) as usize];
-                    for (child_mask, source) in child_table[..child_node.table_len * lanes]
-                        .chunks_exact(lanes)
-                        .enumerate()
-                    {
-                        if source.iter().all(|&w| w == 0.0) {
-                            continue;
-                        }
-                        let child_mask = child_mask as u64;
-                        let base = (child_mask & low_mask) | ((child_mask & !low_mask) << 1);
-                        for value in 0u64..2 {
-                            let mask = base | (value << intro_pos);
-                            if checks.iter().all(|c| c.passes(mask)) {
-                                table[mask as usize * lanes..(mask as usize + 1) * lanes]
-                                    .copy_from_slice(source);
-                            }
-                        }
-                    }
-                }
-                PlanOp::Forget {
-                    child,
-                    low_mask,
-                    forget_pos,
-                    multiplier_slot,
-                } => {
-                    let child_node = &nodes[child];
-                    let child_table = &arena.slots[child_node.slot as usize];
-                    for (child_mask, source) in child_table[..child_node.table_len * lanes]
-                        .chunks_exact(lanes)
-                        .enumerate()
-                    {
-                        if source.iter().all(|&w| w == 0.0) {
-                            continue;
-                        }
-                        let child_mask = child_mask as u64;
-                        let value = (child_mask >> forget_pos) & 1;
-                        let projected = (child_mask & low_mask) | ((child_mask >> 1) & !low_mask);
-                        let target = &mut table
-                            [projected as usize * lanes..(projected as usize + 1) * lanes];
-                        if multiplier_slot == u32::MAX {
-                            for (t, &s) in target.iter_mut().zip(source) {
-                                *t += s * 1.0;
-                            }
-                        } else {
-                            let base = (multiplier_slot as usize * 2 + value as usize) * lanes;
-                            let multipliers = &arena.slab[base..base + lanes];
-                            for ((t, &s), &m) in target.iter_mut().zip(source).zip(multipliers) {
-                                *t += s * m;
-                            }
-                        }
-                    }
+                PlanOp::Leaf => table[..width].fill(1.0),
+                PlanOp::Introduce { child, .. } | PlanOp::Forget { child, .. } => {
+                    let child_table = &arena.slots[slot(child)][..nodes[child].table_len * width];
+                    self.apply_unary::<S, L>(&node.op, child_table, &mut table, &arena.slab, lanes);
                 }
                 PlanOp::Join { left, right } => {
-                    let left_table = &arena.slots[nodes[left].slot as usize];
-                    let right_table = &arena.slots[nodes[right].slot as usize];
-                    for (slot, (l, r)) in table
+                    let left_table = &arena.slots[slot(left)];
+                    let right_table = &arena.slots[slot(right)];
+                    for (entry, (l, r)) in table
                         .iter_mut()
                         .zip(left_table.iter().zip(right_table.iter()))
                     {
-                        *slot = l * r;
+                        *entry = l * r;
                     }
                 }
             }
             if idx == self.root {
-                for (mask, source) in table.chunks_exact(lanes).enumerate() {
-                    if source.iter().all(|&w| w == 0.0) {
-                        continue;
-                    }
-                    for (lane, total) in totals.iter_mut().enumerate() {
-                        let mut w = source[lane];
-                        if w == 0.0 {
-                            continue;
+                for (mask, source) in table.chunks_exact(width).enumerate() {
+                    for (lane, (total, &weight)) in totals.iter_mut().zip(source).enumerate() {
+                        if weight != 0.0 {
+                            let w = self.with_root_inputs(weight, mask, &arena.slab, width, lane);
+                            *total = S::combine(*total, w);
                         }
-                        for &(pos, slot) in root_inputs.iter() {
-                            let value = (mask as u64 >> pos) & 1;
-                            w *= arena.slab[(slot as usize * 2 + value as usize) * lanes + lane];
-                        }
-                        *total += w;
                     }
                 }
             }
-            arena.put_back(node.slot as usize, table);
+            arena.put_back(slot(idx), table);
         }
-        Ok(totals)
+        Ok(())
     }
 
-    /// Resolves `weights` into a standalone `[w_false, w_true]`-per-slot
-    /// slab (the non-arena twin of `fill_slab`, for retained sweeps whose
-    /// tables outlive any arena).
-    fn slab_for(&self, weights: &Weights) -> Result<Vec<f64>, CircuitError> {
-        let mut slab = Vec::new();
-        self.write_slab(&[weights], &mut slab)?;
-        Ok(slab)
+    /// Applies one Introduce/Forget op to a child table of `lanes`
+    /// scenarios side by side, in semiring `S`. An all-zero child entry is
+    /// skipped: it contributes nothing in either semiring.
+    fn apply_unary<S: SweepSemiring, L: Lanes>(
+        &self,
+        op: &PlanOp,
+        child_table: &[f64],
+        table: &mut [f64],
+        slab: &[f64],
+        lanes: L,
+    ) {
+        let lanes = lanes.count();
+        match *op {
+            PlanOp::Introduce {
+                low_mask,
+                intro_pos,
+                checks_start,
+                checks_len,
+                ..
+            } => {
+                let checks =
+                    &self.checks[checks_start as usize..(checks_start + checks_len) as usize];
+                for (child_mask, source) in child_table.chunks_exact(lanes).enumerate() {
+                    if source.iter().all(|&w| w == 0.0) {
+                        continue;
+                    }
+                    let child_mask = child_mask as u64;
+                    let base = (child_mask & low_mask) | ((child_mask & !low_mask) << 1);
+                    for value in 0u64..2 {
+                        let mask = base | (value << intro_pos);
+                        if checks.iter().all(|c| c.passes(mask)) {
+                            // Child masks map to disjoint parent masks, so a
+                            // plain store needs no semiring combine.
+                            let at = mask as usize * lanes;
+                            for (lane, &w) in source.iter().enumerate() {
+                                table[at + lane] = w;
+                            }
+                        }
+                    }
+                }
+            }
+            PlanOp::Forget {
+                low_mask,
+                forget_pos,
+                multiplier_slot,
+                ..
+            } => {
+                // A non-input gate is weighed by the unit pair after the
+                // last slot (see `fill_slab`).
+                let weight_slot = if multiplier_slot == u32::MAX {
+                    self.var_slots
+                } else {
+                    multiplier_slot as usize
+                };
+                let base = weight_slot * 2 * lanes;
+                let (w_false, w_true) = slab[base..base + 2 * lanes].split_at(lanes);
+                for (child_mask, source) in child_table.chunks_exact(lanes).enumerate() {
+                    if source.iter().all(|&w| w == 0.0) {
+                        continue;
+                    }
+                    let child_mask = child_mask as u64;
+                    let value = (child_mask >> forget_pos) & 1;
+                    let projected = (child_mask & low_mask) | ((child_mask >> 1) & !low_mask);
+                    let multipliers = if value == 0 { w_false } else { w_true };
+                    let at = projected as usize * lanes;
+                    for ((t, &s), &m) in table[at..at + lanes]
+                        .iter_mut()
+                        .zip(source)
+                        .zip(multipliers)
+                    {
+                        *t = S::combine(*t, s * m);
+                    }
+                }
+            }
+            PlanOp::Leaf | PlanOp::Join { .. } => unreachable!("apply_unary takes unary ops"),
+        }
+    }
+
+    /// `start` times the weight of every root-bag input as bag mask `mask`
+    /// sets it, read from lane `lane` of a `lanes`-wide slab: the factor
+    /// that no Forget edge multiplied in, because these inputs never leave
+    /// scope.
+    #[inline(always)]
+    fn with_root_inputs(
+        &self,
+        start: f64,
+        mask: usize,
+        slab: &[f64],
+        lanes: usize,
+        lane: usize,
+    ) -> f64 {
+        let mut w = start;
+        for &(pos, slot) in self.root_inputs.iter() {
+            let bit = (mask as u64 >> pos) & 1;
+            w *= slab[(slot as usize * 2 + bit as usize) * lanes + lane];
+        }
+        w
     }
 
     /// Pairs every weighted slot's variable with its entry of a per-slot
@@ -752,68 +731,6 @@ impl SweepPlan {
             .iter()
             .map(|&(slot, var)| (var, per_slot[slot as usize]))
             .collect()
-    }
-
-    /// Runs the upward sweep in semiring `S`, **retaining every node table**
-    /// instead of recycling arena slots — the table-retention mode that
-    /// posterior inference builds on. The retained tables are what a
-    /// backward pass ([`SweepPlan::marginal_numerators`]) or a top-down
-    /// stochastic/argmax descent ([`SweepPlan::descend`]) consumes; plain
-    /// probability queries should keep using [`SweepPlan::run`], which
-    /// holds only the peak-live tables.
-    ///
-    /// Memory is one dense table per nice node (`8 << |bag|` bytes each)
-    /// plus the weight slab, reported by [`RetainedSweep::table_entries`].
-    pub fn run_retained<S: SweepSemiring>(
-        &self,
-        weights: &Weights,
-    ) -> Result<RetainedSweep, WmcError> {
-        // See `run_in`: small circuits must still poll the budget once.
-        stuc_fault::budget::check("circuit sweep")?;
-        let slab = self.slab_for(weights)?;
-        // See `run_in`: local slices of the shared structure.
-        let nodes: &[PlanNode] = &self.nodes;
-        let root_inputs: &[(u32, u32)] = &self.root_inputs;
-        let mut tables: Vec<Vec<f64>> = Vec::with_capacity(nodes.len());
-        let mut value = 0.0f64;
-        let mut gate = stuc_fault::budget::Gate::every(256);
-        for (idx, node) in nodes.iter().enumerate() {
-            gate.check("circuit sweep")?;
-            let mut table = vec![0.0f64; node.table_len];
-            match node.op {
-                PlanOp::Leaf => table[0] = 1.0,
-                PlanOp::Introduce { child, .. } | PlanOp::Forget { child, .. } => {
-                    self.apply_unary::<S>(&node.op, &tables[child], &mut table, &slab);
-                }
-                PlanOp::Join { left, right } => {
-                    for (slot, (l, r)) in table
-                        .iter_mut()
-                        .zip(tables[left].iter().zip(tables[right].iter()))
-                    {
-                        *slot = l * r;
-                    }
-                }
-            }
-            if idx == self.root {
-                for (mask, &weight) in table.iter().enumerate() {
-                    if weight == 0.0 {
-                        continue;
-                    }
-                    let mut w = weight;
-                    for &(pos, slot) in root_inputs.iter() {
-                        let bit = (mask as u64 >> pos) & 1;
-                        w *= slab[slot as usize * 2 + bit as usize];
-                    }
-                    value = S::combine(value, w);
-                }
-            }
-            tables.push(table);
-        }
-        Ok(RetainedSweep {
-            tables,
-            slab,
-            value,
-        })
     }
 
     /// The backward (outward) sweep: given the retained tables of a
@@ -849,13 +766,9 @@ impl SweepPlan {
 
         // Seed the root: D is the product of the root-bag input weights.
         let root_len = self.nodes[self.root].table_len;
-        let mut d_root = vec![1.0f64; root_len];
-        for (mask, d) in d_root.iter_mut().enumerate() {
-            for &(pos, slot) in self.root_inputs.iter() {
-                let bit = (mask as u64 >> pos) & 1;
-                *d *= slab[slot as usize * 2 + bit as usize];
-            }
-        }
+        let d_root: Vec<f64> = (0..root_len)
+            .map(|mask| self.with_root_inputs(1.0, mask, slab, 1, 0))
+            .collect();
         for &(pos, slot) in self.root_inputs.iter() {
             let mut numerator = 0.0;
             for (mask, (&u, &d)) in retained.tables[self.root].iter().zip(&d_root).enumerate() {
@@ -996,18 +909,10 @@ impl SweepPlan {
             self.nodes.len(),
             "retained sweep belongs to a different plan"
         );
-        let slab = &retained.slab;
         retained.tables[self.root]
             .iter()
             .enumerate()
-            .map(|(mask, &u)| {
-                let mut w = u;
-                for &(pos, slot) in self.root_inputs.iter() {
-                    let bit = (mask as u64 >> pos) & 1;
-                    w *= slab[slot as usize * 2 + bit as usize];
-                }
-                w
-            })
+            .map(|(mask, &u)| self.with_root_inputs(u, mask, &retained.slab, 1, 0))
             .collect()
     }
 
@@ -1101,7 +1006,8 @@ impl SweepPlan {
 pub struct RetainedSweep {
     /// Upward message table of every plan node, indexed by node.
     tables: Vec<Vec<f64>>,
-    /// `[w_false, w_true]` per variable slot, resolved once at sweep start.
+    /// `[w_false, w_true]` per variable slot (then the unit pair), resolved
+    /// once at sweep start.
     slab: Vec<f64>,
     /// Root aggregate in the sweep's semiring.
     value: f64,
@@ -1325,12 +1231,8 @@ mod tests {
                 best = best.max(w);
             }
             let (_, plan) = plan_for(&circuit);
-            let mpe = plan
-                .run_in::<MaxProduct>(&weights, &mut SweepArena::new())
-                .unwrap();
-            assert_close(mpe, best);
-            // The retained max-product sweep agrees, and an argmax descent
-            // decodes a world of exactly that weight.
+            // The max-product sweep finds the best weight, and an argmax
+            // descent decodes a world of exactly that weight.
             let retained = plan.run_retained::<MaxProduct>(&weights).unwrap();
             assert_close(retained.value(), best);
             if best > 0.0 {

@@ -103,8 +103,9 @@ pub trait Representation: std::fmt::Debug {
     /// `Debug` bound gives the engine a deterministic rendering to
     /// fingerprint queries for its compiled-lineage cache; `Clone + Send +
     /// Sync + 'static` lets the cache keep the query itself, so
-    /// [`crate::engine::Engine::apply_update`] can re-derive delta lineages
-    /// for every cached entry when the instance changes.
+    /// [`crate::engine::Engine::apply_update`] can ask whether an insert
+    /// gave a cached entry a new match, and rebuild it, when the instance
+    /// changes.
     type Query: std::fmt::Debug + Clone + Send + Sync + 'static;
 
     /// Which formalism this is (used in reports and error messages).

@@ -28,7 +28,6 @@ use super::metrics::engine_metrics;
 use super::{CompiledLineage, Engine, Representation, StucError, HEURISTIC};
 use std::sync::Arc;
 use std::time::Duration;
-use stuc_circuit::circuit::Gate;
 use stuc_graph::elimination::decompose_with_heuristic;
 use stuc_graph::repair::repair_decomposition;
 use stuc_graph::TreeDecomposition;
@@ -322,8 +321,8 @@ impl Engine {
 
     /// Applies one delta's patch steps to a cached lineage. A deletion
     /// rewires the circuit's inputs (its plan carried over). An insertion
-    /// keeps the circuit when the inserted facts add no match to it (an
-    /// O(delta) check of [`Updatable::delta_lineage`]), and otherwise
+    /// keeps the circuit when the inserted facts add no match to it (the
+    /// O(delta) test of [`Updatable::adds_match`]), and otherwise
     /// rebuilds the lineage with the build a cache miss runs, over the
     /// structure decomposition the engine now holds, planning it inside
     /// the write when the replaced circuit was planned.
@@ -360,16 +359,7 @@ impl Engine {
                     else {
                         return Ok(Maintained::Dropped);
                     };
-                    let Some(Ok(delta)) = representation
-                        .delta_lineage(query, inserted)
-                        .map(|delta| delta.simplify())
-                    else {
-                        return Ok(Maintained::Dropped);
-                    };
-                    let new_match = delta
-                        .output()
-                        .is_some_and(|out| !matches!(delta.gate(out), Gate::Const(false)));
-                    if new_match {
+                    if representation.adds_match(query, inserted) {
                         rebuild_for = Some(query);
                     }
                 }

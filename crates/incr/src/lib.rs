@@ -16,9 +16,10 @@
 //!   a [`StructureImpact`] (what the decomposition cache may keep: nothing
 //!   changed / shrunk in place / grown by these cliques / opaque) and a
 //!   [`LineagePatch`] (reuse verbatim / rewire inputs and rebuild on new
-//!   matches / rebuild). The new matches come from the pivoted delta join
-//!   of [`stuc_query::eval::delta_match_witnesses`], without re-enumerating
-//!   the old ones.
+//!   matches / rebuild). Whether an insert adds a match at all
+//!   ([`Updatable::adds_match`]) is the pivoted delta join of
+//!   [`stuc_query::eval::delta_match_witnesses`] stopped at its first
+//!   witness, without re-enumerating the old matches.
 //! * [`log`] — [`UpdateLog`], an append-only record of applied deltas that
 //!   can replay itself onto a replica.
 //!

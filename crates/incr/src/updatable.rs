@@ -18,19 +18,24 @@
 //! The per-representation update matrix. A rekey shares the compiled
 //! circuit (same `Arc`, warm sweep arena) and a rewire carries the sweep
 //! plan over relabelled, both O(delta) on top of one identity hash of the
-//! instance. An insert first looks for new matches with the indexed delta
-//! join of [`stuc_query::eval::delta_match_witnesses`], also O(delta); only
-//! an entry that gains one is rebuilt, which costs a cold build.
+//! instance. An insert first asks [`Updatable::adds_match`] whether it
+//! gives the query a new match: the indexed delta join of
+//! [`stuc_query::eval::delta_match_witnesses`], stopped at the first
+//! witness, also O(delta). Only an entry that gains one is rebuilt, which
+//! costs a cold build; PrXML never asks (its structural updates drop the
+//! lineage). The test looks at witnesses, not annotations: on pc- and
+//! pcc-instances a new match whose annotation is false also rebuilds, and
+//! the rebuilt entry answers as the kept one would have.
 //!
 //! | op | TID | pc | pcc | PrXML |
 //! |---|---|---|---|---|
 //! | `SetProbability` | rekey caches, share circuits | rekey (single-event annotations) | rekey (input-gate facts) | rekey (private `ind` edges) |
-//! | `InsertFact` | repair + rebuild on new matches | repair + rebuild on new matches | remap + repair + rebuild on new matches | rebuild |
+//! | `InsertFact` | repair + rebuild on new matches | repair + rebuild on new witnesses | remap + repair + rebuild on new witnesses | rebuild |
 //! | `DeleteFact` | rekey + rewire, keep the plan | rebuild lineage | rebuild lineage | rebuild |
 
 use crate::delta::{Delta, DeltaOp, UpdateError};
 use std::collections::{BTreeMap, BTreeSet};
-use stuc_circuit::circuit::{Circuit, Gate, VarId};
+use stuc_circuit::circuit::{Gate, VarId};
 use stuc_circuit::weights::validate_probability;
 use stuc_data::cinstance::PcInstance;
 use stuc_data::formula::Formula;
@@ -42,7 +47,6 @@ use stuc_prxml::document::{NodeId, PrXmlDocument};
 use stuc_prxml::queries::PrxmlQuery;
 use stuc_query::cq::ConjunctiveQuery;
 use stuc_query::eval::delta_match_witnesses;
-use stuc_query::lineage::match_lineage;
 
 /// How a delta changed the representation's structure graph.
 #[derive(Debug, Clone, PartialEq)]
@@ -83,8 +87,7 @@ pub enum LineagePatchStep {
         remap: BTreeMap<VarId, VarId>,
     },
     /// Rebuild the cached lineage if these (post-delta) fact identifiers
-    /// introduced a match, that is when [`Updatable::delta_lineage`] is not
-    /// constant false; keep it otherwise.
+    /// introduced a match ([`Updatable::adds_match`]); keep it otherwise.
     RebuildOnNewMatches {
         /// The inserted facts, in post-delta numbering.
         inserted: Vec<FactId>,
@@ -132,12 +135,13 @@ pub trait Updatable {
     /// to the pre-delta instance; see [`Delta`] for the application order.
     fn apply_delta(&mut self, delta: &Delta) -> Result<DeltaApplication, UpdateError>;
 
-    /// The lineage circuit of only the matches introduced by `inserted`
-    /// (post-delta identifiers), over the **post-delta** event variables —
-    /// what [`LineagePatchStep::RebuildOnNewMatches`] checks for a new
-    /// match. `None` when this representation cannot compute one (the
-    /// engine then drops the cached lineage instead).
-    fn delta_lineage(&self, query: &Self::Query, inserted: &[FactId]) -> Option<Circuit>;
+    /// Whether the facts `inserted` (post-delta identifiers) give `query` a
+    /// match it did not have — what
+    /// [`LineagePatchStep::RebuildOnNewMatches`] asks. The default answers
+    /// yes, so a representation without a test of its own rebuilds.
+    fn adds_match(&self, _query: &Self::Query, _inserted: &[FactId]) -> bool {
+        true
+    }
 }
 
 /// Shared validation: fact ids in range, probabilities well-formed. Returns
@@ -270,12 +274,8 @@ impl Updatable for TidInstance {
         })
     }
 
-    fn delta_lineage(&self, query: &ConjunctiveQuery, inserted: &[FactId]) -> Option<Circuit> {
-        Some(match_lineage(
-            Circuit::new(),
-            delta_match_witnesses(self.instance(), query, inserted),
-            |circuit, f| circuit.add_input(self.fact_event(f)),
-        ))
+    fn adds_match(&self, query: &ConjunctiveQuery, inserted: &[FactId]) -> bool {
+        !delta_match_witnesses(self.instance(), query, inserted, 1).is_empty()
     }
 }
 
@@ -363,12 +363,8 @@ impl Updatable for PcInstance {
         })
     }
 
-    fn delta_lineage(&self, query: &ConjunctiveQuery, inserted: &[FactId]) -> Option<Circuit> {
-        Some(match_lineage(
-            Circuit::new(),
-            delta_match_witnesses(self.instance(), query, inserted),
-            |circuit, f| self.cinstance().annotation(f).append_to_circuit(circuit),
-        ))
+    fn adds_match(&self, query: &ConjunctiveQuery, inserted: &[FactId]) -> bool {
+        !delta_match_witnesses(self.instance(), query, inserted, 1).is_empty()
     }
 }
 
@@ -469,16 +465,8 @@ impl Updatable for PccInstance {
         })
     }
 
-    fn delta_lineage(&self, query: &ConjunctiveQuery, inserted: &[FactId]) -> Option<Circuit> {
-        // Self-contained delta over the event variables: a copy of the
-        // annotation circuit plus the OR-of-ANDs of the new matches' gates.
-        // Shared variables are merged with the cached circuit's inputs when
-        // the engine folds the delta in.
-        Some(match_lineage(
-            self.annotation_circuit().clone(),
-            delta_match_witnesses(self.instance(), query, inserted),
-            |_, f| self.fact_gate(f),
-        ))
+    fn adds_match(&self, query: &ConjunctiveQuery, inserted: &[FactId]) -> bool {
+        !delta_match_witnesses(self.instance(), query, inserted, 1).is_empty()
     }
 }
 
@@ -575,16 +563,11 @@ impl Updatable for PrXmlDocument {
             },
         })
     }
-
-    fn delta_lineage(&self, _query: &PrxmlQuery, _inserted: &[FactId]) -> Option<Circuit> {
-        None
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use stuc_circuit::enumeration::probability_by_enumeration;
 
     fn path_tid(n: usize, p: f64) -> TidInstance {
         let mut tid = TidInstance::new();
@@ -636,19 +619,6 @@ mod tests {
         let delta = Delta::new().insert("R", &["x", "y"], f64::NAN);
         assert!(tid.apply_delta(&delta).is_err());
         assert_eq!(tid, before);
-    }
-
-    #[test]
-    fn tid_delta_lineage_covers_exactly_the_new_matches() {
-        let mut tid = path_tid(3, 0.5);
-        let query = ConjunctiveQuery::parse("R(x, y), R(y, z)").unwrap();
-        let application = tid
-            .apply_delta(&Delta::new().insert("R", &["c3", "c4"], 0.5))
-            .unwrap();
-        let delta_circuit = tid.delta_lineage(&query, &application.inserted).unwrap();
-        // The only new 2-chain is (f2, f3): probability 0.25 at p = 0.5.
-        let p = probability_by_enumeration(&delta_circuit, &tid.fact_weights()).unwrap();
-        assert!((p - 0.25).abs() < 1e-12);
     }
 
     #[test]
@@ -786,40 +756,6 @@ mod tests {
         assert_eq!(
             remap,
             BTreeMap::from([(VarId(2), VarId(1)), (VarId(4), VarId(2))])
-        );
-    }
-
-    /// Each representation's delta lineage after a two-fact insert, pinned
-    /// gate for gate (the witnesses come in the delta join's pivot order).
-    #[test]
-    fn delta_lineages_are_pinned_gate_for_gate() {
-        let query = ConjunctiveQuery::parse("R(x, y), R(y, z)").unwrap();
-        let delta = Delta::new()
-            .insert("R", &["c4", "c5"], 0.5)
-            .insert("R", &["c5", "c6"], 0.5);
-        let mut tid = path_tid(4, 0.5);
-        let inserted = tid.apply_delta(&delta).unwrap().inserted;
-        assert_eq!(
-            format!("{:?}", tid.delta_lineage(&query, &inserted).unwrap()),
-            "Circuit { gates: [Input(VarId(4)), Input(VarId(5)), And([GateId(0), GateId(1)]), Input(VarId(3)), And([GateId(0), GateId(3)]), Or([GateId(2), GateId(4)])], output: Some(GateId(5)) }"
-        );
-        let mut pc = path_tid(4, 0.5).to_pc_instance();
-        let inserted = pc.apply_delta(&delta).unwrap().inserted;
-        assert_eq!(
-            format!("{:?}", pc.delta_lineage(&query, &inserted).unwrap()),
-            "Circuit { gates: [Input(VarId(4)), Input(VarId(5)), And([GateId(0), GateId(1)]), Input(VarId(3)), And([GateId(0), GateId(3)]), Or([GateId(2), GateId(4)])], output: Some(GateId(5)) }"
-        );
-        let mut pcc = PccInstance::new();
-        let v = VarId(0);
-        let gate = pcc.annotation_circuit_mut().add_input(v);
-        pcc.probabilities_mut().set(v, 0.9);
-        for i in 0..4 {
-            pcc.add_fact_with_gate("R", &[&format!("c{i}"), &format!("c{}", i + 1)], gate);
-        }
-        let inserted = pcc.apply_delta(&delta).unwrap().inserted;
-        assert_eq!(
-            format!("{:?}", pcc.delta_lineage(&query, &inserted).unwrap()),
-            "Circuit { gates: [Input(VarId(0)), Input(VarId(1)), Input(VarId(2)), And([GateId(1), GateId(2)]), And([GateId(0), GateId(1)]), Or([GateId(3), GateId(4)])], output: Some(GateId(5)) }"
         );
     }
 }

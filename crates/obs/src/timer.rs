@@ -138,13 +138,6 @@ impl StageRecorder {
         trace::record_complete(name, self.watch.started_at() + (now - lap), lap);
     }
 
-    /// Fold a nested breakdown (e.g. from a sub-evaluation's report) into
-    /// this one without moving the cursor.
-    pub fn absorb(&mut self, other: &StageTimings) {
-        self.timings.merge(other);
-        self.cursor = self.watch.elapsed();
-    }
-
     /// The breakdown so far.
     pub fn timings(&self) -> &StageTimings {
         &self.timings

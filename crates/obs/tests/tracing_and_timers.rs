@@ -209,11 +209,6 @@ fn stage_timings_sum_repeats_and_merge() {
     assert_eq!(timings.get("parse"), Some(Duration::from_micros(3)));
     assert_eq!(timings.get("lower"), Some(Duration::from_micros(3)));
     assert_eq!(timings.total(), Duration::from_micros(21));
-
-    // A recorder absorbing a nested breakdown folds it in without a lap.
-    let mut recorder = StageRecorder::new();
-    recorder.absorb(&timings);
-    assert_eq!(recorder.timings().total(), Duration::from_micros(21));
 }
 
 #[test]

@@ -104,13 +104,15 @@ pub fn all_answers(instance: &Instance, query: &ConjunctiveQuery) -> Vec<Vec<Con
     answers
 }
 
-/// The witness lists of every match that uses at least one `inserted` fact,
-/// each exactly once, grouped by pivot (see the module docs). Each list has
-/// one fact per query atom, in atom order.
+/// The witness lists of the first `limit` matches that use at least one
+/// `inserted` fact, each exactly once, grouped by pivot (see the module
+/// docs); a `limit` of 1 asks whether the insert adds a match at all. Each
+/// list has one fact per query atom, in atom order.
 pub fn delta_match_witnesses(
     instance: &Instance,
     query: &ConjunctiveQuery,
     inserted: &[FactId],
+    limit: usize,
 ) -> Vec<Vec<FactId>> {
     if inserted.is_empty() {
         return Vec::new();
@@ -121,7 +123,7 @@ pub fn delta_match_witnesses(
     let mut inserted = inserted.to_vec();
     inserted.sort_unstable();
     inserted.dedup();
-    let mut search = Search::new(instance, &resolved, &inserted, usize::MAX);
+    let mut search = Search::new(instance, &resolved, &inserted, limit);
     for pivot in 0..resolved.atoms.len() {
         search.pivot = Some(pivot);
         search.order = join_order(&resolved, pivot);
@@ -458,7 +460,7 @@ mod tests {
         };
         assert_eq!(all_matches(&inst, &q), vec![empty]);
         assert!(query_holds(&inst, &q));
-        assert!(delta_match_witnesses(&inst, &q, &[f]).is_empty());
+        assert!(delta_match_witnesses(&inst, &q, &[f], usize::MAX).is_empty());
     }
 
     #[test]
@@ -466,7 +468,7 @@ mod tests {
         let mut instance = Instance::new();
         instance.add_fact_named("R", &["a", "b"]);
         let query = ConjunctiveQuery::parse("R(x, y)").unwrap();
-        assert!(delta_match_witnesses(&instance, &query, &[]).is_empty());
+        assert!(delta_match_witnesses(&instance, &query, &[], usize::MAX).is_empty());
     }
 
     #[test]
@@ -478,7 +480,7 @@ mod tests {
         }
         let query = ConjunctiveQuery::parse("R(x, y), R(y, z)").unwrap();
         assert_eq!(
-            delta_match_witnesses(&instance, &query, &[FactId(5), FactId(4)]),
+            delta_match_witnesses(&instance, &query, &[FactId(5), FactId(4)], usize::MAX),
             vec![vec![FactId(4), FactId(5)], vec![FactId(3), FactId(4)]]
         );
     }
@@ -491,7 +493,7 @@ mod tests {
         instance.add_fact_named("R", &["a", "a"]);
         let f = instance.add_fact_named("R", &["a", "b"]);
         let query = ConjunctiveQuery::parse("R(x, y), R(y, z)").unwrap();
-        let mut delta = delta_match_witnesses(&instance, &query, &[f]);
+        let mut delta = delta_match_witnesses(&instance, &query, &[f], usize::MAX);
         delta.sort();
         let want: Vec<Vec<FactId>> = oracle(&instance, &query)
             .into_iter()
@@ -614,13 +616,16 @@ mod tests {
             prop_assert_eq!(query_holds(&instance, &query), !want.is_empty());
 
             let inserted: Vec<FactId> = inserted.into_iter().collect();
-            let mut got = delta_match_witnesses(&instance, &query, &inserted);
+            let mut got = delta_match_witnesses(&instance, &query, &inserted, usize::MAX);
             got.sort();
             let touching: Vec<Vec<FactId>> = want
                 .into_iter()
                 .map(|m| m.witnesses)
                 .filter(|w| w.iter().any(|f| inserted.contains(f)))
                 .collect();
+            let first = delta_match_witnesses(&instance, &query, &inserted, 1);
+            prop_assert_eq!(first.len(), usize::from(!touching.is_empty()));
+            prop_assert!(first.iter().all(|w| touching.contains(w)));
             prop_assert_eq!(got, touching);
         }
     }

@@ -243,6 +243,59 @@ fn plan_build_faults_surface_typed_from_every_inference_mode() {
 }
 
 #[test]
+fn sweep_faults_surface_typed_from_every_inference_mode() {
+    let _serial = chaos_lock();
+    let (tid, chain) = workload();
+    let engine = Engine::new();
+    {
+        let _armed = failpoint::arm_guard(
+            "circuit-sweep",
+            FailAction::Error("inference sweep chaos".into()),
+        );
+        let errors = [
+            ("marginals", engine.marginals(&tid, &chain).err()),
+            (
+                "most_probable_world",
+                engine.most_probable_world(&tid, &chain).err(),
+            ),
+            (
+                "sample_worlds",
+                engine.sample_worlds(&tid, &chain, 16, 7).err(),
+            ),
+        ];
+        for (mode, error) in errors {
+            let error = error.unwrap_or_else(|| panic!("{mode} answered under a sweep fault"));
+            assert!(
+                matches!(error, StucError::Infer(InferError::Wmc(WmcError::Fault(_)))),
+                "{mode}: {error:?} is not a typed sweep fault"
+            );
+            assert!(
+                error.to_string().contains("injected fault"),
+                "{mode}: {error}"
+            );
+        }
+    }
+    let fresh = Engine::new();
+    let posteriors = |e: &Engine| -> Vec<(u64, u64)> {
+        let marginals = e.marginals(&tid, &chain).unwrap();
+        let mut bits = vec![(u64::MAX, marginals.evidence_probability.to_bits())];
+        bits.extend(marginals.iter().map(|(v, p)| (v.0 as u64, p.to_bits())));
+        bits
+    };
+    assert_eq!(posteriors(&engine), posteriors(&fresh));
+    let (mpe, fresh_mpe) = (
+        engine.most_probable_world(&tid, &chain).unwrap(),
+        fresh.most_probable_world(&tid, &chain).unwrap(),
+    );
+    assert_eq!(mpe.world, fresh_mpe.world);
+    assert_eq!(mpe.probability.to_bits(), fresh_mpe.probability.to_bits());
+    assert_eq!(
+        engine.sample_worlds(&tid, &chain, 16, 7).unwrap().worlds,
+        fresh.sample_worlds(&tid, &chain, 16, 7).unwrap().worlds
+    );
+}
+
+#[test]
 fn sweep_failpoint_errors_are_typed_and_recover() {
     engine_scenario(
         "circuit-sweep",
