@@ -237,7 +237,9 @@ fn batch_evaluation_is_at_least_3x_faster_than_sequential_on_4_cores() {
 
 /// The observability layer must be close to free. Two bars on the warm a2
 /// sweep (cached lineage, pure counting — a goal long enough that a 5%
-/// ratio measures the tracer rather than timer noise):
+/// ratio measures the tracer rather than timer noise; swept through
+/// `reevaluate_with_weights`, since a repeated `evaluate` reads its
+/// memoised answer):
 ///
 /// * tracer **enabled**, the evaluate loop stays within 5% of the
 ///   tracer-disabled baseline;
@@ -250,12 +252,19 @@ fn observability_overhead_stays_within_the_bars() {
     let tid = workloads::path_tid(80, 0.5, 13);
     let query = ConjunctiveQuery::parse("R(x, y), R(y, z)").unwrap();
     engine.evaluate(&tid, &query).unwrap(); // compile + cache the lineage
+    let weights = tid.fact_weights();
+    let sweep = || {
+        engine
+            .reevaluate_with_weights(&tid, &query, &weights)
+            .unwrap()
+            .probability
+    };
 
     // Both configurations answer identically (the tracer only records).
     trace::set_enabled(true);
-    let traced_p = engine.evaluate(&tid, &query).unwrap().probability;
+    let traced_p = sweep();
     trace::set_enabled(false);
-    let plain_p = engine.evaluate(&tid, &query).unwrap().probability;
+    let plain_p = sweep();
     assert_eq!(traced_p.to_bits(), plain_p.to_bits());
 
     if cfg!(debug_assertions) {
@@ -263,11 +272,7 @@ fn observability_overhead_stays_within_the_bars() {
         return;
     }
 
-    let loop_once = || {
-        (0..64)
-            .map(|_| engine.evaluate(&tid, &query).unwrap().probability)
-            .sum::<f64>()
-    };
+    let loop_once = || (0..64).map(|_| sweep()).sum::<f64>();
     let baseline = timed(10, loop_once);
     trace::set_enabled(true);
     let traced = timed(10, loop_once);
@@ -294,7 +299,8 @@ fn observability_overhead_stays_within_the_bars() {
 }
 
 /// The sampling profiler must be close to free for the profiled process.
-/// On the warm a2 sweep (cached lineage, pure counting):
+/// On the warm a2 sweep (cached lineage, pure counting, swept through
+/// `reevaluate_with_weights`):
 ///
 /// * with the profiler **enabled** (span-stack shadow maintained) and a
 ///   live sampler thread reading it at the default 99 Hz, the evaluate
@@ -307,11 +313,18 @@ fn profiler_overhead_stays_within_the_bar() {
     let tid = workloads::path_tid(80, 0.5, 13);
     let query = ConjunctiveQuery::parse("R(x, y), R(y, z)").unwrap();
     engine.evaluate(&tid, &query).unwrap(); // compile + cache the lineage
+    let weights = tid.fact_weights();
+    let sweep = || {
+        engine
+            .reevaluate_with_weights(&tid, &query, &weights)
+            .unwrap()
+            .probability
+    };
 
     profile::set_enabled(true);
-    let profiled_p = engine.evaluate(&tid, &query).unwrap().probability;
+    let profiled_p = sweep();
     profile::set_enabled(false);
-    let plain_p = engine.evaluate(&tid, &query).unwrap().probability;
+    let plain_p = sweep();
     assert_eq!(profiled_p.to_bits(), plain_p.to_bits());
 
     if cfg!(debug_assertions) {
@@ -319,11 +332,7 @@ fn profiler_overhead_stays_within_the_bar() {
         return;
     }
 
-    let loop_once = || {
-        (0..64)
-            .map(|_| engine.evaluate(&tid, &query).unwrap().probability)
-            .sum::<f64>()
-    };
+    let loop_once = || (0..64).map(|_| sweep()).sum::<f64>();
     let baseline = timed(10, loop_once);
     profile::set_enabled(true);
     let sampler = profile::Sampler::start(profile::default_hz());
@@ -343,7 +352,9 @@ fn profiler_overhead_stays_within_the_bar() {
 }
 
 /// Budget checkpoints must be close to free: on the warm a2 workload under
-/// a far-away deadline (every checkpoint pays a real `Instant::now` poll),
+/// a far-away deadline (every checkpoint pays a real `Instant::now` poll;
+/// swept through `reevaluate_with_weights`, since a repeated `evaluate`
+/// reads its memoised answer without reaching the sweep's checkpoints),
 /// the wall time spent *inside* the polls — as reported by the engine's
 /// own `stuc_engine_budget_check_seconds` histogram — must stay at or
 /// below 2% of the evaluations' total wall time. Poll time and wall time
@@ -358,14 +369,20 @@ fn budget_checks_cost_at_most_2_percent_on_the_a2_sweep() {
     let tid = workloads::path_tid(450, 0.5, 13);
     let query = ConjunctiveQuery::parse("R(x, y), R(y, z)").unwrap();
     let far = EvalBudget::with_deadline(Duration::from_secs(3600));
+    let weights = tid.fact_weights();
+    let budgeted_sweep = || {
+        engine
+            .with_budget(&far, || {
+                engine.reevaluate_with_weights(&tid, &query, &weights)
+            })
+            .unwrap()
+            .probability
+    };
 
     // Agreement first, in every build profile: a budget that never trips
     // changes nothing about the answer.
     let plain = engine.evaluate(&tid, &query).unwrap().probability;
-    let budgeted = engine
-        .with_budget(&far, || engine.evaluate(&tid, &query))
-        .unwrap()
-        .probability;
+    let budgeted = budgeted_sweep();
     assert_eq!(plain.to_bits(), budgeted.to_bits());
 
     if cfg!(debug_assertions) {
@@ -383,12 +400,7 @@ fn budget_checks_cost_at_most_2_percent_on_the_a2_sweep() {
     let spent_before = histogram.sum_seconds();
     let started = std::time::Instant::now();
     for _ in 0..RUNS {
-        std::hint::black_box(
-            engine
-                .with_budget(&far, || engine.evaluate(&tid, &query))
-                .unwrap()
-                .probability,
-        );
+        std::hint::black_box(budgeted_sweep());
     }
     let wall = started.elapsed().as_secs_f64();
     let spent = histogram.sum_seconds() - spent_before;
@@ -602,7 +614,9 @@ fn inserts_scale_linearly_from_2k_to_20k_facts() {
 /// Reads do not drift across writes: on `path_tid(1000)` holding the warm
 /// unanchored pair `R(x, y), R(y, z)`, eight rounds of an insert (which
 /// rebuilds the lineage) and a delete (which rewires it) leave the median
-/// warm read under 2x the one before the first round (patching the
+/// warm read under 2x the one before the first round (each read sweeps,
+/// through `reevaluate_with_weights` under the instance's own weights,
+/// since a repeated `evaluate` reads its memoised answer; patching the
 /// circuit on every insert made it 226-351x). Every read after a round
 /// agrees with a cold engine; in debug builds only that agreement runs.
 #[test]
@@ -616,10 +630,15 @@ fn reads_stay_flat_across_an_insert_history() {
     engine.evaluate(&tid, &query).unwrap();
     // Median of 41 warm reads.
     let read = |tid: &stuc_data::tid::TidInstance| {
+        let weights = tid.fact_weights();
         let mut times: Vec<Duration> = (0..41)
             .map(|_| {
                 let started = std::time::Instant::now();
-                std::hint::black_box(engine.evaluate(tid, &query).unwrap());
+                std::hint::black_box(
+                    engine
+                        .reevaluate_with_weights(tid, &query, &weights)
+                        .unwrap(),
+                );
                 started.elapsed()
             })
             .collect();
@@ -652,6 +671,60 @@ fn reads_stay_flat_across_an_insert_history() {
         ratio < 2.0,
         "a warm read after 8 insert+delete rounds must cost under 2x one before \
          ({before:?} -> {after:?}, {ratio:.2}x)"
+    );
+}
+
+/// A warm repeat on unchanged data skips the sweep: the instance identity
+/// keying the lineage entry covers every weight, so a repeated `evaluate`
+/// reads the answer its first run memoised. On `path_tid(10_000)` with the
+/// unanchored pair `R(x, y), R(y, z)`, the median of 41 warm `evaluate`s is
+/// at least 20x below the median of 41 sweeps under the instance's own
+/// weights through `reevaluate_with_weights` (about 4 ms against 7 µs,
+/// some 550x, on 2 vCPUs), and both answer the same bits. In debug builds
+/// only the agreement runs, at 1k facts.
+#[test]
+fn warm_repeats_skip_the_sweep() {
+    let n = if cfg!(debug_assertions) {
+        1_000
+    } else {
+        10_000
+    };
+    let tid = workloads::path_tid(n, 0.5, 13);
+    let query = ConjunctiveQuery::parse("R(x, y), R(y, z)").unwrap();
+    let weights = tid.fact_weights();
+    let engine = Engine::new();
+    let repeat = || engine.evaluate(&tid, &query).unwrap().probability;
+    let sweep = || {
+        engine
+            .reevaluate_with_weights(&tid, &query, &weights)
+            .unwrap()
+            .probability
+    };
+    let first = repeat(); // compiles, sweeps and memoises
+    assert_eq!(repeat().to_bits(), first.to_bits());
+    assert_eq!(sweep().to_bits(), first.to_bits());
+    assert_eq!(engine.cache_stats().answers.hits, 1);
+    if cfg!(debug_assertions) {
+        eprintln!("debug build: skipping the 10k rung and the ≥20x repeat bar (run in release)");
+        return;
+    }
+    let median = |run: &dyn Fn() -> f64| {
+        let mut times: Vec<Duration> = (0..41)
+            .map(|_| {
+                let started = std::time::Instant::now();
+                std::hint::black_box(run());
+                started.elapsed()
+            })
+            .collect();
+        times.sort_unstable();
+        times[times.len() / 2]
+    };
+    let (repeat_median, sweep_median) = (median(&repeat), median(&sweep));
+    let ratio = sweep_median.as_secs_f64() / repeat_median.as_secs_f64().max(f64::MIN_POSITIVE);
+    assert!(
+        ratio >= 20.0,
+        "a warm repeat must cost at most 1/20 of a sweep on the 10k-fact path \
+         (repeat {repeat_median:?}, sweep {sweep_median:?}, {ratio:.1}x)"
     );
 }
 

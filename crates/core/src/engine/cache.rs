@@ -34,12 +34,13 @@
 //! [`stuc_obs`] handles, making hits/misses/races/evictions live metrics
 //! (`/metrics`) instead of pull-only snapshots.
 
-use super::metrics::CacheMetricHandles;
+use super::metrics::{answer_cache_metrics, CacheMetricHandles};
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, VecDeque};
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use std::sync::{Arc, Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use stuc_obs::metrics::Counter;
 
 /// Default shard count of the engine caches. More shards than cores is
 /// harmless (a shard is one `RwLock` + one `HashMap`); fewer would make
@@ -73,6 +74,48 @@ pub struct EngineCacheStats {
     pub decompositions: CacheCounters,
     /// Counters of the compiled-lineage cache.
     pub lineages: CacheCounters,
+    /// Counters of the answers memoised on compiled-lineage entries: a hit
+    /// is a counting run under the representation's own weights served
+    /// from its entry, a miss one that swept. The answers live on the
+    /// lineage entries, so `races_lost`, `evictions` and `entries` stay 0.
+    pub answers: CacheCounters,
+}
+
+/// Per-engine hit/miss counters of the memoised answers, mirrored into the
+/// global `stuc_cache_answer_{hits,misses}_total` counters.
+#[derive(Debug)]
+pub(crate) struct AnswerCounters {
+    hits: AtomicU64,
+    misses: AtomicU64,
+    metrics: (Arc<Counter>, Arc<Counter>),
+}
+
+impl AnswerCounters {
+    pub(crate) fn new() -> Self {
+        AnswerCounters {
+            hits: AtomicU64::new(0),
+            misses: AtomicU64::new(0),
+            metrics: answer_cache_metrics(),
+        }
+    }
+
+    pub(crate) fn note_hit(&self) {
+        self.hits.fetch_add(1, Ordering::Relaxed);
+        self.metrics.0.inc();
+    }
+
+    pub(crate) fn note_miss(&self) {
+        self.misses.fetch_add(1, Ordering::Relaxed);
+        self.metrics.1.inc();
+    }
+
+    pub(crate) fn counters(&self) -> CacheCounters {
+        CacheCounters {
+            hits: self.hits.load(Ordering::Relaxed),
+            misses: self.misses.load(Ordering::Relaxed),
+            ..CacheCounters::default()
+        }
+    }
 }
 
 /// A sharded, bounded, clone-on-read concurrent map. See the [module

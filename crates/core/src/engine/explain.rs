@@ -568,8 +568,14 @@ impl Engine {
             if !flags.lineage_cached {
                 stages.extend(["decompose", "compile-lineage"]);
             }
-            if outcome != ExplainOutcome::Refused {
-                stages.push("sweep");
+            // A step whose entry already holds its answer stops at the
+            // lookup; the run sweeps when any step does not.
+            let sweeps = plan
+                .steps
+                .iter()
+                .any(|step| step.memoised_answer().is_none());
+            if outcome != ExplainOutcome::Refused && sweeps {
+                stages.extend(["weights", "sweep"]);
             }
         }
         QueryExplanation {
@@ -723,7 +729,7 @@ mod tests {
         assert_eq!(report.circuit_gates, circuit.gates);
         let again = engine.explain(&tid, &query).unwrap();
         assert_eq!(again.cache.lineage.provenance, "hit");
-        assert_eq!(again.stages, vec!["cache-lookup", "sweep"]);
+        assert_eq!(again.stages, vec!["cache-lookup"]);
     }
 
     #[test]

@@ -140,17 +140,27 @@ pub(crate) struct CacheMetricHandles {
     pub(crate) entries: Arc<Gauge>,
 }
 
-fn cache_metrics(cache: &str) -> CacheMetricHandles {
+/// The `stuc_cache_{cache}_hits_total` and `…_misses_total` counters.
+fn hit_miss_counters(cache: &str) -> (Arc<Counter>, Arc<Counter>) {
     let reg = registry();
-    CacheMetricHandles {
-        hits: reg.counter(
+    (
+        reg.counter(
             &format!("stuc_cache_{cache}_hits_total"),
             &format!("Validated hits on the {cache} cache (all engines)."),
         ),
-        misses: reg.counter(
+        reg.counter(
             &format!("stuc_cache_{cache}_misses_total"),
             &format!("Misses (absent or failed revalidation) on the {cache} cache."),
         ),
+    )
+}
+
+fn cache_metrics(cache: &str) -> CacheMetricHandles {
+    let reg = registry();
+    let (hits, misses) = hit_miss_counters(cache);
+    CacheMetricHandles {
+        hits,
+        misses,
         races_lost: reg.counter(
             &format!("stuc_cache_{cache}_races_lost_total"),
             &format!("First-writer-wins publish races lost on the {cache} cache."),
@@ -178,4 +188,11 @@ pub(crate) fn decomposition_cache_metrics() -> CacheMetricHandles {
 pub(crate) fn lineage_cache_metrics() -> CacheMetricHandles {
     static METRICS: OnceLock<CacheMetricHandles> = OnceLock::new();
     METRICS.get_or_init(|| cache_metrics("lineage")).clone()
+}
+
+/// Global hit and miss counters of the answers memoised on compiled-lineage
+/// entries.
+pub(crate) fn answer_cache_metrics() -> (Arc<Counter>, Arc<Counter>) {
+    static METRICS: OnceLock<(Arc<Counter>, Arc<Counter>)> = OnceLock::new();
+    METRICS.get_or_init(|| hit_miss_counters("answer")).clone()
 }

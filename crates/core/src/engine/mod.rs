@@ -106,11 +106,11 @@ pub use stuc_obs::timer::{Stage, StageTimings};
 pub use text::{GoalEvaluation, TextEvaluation};
 pub use update::UpdateReport;
 
-use cache::ShardedCache;
+use cache::{AnswerCounters, ShardedCache};
 use metrics::{decomposition_cache_metrics, engine_metrics, lineage_cache_metrics, EntryMetrics};
 use plan::CacheFlags;
 use representation::debug_identity;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 use stuc_circuit::circuit::Circuit;
 use stuc_circuit::compiled::{CompiledCircuit, DEFAULT_WIDTH_BUDGET};
@@ -231,6 +231,7 @@ impl EngineBuilder {
                 shards,
                 lineage_cache_metrics(),
             ),
+            answers: AnswerCounters::new(),
         }
     }
 }
@@ -267,7 +268,14 @@ pub struct Engine {
     /// `Debug` rendering and a second, differently-seeded instance hash;
     /// both are checked on lookup, so a wrong reuse would need two
     /// simultaneous 64-bit hash collisions on the same query text.
+    ///
+    /// Since [`Representation::identity`] covers every weight, an entry
+    /// also memoises its answer under the representation's own weights:
+    /// a repeated evaluation of unchanged data reads it instead of
+    /// sweeping (see [`CompiledLineage::answer`]).
     lineage_cache: ShardedCache<LineageKey, Arc<CompiledLineage>>,
+    /// Hits and misses of the memoised answers.
+    answers: AnswerCounters,
 }
 
 /// Compile-time proof of the sharing contract: one `Arc<Engine>` may be
@@ -323,11 +331,20 @@ pub(crate) struct CompiledLineage {
     /// it back to look for new matches and rebuild the lineage when facts
     /// are inserted.
     pub(crate) query: Arc<dyn std::any::Any + Send + Sync>,
+    /// The answer of the first successful counting run under the
+    /// representation's own weights, and the back-end that computed it.
+    /// The entry's key and check hash are [`Representation::identity`],
+    /// which covers every weight, so a later run of that back-end reads it
+    /// instead of fetching the weights and sweeping. Written once; every
+    /// entry a write produces starts empty, and what-if weights, the
+    /// inference modes and the safe plan never touch it.
+    pub(crate) answer: OnceLock<(BackendKind, f64)>,
 }
 
 impl CompiledLineage {
     /// A copy carrying another circuit for the changed instance (and, when
-    /// known, the width of the structure decomposition it was built from).
+    /// known, the width of the structure decomposition it was built from),
+    /// with no answer memoised.
     pub(crate) fn with_patched_circuit(
         &self,
         compiled: Arc<CompiledCircuit>,
@@ -341,6 +358,7 @@ impl CompiledLineage {
             query_repr: self.query_repr.clone(),
             instance_check,
             query: Arc::clone(&self.query),
+            answer: OnceLock::new(),
         }
     }
 }
@@ -392,13 +410,15 @@ impl Engine {
 
     /// Hit/miss/entry counters of both engine caches — lifetime totals of
     /// validated hits and of misses (absent or failed-revalidation), plus
-    /// lost publish races. Concurrency tests use these to prove that
+    /// lost publish races — and the hits and misses of the answers memoised
+    /// on lineage entries. Concurrency tests use these to prove that
     /// parallel workers actually shared compiled entries instead of each
     /// compiling privately.
     pub fn cache_stats(&self) -> EngineCacheStats {
         EngineCacheStats {
             decompositions: self.cache.counters(),
             lineages: self.lineage_cache.counters(),
+            answers: self.answers.counters(),
         }
     }
 
@@ -846,6 +866,7 @@ impl Engine {
             query_repr,
             instance_check,
             query: Arc::new(query.clone()),
+            answer: OnceLock::new(),
         });
         let flags = CacheFlags {
             lineage_cached: false,
@@ -928,7 +949,7 @@ impl Engine {
         representation: &R,
         query: &R::Query,
     ) -> Option<LineageProbe> {
-        if !self.config.cache_lineages || self.config.cache_capacity == 0 {
+        if !self.caches_lineages() {
             return None;
         }
         let (instance_fp, instance_check) = representation.identity();
@@ -939,6 +960,12 @@ impl Engine {
             query_repr,
             instance_check,
         })
+    }
+
+    /// True unless lineage caching is off (`without_lineage_cache` or a
+    /// capacity of 0); answers are memoised only when it is on.
+    fn caches_lineages(&self) -> bool {
+        self.config.cache_lineages && self.config.cache_capacity != 0
     }
 
     /// Builds (or fetches) the lineage circuit of a query without computing

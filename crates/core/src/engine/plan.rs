@@ -6,7 +6,9 @@
 //! the evaluation entry points *execute* and EXPLAIN only *renders*, so the
 //! two agree by construction. Planning fetches (or builds) the compiled
 //! lineage through the shared cache, because the back-end choice depends on
-//! the circuit's width; executing only fetches the weights and sweeps.
+//! the circuit's width; executing only fetches the weights and sweeps, or,
+//! under the representation's own weights, reads the answer an earlier run
+//! memoised on the lineage entry.
 
 use std::borrow::Cow;
 use std::sync::Arc;
@@ -83,6 +85,18 @@ impl Step {
     fn refusal(&self) -> Option<&StucError> {
         match self {
             Step::Refused { error, .. } => Some(error),
+            _ => None,
+        }
+    }
+
+    /// The answer of its back-end a circuit step's lineage entry already
+    /// holds: executing the step without a weight override returns it.
+    pub(crate) fn memoised_answer(&self) -> Option<f64> {
+        match self {
+            Step::Circuit { lineage, backend } => match lineage.entry.answer.get() {
+                Some(&(kind, probability)) if kind == *backend => Some(probability),
+                _ => None,
+            },
             _ => None,
         }
     }
@@ -554,7 +568,10 @@ impl Engine {
     }
 
     /// Runs one step: the safe plan, or the weights (the caller's override
-    /// wins) swept by the chosen counting back-end.
+    /// wins) swept by the chosen counting back-end. Under the
+    /// representation's own weights the answer is a function of the lineage
+    /// entry's key, so a successful sweep memoises it on the entry and a
+    /// later run of the same back-end returns it, recording no stage.
     fn execute<R: Representation + ?Sized>(
         &self,
         representation: &R,
@@ -578,6 +595,14 @@ impl Engine {
             }
             Step::Circuit { lineage, backend } => (lineage, *backend),
         };
+        let memoise = weights.is_none() && self.caches_lineages();
+        if memoise {
+            if let Some(probability) = step.memoised_answer() {
+                self.answers.note_hit();
+                return Ok(probability);
+            }
+            self.answers.note_miss();
+        }
         let own_weights;
         let weights = match weights {
             Some(weights) => weights,
@@ -601,6 +626,11 @@ impl Engine {
             BackendKind::SafePlan => SafePlanBackend.solve(&task),
         }?;
         rec.mark("sweep");
+        if memoise {
+            // A concurrent run may have filled the slot first; both swept
+            // the same circuit under the same weights.
+            let _ = lineage.entry.answer.set((backend, probability));
+        }
         Ok(probability)
     }
 }

@@ -153,10 +153,19 @@ pub trait Representation: std::fmt::Debug {
     /// secondary hash on every hit (next to the exact query text), so a
     /// wrong reuse needs two simultaneous 64-bit collisions.
     ///
+    /// The identity also keys the answer a lineage entry memoises: a
+    /// repeated evaluation under the representation's own weights returns
+    /// it without sweeping. So it must cover **every weight**, not just
+    /// the structure; an identity that missed a weight change would serve
+    /// the old probability. All five built-ins hash their weights:
+    /// `TidInstance`, `CInstance` (whose uniform 1/2 weights follow from
+    /// its events), `PcInstance`, `PccInstance` and `PrXmlDocument`.
+    ///
     /// The built-in representations hash their fields directly and memoise
     /// the pair until their next `&mut self` call, which makes a warm
     /// lookup O(1) instead of O(instance). The default, for user-defined
-    /// representations, hashes the `Debug` rendering on every call.
+    /// representations, hashes the `Debug` rendering on every call, which
+    /// covers the weights when the rendering shows them.
     fn identity(&self) -> (u64, u64) {
         debug_identity(self)
     }

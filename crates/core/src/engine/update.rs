@@ -26,7 +26,7 @@
 
 use super::metrics::engine_metrics;
 use super::{CompiledLineage, Engine, Representation, StucError, HEURISTIC};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 use stuc_graph::elimination::decompose_with_heuristic;
 use stuc_graph::repair::repair_decomposition;
@@ -388,6 +388,7 @@ impl Engine {
                     query_repr: entry.query_repr.clone(),
                     instance_check,
                     query: Arc::clone(&entry.query),
+                    answer: OnceLock::new(),
                 }))
             }
             Err(err) if stuc_fault::budget::tripped() => Err(err),

@@ -304,6 +304,64 @@ fn sweep_failpoint_errors_are_typed_and_recover() {
     );
 }
 
+/// A failed run memoises no answer. Under an armed sweep fault, under an
+/// expired deadline and under a deadline that expires inside the sweep,
+/// evaluating a warm lineage fails; once the fault or the budget is gone,
+/// the next evaluation misses the memo, sweeps, and answers bit-exactly.
+#[test]
+fn failed_runs_memoise_no_answer() {
+    let _serial = chaos_lock();
+    let (tid, chain) = workload();
+    let expected = oracle();
+    // A warm lineage with an empty answer slot: the failing run is the
+    // first to reach the sweep.
+    let warm_engine = || {
+        let engine = Engine::new();
+        engine.lineage(&tid, &chain).unwrap();
+        engine
+    };
+    let recovers = |engine: &Engine, context: &str| {
+        let before = engine.cache_stats().answers;
+        let report = engine.evaluate(&tid, &chain).unwrap();
+        let after = engine.cache_stats().answers;
+        assert_eq!(after.hits, before.hits, "{context}: nothing was memoised");
+        assert_eq!(after.misses, before.misses + 1, "{context}");
+        assert_eq!(
+            report.probability.to_bits(),
+            expected.to_bits(),
+            "{context}"
+        );
+    };
+
+    let engine = warm_engine();
+    {
+        let _armed = failpoint::arm_guard("circuit-sweep", FailAction::Error("memo chaos".into()));
+        let error = engine.evaluate(&tid, &chain).unwrap_err();
+        assert!(error.to_string().contains("injected fault"), "{error}");
+    }
+    recovers(&engine, "after a sweep fault");
+
+    let engine = warm_engine();
+    let expired = EvalBudget::with_deadline(Duration::ZERO);
+    let tripped = engine.with_budget(&expired, || engine.evaluate(&tid, &chain));
+    assert!(
+        matches!(tripped, Err(StucError::DeadlineExceeded { .. })),
+        "{tripped:?}"
+    );
+    recovers(&engine, "after an expired deadline");
+
+    let engine = warm_engine();
+    {
+        let _armed = failpoint::arm_guard("circuit-sweep", FailAction::SleepMs(200));
+        let budget = EvalBudget::with_deadline(Duration::from_millis(50));
+        match engine.with_budget(&budget, || engine.evaluate(&tid, &chain)) {
+            Err(StucError::DeadlineExceeded { stage }) => assert_eq!(stage, "circuit sweep"),
+            other => panic!("expected a deadline trip in the sweep, got {other:?}"),
+        }
+    }
+    recovers(&engine, "after a deadline trip in the sweep");
+}
+
 #[test]
 fn sweep_failpoint_sleep_slows_but_stays_exact() {
     engine_scenario("circuit-sweep", FailAction::SleepMs(5), &[]);

@@ -279,3 +279,39 @@ fn concurrent_first_evaluations_race_cleanly_on_a_cold_engine() {
         "racing publishes must collapse to one resident entry: {stats:?}"
     );
 }
+
+#[test]
+fn racing_first_evaluations_of_one_goal_answer_identical_bits() {
+    // Eight threads released together on one goal of a cold engine: each
+    // either sweeps or reads the answer a racer memoised, and all of them
+    // return the bits a fresh single-threaded engine computes.
+    let fx = fixture();
+    let engine = Engine::new();
+    let start = std::sync::Barrier::new(THREADS);
+    let bits: Vec<u64> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..THREADS)
+            .map(|_| {
+                scope.spawn(|| {
+                    start.wait();
+                    engine
+                        .evaluate(&fx.tid, &fx.chain)
+                        .unwrap()
+                        .probability
+                        .to_bits()
+                })
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join().unwrap()).collect()
+    });
+    let fresh = Engine::new().evaluate(&fx.tid, &fx.chain).unwrap();
+    assert!(
+        bits.iter().all(|&b| b == fresh.probability.to_bits()),
+        "{bits:x?} vs {:x}",
+        fresh.probability.to_bits()
+    );
+    let answers = engine.cache_stats().answers;
+    assert_eq!(answers.hits + answers.misses, THREADS as u64, "{answers:?}");
+    let again = engine.evaluate(&fx.tid, &fx.chain).unwrap();
+    assert_eq!(again.probability.to_bits(), fresh.probability.to_bits());
+    assert_eq!(engine.cache_stats().answers.hits, answers.hits + 1);
+}

@@ -83,7 +83,11 @@ fn explanations_agree_with_reports_on_all_four_representations() {
     );
     let warm = engine.explain(&tid, &self_join).unwrap();
     assert_eq!(warm.cache.lineage.provenance, "hit");
-    assert_eq!(warm.stages, vec!["cache-lookup", "sweep"]);
+    assert_eq!(
+        warm.stages,
+        vec!["cache-lookup"],
+        "the run memoised its answer"
+    );
     assert_agreement(&warm, &report, "tid self-join");
 
     // pc-instance (Table 1 with real probabilities) → circuit route.
@@ -214,7 +218,7 @@ circuit: 10 gates (10 cold), 4 variables, 9 bags, width 3 within budget 22
 structure width: 1
 sweep plan: 27 nodes, 181 table entries, 3 arena slots
 cache: lineage=hit decomposition=hit
-stages: lower, route, cache-lookup, sweep
+stages: lower, route, cache-lookup, weights, sweep
 notes:
   - route=circuit (some term is non-hierarchical or has self-joins; safe plan inapplicable)
   - lowered to 1 inclusion-exclusion term(s) over 1 conjunct(s)
@@ -247,6 +251,104 @@ fn goal_explanations_agree_with_text_evaluation_reports() {
     for (index, (goal, explanation)) in warm_reports.goals.iter().zip(&warm).enumerate() {
         assert_agreement(explanation, &goal.report, &format!("goal {index}"));
     }
+}
+
+/// The distinct stage names a run recorded, in first-occurrence order.
+fn run_stages(report: &stuc::EvaluationReport) -> Vec<&'static str> {
+    report
+        .stage_timings
+        .stages()
+        .iter()
+        .map(|s| s.name)
+        .collect()
+}
+
+/// EXPLAIN lists exactly the stages the run that follows it records: on a
+/// safe-plan goal, a cold circuit goal, a goal an explain warmed before its
+/// first run (it fetches weights and sweeps), a goal whose answer a run
+/// memoised (it stops at the lookup), and a union goal through
+/// `evaluate_text` in each of those cache states.
+#[test]
+fn explained_stages_are_the_stages_the_run_records() {
+    let tid = workloads::path_tid(8, 0.5, 11);
+    let check = |explanation: QueryExplanation, report: &stuc::EvaluationReport, context: &str| {
+        assert_eq!(explanation.stages, run_stages(report), "{context}");
+    };
+
+    let engine = Engine::new();
+    let hierarchical = ConjunctiveQuery::parse("R(x, y)").unwrap();
+    let explanation = engine.explain(&tid, &hierarchical).unwrap();
+    check(
+        explanation,
+        &engine.evaluate(&tid, &hierarchical).unwrap(),
+        "safe plan",
+    );
+
+    // A cold explain warms its engine, so the cold run is a twin's.
+    let self_join = ConjunctiveQuery::parse("R(x, y), R(y, z)").unwrap();
+    let cold = engine.explain(&tid, &self_join).unwrap();
+    assert_eq!(
+        cold.stages,
+        [
+            "cache-lookup",
+            "decompose",
+            "compile-lineage",
+            "weights",
+            "sweep"
+        ]
+    );
+    check(
+        cold,
+        &Engine::new().evaluate(&tid, &self_join).unwrap(),
+        "cold circuit",
+    );
+    let warmed = engine.explain(&tid, &self_join).unwrap();
+    assert_eq!(warmed.stages, ["cache-lookup", "weights", "sweep"]);
+    check(
+        warmed,
+        &engine.evaluate(&tid, &self_join).unwrap(),
+        "explain-warmed circuit",
+    );
+    let memoised = engine.explain(&tid, &self_join).unwrap();
+    assert_eq!(memoised.stages, ["cache-lookup"]);
+    check(
+        memoised,
+        &engine.evaluate(&tid, &self_join).unwrap(),
+        "memoised circuit",
+    );
+
+    let union = "?- R(x, y), R(y, z) ; R(x, y), R(y, z), R(z, w).";
+    let goal = |engine: &Engine| {
+        engine.evaluate_text(&tid, union).unwrap().goals[0]
+            .report
+            .clone()
+    };
+    let explain = |engine: &Engine| engine.explain_text(&tid, union).unwrap().pop().unwrap();
+    let engine = Engine::new();
+    let cold = explain(&engine);
+    assert!(
+        cold.stages.contains(&"compile-lineage"),
+        "{:?}",
+        cold.stages
+    );
+    check(cold, &goal(&Engine::new()), "cold union");
+    check(explain(&engine), &goal(&engine), "explain-warmed union");
+    let memoised = explain(&engine);
+    assert_eq!(memoised.stages, ["lower", "route", "cache-lookup"]);
+    check(memoised, &goal(&engine), "memoised union");
+
+    // One term's answer memoised, the others' not: the run still sweeps.
+    let mixed = "?- R(x, y), R(y, z) ; R(\"c1\", x), R(x, y).";
+    engine.explain_text(&tid, mixed).unwrap(); // compiles the new terms
+    let explanation = engine.explain_text(&tid, mixed).unwrap().pop().unwrap();
+    assert_eq!(
+        explanation.stages,
+        ["lower", "route", "cache-lookup", "weights", "sweep"]
+    );
+    let ran = engine.evaluate_text(&tid, mixed).unwrap().goals[0]
+        .report
+        .clone();
+    check(explanation, &ran, "partly memoised union");
 }
 
 #[test]

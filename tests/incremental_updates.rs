@@ -616,10 +616,12 @@ fn a_long_write_history_at_scale_matches_a_cold_engine_on_every_inference() {
 /// an insert puts the most recently deleted fact back, or extends the
 /// path) on a path holding its four standing goals — three anchored
 /// three-hop goals and the unanchored pair. After every write each cached
-/// circuit is no wider than a cold engine's and every answer agrees with
-/// a cold engine; after every insert each cached circuit is, gate for
-/// gate, the build a cache miss would make over the engine's
-/// decomposition. Writes cannot make the circuits drift.
+/// circuit is no wider than a cold engine's, and each goal read twice
+/// gives a sweep's exact bits and a cold engine's answer, the first read
+/// sweeping and the second reading the answer it memoised; after every
+/// insert each
+/// cached circuit is, gate for gate, the build a cache miss would make
+/// over the engine's decomposition. Writes cannot make the circuits drift.
 #[test]
 fn an_update_mix_history_keeps_every_cached_circuit_a_cold_build() {
     const FACTS: usize = 240;
@@ -681,10 +683,43 @@ fn an_update_mix_history_keeps_every_cached_circuit_a_cold_build() {
         let cold = Engine::new();
         for goal in &goals {
             let context = format!("write {write}, {goal:?}");
+            // The write left every entry without a memoised answer: the
+            // first read sweeps, the second reads what the first memoised.
+            let answers = engine.cache_stats().answers;
             let warm = engine.evaluate(&live, goal).unwrap();
             assert!(warm.lineage_cached, "{context}");
+            let after_first = engine.cache_stats().answers;
+            assert_eq!(after_first.misses, answers.misses + 1, "{context}");
+            assert_eq!(after_first.hits, answers.hits, "{context}");
+            let repeat = engine.evaluate(&live, goal).unwrap();
+            assert_eq!(
+                engine.cache_stats().answers.hits,
+                answers.hits + 1,
+                "{context}"
+            );
+            // Both reads are the bits a sweep of the cached circuit gives;
+            // a deletion's rewired circuit may differ from a cold build in
+            // the last bits, so the cold engine agrees within 1e-9.
+            let swept = engine
+                .reevaluate_with_weights(&live, goal, &live.fact_weights())
+                .unwrap();
             let truth = cold.evaluate(&live, goal).unwrap();
-            assert!(close(warm.probability, truth.probability), "{context}");
+            for read in [&warm, &repeat] {
+                assert_eq!(
+                    read.probability.to_bits(),
+                    swept.probability.to_bits(),
+                    "{context}"
+                );
+                assert!(close(read.probability, truth.probability), "{context}");
+                if inserts {
+                    // An insert leaves a cold build: the very same bits.
+                    assert_eq!(
+                        read.probability.to_bits(),
+                        truth.probability.to_bits(),
+                        "{context}"
+                    );
+                }
+            }
             let width = |engine: &Engine| {
                 engine
                     .explain(&live, goal)

@@ -170,14 +170,56 @@ fn cache_counters_move_with_the_caches() {
 }
 
 #[test]
+fn answer_counters_count_memoised_answers_only() {
+    let hits_before = counter("stuc_cache_answer_hits_total");
+    let misses_before = counter("stuc_cache_answer_misses_total");
+
+    let engine = Engine::new();
+    let tid = chain_tid();
+    let query = circuit_query();
+    let answers = |engine: &Engine| {
+        let stats = engine.cache_stats().answers;
+        (stats.hits, stats.misses)
+    };
+    let cold = engine.evaluate(&tid, &query).unwrap();
+    assert_eq!(answers(&engine), (0, 1), "the first evaluation sweeps");
+    assert!(cold.stage_timings.get("sweep").is_some());
+    // What-if weights never read or write the memo, even when they equal
+    // the instance's own.
+    engine
+        .reevaluate_with_weights(&tid, &query, &tid.fact_weights())
+        .unwrap();
+    assert_eq!(answers(&engine), (0, 1));
+    let warm = engine.evaluate(&tid, &query).unwrap();
+    assert_eq!(answers(&engine), (1, 1), "the repeat reads the memo");
+    assert_eq!(warm.probability.to_bits(), cold.probability.to_bits());
+    let stages: Vec<&str> = warm.stage_timings.stages().iter().map(|s| s.name).collect();
+    assert_eq!(
+        stages,
+        ["cache-lookup"],
+        "a hit records no weights or sweep"
+    );
+
+    assert!(counter("stuc_cache_answer_hits_total") > hits_before);
+    assert!(counter("stuc_cache_answer_misses_total") > misses_before);
+}
+
+#[test]
 fn sweep_metrics_count_runs_and_arena_reuse() {
     let runs_before = counter("stuc_sweep_runs_total");
     let reuses_before = counter("stuc_sweep_arena_reuses_total");
 
     let engine = Engine::new();
     let tid = chain_tid();
-    engine.evaluate(&tid, &circuit_query()).unwrap();
-    engine.evaluate(&tid, &circuit_query()).unwrap();
+    let weights = tid.fact_weights();
+    // `reevaluate_with_weights` sweeps on every call; a repeated
+    // `evaluate` would read its memoised answer instead.
+    engine
+        .reevaluate_with_weights(&tid, &circuit_query(), &weights)
+        .unwrap();
+    engine
+        .reevaluate_with_weights(&tid, &circuit_query(), &weights)
+        .unwrap();
 
     assert!(counter("stuc_sweep_runs_total") >= runs_before + 2);
     // The second, cache-hitting evaluation reuses the warmed arena.
