@@ -13,12 +13,15 @@
 //!   logic, but fingerprint + cache);
 //! * `engine_auto` — full automatic selection;
 //! * `engine_auto_uncached` — automatic selection with the decomposition
-//!   cache disabled (every call re-decomposes the Gaifman graph).
+//!   and lineage caches disabled: every call re-decomposes the Gaifman
+//!   graph, rebuilds and recompiles the lineage, and sweeps it.
 //!
-//! `engine_fixed_wmc` and `engine_auto` sweep through
-//! `reevaluate_with_weights` under the instance's own weights: a repeated
-//! `evaluate` reads the answer its first run memoised, so it would time a
-//! cache hit, not the dispatch in front of a sweep.
+//! `engine_fixed_wmc`, `engine_auto` and, on the safe-plan fast path,
+//! `engine_fixed_wmc_hierarchical` sweep through `reevaluate_with_weights`
+//! under the instance's own weights: a repeated `evaluate` reads the answer
+//! its first run memoised, so it would time a cache hit, not the dispatch
+//! in front of a sweep. `engine_auto_hierarchical` runs the safe plan,
+//! which memoises nothing, through `evaluate`.
 //!
 //! Future scaling PRs (batching, sharding) build on the engine; this records
 //! what the abstraction itself costs.
@@ -79,7 +82,16 @@ fn main() {
             b.iter(|| sweep(&auto_engine))
         });
 
-        let uncached = Engine::builder().without_decomposition_cache().build();
+        let uncached = Engine::builder()
+            .without_decomposition_cache()
+            .without_lineage_cache()
+            .build();
+        uncached.evaluate(&tid, &query).unwrap();
+        let repeat = uncached.evaluate(&tid, &query).unwrap();
+        assert!(
+            !repeat.lineage_cached,
+            "the uncached engine reused a lineage"
+        );
         group.bench_with_input(BenchmarkId::new("engine_auto_uncached", n), &n, |b, _| {
             b.iter(|| uncached.evaluate(&tid, &query).unwrap().probability)
         });
@@ -93,13 +105,26 @@ fn main() {
     let engine = Engine::new();
     let report = engine.evaluate(&tid, &hierarchical).unwrap();
     report_value("A3", "hierarchical_backend", report.backend_name());
+    let answers = engine.cache_stats().answers;
+    engine.evaluate(&tid, &hierarchical).unwrap();
+    assert_eq!(
+        engine.cache_stats().answers,
+        answers,
+        "the safe plan reads no memoised answer"
+    );
     let mut group = criterion.benchmark_group("a3_safe_plan_fast_path");
     group.bench_function("engine_auto_hierarchical", |b| {
         b.iter(|| engine.evaluate(&tid, &hierarchical).unwrap().probability)
     });
     let pinned = Engine::builder().backend(BackendKind::TreewidthWmc).build();
+    let weights = tid.fact_weights();
     group.bench_function("engine_fixed_wmc_hierarchical", |b| {
-        b.iter(|| pinned.evaluate(&tid, &hierarchical).unwrap().probability)
+        b.iter(|| {
+            pinned
+                .reevaluate_with_weights(&tid, &hierarchical, &weights)
+                .unwrap()
+                .probability
+        })
     });
     group.finish();
     criterion.final_summary();

@@ -12,7 +12,8 @@ use std::sync::Arc;
 use std::time::Duration;
 use stuc_bench::timed;
 use stuc_circuit::compiled::CompiledCircuit;
-use stuc_core::engine::{Engine, EvalBudget};
+use stuc_circuit::dpll::DpllError;
+use stuc_core::engine::{Engine, EvalBudget, StucError};
 use stuc_core::workloads;
 use stuc_graph::decomposition::BagId;
 use stuc_graph::elimination::EliminationHeuristic;
@@ -780,5 +781,37 @@ fn cold_anchored_goals_are_flat_in_n() {
         ratio < 3.0,
         "a cold anchored goal at 50k facts must cost under 3x one at 1k facts \
          (medians {small_median:?} -> {large_median:?}, {ratio:.2}x)"
+    );
+}
+
+/// On width-2 data Auto sends `R(x,y),R(y,z)` to DPLL, whose memo used to
+/// pass 3 GB and abort the process. Under the memo bound the goal returns
+/// an answer or the typed memo error, and the process's peak resident
+/// memory (every test in this binary included) stays under 1 GiB. Release
+/// only: the search runs about 4 s optimised.
+#[test]
+fn dpll_on_width_2_data_stays_bounded_instead_of_aborting() {
+    if cfg!(debug_assertions) {
+        eprintln!("debug build: skipping the width-2 DPLL rung (run in release)");
+        return;
+    }
+    let tid = workloads::partial_k_tree_tid(200, 2, 0.5, 3);
+    let query = ConjunctiveQuery::parse("R(x, y), R(y, z)").unwrap();
+    match Engine::new().evaluate(&tid, &query) {
+        Ok(report) => assert!((0.0..=1.0).contains(&report.probability)),
+        Err(StucError::Dpll(DpllError::MemoBudgetExhausted)) => {}
+        Err(other) => panic!("expected an answer or the memo bound, got {other:?}"),
+    }
+    let Ok(status) = std::fs::read_to_string("/proc/self/status") else {
+        return;
+    };
+    let peak_kib: u64 = status
+        .lines()
+        .find_map(|line| line.strip_prefix("VmHWM:"))
+        .and_then(|value| value.trim().trim_end_matches("kB").trim().parse().ok())
+        .expect("VmHWM in /proc/self/status");
+    assert!(
+        peak_kib < 1 << 20,
+        "peak resident memory {peak_kib} KiB is not under 1 GiB"
     );
 }

@@ -12,6 +12,13 @@ use crate::circuit::{Circuit, CircuitError, Gate, GateId, VarId};
 use crate::weights::Weights;
 use std::collections::{BTreeMap, HashMap};
 
+/// Most MiB the memo of one [`DpllCounter::run`] may hold. Each entry is
+/// keyed by a whole residual circuit, so on wide circuits the memo, not
+/// the branch budget, is what runs out first: unbounded, it passed 3 GB on
+/// a width-2 instance of 280 facts and the failed allocation aborted the
+/// process. Reaching the bound is [`DpllError::MemoBudgetExhausted`].
+pub const MAX_MEMO_MIB: usize = 256;
+
 /// Configuration for the DPLL back-end.
 #[derive(Debug, Clone)]
 pub struct DpllCounter {
@@ -34,6 +41,8 @@ stuc_errors::stuc_error! {
     pub enum DpllError {
         /// The branch budget was exhausted.
         BranchBudgetExhausted,
+        /// The memo reached [`MAX_MEMO_MIB`].
+        MemoBudgetExhausted,
         /// An underlying circuit error.
         Circuit(CircuitError),
         /// The ambient evaluation budget (deadline or cancellation) tripped
@@ -42,6 +51,7 @@ stuc_errors::stuc_error! {
     }
     display {
         Self::BranchBudgetExhausted => "DPLL branch budget exhausted",
+        Self::MemoBudgetExhausted => "DPLL memo reached its bound of {MAX_MEMO_MIB} MiB",
         Self::Circuit(e) => "{e}",
         Self::Budget(e) => "{e}",
     }
@@ -79,6 +89,7 @@ impl DpllCounter {
         let mut state = SearchState {
             weights,
             memo: HashMap::new(),
+            memo_bytes: 0,
             report: DpllReport::default(),
             max_branches: self.max_branches,
         };
@@ -92,8 +103,26 @@ impl DpllCounter {
 struct SearchState<'a> {
     weights: &'a Weights,
     memo: HashMap<MemoKey, f64>,
+    /// Estimated heap bytes of `memo`: keys, their gate lists and the
+    /// table slots.
+    memo_bytes: usize,
     report: DpllReport,
     max_branches: u64,
+}
+
+/// Estimated bytes one memo entry costs: its table slot, its gate list and
+/// the input lists of its `And`/`Or` gates (allocator overhead included).
+fn memo_entry_bytes(key: &MemoKey) -> usize {
+    const ALLOCATION: usize = 16;
+    let inputs: usize = key
+        .0
+        .iter()
+        .map(|gate| match gate {
+            Gate::And(xs) | Gate::Or(xs) => ALLOCATION + xs.len() * size_of::<GateId>(),
+            _ => 0,
+        })
+        .sum();
+    size_of::<(MemoKey, f64)>() + ALLOCATION + key.0.len() * size_of::<Gate>() + inputs
 }
 
 impl SearchState<'_> {
@@ -136,6 +165,10 @@ impl SearchState<'_> {
             }
             let restricted = restrict(circuit, var, value)?;
             total += weight * self.count(&restricted)?;
+        }
+        self.memo_bytes += memo_entry_bytes(&key);
+        if self.memo_bytes > MAX_MEMO_MIB << 20 {
+            return Err(DpllError::MemoBudgetExhausted);
         }
         self.memo.insert(key, total);
         Ok(total)

@@ -75,7 +75,8 @@ pub(crate) struct EngineMetrics {
     pub(crate) most_probable_world: EntryMetrics,
     /// Evaluations that tripped their deadline (any stage).
     pub(crate) deadline_exceeded: Arc<Counter>,
-    /// Evaluations cut short by a raised cancel flag.
+    /// Evaluations cut short by a raised cancel flag or a failed liveness
+    /// probe.
     pub(crate) cancelled: Arc<Counter>,
     /// Panics caught and converted to `StucError::Internal`.
     pub(crate) panics_caught: Arc<Counter>,
@@ -115,7 +116,7 @@ pub(crate) fn engine_metrics() -> &'static EngineMetrics {
         ),
         cancelled: registry().counter(
             "stuc_engine_cancelled_total",
-            "Evaluations cancelled via a raised cancel flag.",
+            "Evaluations cancelled by a raised cancel flag or a client that hung up.",
         ),
         panics_caught: registry().counter(
             "stuc_engine_panics_caught_total",

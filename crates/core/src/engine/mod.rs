@@ -486,10 +486,10 @@ impl Engine {
     /// every batch worker) and polled at bounded intervals inside every
     /// long-running stage (ordering, compilation, sweeps, branching, update
     /// maintenance). A tripped deadline surfaces as
-    /// [`StucError::DeadlineExceeded`], a raised cancel flag as
-    /// [`StucError::Cancelled`] — both name the stage that noticed; in a
-    /// batch, the slots that tripped carry them while queries that finished
-    /// first keep their answers. Partial artifacts of a tripped run are
+    /// [`StucError::DeadlineExceeded`], a raised cancel flag or a liveness
+    /// probe that reports its peer gone as [`StucError::Cancelled`] — both
+    /// name the stage that noticed; in a batch, the slots that tripped
+    /// carry them while queries that finished first keep their answers. Partial artifacts of a tripped run are
     /// never published to the caches, so an identical re-run without the
     /// budget produces the exact answer, and an update's instance mutation
     /// is never torn.

@@ -205,7 +205,7 @@ impl Response {
 
     /// Writes the response (best-effort: a peer that hung up mid-write is
     /// its own problem, not the server's).
-    pub fn write_to(&self, stream: &mut TcpStream) {
+    pub fn write_to(&self, mut stream: impl Write) {
         stuc_fault::failpoint!("serve-write");
         let _ = stream.write_all(&self.to_bytes());
         let _ = stream.flush();

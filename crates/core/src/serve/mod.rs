@@ -30,9 +30,14 @@
 //!   `504` without touching the engine, and evaluation trips surface as
 //!   typed `504 {"error":{"kind":"deadline",…}}` naming nothing the
 //!   client should not see (the stage is in the message);
-//! * **cancellation** — a per-request watcher polls the socket during
-//!   evaluation and raises the budget's cancel flag when the client
-//!   disconnects, so abandoned work stops at the next checkpoint;
+//! * **cancellation** — the request's budget carries a liveness probe
+//!   that the engine's own checkpoints run: a non-blocking `peek` on the
+//!   request's socket, at most once per
+//!   [`PROBE_INTERVAL`](stuc_fault::budget::PROBE_INTERVAL) (20 ms) and
+//!   first one interval into evaluation. A client that hung up trips the
+//!   budget as `Cancelled`, so abandoned work stops at the next
+//!   checkpoint; a goal that answers within 20 ms never touches the
+//!   socket, and no request costs a thread;
 //! * **panic isolation** — the whole request path runs under
 //!   `catch_unwind`; a panic (bug or injected fault) becomes a typed
 //!   `500` and the worker survives;
@@ -57,7 +62,7 @@
 pub mod http;
 
 use crate::engine::metrics::engine_metrics;
-use crate::engine::{CancelHandle, Engine, EvalBudget, StucError};
+use crate::engine::{Engine, EvalBudget, StucError};
 use http::{escape_json, HttpError, Request, Response};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -580,74 +585,24 @@ impl ConnQueue {
     }
 }
 
-/// Watches a connection for client disconnect while its query evaluates,
-/// raising `cancel` on EOF so the engine's budget checkpoints abandon the
-/// work (there is nobody left to answer).
+/// Whether the client of `connection` is still there, by a non-blocking
+/// one-byte `peek`: EOF or a hard error means it hung up, `WouldBlock` or
+/// early bytes of a pipelined request mean it is waiting. A client that
+/// half-closes its write side after sending the request is
+/// indistinguishable from one that hung up and is treated as gone.
 ///
-/// Mechanics: the socket fd is duplicated (`try_clone`) and polled with a
-/// non-blocking `peek` every ~20 ms. `O_NONBLOCK` lives on the shared open
-/// file description, so the watcher **must** be dropped (which joins the
-/// poller and restores blocking mode) before the worker writes the
-/// response. A client that half-closes its write side after sending the
-/// request is indistinguishable from one that hung up and is treated as
-/// gone.
-struct DisconnectWatcher {
-    done: Arc<AtomicBool>,
-    handle: Option<JoinHandle<TcpStream>>,
-}
-
-impl DisconnectWatcher {
-    fn spawn(connection: &TcpStream, cancel: CancelHandle) -> DisconnectWatcher {
-        let done = Arc::new(AtomicBool::new(false));
-        let handle = connection.try_clone().ok().and_then(|probe| {
-            let done = Arc::clone(&done);
-            std::thread::Builder::new()
-                .name("stuc-serve-watch".into())
-                .spawn(move || {
-                    if probe.set_nonblocking(true).is_err() {
-                        return probe;
-                    }
-                    let mut buffer = [0u8; 1];
-                    while !done.load(Ordering::SeqCst) {
-                        match probe.peek(&mut buffer) {
-                            // EOF: the client is gone (or half-closed).
-                            Ok(0) => {
-                                cancel.cancel();
-                                break;
-                            }
-                            // Early bytes of a pipelined request; ignore.
-                            Ok(_) => {}
-                            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {}
-                            // Reset/any hard error: nobody to answer.
-                            Err(_) => {
-                                cancel.cancel();
-                                break;
-                            }
-                        }
-                        // Parked, not slept: the worker's Drop unparks us,
-                        // so finishing a request never waits out the poll
-                        // interval.
-                        std::thread::park_timeout(Duration::from_millis(20));
-                    }
-                    probe
-                })
-                .ok()
-        });
-        DisconnectWatcher { done, handle }
+/// `O_NONBLOCK` lives on the socket's open file description and stays set
+/// after the peek: batch workers re-install the budget, so probes may run
+/// on several threads, and none may switch blocking mode back under
+/// another. [`handle_query`] restores it once evaluation is over.
+fn client_connected(connection: &TcpStream) -> bool {
+    if connection.set_nonblocking(true).is_err() {
+        return true;
     }
-}
-
-impl Drop for DisconnectWatcher {
-    fn drop(&mut self) {
-        self.done.store(true, Ordering::SeqCst);
-        if let Some(handle) = self.handle.take() {
-            handle.thread().unpark();
-            // Join first so no poll races the restore, then put the shared
-            // file description back in blocking mode for the response write.
-            if let Ok(probe) = handle.join() {
-                let _ = probe.set_nonblocking(false);
-            }
-        }
+    match connection.peek(&mut [0u8; 1]) {
+        Ok(0) => false,
+        Ok(_) => true,
+        Err(e) => e.kind() == std::io::ErrorKind::WouldBlock,
     }
 }
 
@@ -867,11 +822,15 @@ fn deadline_ms_param(path: &str) -> Option<u64> {
 ///    waiting in the queue right now), a query whose cost-model estimate
 ///    exceeds the configured ceiling is shed with `503` + `Retry-After`
 ///    (estimate errors fail open: evaluation produces the typed error).
-/// 3. **Budgeted evaluation** — the budget (deadline + a disconnect-raised
-///    cancel flag) is installed for the evaluation scope; the engine's
-///    checkpoints surface trips as typed `504` responses.
+/// 3. **Budgeted evaluation** — the budget (deadline + a probe that peeks
+///    at the socket for a client that hung up, at most once per
+///    [`PROBE_INTERVAL`](stuc_fault::budget::PROBE_INTERVAL) and never
+///    before the first interval has passed) is installed for the
+///    evaluation scope; the engine's checkpoints surface trips as typed
+///    `504` responses. Blocking mode comes back before the response is
+///    written, and only if a probe ran.
 fn handle_query(
-    connection: &TcpStream,
+    connection: &Arc<TcpStream>,
     request: &Request,
     accepted_at: Instant,
     state: &ServiceState,
@@ -926,17 +885,25 @@ fn handle_query(
         }
     }
 
-    let cancel = CancelHandle::new();
-    let mut budget = match deadline_at {
+    let budget = match deadline_at {
         Some(deadline) => EvalBudget::with_deadline_at(deadline),
         None => EvalBudget::unlimited(),
     };
-    budget = budget.cancelled_by(&cancel);
-    let watcher = DisconnectWatcher::spawn(connection, cancel);
+    let probed = Arc::new(AtomicBool::new(false));
+    let budget = budget.probed_by({
+        let connection = Arc::clone(connection);
+        let probed = Arc::clone(&probed);
+        move || {
+            probed.store(true, Ordering::Relaxed);
+            client_connected(&connection)
+        }
+    });
     let (response, budget_stats) =
         stuc_fault::budget::scope_with_stats(budget, || state.respond(request));
-    // Joins the poller and restores blocking mode before the response write.
-    drop(watcher);
+    // Every probe has run by now; the response write needs blocking mode.
+    if probed.load(Ordering::Relaxed) {
+        let _ = connection.set_nonblocking(false);
+    }
     engine_metrics()
         .budget_check_seconds
         .observe(budget_stats.spent);
@@ -952,7 +919,7 @@ fn handle_query(
 /// typed 500 — the worker thread always survives to take the next
 /// connection.
 fn handle_connection(
-    mut connection: TcpStream,
+    connection: TcpStream,
     accepted_at: Instant,
     state: &ServiceState,
     stats: &ServeStats,
@@ -962,6 +929,8 @@ fn handle_connection(
     let watch = Stopwatch::start();
     let _ = connection.set_read_timeout(Some(config.io_timeout));
     let _ = connection.set_write_timeout(Some(config.io_timeout));
+    // Shared with the evaluation's liveness probe, which peeks at it.
+    let connection = Arc::new(connection);
     let response = crate::engine::catch_panic(|| {
         Ok(route_request(
             &connection,
@@ -976,7 +945,7 @@ fn handle_connection(
         StucError::Internal { message } => Response::error(500, "internal", &message),
         other => Response::error(500, "internal", &other.to_string()),
     });
-    response.write_to(&mut connection);
+    response.write_to(&*connection);
     stats.served.fetch_add(1, Ordering::SeqCst);
     let metrics = serve_metrics();
     metrics.served.inc();
@@ -986,7 +955,7 @@ fn handle_connection(
 /// Reads and routes one request (the panic-isolated part of
 /// [`handle_connection`]).
 fn route_request(
-    connection: &TcpStream,
+    connection: &Arc<TcpStream>,
     accepted_at: Instant,
     state: &ServiceState,
     stats: &ServeStats,
@@ -1253,6 +1222,20 @@ mod tests {
         let stats = server.stats();
         assert_eq!(stats.shed, 1, "{stats:?}");
         server.shutdown();
+    }
+
+    #[test]
+    fn the_probe_tells_a_waiting_client_from_one_that_hung_up() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (server_side, _) = listener.accept().unwrap();
+        assert!(client_connected(&server_side), "a waiting client is there");
+        drop(client);
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while client_connected(&server_side) {
+            assert!(Instant::now() < deadline, "the hang-up was never seen");
+            std::thread::sleep(Duration::from_millis(1));
+        }
     }
 
     #[test]

@@ -1,5 +1,6 @@
-//! Cooperative evaluation budgets: a wall-clock deadline plus a shared
-//! cancellation flag, installed per thread and polled from long loops.
+//! Cooperative evaluation budgets: a wall-clock deadline, a shared
+//! cancellation flag and a liveness probe, installed per thread and polled
+//! from long loops.
 //!
 //! The budget is deliberately *ambient* (thread-local) rather than threaded
 //! through every function signature: deep loops — min-fill ordering, sweep
@@ -10,7 +11,7 @@
 use std::cell::RefCell;
 use std::error::Error;
 use std::fmt;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -77,12 +78,58 @@ impl CancelHandle {
     }
 }
 
-/// A cooperative evaluation budget: an optional deadline and an optional
-/// cancellation flag. `Clone` is cheap (an `Instant` and an `Arc`).
+/// How often a budget's liveness probe may run: at most once per interval,
+/// the first run due one interval after [`EvalBudget::probed_by`]. Work
+/// that finishes sooner never calls the probe at all.
+pub const PROBE_INTERVAL: Duration = Duration::from_millis(20);
+
+/// A liveness probe shared by every clone of one budget, so the once per
+/// [`PROBE_INTERVAL`] rate holds across the threads that re-install it.
+struct Probe {
+    alive: Box<dyn Fn() -> bool + Send + Sync>,
+    origin: Instant,
+    /// Nanoseconds after `origin` at which the next run is due.
+    next_due: AtomicU64,
+    /// Latched once a run reports the peer gone: later polls, on any
+    /// thread, trip without running the probe again.
+    gone: AtomicBool,
+}
+
+impl Probe {
+    /// Whether the peer is known to be gone as of `now`, running the probe
+    /// if a run is due and the latch is still clear. One thread claims
+    /// each due run; the others read the latch.
+    fn gone(&self, now: Instant) -> bool {
+        let elapsed = now.saturating_duration_since(self.origin).as_nanos() as u64;
+        let due = self.next_due.load(Ordering::Relaxed);
+        let next = elapsed + PROBE_INTERVAL.as_nanos() as u64;
+        let claimed = !self.gone.load(Ordering::Acquire)
+            && elapsed >= due
+            && self
+                .next_due
+                .compare_exchange(due, next, Ordering::Relaxed, Ordering::Relaxed)
+                .is_ok();
+        if claimed && !(self.alive)() {
+            self.gone.store(true, Ordering::Release);
+        }
+        self.gone.load(Ordering::Acquire)
+    }
+}
+
+impl fmt::Debug for Probe {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str("Probe")
+    }
+}
+
+/// A cooperative evaluation budget: an optional deadline, an optional
+/// cancellation flag and an optional liveness probe. `Clone` is cheap (an
+/// `Instant` and two `Arc`s).
 #[derive(Debug, Clone, Default)]
 pub struct EvalBudget {
     deadline: Option<Instant>,
     cancel: Option<Arc<AtomicBool>>,
+    probe: Option<Arc<Probe>>,
 }
 
 impl EvalBudget {
@@ -102,7 +149,7 @@ impl EvalBudget {
     pub fn with_deadline_at(deadline: Instant) -> Self {
         EvalBudget {
             deadline: Some(deadline),
-            cancel: None,
+            ..EvalBudget::default()
         }
     }
 
@@ -112,9 +159,24 @@ impl EvalBudget {
         self
     }
 
+    /// Attaches a liveness probe: the budget trips as
+    /// [`BudgetError::Cancelled`] once `alive` returns false. Checkpoints
+    /// call it at most once per [`PROBE_INTERVAL`], the first time one
+    /// interval from now; the server probes the request's socket this way
+    /// to stop work for a client that hung up.
+    pub fn probed_by(mut self, alive: impl Fn() -> bool + Send + Sync + 'static) -> Self {
+        self.probe = Some(Arc::new(Probe {
+            alive: Box::new(alive),
+            origin: Instant::now(),
+            next_due: AtomicU64::new(PROBE_INTERVAL.as_nanos() as u64),
+            gone: AtomicBool::new(false),
+        }));
+        self
+    }
+
     /// Whether this budget can ever trip.
     pub fn is_limited(&self) -> bool {
-        self.deadline.is_some() || self.cancel.is_some()
+        self.deadline.is_some() || self.cancel.is_some() || self.probe.is_some()
     }
 
     /// The absolute deadline, if any.
@@ -130,11 +192,17 @@ impl EvalBudget {
     }
 
     /// Polls the budget directly (without going through the thread-local
-    /// scope). Cancellation is reported ahead of deadline expiry so a
+    /// scope): the cancel flag, then the probe, then the deadline. Both
+    /// cancellation sources are reported ahead of deadline expiry so a
     /// disconnected client reads as `Cancelled`, not `DeadlineExceeded`.
     pub fn check(&self, stage: &'static str) -> Result<(), BudgetError> {
         if let Some(cancel) = &self.cancel {
             if cancel.load(Ordering::Acquire) {
+                return Err(BudgetError::Cancelled { stage });
+            }
+        }
+        if let Some(probe) = &self.probe {
+            if probe.gone(Instant::now()) {
                 return Err(BudgetError::Cancelled { stage });
             }
         }
@@ -387,5 +455,101 @@ mod tests {
         });
         assert_eq!(result, 42);
         assert_eq!(stats.checks, 100);
+        // A budget without a probe or a deadline keeps the fast path: it
+        // never reads the clock.
+        assert_eq!(stats.spent, Duration::ZERO);
+    }
+
+    /// A budget whose probe counts its runs and answers `alive`.
+    fn probed(alive: bool) -> (EvalBudget, Arc<AtomicU64>) {
+        let runs = Arc::new(AtomicU64::new(0));
+        let counter = Arc::clone(&runs);
+        let budget = EvalBudget::unlimited().probed_by(move || {
+            counter.fetch_add(1, Ordering::SeqCst);
+            alive
+        });
+        (budget, runs)
+    }
+
+    /// Sleeps past the next due probe run.
+    fn wait_out_interval() {
+        std::thread::sleep(PROBE_INTERVAL + Duration::from_millis(5));
+    }
+
+    #[test]
+    fn the_probe_waits_one_interval_then_runs_at_most_once_per_interval() {
+        let built = Instant::now();
+        let (budget, runs) = probed(true);
+        assert!(budget.is_limited());
+        for _ in 0..1000 {
+            budget.check("early").unwrap();
+        }
+        // Only a descheduled test thread could have slept past the interval.
+        if built.elapsed() < PROBE_INTERVAL {
+            assert_eq!(runs.load(Ordering::SeqCst), 0, "probed before its interval");
+        }
+
+        wait_out_interval();
+        let due = Instant::now();
+        // Clones on other threads share the schedule: one run in total.
+        let clone = budget.clone();
+        std::thread::spawn(move || {
+            for _ in 0..1000 {
+                clone.check("due").unwrap();
+            }
+        })
+        .join()
+        .unwrap();
+        for _ in 0..1000 {
+            budget.check("due").unwrap();
+        }
+        if due.elapsed() < PROBE_INTERVAL {
+            assert_eq!(
+                runs.load(Ordering::SeqCst),
+                1,
+                "more than one run per interval"
+            );
+        }
+
+        wait_out_interval();
+        budget.check("later").unwrap();
+        assert!(runs.load(Ordering::SeqCst) >= 2, "the probe ran only once");
+    }
+
+    #[test]
+    fn a_probe_that_reports_the_peer_gone_trips_as_cancelled() {
+        let (budget, runs) = probed(false);
+        let outcome = scope(budget.clone(), || {
+            check("before").unwrap();
+            wait_out_interval();
+            check("circuit sweep")
+        });
+        assert_eq!(
+            outcome,
+            Err(BudgetError::Cancelled {
+                stage: "circuit sweep"
+            })
+        );
+        // Latched: later polls trip with their own stage, without rerunning
+        // the probe.
+        assert_eq!(
+            budget.check("after"),
+            Err(BudgetError::Cancelled { stage: "after" })
+        );
+        assert_eq!(runs.load(Ordering::SeqCst), 1);
+    }
+
+    #[test]
+    fn a_probe_trip_wins_over_the_deadline() {
+        let (budget, _) = probed(false);
+        let budget = EvalBudget {
+            deadline: Some(Instant::now()),
+            ..budget
+        };
+        wait_out_interval();
+        assert_eq!(
+            budget.check("probe"),
+            Err(BudgetError::Cancelled { stage: "probe" })
+        );
     }
 }

@@ -470,15 +470,16 @@ fn exchange(addr: SocketAddr, payload: &str) -> String {
     response
 }
 
-fn post_query(addr: SocketAddr, path: &str, body: &str) -> String {
-    exchange(
-        addr,
-        &format!(
-            "POST {path} HTTP/1.1\r\nContent-Length: {}\r\n\r\n{}",
-            body.len(),
-            body
-        ),
+fn query_bytes(path: &str, body: &str) -> String {
+    format!(
+        "POST {path} HTTP/1.1\r\nContent-Length: {}\r\n\r\n{}",
+        body.len(),
+        body
     )
+}
+
+fn post_query(addr: SocketAddr, path: &str, body: &str) -> String {
+    exchange(addr, &query_bytes(path, body))
 }
 
 fn spawn_server(config: ServeConfig) -> Server {
@@ -601,6 +602,132 @@ fn tight_deadlines_time_out_expensive_goals_while_cheap_ones_answer() {
             "cheap goals must answer exactly under a neighbour's deadline: {response}"
         );
     }
+    server.shutdown();
+}
+
+/// The cold circuit goal: its sweep is the one a sleeping `circuit-sweep`
+/// failpoint stalls.
+const CIRCUIT_GOAL: &str = "?- Hop(x, y), Hop(y, z).";
+
+/// The process's threads by id, with their names; `None` without `/proc`.
+fn live_threads() -> Option<std::collections::BTreeMap<String, String>> {
+    let tasks = std::fs::read_dir("/proc/self/task").ok()?;
+    Some(
+        tasks
+            .flatten()
+            .map(|task| {
+                let comm = std::fs::read_to_string(task.path().join("comm")).unwrap_or_default();
+                (
+                    task.file_name().to_string_lossy().into_owned(),
+                    comm.trim().to_string(),
+                )
+            })
+            .collect(),
+    )
+}
+
+/// A client that sends its request and hangs up cancels the evaluation:
+/// the first checkpoint after the sleeping sweep runs the budget's probe,
+/// which sees the hang-up, and the request is answered `504 cancelled`
+/// (to nobody), counted once as timed out and once as cancelled.
+#[test]
+fn a_client_that_hangs_up_mid_evaluation_cancels_it() {
+    use std::io::Write;
+    let _serial = chaos_lock();
+    let server = spawn_server(ServeConfig {
+        workers: 2,
+        ..ServeConfig::default()
+    });
+    let addr = server.addr();
+    let cancelled = stuc::obs::metrics::registry().counter("stuc_engine_cancelled_total", "");
+    let cancelled_before = cancelled.get();
+    let _armed = failpoint::arm_guard("circuit-sweep", FailAction::SleepMs(300));
+    TcpStream::connect(addr)
+        .unwrap()
+        .write_all(query_bytes("/query", CIRCUIT_GOAL).as_bytes())
+        .unwrap();
+    let deadline = std::time::Instant::now() + Duration::from_secs(30);
+    while server.stats().served == 0 {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "the abandoned request was never answered: {:?}",
+            server.stats()
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    let stats = server.stats();
+    assert_eq!(stats.timed_out, 1, "{stats:?}");
+    assert_eq!(cancelled.get() - cancelled_before, 1);
+    server.shutdown();
+}
+
+/// A client that stays connected through the same stalled sweep gets the
+/// whole answer: the probe ran (the sweep outlasts its interval), found the
+/// client waiting, and blocking mode was back before the response write.
+/// The goal is asked 5,000 times with `?explain=1`, and the client leaves
+/// the response unread for a second, so the response (about 7 MB) fills
+/// both socket buffers; a non-blocking write would stop there and end it
+/// early. The process gains no thread while the request is in flight:
+/// cancellation rides on the evaluation's own checkpoints. The client
+/// samples the thread list every 5 ms until the response ends.
+#[test]
+fn a_client_that_stays_gets_the_whole_answer_and_costs_no_thread() {
+    use std::io::{ErrorKind, Read, Write};
+    let _serial = chaos_lock();
+    let server = spawn_server(ServeConfig {
+        workers: 2,
+        max_body: 1 << 20,
+        ..ServeConfig::default()
+    });
+    let addr = server.addr();
+    let _armed = failpoint::arm_guard("circuit-sweep", FailAction::SleepMs(300));
+    let (response, spawned) = with_watchdog(Duration::from_secs(60), "stay", move || {
+        let before = live_threads();
+        let mut spawned = std::collections::BTreeMap::new();
+        let mut sample = || {
+            if let (Some(before), Some(now)) = (&before, live_threads()) {
+                spawned.extend(now.into_iter().filter(|(id, _)| !before.contains_key(id)));
+            }
+        };
+        let mut stream = TcpStream::connect(addr).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_millis(5)))
+            .unwrap();
+        let body = CIRCUIT_GOAL.repeat(5000);
+        stream
+            .write_all(query_bytes("/query?explain=1", &body).as_bytes())
+            .unwrap();
+        let unread_until = std::time::Instant::now() + Duration::from_secs(1);
+        while std::time::Instant::now() < unread_until {
+            sample();
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        let (mut response, mut chunk) = (Vec::new(), [0u8; 1 << 16]);
+        loop {
+            match stream.read(&mut chunk) {
+                Ok(0) => break,
+                Ok(n) => response.extend_from_slice(&chunk[..n]),
+                Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
+                    sample()
+                }
+                Err(e) => panic!("reading the response: {e}"),
+            }
+        }
+        (String::from_utf8(response).unwrap(), spawned)
+    });
+    assert!(response.starts_with("HTTP/1.1 200 OK"), "{response:.300}");
+    let (head, body) = response.split_once("\r\n\r\n").unwrap();
+    assert!(
+        head.contains(&format!("Content-Length: {}\r\n", body.len())),
+        "truncated body of {} bytes after {head}",
+        body.len()
+    );
+    assert_eq!(body.matches("\"probability\":0.720000000").count(), 5000);
+    assert_eq!(body.matches("\"explain\":").count(), 5000);
+    assert!(
+        spawned.is_empty(),
+        "threads spawned mid-request: {spawned:?}"
+    );
     server.shutdown();
 }
 

@@ -11,6 +11,7 @@
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
+use std::sync::{Mutex, MutexGuard};
 use std::time::Duration;
 use stuc::obs::slowlog;
 use stuc::serve::{ServeConfig, Server, ServiceState};
@@ -20,6 +21,13 @@ const PROGRAM: &str = "\
 0.9 :: Train(\"paris\", \"lyon\").\n\
 0.8 :: Train(\"lyon\", \"nice\").\n\
 Hop(x, y) :- Train(x, y).\n";
+
+/// Serializes the tests that set the process-global slow-log threshold,
+/// so one cannot change it under the other's request.
+fn slowlog_lock() -> MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+}
 
 fn spawn_server() -> Server {
     let state = ServiceState::from_program(Engine::new(), PROGRAM).unwrap();
@@ -171,6 +179,7 @@ fn the_timings_switch_adds_a_stage_breakdown() {
 fn the_slow_log_retains_queries_above_the_threshold() {
     // Zero threshold: every operation qualifies. The log is process-global,
     // so this only ever adds entries for concurrently-running tests.
+    let _threshold = slowlog_lock();
     slowlog::global().set_threshold(Duration::ZERO);
     let server = spawn_server();
     let addr = server.addr();
@@ -196,6 +205,7 @@ fn the_slow_log_retains_queries_above_the_threshold() {
 #[test]
 fn the_slow_log_retains_failed_evaluations_regardless_of_threshold() {
     // A huge threshold: no *success* would ever be retained…
+    let _threshold = slowlog_lock();
     slowlog::global().set_threshold(Duration::from_secs(3600));
     let server = spawn_server();
     let addr = server.addr();
