@@ -27,6 +27,7 @@
 use stuc_circuit::circuit::{Circuit, GateId, VarId};
 use stuc_data::instance::{ConstId, FactId, Instance, RelId};
 use stuc_graph::graph::VertexId;
+use stuc_graph::groups::Groups;
 use stuc_graph::nice::{NiceDecomposition, NiceNodeKind};
 use stuc_graph::TreeDecomposition;
 use stuc_query::cq::{ConjunctiveQuery, Term};
@@ -472,25 +473,27 @@ fn restrict(
 
 /// Anchors each of `facts` at a nice-decomposition node whose bag contains
 /// all its constants: the first such node bottom-up among those holding the
-/// fact's rarest constant. Nullary facts are anchored at the root.
+/// fact's rarest constant. Nullary facts are anchored at the root. The
+/// facts anchored at each node keep their order in `facts`.
 fn anchor_facts(
     instance: &Instance,
     facts: &[FactId],
     nice: &NiceDecomposition,
-) -> Result<Vec<Vec<FactId>>, CourcelleError> {
-    let mut anchored: Vec<Vec<FactId>> = vec![Vec::new(); nice.len()];
-    // Occurrences: `(constant, nice node)` for every bag entry, sorted, so
-    // the nodes holding a constant are one run, bottom-up.
-    let mut occurrences: Vec<(usize, usize)> = nice
-        .iter_bottom_up()
-        .flat_map(|(i, node)| node.bag.iter().map(move |v| (v.index(), i)))
-        .collect();
-    occurrences.sort_unstable();
-    let nodes_holding = |c: usize| {
-        let from = occurrences.partition_point(|&(v, _)| v < c);
-        let len = occurrences[from..].partition_point(|&(v, _)| v == c);
-        occurrences[from..from + len].iter().map(|&(_, node)| node)
+) -> Result<Groups<FactId>, CourcelleError> {
+    // The nodes holding each constant, bottom-up, grouped over the
+    // constants' (dense) range from the smallest.
+    let entries = || {
+        nice.iter_bottom_up()
+            .flat_map(|(i, node)| node.bag.iter().map(move |v| (v.index(), i)))
     };
+    let (low, high) = entries().fold((usize::MAX, 0), |(low, high), (c, _)| {
+        (low.min(c), high.max(c + 1))
+    });
+    let holders = Groups::by_key(high.saturating_sub(low), || {
+        entries().map(|(c, node)| (c - low, node))
+    });
+    let nodes_holding = |c: usize| c.checked_sub(low).map_or(&[][..], |k| holders.get(k));
+    let mut anchors: Vec<usize> = Vec::with_capacity(facts.len());
     let mut constants: Vec<usize> = Vec::new();
     for &fid in facts {
         constants.clear();
@@ -498,7 +501,7 @@ fn anchor_facts(
         constants.sort_unstable();
         constants.dedup();
         if constants.is_empty() {
-            anchored[nice.root()].push(fid);
+            anchors.push(nice.root());
             continue;
         }
         // Search the nodes holding the rarest constant (the smallest one
@@ -508,6 +511,8 @@ fn anchor_facts(
             .min_by_key(|&&c| nodes_holding(c).len())
             .expect("non-empty");
         let anchor = nodes_holding(rarest)
+            .iter()
+            .copied()
             .find(|&node| {
                 let bag = nice.node(node).bag;
                 constants
@@ -515,9 +520,11 @@ fn anchor_facts(
                     .all(|&c| bag.binary_search(&VertexId(c)).is_ok())
             })
             .ok_or(CourcelleError::AnchorNotFound(fid))?;
-        anchored[anchor].push(fid);
+        anchors.push(anchor);
     }
-    Ok(anchored)
+    Ok(Groups::by_key(nice.len(), || {
+        anchors.iter().copied().zip(facts.iter().copied())
+    }))
 }
 
 /// Packed states back to back, each with a gate: a node's table in the
@@ -588,7 +595,7 @@ pub fn cq_lineage_circuit(
     let mut fact_gates: Vec<Option<GateId>> = Vec::new();
 
     for (idx, node) in nice.iter_bottom_up() {
-        let facts = &anchored[idx];
+        let facts = anchored.get(idx);
         // Structural step.
         contributions.clear();
         match node.kind {

@@ -11,10 +11,13 @@
 //! A [`CompiledCircuit`] is that reusable structural state: the source
 //! lineage circuit behind an [`Arc`] (cheap to share across threads and
 //! cache entries), its normalised form for message passing, the tree
-//! decomposition of its circuit graph (packed flat) and the sweep plan
-//! built over it. Re-evaluating under a new [`Weights`] table is a single
-//! message-passing sweep — no decomposition, no circuit construction, no
-//! binarisation.
+//! decomposition of its circuit graph and the sweep plan built over it.
+//! The decomposition is built with no intermediate form: the neighbour
+//! lists come from one pass over the prepared gates, the elimination
+//! writes the bags into the flat arena the circuit keeps, and the nice
+//! form is built from that arena while the plan is. Re-evaluating under a
+//! new [`Weights`] table is a single message-passing sweep — no
+//! decomposition, no circuit construction, no binarisation.
 //!
 //! The planned sweep is the only production sweep: a circuit whose bags
 //! exceed [`MAX_PLANNED_BAG`] is refused with [`WmcError::WidthTooLarge`]
@@ -28,11 +31,9 @@ use crate::weights::Weights;
 use crate::wmc::{self, message_passing, WmcError, WmcReport};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::{Arc, Mutex, OnceLock};
-use stuc_graph::decomposition::BagId;
-use stuc_graph::elimination::{decompose_with_heuristic, EliminationHeuristic};
-use stuc_graph::graph::VertexId;
+use stuc_graph::decomposition::FlatDecomposition;
+use stuc_graph::elimination::EliminationHeuristic;
 use stuc_graph::nice::NiceDecomposition;
-use stuc_graph::TreeDecomposition;
 use stuc_obs::metrics::{registry, Counter};
 
 /// Pre-resolved global counters of the counting sweeps (`stuc_sweep_*`):
@@ -86,11 +87,11 @@ fn sweep_metrics() -> &'static SweepMetrics {
 /// A lineage circuit compiled for repeated probability evaluation.
 ///
 /// Compilation runs the structural half of the treewidth back-end once:
-/// input-gate deduplication, binarisation, circuit-graph construction and
-/// tree decomposition. Every subsequent [`CompiledCircuit::probability`]
-/// call pays only for message passing, which is what makes weight-only
-/// re-evaluation (`Engine::reevaluate_with_weights`) and shared batch
-/// caches cheap.
+/// input-gate deduplication, binarisation and the tree decomposition of
+/// the circuit graph ([`wmc::circuit_decomposition`]). Every subsequent
+/// [`CompiledCircuit::probability`] call pays only for message passing,
+/// which is what makes weight-only re-evaluation
+/// (`Engine::reevaluate_with_weights`) and shared batch caches cheap.
 ///
 /// The source circuit is held behind an [`Arc`], so clones of a
 /// `CompiledCircuit` (e.g. cache entries handed to worker threads) share
@@ -139,75 +140,30 @@ impl Clone for CompiledCircuit {
 }
 
 /// The lazily-built decomposition state of a [`CompiledCircuit`]: the
-/// circuit-graph decomposition, packed, with its width. Its nice form is
-/// derived only while a sweep plan is built (and by the reference sweep),
-/// and the plan keeps what the sweep needs of it.
+/// circuit-graph decomposition in the flat form the elimination wrote it
+/// ([`wmc::circuit_decomposition`]), with its width. Its nice form is
+/// built straight from that arena while a sweep plan is built (and by the
+/// reference sweep), and the plan keeps what the sweep needs of it.
 #[derive(Debug, Clone)]
 struct CompiledStructure {
     width: usize,
-    decomposition: PackedDecomposition,
+    decomposition: FlatDecomposition,
 }
 
 impl CompiledStructure {
-    fn new(decomposition: &TreeDecomposition) -> CompiledStructure {
+    fn new(decomposition: FlatDecomposition) -> CompiledStructure {
         CompiledStructure {
             width: decomposition.width(),
-            decomposition: PackedDecomposition::pack(decomposition),
+            decomposition,
         }
     }
 
     fn bag_count(&self) -> usize {
-        self.decomposition.ends.len()
+        self.decomposition.bag_count()
     }
 
     fn nice(&self) -> NiceDecomposition {
-        NiceDecomposition::from_decomposition(&self.decomposition.unpack())
-    }
-}
-
-/// A tree decomposition packed into flat arrays, a few bytes per bag entry
-/// instead of a set per bag: bag `b` is `vertices[ends[b - 1]..ends[b]]`
-/// (from 0 for the first bag), and the tree is listed edge by edge.
-#[derive(Debug, Clone)]
-struct PackedDecomposition {
-    ends: Box<[u32]>,
-    vertices: Box<[u32]>,
-    edges: Box<[[u32; 2]]>,
-}
-
-impl PackedDecomposition {
-    fn pack(td: &TreeDecomposition) -> PackedDecomposition {
-        let index =
-            |i: usize| u32::try_from(i).expect("a circuit graph has fewer than 2^32 bag entries");
-        let mut ends = Vec::with_capacity(td.bag_count());
-        let mut vertices = Vec::new();
-        for b in td.bag_ids() {
-            vertices.extend(td.bag(b).iter().map(|v| index(v.index())));
-            ends.push(index(vertices.len()));
-        }
-        let edges: Vec<[u32; 2]> = td
-            .tree_edges()
-            .map(|(a, b)| [index(a.index()), index(b.index())])
-            .collect();
-        PackedDecomposition {
-            ends: ends.into_boxed_slice(),
-            vertices: vertices.into_boxed_slice(),
-            edges: edges.into_boxed_slice(),
-        }
-    }
-
-    fn unpack(&self) -> TreeDecomposition {
-        let mut td = TreeDecomposition::new();
-        let mut start = 0;
-        for &end in self.ends.iter() {
-            let bag = &self.vertices[start as usize..end as usize];
-            td.add_bag(bag.iter().map(|&v| VertexId(v as usize)));
-            start = end;
-        }
-        for &[a, b] in self.edges.iter() {
-            td.add_tree_edge(BagId(a as usize), BagId(b as usize));
-        }
-        td
+        NiceDecomposition::from_flat(&self.decomposition)
     }
 }
 
@@ -242,8 +198,7 @@ impl CompiledCircuit {
 
     fn structure(&self) -> &CompiledStructure {
         self.structure.get_or_init(|| {
-            let graph = wmc::circuit_graph(&self.prepared);
-            CompiledStructure::new(&decompose_with_heuristic(&graph, self.heuristic))
+            CompiledStructure::new(wmc::circuit_decomposition(&self.prepared, self.heuristic))
         })
     }
 

@@ -29,6 +29,8 @@
 use crate::circuit::{Circuit, CircuitError, Gate, GateId, VarId};
 use crate::weights::Weights;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
+use stuc_graph::decomposition::FlatDecomposition;
+use stuc_graph::elimination::{decompose_adjacency, elimination_order, EliminationHeuristic};
 use stuc_graph::graph::{Graph, VertexId};
 use stuc_graph::nice::{NiceDecomposition, NiceNodeKind};
 
@@ -86,7 +88,9 @@ pub struct WmcReport {
 }
 
 /// Builds the *circuit graph*: one vertex per gate, plus a clique over
-/// every gate and its inputs.
+/// every gate and its inputs. Compilation never builds it (see
+/// [`circuit_decomposition`]); it is the structure graph of a PrXML
+/// document's presence circuit and the decomposition's test oracle.
 pub fn circuit_graph(circuit: &Circuit) -> Graph {
     let mut g = Graph::with_vertices(circuit.len());
     for (id, gate) in circuit.iter() {
@@ -97,10 +101,46 @@ pub fn circuit_graph(circuit: &Circuit) -> Graph {
     g
 }
 
+/// The decomposition of a prepared circuit's circuit graph, in the flat
+/// form [`crate::compiled::CompiledCircuit`] keeps. The graph is never
+/// built: the sorted neighbour lists come from one pass over the gates'
+/// inputs ([`prepare`] leaves fan-in at most 2, so each gate adds at most
+/// a triangle), and the elimination core rewrites them in place while it
+/// writes the bags. Heuristics other than min-degree take their ordering
+/// from [`circuit_graph`] first.
+pub fn circuit_decomposition(
+    prepared: &Circuit,
+    heuristic: EliminationHeuristic,
+) -> FlatDecomposition {
+    let vertex = |g: GateId| u32::try_from(g.0).expect("a circuit has fewer than 2^32 gates");
+    let mut adjacency: Vec<Vec<u32>> = vec![Vec::new(); prepared.len()];
+    let mut clique = Vec::with_capacity(3);
+    for (id, gate) in prepared.iter() {
+        clique.clear();
+        clique.push(vertex(id));
+        clique.extend(gate.inputs().iter().map(|&x| vertex(x)));
+        for (i, &a) in clique.iter().enumerate() {
+            for &b in &clique[i + 1..] {
+                if a != b {
+                    adjacency[a as usize].push(b);
+                    adjacency[b as usize].push(a);
+                }
+            }
+        }
+    }
+    for list in &mut adjacency {
+        list.sort_unstable();
+        list.dedup();
+    }
+    let order = (heuristic != EliminationHeuristic::MinDegree)
+        .then(|| elimination_order(&circuit_graph(prepared), heuristic));
+    decompose_adjacency(adjacency, order.as_ref())
+}
+
 /// Normalises a circuit for message passing: merges duplicate input gates
 /// reading the same variable (they must carry the same value and their
 /// weight must be counted exactly once) and binarises wide gates.
-pub(crate) fn prepare(circuit: &Circuit) -> Circuit {
+pub fn prepare(circuit: &Circuit) -> Circuit {
     let mut deduped = Circuit::new();
     let mut input_of_var: BTreeMap<VarId, GateId> = BTreeMap::new();
     let mut map: Vec<GateId> = Vec::with_capacity(circuit.len());

@@ -918,6 +918,10 @@ impl Engine {
             message: format!("injected fault: {m}"),
         });
         let compiled = CompiledCircuit::compile(Arc::new(simplified), HEURISTIC)?;
+        // The circuit-graph decomposition is part of the build: forced here,
+        // its time lands in `compile-lineage`, not in whichever stage reads
+        // the width first.
+        compiled.width();
         stuc_fault::budget::check("lineage compilation")?;
         Ok((compiled, build_notes))
     }

@@ -229,7 +229,7 @@ impl Engine {
                         None => (*old).clone(),
                     };
                     let rebuilt = match repair_decomposition(
-                        &base,
+                        base,
                         &graph,
                         new_cliques,
                         self.config.width_budget,

@@ -13,6 +13,7 @@
 //! and 2 assume the data's decomposition has width bounded by a constant.
 
 use crate::graph::{Graph, VertexId};
+use crate::groups::Groups;
 use std::collections::VecDeque;
 use std::fmt;
 use std::sync::OnceLock;
@@ -81,7 +82,7 @@ pub struct TreeDecomposition {
 /// lies in `a`'s range) and its breadth-first rank.
 #[derive(Debug)]
 struct ProjectionIndex {
-    occurrences: Occurrences,
+    occurrences: Groups<usize>,
     preorder: Vec<u32>,
     subtree_end: Vec<u32>,
     bfs_rank: Vec<u32>,
@@ -308,14 +309,13 @@ impl TreeDecomposition {
             let covered = if tops[u.0] == 1 && tops[v.0] == 1 {
                 holds(top_bag[u.0] as usize, v) || holds(top_bag[v.0] as usize, u)
             } else {
-                let occurrences = occurrences.get_or_insert_with(|| Occurrences::of(self, n));
-                let (rare, other) = if occurrences.bags_of(u).len() <= occurrences.bags_of(v).len()
-                {
+                let occurrences = occurrences.get_or_insert_with(|| occurrences_of(self, n));
+                let (rare, other) = if occurrences.get(u.0).len() <= occurrences.get(v.0).len() {
                     (u, v)
                 } else {
                     (v, u)
                 };
-                occurrences.bags_of(rare).iter().any(|&b| holds(b, other))
+                occurrences.get(rare.0).iter().any(|&b| holds(b, other))
             };
             if !covered {
                 return Err(DecompositionError::EdgeNotCovered(u, v));
@@ -429,7 +429,7 @@ impl TreeDecomposition {
         let mut slots: Vec<u64> = kept
             .iter()
             .flat_map(|&v| {
-                index.occurrences.bags_of(v).iter().filter_map(move |&b| {
+                index.occurrences.get(v.0).iter().filter_map(move |&b| {
                     let position = index.preorder[b];
                     (position != UNREACHED).then(|| u64::from(position) << 32 | vertex_index(v))
                 })
@@ -521,53 +521,27 @@ impl TreeDecomposition {
     }
 }
 
-/// The parent of the root in [`TreeDecomposition::validate_tree_shape`].
-const NO_PARENT: u32 = u32::MAX;
+/// The parent of the root in [`TreeDecomposition::validate_tree_shape`]
+/// and in a [`FlatDecomposition`].
+pub(crate) const NO_PARENT: u32 = u32::MAX;
 
 /// A bag index in the `u32` form the validation arrays store.
 fn bag_index(b: usize) -> u32 {
     u32::try_from(b).expect("a decomposition has fewer than 2^32 bags")
 }
 
-/// Per-vertex bag lists of a decomposition in one flat buffer:
-/// `bags[start[v]..start[v + 1]]` are the bags containing vertex `v`, in
-/// increasing order. Vertices at or beyond `vertex_count` are left out.
-#[derive(Debug)]
-struct Occurrences {
-    start: Vec<usize>,
-    bags: Vec<usize>,
-}
-
-impl Occurrences {
-    fn of(td: &TreeDecomposition, vertex_count: usize) -> Occurrences {
-        let in_range = |b: usize| td.bags[b].iter().map(|v| v.0).filter(|&v| v < vertex_count);
-        let mut start = vec![0; vertex_count + 1];
-        for b in 0..td.bags.len() {
-            for v in in_range(b) {
-                start[v + 1] += 1;
-            }
-        }
-        for v in 0..vertex_count {
-            start[v + 1] += start[v];
-        }
-        let mut next = start.clone();
-        let mut bags = vec![0; start[vertex_count]];
-        for b in 0..td.bags.len() {
-            for v in in_range(b) {
-                bags[next[v]] = b;
-                next[v] += 1;
-            }
-        }
-        Occurrences { start, bags }
-    }
-
-    /// The bags containing `v`; none for a vertex out of range.
-    fn bags_of(&self, v: VertexId) -> &[usize] {
-        match self.start.get(v.0..v.0 + 2) {
-            Some(&[start, end]) => &self.bags[start..end],
-            _ => &[],
-        }
-    }
+/// Per-vertex bag lists of a decomposition: the bags containing vertex
+/// `v`, in increasing order. Vertices at or beyond `vertex_count` are left
+/// out.
+fn occurrences_of(td: &TreeDecomposition, vertex_count: usize) -> Groups<usize> {
+    Groups::by_key(vertex_count, || {
+        td.bags.iter().enumerate().flat_map(move |(b, bag)| {
+            bag.iter()
+                .map(|v| v.0)
+                .filter(move |&v| v < vertex_count)
+                .map(move |v| (v, b))
+        })
+    })
 }
 
 /// The preorder position of bags not connected to bag 0 in
@@ -637,11 +611,115 @@ impl ProjectionIndex {
             }
         }
         ProjectionIndex {
-            occurrences: Occurrences::of(td, vertex_count),
+            occurrences: occurrences_of(td, vertex_count),
             preorder,
             subtree_end,
             bfs_rank,
         }
+    }
+}
+
+/// A tree decomposition in the flat form the elimination core writes
+/// ([`crate::elimination::decompose_adjacency`]) and the nice builder reads
+/// ([`crate::nice::NiceDecomposition::from_flat`]): bag `b` is
+/// `vertices[bounds[b]..bounds[b + 1]]`, sorted, and the bag tree is
+/// rooted at bag 0, `parent[b]` naming the parent of bag `b`. Three
+/// allocations whatever the bag count, four bytes per bag entry.
+#[derive(Debug, Clone)]
+pub struct FlatDecomposition {
+    bounds: Box<[u32]>,
+    vertices: Box<[u32]>,
+    parent: Box<[u32]>,
+}
+
+impl FlatDecomposition {
+    /// The decomposition an elimination wrote: bags in `bounds` and
+    /// `vertices`, and each bag's link to a later bag (`NO_PARENT` for the
+    /// last bag of each tree of the forest). The forest is rooted at bag 0
+    /// and its trees are linked at their first bags, each to the previous
+    /// tree's, as [`TreeDecomposition::connect_components`] links them.
+    pub(crate) fn from_elimination(
+        bounds: Vec<u32>,
+        vertices: Vec<u32>,
+        mut parent: Vec<u32>,
+    ) -> FlatDecomposition {
+        let n = parent.len();
+        // Links point to later bags, so a backward pass finds each bag's
+        // tree root (its last bag).
+        let mut tree_root = vec![0u32; n];
+        for b in (0..n).rev() {
+            tree_root[b] = match parent[b] {
+                NO_PARENT => bag_index(b),
+                p => tree_root[p as usize],
+            };
+        }
+        let mut linked = vec![false; n];
+        let mut previous = NO_PARENT;
+        for (b, &root) in tree_root.iter().enumerate() {
+            if std::mem::replace(&mut linked[root as usize], true) {
+                continue;
+            }
+            // `b` is its tree's first bag: reverse the path from it to the
+            // tree root, and hang it below the previous tree's first bag.
+            let (mut above, mut at) = (previous, bag_index(b));
+            while at != NO_PARENT {
+                let next = parent[at as usize];
+                parent[at as usize] = above;
+                (above, at) = (at, next);
+            }
+            previous = bag_index(b);
+        }
+        FlatDecomposition {
+            bounds: bounds.into_boxed_slice(),
+            vertices: vertices.into_boxed_slice(),
+            parent: parent.into_boxed_slice(),
+        }
+    }
+
+    /// Number of bags.
+    pub fn bag_count(&self) -> usize {
+        self.parent.len()
+    }
+
+    /// The sorted content of bag `b`.
+    pub fn bag(&self, b: usize) -> &[u32] {
+        &self.vertices[self.bounds[b] as usize..self.bounds[b + 1] as usize]
+    }
+
+    /// The parent of bag `b`, with the tree rooted at bag 0.
+    pub fn parent(&self, b: usize) -> Option<usize> {
+        Some(self.parent[b])
+            .filter(|&p| p != NO_PARENT)
+            .map(|p| p as usize)
+    }
+
+    /// Maximum bag size minus one (0 for an empty decomposition).
+    pub fn width(&self) -> usize {
+        self.bounds
+            .windows(2)
+            .map(|w| (w[1] - w[0]) as usize)
+            .max()
+            .unwrap_or(0)
+            .saturating_sub(1)
+    }
+
+    /// The same decomposition as a [`TreeDecomposition`].
+    pub fn to_tree_decomposition(&self) -> TreeDecomposition {
+        let n = self.bag_count();
+        let bags = (0..n)
+            .map(|b| self.bag(b).iter().map(|&v| VertexId(v as usize)).collect())
+            .collect();
+        let mut tree = vec![Vec::new(); n];
+        for b in 0..n {
+            if let Some(p) = self.parent(b) {
+                tree[b].push(p);
+                tree[p].push(b);
+            }
+        }
+        for list in &mut tree {
+            list.sort_unstable();
+        }
+        TreeDecomposition::from_sorted_parts(bags, tree)
     }
 }
 

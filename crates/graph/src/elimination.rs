@@ -19,7 +19,7 @@
 //! inputs the paper targets; an ablation benchmark (`a1_decomposition_heuristics`)
 //! compares them.
 
-use crate::decomposition::{BagId, TreeDecomposition};
+use crate::decomposition::{BagId, FlatDecomposition, TreeDecomposition, NO_PARENT};
 use crate::graph::{Graph, VertexId};
 use std::collections::BTreeSet;
 
@@ -83,116 +83,156 @@ pub fn elimination_order(g: &Graph, heuristic: EliminationHeuristic) -> Eliminat
 /// Min-degree ordering with a lazy binary heap: near-linear on sparse graphs,
 /// which is what the Theorem 1 scaling benchmark needs (10⁵-fact instances).
 fn min_degree_order(g: &Graph) -> EliminationOrder {
-    EliminationOrder(min_degree_elimination(g, |_, _| {}))
+    let order = run_elimination(adjacency_of(g), None, |_, _| {});
+    EliminationOrder(order.into_iter().map(|v| VertexId(v as usize)).collect())
 }
 
-/// The min-degree elimination itself, over sorted-`Vec` adjacency: returns
-/// the order and calls `visit(v, neighbourhood)` as each vertex `v` is
-/// eliminated, with its (sorted) neighbourhood at that moment.
+/// The sorted neighbour lists of `g` in the `u32` form the elimination
+/// core reads.
+fn adjacency_of(g: &Graph) -> Vec<Vec<u32>> {
+    g.vertices()
+        .map(|v| g.neighbors(v).map(|u| vertex_u32(u.0)).collect())
+        .collect()
+}
+
+/// A vertex in the `u32` form adjacency lists and flat bags store.
+fn vertex_u32(v: usize) -> u32 {
+    u32::try_from(v).expect("a graph has fewer than 2^32 vertices")
+}
+
+/// The elimination core, over sorted, deduplicated neighbour lists that
+/// it rewrites in place: eliminates every vertex, in `order` when one is
+/// given and by the min-degree rule otherwise, calls `visit(v,
+/// neighbourhood)` as each vertex `v` is eliminated, with its (sorted)
+/// neighbourhood at that moment, and returns the order.
 ///
-/// The lazy heap holds `(degree, vertex)` entries that may be stale; a
-/// popped entry whose degree no longer matches is pushed back with the
-/// current degree, so ties always go to the smallest vertex. Eliminated
-/// vertices stay in their neighbours' lists until a fill edge rewrites the
-/// list, and `degree` counts the live ones: eliminating a leaf of a hub
-/// costs O(log n), not a pass over the hub's list.
-fn min_degree_elimination(g: &Graph, mut visit: impl FnMut(usize, &[usize])) -> Vec<VertexId> {
+/// The min-degree rule keeps a lazy heap of `(degree, vertex)` entries
+/// that may be stale, with every live vertex holding one entry no larger
+/// than its current `(degree, vertex)`: a popped entry whose degree no
+/// longer matches is pushed back with the current degree, so the vertex
+/// eliminated is always the live one of least degree, ties going to the
+/// smallest vertex. Eliminated vertices stay in their neighbours' lists
+/// until a fill edge rewrites the list, and `degree` counts the live
+/// ones: eliminating a leaf of a hub costs O(log n), not a pass over the
+/// hub's list.
+fn run_elimination(
+    mut adjacency: Vec<Vec<u32>>,
+    order: Option<&EliminationOrder>,
+    mut visit: impl FnMut(u32, &[u32]),
+) -> Vec<u32> {
     use std::cmp::Reverse;
     use std::collections::BinaryHeap;
 
-    let n = g.vertex_count();
-    let mut adjacency: Vec<Vec<usize>> = (0..n)
-        .map(|v| g.neighbors(VertexId(v)).map(|u| u.0).collect())
-        .collect();
+    let n = adjacency.len();
+    if let Some(order) = order {
+        assert_eq!(
+            order.len(),
+            n,
+            "ordering must cover every vertex exactly once"
+        );
+    }
     let mut degree: Vec<usize> = adjacency.iter().map(Vec::len).collect();
     let mut alive = vec![true; n];
-    let mut order = Vec::with_capacity(n);
-    let mut heap: BinaryHeap<Reverse<(usize, usize)>> =
-        (0..n).map(|v| Reverse((degree[v], v))).collect();
+    let mut eliminated = Vec::with_capacity(n);
+    // Heap keys pack `(degree, vertex)` into one word, compared as a pair.
+    let key = |degree: usize, v: usize| Reverse(((degree as u64) << 32) | v as u64);
+    let mut heap: BinaryHeap<Reverse<u64>> = match order {
+        Some(_) => BinaryHeap::new(),
+        None => (0..n).map(|v| key(degree[v], v)).collect(),
+    };
     let (mut neighbours, mut missing) = (Vec::new(), Vec::new());
 
-    while order.len() < n {
-        let Reverse((recorded_degree, v)) = heap.pop().expect("heap exhausted too early");
-        if !alive[v] || degree[v] != recorded_degree {
-            if alive[v] {
-                heap.push(Reverse((degree[v], v)));
+    while eliminated.len() < n {
+        let v = match order {
+            Some(order) => order.0[eliminated.len()].0,
+            None => {
+                let Reverse(entry) = heap.pop().expect("heap exhausted too early");
+                let (recorded_degree, v) = ((entry >> 32) as usize, entry as u32 as usize);
+                if !alive[v] || degree[v] != recorded_degree {
+                    if alive[v] {
+                        heap.push(key(degree[v], v));
+                    }
+                    continue;
+                }
+                v
             }
-            continue;
-        }
+        };
         alive[v] = false;
         neighbours.clear();
-        neighbours.extend(adjacency[v].iter().copied().filter(|&u| alive[u]));
+        neighbours.extend(adjacency[v].iter().copied().filter(|&u| alive[u as usize]));
         adjacency[v] = Vec::new();
-        visit(v, &neighbours);
+        visit(vertex_u32(v), &neighbours);
         // Turn the neighbourhood into a clique: each neighbour loses `v`
         // and gains the others it is not adjacent to yet.
         for &a in &neighbours {
+            let list = &mut adjacency[a as usize];
             missing.clear();
             missing.extend(
                 neighbours
                     .iter()
                     .copied()
-                    .filter(|&u| u != a && adjacency[a].binary_search(&u).is_err()),
+                    .filter(|&u| u != a && list.binary_search(&u).is_err()),
             );
-            degree[a] = degree[a] - 1 + missing.len();
+            degree[a as usize] = degree[a as usize] - 1 + missing.len();
             if !missing.is_empty() {
-                let list = &mut adjacency[a];
-                list.retain(|&u| alive[u]);
+                list.retain(|&u| alive[u as usize]);
                 list.extend_from_slice(&missing);
                 list.sort_unstable();
+            } else if order.is_none() {
+                // Only a lower degree needs a fresh entry: an equal or
+                // higher one is found through the old entry.
+                heap.push(key(degree[a as usize], a as usize));
             }
         }
-        order.push(VertexId(v));
-        for &u in &neighbours {
-            heap.push(Reverse((degree[u], u)));
-        }
+        eliminated.push(vertex_u32(v));
     }
-    order
+    eliminated
 }
 
-/// The min-degree decomposition in one elimination: each vertex's bag is
-/// itself plus its neighbourhood when eliminated, bags are numbered in
-/// elimination order, and each bag links to the bag of its neighbour
-/// eliminated first. This is exactly
-/// `decompose_with_order(g, &elimination_order(g, MinDegree))`, without
-/// simulating the elimination a second time.
-fn min_degree_decomposition(g: &Graph) -> TreeDecomposition {
-    let n = g.vertex_count();
-    if n == 0 {
-        return TreeDecomposition::new();
-    }
-    let mut bags: Vec<Vec<VertexId>> = Vec::with_capacity(n);
-    let order = min_degree_elimination(g, |v, neighbours| {
+/// The decomposition of the graph with sorted, deduplicated neighbour
+/// lists `adjacency`, in one elimination — in `order` when one is given,
+/// by the min-degree rule otherwise — written straight into flat form.
+/// Each vertex's bag is itself plus its neighbourhood when eliminated,
+/// bags are numbered in elimination order, and each bag links to the bag
+/// of its neighbour eliminated first; the trees of a disconnected graph
+/// are linked at their first bags. This is exactly
+/// `decompose_with_order(g, order)` (with `elimination_order(g,
+/// MinDegree)` when no order is given), without a second simulation or
+/// a set per bag.
+pub fn decompose_adjacency(
+    adjacency: Vec<Vec<u32>>,
+    order: Option<&EliminationOrder>,
+) -> FlatDecomposition {
+    // Infallible site: an armed Error action is ignored, Panic/Sleep apply.
+    stuc_fault::failpoint!("graph-decompose");
+    let n = adjacency.len();
+    let mut bounds = Vec::with_capacity(n + 1);
+    bounds.push(0u32);
+    let mut vertices: Vec<u32> = Vec::with_capacity(2 * n);
+    let eliminated = run_elimination(adjacency, order, |v, neighbours| {
         let at = neighbours.partition_point(|&u| u < v);
-        let mut bag = Vec::with_capacity(neighbours.len() + 1);
-        bag.extend(neighbours[..at].iter().map(|&u| VertexId(u)));
-        bag.push(VertexId(v));
-        bag.extend(neighbours[at..].iter().map(|&u| VertexId(u)));
-        bags.push(bag);
+        vertices.extend_from_slice(&neighbours[..at]);
+        vertices.push(v);
+        vertices.extend_from_slice(&neighbours[at..]);
+        bounds.push(u32::try_from(vertices.len()).expect("fewer than 2^32 bag entries"));
     });
-    let mut position = vec![0usize; n];
-    for (i, v) in order.iter().enumerate() {
-        position[v.0] = i;
+    let mut position = vec![0u32; n];
+    for (i, &v) in eliminated.iter().enumerate() {
+        position[v as usize] = vertex_u32(i);
     }
     // Every neighbour at elimination time is eliminated later, so the
-    // parent is the one with the smallest position. Bags are visited in
-    // increasing order, so every adjacency list is built sorted: a bag
-    // hears from its children (smaller ids) before it names its parent.
-    let mut tree: Vec<Vec<usize>> = vec![Vec::new(); n];
-    for (i, &v) in order.iter().enumerate() {
-        let parent = bags[i]
-            .iter()
-            .filter(|&&u| u != v)
-            .map(|u| position[u.0])
-            .min();
-        if let Some(parent) = parent {
-            tree[i].push(parent);
-            tree[parent].push(i);
-        }
-    }
-    let mut td = TreeDecomposition::from_sorted_parts(bags, tree);
-    td.connect_components();
-    td
+    // link goes to the one with the smallest position.
+    let links: Vec<u32> = (0..n)
+        .map(|i| {
+            let bag = &vertices[bounds[i] as usize..bounds[i + 1] as usize];
+            bag.iter()
+                .map(|&u| position[u as usize])
+                .filter(|&p| p as usize != i)
+                .min()
+                .unwrap_or(NO_PARENT)
+        })
+        .collect();
+    FlatDecomposition::from_elimination(bounds, vertices, links)
 }
 
 /// Vertex count above which min-fill falls back to the reference BTreeSet
@@ -471,33 +511,15 @@ pub fn decompose_with_order(g: &Graph, order: &EliminationOrder) -> TreeDecompos
     td
 }
 
-/// The width that an elimination ordering yields on `g` (max neighbourhood
-/// size at elimination time), without materialising the decomposition.
-pub fn order_width(g: &Graph, order: &EliminationOrder) -> usize {
-    let n = g.vertex_count();
-    let mut adjacency: Vec<BTreeSet<usize>> = (0..n)
-        .map(|v| g.neighbors(VertexId(v)).map(|u| u.0).collect())
-        .collect();
-    let mut alive = vec![true; n];
-    let mut width = 0;
-    for &v in &order.0 {
-        width = width.max(adjacency[v.0].len());
-        eliminate(&mut adjacency, &mut alive, v.0);
-    }
-    width
-}
-
 /// Computes a tree decomposition of `g` with the given greedy heuristic.
 ///
-/// This is the main entry point used by the rest of STUC.
+/// This is the main entry point used by the rest of STUC: it feeds `g`
+/// into the one elimination core ([`decompose_adjacency`]), after
+/// computing the ordering first for the heuristics other than min-degree.
 pub fn decompose_with_heuristic(g: &Graph, heuristic: EliminationHeuristic) -> TreeDecomposition {
-    // Infallible site: an armed Error action is ignored, Panic/Sleep apply.
-    stuc_fault::failpoint!("graph-decompose");
-    if heuristic == EliminationHeuristic::MinDegree {
-        return min_degree_decomposition(g);
-    }
-    let order = elimination_order(g, heuristic);
-    decompose_with_order(g, &order)
+    let order =
+        (heuristic != EliminationHeuristic::MinDegree).then(|| elimination_order(g, heuristic));
+    decompose_adjacency(adjacency_of(g), order.as_ref()).to_tree_decomposition()
 }
 
 /// Runs every heuristic and returns the decomposition of smallest width.
@@ -513,6 +535,7 @@ pub fn decompose_best_effort(g: &Graph) -> TreeDecomposition {
 mod tests {
     use super::*;
     use crate::generators;
+    use crate::nice::NiceDecomposition;
 
     #[test]
     fn path_has_width_one() {
@@ -600,18 +623,6 @@ mod tests {
     }
 
     #[test]
-    fn order_width_matches_decomposition_width() {
-        let g = generators::partial_k_tree(30, 3, 0.3, 42);
-        for h in EliminationHeuristic::ALL {
-            let order = elimination_order(&g, h);
-            let w = order_width(&g, &order);
-            let td = decompose_with_order(&g, &order);
-            assert_eq!(td.width(), w, "{h:?}");
-            assert!(td.validate(&g).is_ok());
-        }
-    }
-
-    #[test]
     fn partial_k_tree_width_at_most_k_with_good_heuristics() {
         // Partial 2-trees have treewidth ≤ 2 and min-fill recovers that.
         let g = generators::partial_k_tree(40, 2, 0.5, 7);
@@ -654,9 +665,9 @@ mod tests {
         }
     }
 
-    /// The fused min-degree decomposition is the oracle composition
-    /// `decompose_with_order(g, elimination_order(g, MinDegree))`, bag for
-    /// bag and tree edge for tree edge.
+    /// The one elimination core gives the oracle composition
+    /// `decompose_with_order(g, elimination_order(g, h))` for every
+    /// heuristic, bag for bag and tree edge for tree edge.
     #[test]
     fn fused_min_degree_decomposition_equals_the_two_pass_oracle() {
         let mut graphs = vec![
@@ -684,10 +695,24 @@ mod tests {
             graphs.push(g);
         }
         for (i, g) in graphs.iter().enumerate() {
-            let order = elimination_order(g, EliminationHeuristic::MinDegree);
-            let fused = decompose_with_heuristic(g, EliminationHeuristic::MinDegree);
-            assert_eq!(fused, decompose_with_order(g, &order), "graph {i}");
-            assert!(fused.validate(g).is_ok(), "graph {i}");
+            for h in EliminationHeuristic::ALL {
+                let oracle = decompose_with_order(g, &elimination_order(g, h));
+                let fused = decompose_with_heuristic(g, h);
+                assert_eq!(fused, oracle, "graph {i}, {h:?}");
+                assert!(fused.validate(g).is_ok(), "graph {i}, {h:?}");
+            }
+            // The flat form is the same decomposition, and its nice form
+            // is the one built from the oracle, node for node.
+            let flat = decompose_adjacency(adjacency_of(g), None);
+            let oracle =
+                decompose_with_order(g, &elimination_order(g, EliminationHeuristic::MinDegree));
+            assert_eq!(flat.to_tree_decomposition(), oracle, "graph {i}");
+            assert_eq!(flat.width(), oracle.width(), "graph {i}");
+            assert_eq!(
+                NiceDecomposition::from_flat(&flat),
+                NiceDecomposition::from_decomposition(&oracle),
+                "graph {i}"
+            );
         }
     }
 

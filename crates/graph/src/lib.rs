@@ -18,6 +18,8 @@
 //! * [`repair`] — incremental repair of existing decompositions under graph
 //!   growth (leaf-bag attachment, path augmentation, bag-size budgets), the
 //!   substrate of the engine's update path.
+//! * [`groups`] — values grouped by a dense key in one flat buffer (the
+//!   counting sort behind per-vertex bag lists and child lists).
 //! * [`exact`] — exact treewidth for small graphs and lower bounds, used to
 //!   assess heuristic quality in tests and ablations.
 //! * [`generators`] — deterministic graph generators (paths, cycles, grids,
@@ -45,10 +47,11 @@ pub mod elimination;
 pub mod exact;
 pub mod generators;
 pub mod graph;
+pub mod groups;
 pub mod nice;
 pub mod repair;
 
-pub use decomposition::TreeDecomposition;
+pub use decomposition::{FlatDecomposition, TreeDecomposition};
 pub use elimination::{decompose_with_heuristic, EliminationHeuristic};
 pub use graph::{Graph, VertexId};
 pub use nice::NiceDecomposition;

@@ -13,8 +13,9 @@
 //! in `stuc-circuit` and the automaton run in `stuc-automata` both consume
 //! this form.
 
-use crate::decomposition::{BagId, TreeDecomposition};
+use crate::decomposition::{BagId, FlatDecomposition, TreeDecomposition};
 use crate::graph::VertexId;
+use crate::groups::Groups;
 
 /// The kind of a node in a [`NiceDecomposition`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -117,53 +118,84 @@ impl NiceDecomposition {
         self.kinds.len() - 1
     }
 
-    /// Converts a (rooted) tree decomposition into nice form.
+    /// Converts a tree decomposition into nice form, rooted at bag 0.
     ///
     /// The result has the same width. If `td` is empty, the result is a
     /// single leaf node so that dynamic programs always have a root to read.
     pub fn from_decomposition(td: &TreeDecomposition) -> Self {
+        let parents = if td.bag_count() == 0 {
+            Vec::new()
+        } else {
+            td.root_at(BagId(0))
+        };
+        Self::build(
+            td.bag_count(),
+            |b| parents[b].map(BagId::index),
+            |b, out| out.extend_from_slice(td.bag(BagId(b))),
+        )
+    }
+
+    /// Converts a flat decomposition into nice form, exactly as
+    /// [`NiceDecomposition::from_decomposition`] converts the same
+    /// decomposition held as a [`TreeDecomposition`].
+    pub fn from_flat(flat: &FlatDecomposition) -> Self {
+        Self::build(
+            flat.bag_count(),
+            |b| flat.parent(b),
+            |b, out| out.extend(flat.bag(b).iter().map(|&v| VertexId(v as usize))),
+        )
+    }
+
+    /// The nice builder: the decomposition with `bag_count` bags, rooted at
+    /// bag 0 with `parent(b)` the parent of bag `b`, and whose bag `b`
+    /// `fill_bag(b, out)` appends (sorted) to `out`. Children are taken in
+    /// increasing bag order.
+    fn build(
+        bag_count: usize,
+        parent: impl Fn(usize) -> Option<usize>,
+        fill_bag: impl Fn(usize, &mut Vec<VertexId>),
+    ) -> Self {
         let mut nice = NiceDecomposition::default();
-        if td.bag_count() == 0 {
+        if bag_count == 0 {
             nice.root = nice.push(NiceNodeKind::Leaf, &[]);
             return nice;
         }
 
-        // Root the decomposition at bag 0 and collect children lists.
-        let root_bag = BagId(0);
-        let parents = td.root_at(root_bag);
-        let mut children: Vec<Vec<BagId>> = vec![Vec::new(); td.bag_count()];
-        for b in td.bag_ids() {
-            if let Some(p) = parents[b.index()] {
-                children[p.index()].push(b);
-            }
-        }
-
-        // Post-order over bags (children before parents) computed iteratively
-        // to avoid recursion-depth limits on path-shaped decompositions.
-        let order = post_order(root_bag, &children);
+        let children = Groups::by_key(bag_count, || {
+            (0..bag_count).filter_map(|b| parent(b).map(|p| (p, b)))
+        });
 
         // top[b] = index of the nice node whose bag equals bag(b) and which
         // summarises the whole subtree rooted at b.
-        let mut top: Vec<Option<usize>> = vec![None; td.bag_count()];
-        let mut scratch = Vec::new();
-        for &b in &order {
-            let bag_b = td.bag(b);
-            let kids = &children[b.index()];
-            let node = if kids.is_empty() {
+        let mut top: Vec<usize> = vec![usize::MAX; bag_count];
+        let (mut bag, mut scratch, mut branch_tops) = (Vec::new(), Vec::new(), Vec::new());
+        // Post-order over bags (children before parents), iteratively so
+        // path-shaped decompositions do not exhaust the stack.
+        let mut stack = vec![(0usize, false)];
+        while let Some((b, expanded)) = stack.pop() {
+            if !expanded {
+                stack.push((b, true));
+                stack.extend(children.get(b).iter().map(|&c| (c, false)));
+                continue;
+            }
+            bag.clear();
+            fill_bag(b, &mut bag);
+            let kids = children.get(b);
+            top[b] = if kids.is_empty() {
                 // Leaf bag: introduce its vertices one by one above an empty leaf.
                 let leaf = nice.push(NiceNodeKind::Leaf, &[]);
                 scratch.clear();
-                nice.introduce_chain(leaf, &mut scratch, bag_b)
+                nice.introduce_chain(leaf, &mut scratch, &bag)
             } else {
                 // One branch per child: forget the child-only vertices then
                 // introduce the parent-only vertices; then join the branches.
-                let mut branch_tops = Vec::with_capacity(kids.len());
+                branch_tops.clear();
                 for &child in kids {
-                    let child_top = top[child.index()].expect("children processed first");
+                    debug_assert!(top[child] != usize::MAX, "children processed first");
                     scratch.clear();
-                    scratch.extend_from_slice(td.bag(child));
-                    let after_forget = nice.forget_chain(child_top, &mut scratch, bag_b);
-                    let branch = nice.introduce_chain(after_forget, &mut scratch, bag_b);
+                    fill_bag(child, &mut scratch);
+                    let after_forget = nice.forget_chain(top[child], &mut scratch, &bag);
+                    let branch = nice.introduce_chain(after_forget, &mut scratch, &bag);
                     branch_tops.push(branch);
                 }
                 // Fold the branches with binary joins.
@@ -174,15 +206,14 @@ impl NiceDecomposition {
                             left: acc,
                             right: other,
                         },
-                        bag_b,
+                        &bag,
                     );
                 }
                 acc
             };
-            top[b.index()] = Some(node);
         }
 
-        nice.root = top[root_bag.index()].expect("root processed last");
+        nice.root = top[0];
         nice
     }
 
@@ -279,23 +310,6 @@ impl NiceDecomposition {
         }
         Ok(())
     }
-}
-
-/// Computes a post-order (children before parents) of the rooted bag tree.
-fn post_order(root: BagId, children: &[Vec<BagId>]) -> Vec<BagId> {
-    let mut order = Vec::with_capacity(children.len());
-    let mut stack = vec![(root, false)];
-    while let Some((b, expanded)) = stack.pop() {
-        if expanded {
-            order.push(b);
-        } else {
-            stack.push((b, true));
-            for &c in &children[b.index()] {
-                stack.push((c, false));
-            }
-        }
-    }
-    order
 }
 
 #[cfg(test)]

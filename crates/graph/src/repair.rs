@@ -28,7 +28,7 @@
 
 use crate::decomposition::{BagId, DecompositionError, TreeDecomposition};
 use crate::graph::{Graph, VertexId};
-use std::collections::{BTreeSet, HashMap, VecDeque};
+use std::collections::VecDeque;
 
 stuc_errors::stuc_error! {
     /// Why an incremental decomposition repair refused.
@@ -82,31 +82,47 @@ pub struct RepairReport {
 /// vertices. Bags never exceed `max_bag_size`; repairs that would are
 /// refused with [`RepairError::BudgetExceeded`].
 ///
-/// The input decomposition is not modified; on success the patched copy is
-/// returned together with a [`RepairReport`].
+/// `td` is patched in place and, on success, returned together with a
+/// [`RepairReport`]; callers that still need the old decomposition pass a
+/// copy.
 pub fn repair_decomposition(
-    td: &TreeDecomposition,
+    mut td: TreeDecomposition,
     graph: &Graph,
     new_cliques: &[Vec<VertexId>],
     max_bag_size: usize,
 ) -> Result<(TreeDecomposition, RepairReport), RepairError> {
     stuc_fault::failpoint!("graph-repair", RepairError::Fault);
-    let mut patched = td.clone();
     let mut report = RepairReport {
         width_before: td.width(),
         ..Default::default()
     };
-    // One representative bag per vertex (any bag containing it).
-    let mut home: HashMap<VertexId, BagId> = HashMap::new();
-    for b in patched.bag_ids() {
-        for &v in patched.bag(b) {
-            home.entry(v).or_insert(b);
+    // One representative bag per vertex (`NO_BAG` for none yet): the
+    // first bag containing it.
+    let vertex_count = td
+        .bag_ids()
+        .filter_map(|b| td.bag(b).last())
+        .chain(new_cliques.iter().flatten())
+        .map(|v| v.0 + 1)
+        .fold(graph.vertex_count(), usize::max);
+    let mut home = vec![NO_BAG; vertex_count];
+    let settle = |home: &mut [usize], v: VertexId, b: BagId| {
+        if home[v.0] == NO_BAG {
+            home[v.0] = b.0;
+        }
+    };
+    for b in td.bag_ids() {
+        for &v in td.bag(b) {
+            settle(&mut home, v, b);
         }
     }
-    let mut touched: BTreeSet<usize> = BTreeSet::new();
+    let mut touched: Vec<bool> = vec![false; td.bag_count()];
+    let mut clique: Vec<VertexId> = Vec::new();
 
-    for clique in new_cliques {
-        let clique: BTreeSet<VertexId> = clique.iter().copied().collect();
+    for new_clique in new_cliques {
+        clique.clear();
+        clique.extend_from_slice(new_clique);
+        clique.sort_unstable();
+        clique.dedup();
         if clique.is_empty() {
             continue;
         }
@@ -119,40 +135,39 @@ pub fn repair_decomposition(
         let known: Vec<VertexId> = clique
             .iter()
             .copied()
-            .filter(|v| home.contains_key(v))
+            .filter(|&v| home[v.0] != NO_BAG)
             .collect();
         let fresh_count = clique.len() - known.len();
 
         // Fully covered already (e.g. a duplicate fact): nothing to do.
-        if fresh_count == 0 {
-            if let Some(covering) = patched.find_bag_containing(&known) {
-                let _ = covering;
-                continue;
-            }
+        if fresh_count == 0 && td.find_bag_containing(&known).is_some() {
+            continue;
         }
 
         let anchor = if known.is_empty() {
             // A brand-new component: the leaf bag can hang anywhere.
-            patched.bag_ids().next()
-        } else if let Some(covering) = patched.find_bag_containing(&known) {
+            td.bag_ids().next()
+        } else if let Some(covering) = td.find_bag_containing(&known) {
             Some(covering)
         } else {
             // Pull every known vertex towards the anchor along tree paths.
-            let anchor = home[&known[0]];
+            let anchor = BagId(home[known[0].0]);
             for &u in &known[1..] {
-                if patched.bag(anchor).contains(&u) {
+                if td.bag(anchor).contains(&u) {
                     continue;
                 }
-                for on_path in path_to_vertex(&patched, anchor, u) {
-                    if patched.add_to_bag(on_path, u) {
-                        let size = patched.bag(on_path).len();
+                for on_path in path_to_vertex(&td, anchor, u) {
+                    if td.add_to_bag(on_path, u) {
+                        let size = td.bag(on_path).len();
                         if size > max_bag_size {
                             return Err(RepairError::BudgetExceeded {
                                 bag_size: size,
                                 budget: max_bag_size,
                             });
                         }
-                        touched.insert(on_path.index());
+                        if !std::mem::replace(&mut touched[on_path.index()], true) {
+                            report.bags_touched += 1;
+                        }
                     }
                 }
             }
@@ -164,38 +179,42 @@ pub fn repair_decomposition(
             // bag is needed.
             continue;
         }
-        let leaf = patched.add_bag(clique.iter().copied());
+        let leaf = td.add_bag(clique.iter().copied());
+        touched.push(false);
         if let Some(anchor) = anchor {
-            patched.add_tree_edge(anchor, leaf);
+            td.add_tree_edge(anchor, leaf);
         }
         for &v in &clique {
-            home.entry(v).or_insert(leaf);
+            settle(&mut home, v, leaf);
         }
         report.bags_added += 1;
     }
 
     // Cover isolated new vertices (in the graph, but in no clique).
-    let mut isolated_anchor = patched.bag_ids().next();
+    let mut isolated_anchor = td.bag_ids().next();
     for v in graph.vertices() {
-        if home.contains_key(&v) {
+        if home[v.0] != NO_BAG {
             continue;
         }
-        let singleton = patched.add_bag([v]);
+        let singleton = td.add_bag([v]);
         if let Some(anchor) = isolated_anchor {
-            patched.add_tree_edge(anchor, singleton);
+            td.add_tree_edge(anchor, singleton);
         }
         isolated_anchor = isolated_anchor.or(Some(singleton));
-        home.insert(v, singleton);
+        settle(&mut home, v, singleton);
         report.bags_added += 1;
     }
 
     // Insurance: a repair either proves itself against the new graph or
     // refuses — it never hands back a broken decomposition.
-    patched.validate(graph)?;
-    report.bags_touched = touched.len();
-    report.width_after = patched.width();
-    Ok((patched, report))
+    td.validate(graph)?;
+    report.width_after = td.width();
+    Ok((td, report))
 }
+
+/// No bag (yet): an unset entry of a vertex's home or of a search's
+/// parents.
+const NO_BAG: usize = usize::MAX;
 
 /// The bags on the tree path from `from` (inclusive) to the nearest bag
 /// containing `target` (exclusive). BFS over the bag tree.
@@ -203,14 +222,15 @@ fn path_to_vertex(td: &TreeDecomposition, from: BagId, target: VertexId) -> Vec<
     if td.bag(from).contains(&target) {
         return Vec::new();
     }
-    let mut parent: HashMap<BagId, BagId> = HashMap::new();
+    // parent[b]: the bag the search reached `b` from (`from` for itself).
+    let mut parent = vec![NO_BAG; td.bag_count()];
+    parent[from.0] = from.0;
     let mut queue = VecDeque::from([from]);
-    let mut seen: BTreeSet<BagId> = BTreeSet::from([from]);
     let mut found = None;
     'bfs: while let Some(b) = queue.pop_front() {
         for n in td.tree_neighbors(b) {
-            if seen.insert(n) {
-                parent.insert(n, b);
+            if parent[n.0] == NO_BAG {
+                parent[n.0] = b.0;
                 if td.bag(n).contains(&target) {
                     found = Some(n);
                     break 'bfs;
@@ -226,10 +246,10 @@ fn path_to_vertex(td: &TreeDecomposition, from: BagId, target: VertexId) -> Vec<
     };
     // Walk back from the found bag to `from`, excluding the found bag.
     let mut path = Vec::new();
-    let mut current = found;
-    while let Some(&p) = parent.get(&current) {
-        path.push(p);
-        current = p;
+    let mut current = found.0;
+    while current != from.0 {
+        current = parent[current];
+        path.push(BagId(current));
     }
     path
 }
@@ -270,7 +290,7 @@ mod tests {
         let td = decompose(&g);
         let clique = vec![VertexId(5), VertexId(6)];
         let new_graph = grow(&g, &clique);
-        let (patched, report) = repair_decomposition(&td, &new_graph, &[clique], 8).unwrap();
+        let (patched, report) = repair_decomposition(td, &new_graph, &[clique], 8).unwrap();
         assert!(patched.validate(&new_graph).is_ok());
         assert_eq!(report.bags_added, 1);
         assert_eq!(report.bags_touched, 0);
@@ -286,7 +306,7 @@ mod tests {
         let clique = vec![VertexId(0), VertexId(5)];
         let new_graph = grow(&g, &clique);
         let (patched, report) =
-            repair_decomposition(&td, &new_graph, &[clique], 8).expect("repair fits budget");
+            repair_decomposition(td, &new_graph, &[clique], 8).expect("repair fits budget");
         assert!(patched.validate(&new_graph).is_ok());
         assert!(report.bags_touched > 0);
         assert!(report.width_after >= 2);
@@ -299,7 +319,7 @@ mod tests {
         let clique = vec![VertexId(0), VertexId(5)];
         let new_graph = grow(&g, &clique);
         assert!(matches!(
-            repair_decomposition(&td, &new_graph, &[clique], 2),
+            repair_decomposition(td, &new_graph, &[clique], 2),
             Err(RepairError::BudgetExceeded { .. })
         ));
     }
@@ -310,7 +330,7 @@ mod tests {
         let td = decompose(&g);
         let clique = vec![VertexId(4), VertexId(5)];
         let new_graph = grow(&g, &clique);
-        let (patched, report) = repair_decomposition(&td, &new_graph, &[clique], 8).unwrap();
+        let (patched, report) = repair_decomposition(td, &new_graph, &[clique], 8).unwrap();
         assert!(patched.validate(&new_graph).is_ok());
         assert_eq!(report.bags_added, 1);
     }
@@ -321,7 +341,7 @@ mod tests {
         let td = decompose(&g);
         let mut new_graph = g.clone();
         new_graph.add_vertex();
-        let (patched, report) = repair_decomposition(&td, &new_graph, &[], 8).unwrap();
+        let (patched, report) = repair_decomposition(td, &new_graph, &[], 8).unwrap();
         assert!(patched.validate(&new_graph).is_ok());
         assert_eq!(report.bags_added, 1);
     }
@@ -331,7 +351,7 @@ mod tests {
         let g = path_graph(5);
         let td = decompose(&g);
         let (patched, report) =
-            repair_decomposition(&td, &g, &[vec![VertexId(1), VertexId(2)]], 8).unwrap();
+            repair_decomposition(td.clone(), &g, &[vec![VertexId(1), VertexId(2)]], 8).unwrap();
         assert_eq!(report.bags_added, 0);
         assert_eq!(report.bags_touched, 0);
         assert_eq!(patched.bag_count(), td.bag_count());
@@ -345,7 +365,7 @@ mod tests {
         new_graph.ensure_vertices(2);
         new_graph.add_edge(VertexId(0), VertexId(1));
         let (patched, report) =
-            repair_decomposition(&td, &new_graph, &[vec![VertexId(0), VertexId(1)]], 8).unwrap();
+            repair_decomposition(td, &new_graph, &[vec![VertexId(0), VertexId(1)]], 8).unwrap();
         assert!(patched.validate(&new_graph).is_ok());
         assert_eq!(report.bags_added, 1);
     }
@@ -367,7 +387,7 @@ mod tests {
                 let b = rng.next_below(graph.vertex_count() + 2);
                 let clique = vec![VertexId(a), VertexId(b)];
                 let new_graph = grow(&graph, &clique);
-                match repair_decomposition(&td, &new_graph, &[clique], 12) {
+                match repair_decomposition(td, &new_graph, &[clique], 12) {
                     Ok((patched, report)) => {
                         assert!(patched.validate(&new_graph).is_ok());
                         assert!(report.width_after < 12);

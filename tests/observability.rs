@@ -149,6 +149,24 @@ fn reports_carry_trace_ids_and_stage_breakdowns() {
     assert!(goal.stage_timings.get("route").is_some(), "{goal:?}");
 }
 
+/// The circuit-graph decomposition is built inside `compile-lineage`: the
+/// `weights` stage after it only borrows the TID's weight table.
+#[test]
+fn a_cold_goal_times_its_circuit_decomposition_under_compile_lineage() {
+    let tid = workloads::path_tid(5_000, 0.5, 13);
+    let cold = Engine::new().evaluate(&tid, &circuit_query()).unwrap();
+    let stage = |name| {
+        cold.stage_timings
+            .get(name)
+            .unwrap_or_else(|| panic!("no {name:?} stage: {:?}", cold.stage_timings))
+    };
+    let (compile, weights) = (stage("compile-lineage"), stage("weights"));
+    assert!(
+        weights * 10 < compile,
+        "weights {weights:?} is not under a tenth of compile-lineage {compile:?}"
+    );
+}
+
 #[test]
 fn cache_counters_move_with_the_caches() {
     let hits_before = counter("stuc_cache_lineage_hits_total");
