@@ -452,14 +452,18 @@ pub fn restrict_to_reach(
     query: &ConjunctiveQuery,
 ) -> Result<(Vec<FactId>, TreeDecomposition), CourcelleError> {
     let compiled = compile_query(query, instance)?;
-    Ok(restrict(instance, decomposition, &compiled))
+    let (facts, _, projected) = restrict(instance, decomposition, &compiled);
+    Ok((facts, projected))
 }
 
+/// [`restrict_to_reach`]'s facts and projection, with the kept facts'
+/// constants between them (sorted and distinct): the only vertices the
+/// projection's bags hold.
 fn restrict(
     instance: &Instance,
     decomposition: &TreeDecomposition,
     compiled: &CompiledQuery,
-) -> (Vec<FactId>, TreeDecomposition) {
+) -> (Vec<FactId>, Vec<VertexId>, TreeDecomposition) {
     let facts = reachable_facts(instance, compiled);
     let mut kept: Vec<VertexId> = facts
         .iter()
@@ -468,31 +472,34 @@ fn restrict(
     kept.sort_unstable();
     kept.dedup();
     let projected = decomposition.project(&kept);
-    (facts, projected)
+    (facts, kept, projected)
 }
 
 /// Anchors each of `facts` at a nice-decomposition node whose bag contains
 /// all its constants: the first such node bottom-up among those holding the
 /// fact's rarest constant. Nullary facts are anchored at the root. The
 /// facts anchored at each node keep their order in `facts`.
+///
+/// `kept` lists (sorted and distinct) every constant in `nice`'s bags and
+/// in `facts`; constants are grouped by their rank in it, so the cost
+/// follows the reach, not the spread of constant ids in the instance.
 fn anchor_facts(
     instance: &Instance,
     facts: &[FactId],
+    kept: &[VertexId],
     nice: &NiceDecomposition,
 ) -> Result<Groups<FactId>, CourcelleError> {
-    // The nodes holding each constant, bottom-up, grouped over the
-    // constants' (dense) range from the smallest.
-    let entries = || {
-        nice.iter_bottom_up()
-            .flat_map(|(i, node)| node.bag.iter().map(move |v| (v.index(), i)))
-    };
-    let (low, high) = entries().fold((usize::MAX, 0), |(low, high), (c, _)| {
-        (low.min(c), high.max(c + 1))
+    let rank = |v: VertexId| kept.binary_search(&v).ok();
+    // The nodes holding each constant, bottom-up, grouped by its rank.
+    let holders = Groups::by_key(kept.len(), || {
+        nice.iter_bottom_up().flat_map(|(i, node)| {
+            node.bag.iter().map(move |&v| {
+                let k = rank(v).expect("the reach's bags hold only kept constants");
+                (k, i)
+            })
+        })
     });
-    let holders = Groups::by_key(high.saturating_sub(low), || {
-        entries().map(|(c, node)| (c - low, node))
-    });
-    let nodes_holding = |c: usize| c.checked_sub(low).map_or(&[][..], |k| holders.get(k));
+    let nodes_holding = |c: usize| rank(VertexId(c)).map_or(&[][..], |k| holders.get(k));
     let mut anchors: Vec<usize> = Vec::with_capacity(facts.len());
     let mut constants: Vec<usize> = Vec::new();
     for &fid in facts {
@@ -563,9 +570,9 @@ pub fn cq_lineage_circuit(
     fact_variable: impl Fn(FactId) -> VarId,
 ) -> Result<Circuit, CourcelleError> {
     let compiled = compile_query(query, instance)?;
-    let (facts, projected) = restrict(instance, decomposition, &compiled);
+    let (facts, kept, projected) = restrict(instance, decomposition, &compiled);
     let nice = NiceDecomposition::from_decomposition(&projected);
-    let anchored = anchor_facts(instance, &facts, &nice)?;
+    let anchored = anchor_facts(instance, &facts, &kept, &nice)?;
     let stride = compiled.stride();
 
     let mut circuit = Circuit::new();

@@ -740,11 +740,43 @@ fn warm_repeats_skip_the_sweep() {
 /// In debug builds only the 1k agreement runs.
 #[test]
 fn cold_anchored_goals_are_flat_in_n() {
-    const GOALS: usize = 120;
+    assert_cold_anchored_goals_flat(|n| workloads::path_tid(n, 0.5, 13));
+}
+
+/// The same bar when each goal's reach spans the instance's constant ids:
+/// every goal's anchor `c{k}` also starts a three-fact spur through
+/// constants interned after the whole path, so the reach holds both low
+/// and high ids. Work sized by the spread of ids (not by the reach) grows
+/// with the instance here.
+#[test]
+fn cold_anchored_goals_spanning_the_id_range_are_flat_in_n() {
+    assert_cold_anchored_goals_flat(|n| {
+        let mut tid = workloads::path_tid(n, 0.5, 13);
+        for k in 0..COLD_GOALS + 2 {
+            let spur = [
+                format!("c{k}"),
+                format!("d{k}"),
+                format!("e{k}"),
+                format!("f{k}"),
+            ];
+            for hop in spur.windows(2) {
+                tid.add_fact_named("R", &[&hop[0], &hop[1]], 0.5);
+            }
+        }
+        tid
+    });
+}
+
+const COLD_GOALS: usize = 120;
+
+/// Times `COLD_GOALS` unseen goals `R("c{k}", x), R(x, y), R(y, z)` on
+/// `instance(1_000)` and `instance(50_000)` alternately, each on a warm
+/// engine, and asserts the medians are under 3x apart.
+fn assert_cold_anchored_goals_flat(instance: impl Fn(usize) -> stuc_data::tid::TidInstance) {
     let goal =
         |k: usize| ConjunctiveQuery::parse(&format!("R(\"c{k}\", x), R(x, y), R(y, z)")).unwrap();
     let warm_engine = |n: usize| {
-        let tid = workloads::path_tid(n, 0.5, 13);
+        let tid = instance(n);
         let engine = Engine::new();
         engine.evaluate(&tid, &goal(0)).unwrap(); // caches the decomposition
         (tid, engine)
@@ -767,7 +799,7 @@ fn cold_anchored_goals_are_flat_in_n() {
     }
     let large = warm_engine(50_000);
     let (mut small_times, mut large_times) = (Vec::new(), Vec::new());
-    for k in 2..2 + GOALS {
+    for k in 2..2 + COLD_GOALS {
         small_times.push(cold_goal(&small, k).0);
         large_times.push(cold_goal(&large, k).0);
     }

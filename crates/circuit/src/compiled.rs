@@ -232,6 +232,13 @@ impl CompiledCircuit {
         &self.source
     }
 
+    /// The prepared form of the source circuit (duplicate inputs merged,
+    /// wide gates binarised): the circuit whose graph is decomposed and
+    /// swept.
+    pub fn prepared(&self) -> &Circuit {
+        &self.prepared
+    }
+
     /// Width of the tree decomposition of the prepared circuit graph — the
     /// quantity the engine's Auto policy compares against its width budget.
     pub fn width(&self) -> usize {

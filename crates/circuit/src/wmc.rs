@@ -101,11 +101,12 @@ pub fn circuit_graph(circuit: &Circuit) -> Graph {
     g
 }
 
-/// The decomposition of a prepared circuit's circuit graph, in the flat
-/// form [`crate::compiled::CompiledCircuit`] keeps. The graph is never
-/// built: the sorted neighbour lists come from one pass over the gates'
-/// inputs ([`prepare`] leaves fan-in at most 2, so each gate adds at most
-/// a triangle), and the elimination core rewrites them in place while it
+/// The decomposition of a prepared circuit's circuit graph
+/// ([`crate::compiled::CompiledCircuit::prepared`]), in the flat form the
+/// compiled circuit keeps. The graph is never built: the sorted neighbour
+/// lists come from one pass over the gates' inputs (preparing leaves
+/// fan-in at most 2, so each gate adds at most a triangle), and the
+/// elimination core rewrites them in place while it
 /// writes the bags. Heuristics other than min-degree take their ordering
 /// from [`circuit_graph`] first.
 pub fn circuit_decomposition(
@@ -140,7 +141,7 @@ pub fn circuit_decomposition(
 /// Normalises a circuit for message passing: merges duplicate input gates
 /// reading the same variable (they must carry the same value and their
 /// weight must be counted exactly once) and binarises wide gates.
-pub fn prepare(circuit: &Circuit) -> Circuit {
+pub(crate) fn prepare(circuit: &Circuit) -> Circuit {
     let mut deduped = Circuit::new();
     let mut input_of_var: BTreeMap<VarId, GateId> = BTreeMap::new();
     let mut map: Vec<GateId> = Vec::with_capacity(circuit.len());

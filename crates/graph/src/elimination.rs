@@ -511,6 +511,22 @@ pub fn decompose_with_order(g: &Graph, order: &EliminationOrder) -> TreeDecompos
     td
 }
 
+/// The width that an elimination ordering yields on `g` (max neighbourhood
+/// size at elimination time), without materialising the decomposition.
+pub fn order_width(g: &Graph, order: &EliminationOrder) -> usize {
+    let n = g.vertex_count();
+    let mut adjacency: Vec<BTreeSet<usize>> = (0..n)
+        .map(|v| g.neighbors(VertexId(v)).map(|u| u.0).collect())
+        .collect();
+    let mut alive = vec![true; n];
+    let mut width = 0;
+    for &v in &order.0 {
+        width = width.max(adjacency[v.0].len());
+        eliminate(&mut adjacency, &mut alive, v.0);
+    }
+    width
+}
+
 /// Computes a tree decomposition of `g` with the given greedy heuristic.
 ///
 /// This is the main entry point used by the rest of STUC: it feeds `g`
@@ -620,6 +636,18 @@ mod tests {
         assert!(td.validate(&g).is_ok());
         assert_eq!(td.width(), 0);
         assert_eq!(td.bag_count(), 1);
+    }
+
+    #[test]
+    fn order_width_matches_decomposition_width() {
+        let g = generators::partial_k_tree(30, 3, 0.3, 42);
+        for h in EliminationHeuristic::ALL {
+            let order = elimination_order(&g, h);
+            let w = order_width(&g, &order);
+            let td = decompose_with_order(&g, &order);
+            assert_eq!(td.width(), w, "{h:?}");
+            assert!(td.validate(&g).is_ok());
+        }
     }
 
     #[test]

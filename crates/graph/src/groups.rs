@@ -18,16 +18,16 @@ impl<T: Copy> Groups<T> {
         I: Iterator<Item = (usize, T)>,
     {
         let mut starts = vec![0usize; key_count + 1];
-        for (k, _) in pairs() {
+        let mut first = None;
+        for (k, value) in pairs() {
             starts[k + 1] += 1;
+            first.get_or_insert(value);
         }
         for k in 0..key_count {
             starts[k + 1] += starts[k];
         }
-        let mut values = match pairs().next() {
-            Some((_, first)) => vec![first; starts[key_count]],
-            None => Vec::new(),
-        };
+        // Every slot is overwritten below; `first` only fills them.
+        let mut values = first.map_or_else(Vec::new, |first| vec![first; starts[key_count]]);
         let mut next = starts.clone();
         for (k, value) in pairs() {
             values[next[k]] = value;
