@@ -15,7 +15,6 @@ use stuc_circuit::compiled::CompiledCircuit;
 use stuc_circuit::dpll::DpllError;
 use stuc_core::engine::{Engine, EvalBudget, StucError};
 use stuc_core::workloads;
-use stuc_graph::decomposition::BagId;
 use stuc_graph::elimination::EliminationHeuristic;
 use stuc_graph::generators;
 use stuc_graph::graph::VertexId;
@@ -236,6 +235,24 @@ fn batch_evaluation_is_at_least_3x_faster_than_sequential_on_4_cores() {
     );
 }
 
+/// Best-of-`runs` wall times of `f` without and with a treatment,
+/// alternating run by run so that drift on the host lands on both sides
+/// alike: `treat(true)` before each treated run, `treat(false)` after it.
+fn timed_alternately<R>(
+    runs: usize,
+    mut treat: impl FnMut(bool),
+    mut f: impl FnMut() -> R,
+) -> (Duration, Duration) {
+    let (mut plain, mut treated) = (Duration::MAX, Duration::MAX);
+    for _ in 0..runs {
+        plain = plain.min(timed(1, &mut f));
+        treat(true);
+        treated = treated.min(timed(1, &mut f));
+        treat(false);
+    }
+    (plain, treated)
+}
+
 /// The observability layer must be close to free. Two bars on the warm a2
 /// sweep (cached lineage, pure counting — a goal long enough that a 5%
 /// ratio measures the tracer rather than timer noise; swept through
@@ -274,10 +291,7 @@ fn observability_overhead_stays_within_the_bars() {
     }
 
     let loop_once = || (0..64).map(|_| sweep()).sum::<f64>();
-    let baseline = timed(10, loop_once);
-    trace::set_enabled(true);
-    let traced = timed(10, loop_once);
-    trace::set_enabled(false);
+    let (baseline, traced) = timed_alternately(10, trace::set_enabled, loop_once);
     trace::clear_events();
     let ratio = traced.as_secs_f64() / baseline.as_secs_f64().max(f64::MIN_POSITIVE);
     assert!(
@@ -305,7 +319,8 @@ fn observability_overhead_stays_within_the_bars() {
 ///
 /// * with the profiler **enabled** (span-stack shadow maintained) and a
 ///   live sampler thread reading it at the default 99 Hz, the evaluate
-///   loop stays within 5% of the profiler-disabled baseline;
+///   loop stays within 5% of the profiler-disabled baseline (the sampler
+///   thread runs through the baseline runs too);
 /// * the answers are bit-identical either way — sampling only *reads*.
 #[test]
 fn profiler_overhead_stays_within_the_bar() {
@@ -334,12 +349,13 @@ fn profiler_overhead_stays_within_the_bar() {
     }
 
     let loop_once = || (0..64).map(|_| sweep()).sum::<f64>();
-    let baseline = timed(10, loop_once);
-    profile::set_enabled(true);
+    // One sampler runs through every run, so starting its thread lands on
+    // neither side; only the profiled runs maintain the span-stack shadow
+    // it reads. Stopping it restores the disabled state.
     let sampler = profile::Sampler::start(profile::default_hz());
-    let profiled = timed(10, loop_once);
-    let report = sampler.stop();
     profile::set_enabled(false);
+    let (baseline, profiled) = timed_alternately(10, profile::set_enabled, loop_once);
+    let report = sampler.stop();
     let ratio = profiled.as_secs_f64() / baseline.as_secs_f64().max(f64::MIN_POSITIVE);
     assert!(
         ratio <= 1.05,
@@ -459,11 +475,9 @@ fn validation_scales_linearly_from_5k_to_50k_bags() {
     let path = |bags: usize| {
         let graph = generators::path(bags + 1);
         let mut td = TreeDecomposition::new();
+        let mut previous = None;
         for i in 0..bags {
-            let bag = td.add_bag([VertexId(i), VertexId(i + 1)]);
-            if i > 0 {
-                td.add_tree_edge(BagId(i - 1), bag);
-            }
+            previous = Some(td.add_bag(previous, [VertexId(i), VertexId(i + 1)]));
         }
         (graph, td)
     };

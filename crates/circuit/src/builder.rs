@@ -2,31 +2,7 @@
 //! and benchmarks.
 
 use crate::circuit::{Circuit, GateId, VarId};
-
-/// A tiny deterministic SplitMix64 generator (kept local so the crate has no
-/// dependency on `rand`; benchmark workloads must be reproducible).
-#[derive(Debug, Clone)]
-struct SplitMix64 {
-    state: u64,
-}
-
-impl SplitMix64 {
-    fn new(seed: u64) -> Self {
-        SplitMix64 { state: seed }
-    }
-
-    fn next_u64(&mut self) -> u64 {
-        self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    fn next_below(&mut self, bound: usize) -> usize {
-        (self.next_u64() % bound.max(1) as u64) as usize
-    }
-}
+use stuc_graph::generators::SplitMix64;
 
 /// The conjunction `x0 AND x1 AND … AND x(n-1)` as a single AND gate.
 pub fn conjunction(n: usize) -> Circuit {

@@ -14,8 +14,8 @@
 //! decomposition of its circuit graph and the sweep plan built over it.
 //! The decomposition is built with no intermediate form: the neighbour
 //! lists come from one pass over the prepared gates, the elimination
-//! writes the bags into the flat arena the circuit keeps, and the nice
-//! form is built from that arena while the plan is. Re-evaluating under a
+//! writes the bags into the decomposition the circuit keeps, and the nice
+//! form is built from it while the plan is. Re-evaluating under a
 //! new [`Weights`] table is a single message-passing sweep — no
 //! decomposition, no circuit construction, no binarisation.
 //!
@@ -31,7 +31,7 @@ use crate::weights::Weights;
 use crate::wmc::{self, message_passing, WmcError, WmcReport};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::{Arc, Mutex, OnceLock};
-use stuc_graph::decomposition::FlatDecomposition;
+use stuc_graph::decomposition::TreeDecomposition;
 use stuc_graph::elimination::EliminationHeuristic;
 use stuc_graph::nice::NiceDecomposition;
 use stuc_obs::metrics::{registry, Counter};
@@ -140,18 +140,18 @@ impl Clone for CompiledCircuit {
 }
 
 /// The lazily-built decomposition state of a [`CompiledCircuit`]: the
-/// circuit-graph decomposition in the flat form the elimination wrote it
+/// circuit-graph decomposition as the elimination wrote it
 /// ([`wmc::circuit_decomposition`]), with its width. Its nice form is
-/// built straight from that arena while a sweep plan is built (and by the
+/// built straight from it while a sweep plan is built (and by the
 /// reference sweep), and the plan keeps what the sweep needs of it.
 #[derive(Debug, Clone)]
 struct CompiledStructure {
     width: usize,
-    decomposition: FlatDecomposition,
+    decomposition: TreeDecomposition,
 }
 
 impl CompiledStructure {
-    fn new(decomposition: FlatDecomposition) -> CompiledStructure {
+    fn new(decomposition: TreeDecomposition) -> CompiledStructure {
         CompiledStructure {
             width: decomposition.width(),
             decomposition,
@@ -163,7 +163,7 @@ impl CompiledStructure {
     }
 
     fn nice(&self) -> NiceDecomposition {
-        NiceDecomposition::from_flat(&self.decomposition)
+        NiceDecomposition::from_decomposition(&self.decomposition)
     }
 }
 

@@ -1351,7 +1351,7 @@ mod tests {
         let out = *inputs.last().unwrap();
         circuit.set_output(out);
         let mut td = TreeDecomposition::new();
-        td.add_bag((0..n).map(VertexId));
+        td.add_bag(None, (0..n).map(VertexId));
         let nice = NiceDecomposition::from_decomposition(&td);
         assert!(matches!(
             SweepPlan::build(&circuit, &nice, out.index()),

@@ -29,7 +29,7 @@
 use crate::circuit::{Circuit, CircuitError, Gate, GateId, VarId};
 use crate::weights::Weights;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
-use stuc_graph::decomposition::FlatDecomposition;
+use stuc_graph::decomposition::TreeDecomposition;
 use stuc_graph::elimination::{decompose_adjacency, elimination_order, EliminationHeuristic};
 use stuc_graph::graph::{Graph, VertexId};
 use stuc_graph::nice::{NiceDecomposition, NiceNodeKind};
@@ -102,8 +102,8 @@ pub fn circuit_graph(circuit: &Circuit) -> Graph {
 }
 
 /// The decomposition of a prepared circuit's circuit graph
-/// ([`crate::compiled::CompiledCircuit::prepared`]), in the flat form the
-/// compiled circuit keeps. The graph is never built: the sorted neighbour
+/// ([`crate::compiled::CompiledCircuit::prepared`]), as the compiled
+/// circuit keeps it. The graph is never built: the sorted neighbour
 /// lists come from one pass over the gates' inputs (preparing leaves
 /// fan-in at most 2, so each gate adds at most a triangle), and the
 /// elimination core rewrites them in place while it
@@ -112,7 +112,7 @@ pub fn circuit_graph(circuit: &Circuit) -> Graph {
 pub fn circuit_decomposition(
     prepared: &Circuit,
     heuristic: EliminationHeuristic,
-) -> FlatDecomposition {
+) -> TreeDecomposition {
     let vertex = |g: GateId| u32::try_from(g.0).expect("a circuit has fewer than 2^32 gates");
     let mut adjacency: Vec<Vec<u32>> = vec![Vec::new(); prepared.len()];
     let mut clique = Vec::with_capacity(3);

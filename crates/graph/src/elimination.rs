@@ -19,7 +19,7 @@
 //! inputs the paper targets; an ablation benchmark (`a1_decomposition_heuristics`)
 //! compares them.
 
-use crate::decomposition::{BagId, FlatDecomposition, TreeDecomposition, NO_PARENT};
+use crate::decomposition::{entry_index, TreeDecomposition, NO_PARENT};
 use crate::graph::{Graph, VertexId};
 use std::collections::BTreeSet;
 
@@ -95,7 +95,8 @@ fn adjacency_of(g: &Graph) -> Vec<Vec<u32>> {
         .collect()
 }
 
-/// A vertex in the `u32` form adjacency lists and flat bags store.
+/// A vertex, or an elimination position, in the `u32` form adjacency
+/// lists and bag links store.
 fn vertex_u32(v: usize) -> u32 {
     u32::try_from(v).expect("a graph has fewer than 2^32 vertices")
 }
@@ -191,7 +192,7 @@ fn run_elimination(
 
 /// The decomposition of the graph with sorted, deduplicated neighbour
 /// lists `adjacency`, in one elimination — in `order` when one is given,
-/// by the min-degree rule otherwise — written straight into flat form.
+/// by the min-degree rule otherwise — written straight into the arena.
 /// Each vertex's bag is itself plus its neighbourhood when eliminated,
 /// bags are numbered in elimination order, and each bag links to the bag
 /// of its neighbour eliminated first; the trees of a disconnected graph
@@ -202,19 +203,20 @@ fn run_elimination(
 pub fn decompose_adjacency(
     adjacency: Vec<Vec<u32>>,
     order: Option<&EliminationOrder>,
-) -> FlatDecomposition {
+) -> TreeDecomposition {
     // Infallible site: an armed Error action is ignored, Panic/Sleep apply.
     stuc_fault::failpoint!("graph-decompose");
     let n = adjacency.len();
-    let mut bounds = Vec::with_capacity(n + 1);
-    bounds.push(0u32);
-    let mut vertices: Vec<u32> = Vec::with_capacity(2 * n);
+    let mut spans = Vec::with_capacity(n);
+    let mut vertices: Vec<VertexId> = Vec::with_capacity(2 * n);
+    let as_vertex = |&u: &u32| VertexId(u as usize);
     let eliminated = run_elimination(adjacency, order, |v, neighbours| {
+        let start = entry_index(vertices.len());
         let at = neighbours.partition_point(|&u| u < v);
-        vertices.extend_from_slice(&neighbours[..at]);
-        vertices.push(v);
-        vertices.extend_from_slice(&neighbours[at..]);
-        bounds.push(u32::try_from(vertices.len()).expect("fewer than 2^32 bag entries"));
+        vertices.extend(neighbours[..at].iter().map(as_vertex));
+        vertices.push(VertexId(v as usize));
+        vertices.extend(neighbours[at..].iter().map(as_vertex));
+        spans.push((start, entry_index(vertices.len())));
     });
     let mut position = vec![0u32; n];
     for (i, &v) in eliminated.iter().enumerate() {
@@ -222,17 +224,19 @@ pub fn decompose_adjacency(
     }
     // Every neighbour at elimination time is eliminated later, so the
     // link goes to the one with the smallest position.
-    let links: Vec<u32> = (0..n)
-        .map(|i| {
-            let bag = &vertices[bounds[i] as usize..bounds[i + 1] as usize];
-            bag.iter()
-                .map(|&u| position[u as usize])
+    let links: Vec<u32> = spans
+        .iter()
+        .enumerate()
+        .map(|(i, &(start, end))| {
+            vertices[start as usize..end as usize]
+                .iter()
+                .map(|u| position[u.0])
                 .filter(|&p| p as usize != i)
                 .min()
                 .unwrap_or(NO_PARENT)
         })
         .collect();
-    FlatDecomposition::from_elimination(bounds, vertices, links)
+    TreeDecomposition::from_elimination(spans, vertices, links)
 }
 
 /// Vertex count above which min-fill falls back to the reference BTreeSet
@@ -449,7 +453,11 @@ fn eliminate(adjacency: &mut [BTreeSet<usize>], alive: &mut [bool], v: usize) {
 /// Builds a tree decomposition of `g` from an elimination ordering.
 ///
 /// The resulting decomposition is always valid; its width is the width of the
-/// ordering (which is ≥ the treewidth of `g`).
+/// ordering (which is ≥ the treewidth of `g`). This is the reference the one
+/// elimination core ([`decompose_adjacency`]) is checked against: it
+/// simulates the elimination over `BTreeSet` neighbourhoods and links each
+/// bag to its earliest-eliminated neighbour's, and shares only the linking
+/// of the resulting forest's trees and its rooting.
 pub fn decompose_with_order(g: &Graph, order: &EliminationOrder) -> TreeDecomposition {
     let n = g.vertex_count();
     assert_eq!(
@@ -457,9 +465,6 @@ pub fn decompose_with_order(g: &Graph, order: &EliminationOrder) -> TreeDecompos
         n,
         "ordering must cover every vertex exactly once"
     );
-    if n == 0 {
-        return TreeDecomposition::new();
-    }
 
     // position[v] = index of v in the elimination order.
     let mut position = vec![usize::MAX; n];
@@ -473,42 +478,20 @@ pub fn decompose_with_order(g: &Graph, order: &EliminationOrder) -> TreeDecompos
         .map(|v| g.neighbors(VertexId(v)).map(|u| u.0).collect())
         .collect();
     let mut alive = vec![true; n];
-    let mut bag_of_vertex: Vec<BTreeSet<usize>> = vec![BTreeSet::new(); n];
+    let (mut spans, mut vertices, mut links) = (Vec::new(), Vec::new(), Vec::new());
     for &v in &order.0 {
-        bag_of_vertex[v.0] = adjacency[v.0].clone();
+        let mut content = adjacency[v.0].clone();
         eliminate(&mut adjacency, &mut alive, v.0);
+        // The bag links to the bag of the earliest-eliminated vertex among
+        // its strictly later neighbours (the standard clique-tree wiring).
+        let later = content.iter().map(|&u| position[u]).min();
+        links.push(later.map_or(NO_PARENT, vertex_u32));
+        content.insert(v.0);
+        let start = entry_index(vertices.len());
+        vertices.extend(content.into_iter().map(VertexId));
+        spans.push((start, entry_index(vertices.len())));
     }
-
-    let mut td = TreeDecomposition::new();
-    let mut bag_id_of_vertex: Vec<BagId> = Vec::with_capacity(n);
-    for &v in &order.0 {
-        let mut content: BTreeSet<VertexId> =
-            bag_of_vertex[v.0].iter().map(|&u| VertexId(u)).collect();
-        content.insert(v);
-        let id = td.add_bag(content);
-        bag_id_of_vertex.push(id);
-    }
-    // bag_index_by_vertex[v] = the bag created when v was eliminated.
-    let mut bag_index_by_vertex = vec![BagId(0); n];
-    for (i, &v) in order.0.iter().enumerate() {
-        bag_index_by_vertex[v.0] = bag_id_of_vertex[i];
-    }
-
-    // Each bag connects to the bag of the earliest-eliminated vertex among its
-    // strictly-later neighbours (the standard clique-tree wiring).
-    for &v in &order.0 {
-        let later: Option<usize> = bag_of_vertex[v.0]
-            .iter()
-            .copied()
-            .filter(|&u| position[u] > position[v.0])
-            .min_by_key(|&u| position[u]);
-        if let Some(u) = later {
-            td.add_tree_edge(bag_index_by_vertex[v.0], bag_index_by_vertex[u]);
-        }
-    }
-    // Disconnected graphs produce a forest of clique trees; link them.
-    td.connect_components();
-    td
+    TreeDecomposition::from_elimination(spans, vertices, links)
 }
 
 /// The width that an elimination ordering yields on `g` (max neighbourhood
@@ -535,7 +518,7 @@ pub fn order_width(g: &Graph, order: &EliminationOrder) -> usize {
 pub fn decompose_with_heuristic(g: &Graph, heuristic: EliminationHeuristic) -> TreeDecomposition {
     let order =
         (heuristic != EliminationHeuristic::MinDegree).then(|| elimination_order(g, heuristic));
-    decompose_adjacency(adjacency_of(g), order.as_ref()).to_tree_decomposition()
+    decompose_adjacency(adjacency_of(g), order.as_ref())
 }
 
 /// Runs every heuristic and returns the decomposition of smallest width.
@@ -551,7 +534,6 @@ pub fn decompose_best_effort(g: &Graph) -> TreeDecomposition {
 mod tests {
     use super::*;
     use crate::generators;
-    use crate::nice::NiceDecomposition;
 
     #[test]
     fn path_has_width_one() {
@@ -695,7 +677,7 @@ mod tests {
 
     /// The one elimination core gives the oracle composition
     /// `decompose_with_order(g, elimination_order(g, h))` for every
-    /// heuristic, bag for bag and tree edge for tree edge.
+    /// heuristic, bag for bag and parent for parent.
     #[test]
     fn fused_min_degree_decomposition_equals_the_two_pass_oracle() {
         let mut graphs = vec![
@@ -729,18 +711,6 @@ mod tests {
                 assert_eq!(fused, oracle, "graph {i}, {h:?}");
                 assert!(fused.validate(g).is_ok(), "graph {i}, {h:?}");
             }
-            // The flat form is the same decomposition, and its nice form
-            // is the one built from the oracle, node for node.
-            let flat = decompose_adjacency(adjacency_of(g), None);
-            let oracle =
-                decompose_with_order(g, &elimination_order(g, EliminationHeuristic::MinDegree));
-            assert_eq!(flat.to_tree_decomposition(), oracle, "graph {i}");
-            assert_eq!(flat.width(), oracle.width(), "graph {i}");
-            assert_eq!(
-                NiceDecomposition::from_flat(&flat),
-                NiceDecomposition::from_decomposition(&oracle),
-                "graph {i}"
-            );
         }
     }
 

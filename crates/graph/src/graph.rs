@@ -2,9 +2,9 @@
 //!
 //! STUC only ever needs *Gaifman graphs* (co-occurrence graphs of database
 //! facts or circuit gates), so the representation is deliberately minimal:
-//! vertices are dense `usize` handles, edges are stored both in a global set
-//! (for counting and iteration) and as per-vertex sorted adjacency vectors
-//! (for fast neighbourhood queries during elimination).
+//! vertices are dense `usize` handles, and each vertex keeps its neighbours
+//! in a sorted set (`BTreeSet`), beside a count of the edges. Iterating the
+//! edges walks each vertex's larger neighbours.
 
 use std::collections::BTreeSet;
 use std::fmt;

@@ -51,7 +51,7 @@ pub mod groups;
 pub mod nice;
 pub mod repair;
 
-pub use decomposition::{FlatDecomposition, TreeDecomposition};
+pub use decomposition::TreeDecomposition;
 pub use elimination::{decompose_with_heuristic, EliminationHeuristic};
 pub use graph::{Graph, VertexId};
 pub use nice::NiceDecomposition;

@@ -13,9 +13,8 @@
 //! in `stuc-circuit` and the automaton run in `stuc-automata` both consume
 //! this form.
 
-use crate::decomposition::{BagId, FlatDecomposition, TreeDecomposition};
+use crate::decomposition::{BagId, TreeDecomposition};
 use crate::graph::VertexId;
-use crate::groups::Groups;
 
 /// The kind of a node in a [`NiceDecomposition`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -118,57 +117,25 @@ impl NiceDecomposition {
         self.kinds.len() - 1
     }
 
-    /// Converts a tree decomposition into nice form, rooted at bag 0.
+    /// Converts a tree decomposition into nice form, rooted at bag 0 like
+    /// the decomposition, with each bag's children taken in increasing
+    /// order.
     ///
     /// The result has the same width. If `td` is empty, the result is a
     /// single leaf node so that dynamic programs always have a root to read.
     pub fn from_decomposition(td: &TreeDecomposition) -> Self {
-        let parents = if td.bag_count() == 0 {
-            Vec::new()
-        } else {
-            td.root_at(BagId(0))
-        };
-        Self::build(
-            td.bag_count(),
-            |b| parents[b].map(BagId::index),
-            |b, out| out.extend_from_slice(td.bag(BagId(b))),
-        )
-    }
-
-    /// Converts a flat decomposition into nice form, exactly as
-    /// [`NiceDecomposition::from_decomposition`] converts the same
-    /// decomposition held as a [`TreeDecomposition`].
-    pub fn from_flat(flat: &FlatDecomposition) -> Self {
-        Self::build(
-            flat.bag_count(),
-            |b| flat.parent(b),
-            |b, out| out.extend(flat.bag(b).iter().map(|&v| VertexId(v as usize))),
-        )
-    }
-
-    /// The nice builder: the decomposition with `bag_count` bags, rooted at
-    /// bag 0 with `parent(b)` the parent of bag `b`, and whose bag `b`
-    /// `fill_bag(b, out)` appends (sorted) to `out`. Children are taken in
-    /// increasing bag order.
-    fn build(
-        bag_count: usize,
-        parent: impl Fn(usize) -> Option<usize>,
-        fill_bag: impl Fn(usize, &mut Vec<VertexId>),
-    ) -> Self {
         let mut nice = NiceDecomposition::default();
+        let bag_count = td.bag_count();
         if bag_count == 0 {
             nice.root = nice.push(NiceNodeKind::Leaf, &[]);
             return nice;
         }
-
-        let children = Groups::by_key(bag_count, || {
-            (0..bag_count).filter_map(|b| parent(b).map(|p| (p, b)))
-        });
+        let children = td.children();
 
         // top[b] = index of the nice node whose bag equals bag(b) and which
         // summarises the whole subtree rooted at b.
         let mut top: Vec<usize> = vec![usize::MAX; bag_count];
-        let (mut bag, mut scratch, mut branch_tops) = (Vec::new(), Vec::new(), Vec::new());
+        let (mut scratch, mut branch_tops) = (Vec::new(), Vec::new());
         // Post-order over bags (children before parents), iteratively so
         // path-shaped decompositions do not exhaust the stack.
         let mut stack = vec![(0usize, false)];
@@ -178,14 +145,13 @@ impl NiceDecomposition {
                 stack.extend(children.get(b).iter().map(|&c| (c, false)));
                 continue;
             }
-            bag.clear();
-            fill_bag(b, &mut bag);
+            let bag = td.bag(BagId(b));
             let kids = children.get(b);
             top[b] = if kids.is_empty() {
                 // Leaf bag: introduce its vertices one by one above an empty leaf.
                 let leaf = nice.push(NiceNodeKind::Leaf, &[]);
                 scratch.clear();
-                nice.introduce_chain(leaf, &mut scratch, &bag)
+                nice.introduce_chain(leaf, &mut scratch, bag)
             } else {
                 // One branch per child: forget the child-only vertices then
                 // introduce the parent-only vertices; then join the branches.
@@ -193,9 +159,9 @@ impl NiceDecomposition {
                 for &child in kids {
                     debug_assert!(top[child] != usize::MAX, "children processed first");
                     scratch.clear();
-                    fill_bag(child, &mut scratch);
-                    let after_forget = nice.forget_chain(top[child], &mut scratch, &bag);
-                    let branch = nice.introduce_chain(after_forget, &mut scratch, &bag);
+                    scratch.extend_from_slice(td.bag(BagId(child)));
+                    let after_forget = nice.forget_chain(top[child], &mut scratch, bag);
+                    let branch = nice.introduce_chain(after_forget, &mut scratch, bag);
                     branch_tops.push(branch);
                 }
                 // Fold the branches with binary joins.
@@ -206,7 +172,7 @@ impl NiceDecomposition {
                             left: acc,
                             right: other,
                         },
-                        &bag,
+                        bag,
                     );
                 }
                 acc
@@ -406,7 +372,7 @@ mod tests {
 
     #[test]
     fn ten_thousand_bag_path_decomposition_converts_iteratively() {
-        // Regression guard for the traversal code (`root_at`, `post_order`,
+        // Regression guard for the traversal code (the post-order walk and
         // the builder chains): a maximally deep 10k-bag path decomposition
         // must convert without recursing on tree depth. Built by hand so the
         // bag tree is guaranteed to be one long path regardless of what the
@@ -415,11 +381,7 @@ mod tests {
         let mut td = TreeDecomposition::new();
         let mut previous = None;
         for i in 0..n {
-            let bag = td.add_bag([VertexId(i), VertexId(i + 1)]);
-            if let Some(p) = previous {
-                td.add_tree_edge(p, bag);
-            }
-            previous = Some(bag);
+            previous = Some(td.add_bag(previous, [VertexId(i), VertexId(i + 1)]));
         }
         let nd = NiceDecomposition::from_decomposition(&td);
         assert!(nd.check_consistency().is_ok());

@@ -28,7 +28,6 @@
 
 use crate::decomposition::{BagId, DecompositionError, TreeDecomposition};
 use crate::graph::{Graph, VertexId};
-use std::collections::VecDeque;
 
 stuc_errors::stuc_error! {
     /// Why an incremental decomposition repair refused.
@@ -156,7 +155,7 @@ pub fn repair_decomposition(
                 if td.bag(anchor).contains(&u) {
                     continue;
                 }
-                for on_path in path_to_vertex(&td, anchor, u) {
+                for on_path in path_to_vertex(&td, anchor, u, BagId(home[u.0])) {
                     if td.add_to_bag(on_path, u) {
                         let size = td.bag(on_path).len();
                         if size > max_bag_size {
@@ -179,11 +178,8 @@ pub fn repair_decomposition(
             // bag is needed.
             continue;
         }
-        let leaf = td.add_bag(clique.iter().copied());
+        let leaf = td.add_bag(anchor, clique.iter().copied());
         touched.push(false);
-        if let Some(anchor) = anchor {
-            td.add_tree_edge(anchor, leaf);
-        }
         for &v in &clique {
             settle(&mut home, v, leaf);
         }
@@ -196,15 +192,15 @@ pub fn repair_decomposition(
         if home[v.0] != NO_BAG {
             continue;
         }
-        let singleton = td.add_bag([v]);
-        if let Some(anchor) = isolated_anchor {
-            td.add_tree_edge(anchor, singleton);
-        }
+        let singleton = td.add_bag(isolated_anchor, [v]);
         isolated_anchor = isolated_anchor.or(Some(singleton));
         settle(&mut home, v, singleton);
         report.bags_added += 1;
     }
 
+    if report.bags_touched > 0 {
+        td.compact();
+    }
     // Insurance: a repair either proves itself against the new graph or
     // refuses — it never hands back a broken decomposition.
     td.validate(graph)?;
@@ -212,45 +208,35 @@ pub fn repair_decomposition(
     Ok((td, report))
 }
 
-/// No bag (yet): an unset entry of a vertex's home or of a search's
-/// parents.
+/// No bag (yet): an unset entry of a vertex's home.
 const NO_BAG: usize = usize::MAX;
 
 /// The bags on the tree path from `from` (inclusive) to the nearest bag
-/// containing `target` (exclusive). BFS over the bag tree.
-fn path_to_vertex(td: &TreeDecomposition, from: BagId, target: VertexId) -> Vec<BagId> {
-    if td.bag(from).contains(&target) {
-        return Vec::new();
+/// containing `target` (exclusive), nearest to that bag first. `toward`
+/// holds `target`; tree paths are unique, so the path runs up from `from`
+/// to the lowest common ancestor, then down to `toward`, and stops at its
+/// first bag holding `target` (the bags holding it form a subtree).
+fn path_to_vertex(
+    td: &TreeDecomposition,
+    from: BagId,
+    target: VertexId,
+    toward: BagId,
+) -> Vec<BagId> {
+    let climb = |b: BagId| std::iter::successors(Some(b), |&b| td.parent(b)).collect::<Vec<_>>();
+    // Both climbs end at bag 0: drop what they share above the lowest
+    // common ancestor, which then ends both.
+    let (mut up, mut down) = (climb(from), climb(toward));
+    while up.len() > 1 && down.len() > 1 && up[up.len() - 2] == down[down.len() - 2] {
+        up.pop();
+        down.pop();
     }
-    // parent[b]: the bag the search reached `b` from (`from` for itself).
-    let mut parent = vec![NO_BAG; td.bag_count()];
-    parent[from.0] = from.0;
-    let mut queue = VecDeque::from([from]);
-    let mut found = None;
-    'bfs: while let Some(b) = queue.pop_front() {
-        for n in td.tree_neighbors(b) {
-            if parent[n.0] == NO_BAG {
-                parent[n.0] = b.0;
-                if td.bag(n).contains(&target) {
-                    found = Some(n);
-                    break 'bfs;
-                }
-                queue.push_back(n);
-            }
-        }
-    }
-    let Some(found) = found else {
-        // The target occurs somewhere (callers guarantee it), but not in
-        // this tree component; the validation pass will catch the mismatch.
-        return Vec::new();
-    };
-    // Walk back from the found bag to `from`, excluding the found bag.
-    let mut path = Vec::new();
-    let mut current = found.0;
-    while current != from.0 {
-        current = parent[current];
-        path.push(BagId(current));
-    }
+    down.pop();
+    let mut path: Vec<BagId> = up
+        .into_iter()
+        .chain(down.into_iter().rev())
+        .take_while(|&b| td.bag(b).binary_search(&target).is_err())
+        .collect();
+    path.reverse();
     path
 }
 

@@ -20,8 +20,10 @@ use stuc::core::workloads;
 use stuc::data::tid::TidInstance;
 use stuc::graph::elimination::{decompose_with_heuristic, EliminationHeuristic};
 use stuc::graph::generators;
-use stuc::graph::graph::Graph;
+use stuc::graph::graph::{Graph, VertexId};
 use stuc::graph::nice::{NiceDecomposition, NiceNodeKind};
+use stuc::graph::TreeDecomposition;
+use stuc::incr::Delta;
 use stuc::query::cq::ConjunctiveQuery;
 
 /// FNV-1a over a stream of words.
@@ -309,4 +311,91 @@ fn nice_decompositions_match_the_recorded_digests() {
 fn pair_goal_on_a_thousand_fact_path_matches_the_recorded_digest() {
     let digest = pipeline_digest(&workloads::path_tid(1000, 0.5, 7), GOALS[0]);
     assert_eq!(digest, 0x5a1d6c2790b1269c, "digest {digest:#018x}");
+}
+
+/// A decomposition's bags in order, each followed by its parent under the
+/// rooting at bag 0 (`u64::MAX` for the root).
+fn decomposition_digest(td: &TreeDecomposition) -> u64 {
+    let mut digest = Digest::new();
+    digest.word(td.bag_count() as u64);
+    for b in td.bag_ids() {
+        digest.word(td.bag(b).len() as u64);
+        for v in td.bag(b) {
+            digest.word(v.0 as u64);
+        }
+        digest.word(td.parent(b).map_or(u64::MAX, |p| p.0 as u64));
+    }
+    digest.0
+}
+
+/// The structure decomposition the engine holds after it warmed one for
+/// `tid` and then applied each of `inserts` (one `R` fact a write),
+/// repairing it in place every time.
+fn repaired_digest(mut tid: TidInstance, inserts: &[[String; 2]]) -> u64 {
+    let engine = Engine::new();
+    engine.decomposition_for(&tid);
+    for [a, b] in inserts {
+        let delta = Delta::new().insert("R", &[a, b], 0.5);
+        let report = engine
+            .apply_update(&mut tid, &delta)
+            .expect("insert applies");
+        assert!(!report.fell_back, "R({a}, {b}) was repaired, not rebuilt");
+        assert!(report.bags_touched > 0, "R({a}, {b}) grew or added a bag");
+    }
+    let (decomposition, cached) = engine.decomposition_for(&tid);
+    assert!(cached, "the writes left the repaired decomposition cached");
+    decomposition_digest(&decomposition)
+}
+
+/// The first two pairs of `tid`'s constants `c0, c1, ...` that share no bag
+/// of its decomposition: inserting either makes repair pull a vertex along
+/// a tree path.
+fn scattered_pairs(tid: &TidInstance) -> Vec<[String; 2]> {
+    let (decomposition, _) = Engine::new().decomposition_for(tid);
+    let vertex = |i: usize| {
+        let c = tid
+            .instance()
+            .find_constant(&format!("c{i}"))
+            .expect("constant");
+        VertexId(c.0)
+    };
+    let n = tid.instance().constant_count();
+    (0..n)
+        .flat_map(|i| (i + 1..n).map(move |j| (i, j)))
+        .filter(|&(i, j)| {
+            decomposition
+                .find_bag_containing(&[vertex(i), vertex(j)])
+                .is_none()
+        })
+        .take(2)
+        .map(|(i, j)| [format!("c{i}"), format!("c{j}")])
+        .collect()
+}
+
+/// What incremental repair returns is pinned, bag for bag and parent for
+/// parent: a path extended at its end (leaf bags), a star grown at its hub
+/// (leaf bags under the hub's) and a partial 2-tree given edges between
+/// constants that share no bag (path augmentation). Recorded before the
+/// decomposition became one rooted arena.
+#[test]
+fn repaired_decompositions_match_the_recorded_digests() {
+    let extension: Vec<[String; 2]> = (240..246)
+        .map(|i| [format!("c{i}"), format!("c{}", i + 1)])
+        .collect();
+    let hub: Vec<[String; 2]> = (0..6)
+        .map(|i| ["c0".to_string(), format!("hub{i}")])
+        .collect();
+    let two_tree = workloads::partial_k_tree_tid(60, 2, 0.6, 5);
+    let scattered = scattered_pairs(&two_tree);
+    assert_eq!(scattered.len(), 2, "the partial 2-tree has scattered pairs");
+    let observed = [
+        repaired_digest(workloads::path_tid(240, 0.5, 13), &extension),
+        repaired_digest(star_tid(5), &hub),
+        repaired_digest(two_tree, &scattered),
+    ];
+    assert_eq!(
+        observed,
+        [0x5c2be5e166acadb3, 0xec8281483b20cf86, 0xdd7ec0ac818ed147],
+        "digests {observed:#018x?}, scattered pairs {scattered:?}"
+    );
 }
