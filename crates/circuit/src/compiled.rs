@@ -103,12 +103,15 @@ pub struct CompiledCircuit {
     output_gate: usize,
     variables: BTreeSet<VarId>,
     heuristic: EliminationHeuristic,
-    /// The decomposition of the circuit graph, built on first use: callers
-    /// that never run the treewidth back-end (a pinned DPLL engine, say)
-    /// skip its cost entirely, and once built it is reused by every
-    /// subsequent run.
-    structure: OnceLock<CompiledStructure>,
-    /// The flattened sweep plan over `structure`'s decomposition
+    /// The decomposition of the circuit graph as the elimination wrote it
+    /// ([`wmc::circuit_decomposition`]), built on first use: callers that
+    /// never run the treewidth back-end (a pinned DPLL engine, say) skip
+    /// its cost entirely, and once built it is reused by every subsequent
+    /// run. Its nice form is built straight from it while a sweep plan is
+    /// built (and by the reference sweep), and the plan keeps what the
+    /// sweep needs of it.
+    structure: OnceLock<TreeDecomposition>,
+    /// The flattened sweep plan over the `structure` decomposition
     /// ([`SweepPlan`]), built on first counting run (or by the engine
     /// inside the write that rebuilt the circuit). Only a built plan is
     /// stored: a circuit too wide to plan leaves the cell empty and every
@@ -136,34 +139,6 @@ impl Clone for CompiledCircuit {
             // arena and warms it on its first run.
             arena: Mutex::new(SweepArena::new()),
         }
-    }
-}
-
-/// The lazily-built decomposition state of a [`CompiledCircuit`]: the
-/// circuit-graph decomposition as the elimination wrote it
-/// ([`wmc::circuit_decomposition`]), with its width. Its nice form is
-/// built straight from it while a sweep plan is built (and by the
-/// reference sweep), and the plan keeps what the sweep needs of it.
-#[derive(Debug, Clone)]
-struct CompiledStructure {
-    width: usize,
-    decomposition: TreeDecomposition,
-}
-
-impl CompiledStructure {
-    fn new(decomposition: TreeDecomposition) -> CompiledStructure {
-        CompiledStructure {
-            width: decomposition.width(),
-            decomposition,
-        }
-    }
-
-    fn bag_count(&self) -> usize {
-        self.decomposition.bag_count()
-    }
-
-    fn nice(&self) -> NiceDecomposition {
-        NiceDecomposition::from_decomposition(&self.decomposition)
     }
 }
 
@@ -196,10 +171,9 @@ impl CompiledCircuit {
         })
     }
 
-    fn structure(&self) -> &CompiledStructure {
-        self.structure.get_or_init(|| {
-            CompiledStructure::new(wmc::circuit_decomposition(&self.prepared, self.heuristic))
-        })
+    fn structure(&self) -> &TreeDecomposition {
+        self.structure
+            .get_or_init(|| wmc::circuit_decomposition(&self.prepared, self.heuristic))
     }
 
     /// The compiled sweep plan over the circuit-graph decomposition, built
@@ -216,7 +190,11 @@ impl CompiledCircuit {
             return Ok(plan);
         }
         self.ensure_width(MAX_PLANNED_BAG)?;
-        let plan = SweepPlan::build(&self.prepared, &self.structure().nice(), self.output_gate)?;
+        let plan = SweepPlan::build(
+            &self.prepared,
+            &NiceDecomposition::from_decomposition(self.structure()),
+            self.output_gate,
+        )?;
         Ok(self.plan.get_or_init(|| Arc::new(plan)))
     }
 
@@ -242,7 +220,7 @@ impl CompiledCircuit {
     /// Width of the tree decomposition of the prepared circuit graph — the
     /// quantity the engine's Auto policy compares against its width budget.
     pub fn width(&self) -> usize {
-        self.structure().width
+        self.structure().width()
     }
 
     /// Number of bags in the (non-nice) decomposition of the circuit graph.
@@ -370,7 +348,7 @@ impl CompiledCircuit {
     /// and the posterior inference in `stuc-infer` — shares.
     pub fn ensure_width(&self, max_bag_size: usize) -> Result<(), WmcError> {
         let limit = max_bag_size.min(MAX_PLANNED_BAG);
-        let width = self.structure().width;
+        let width = self.width();
         if width + 1 > limit {
             return Err(WmcError::WidthTooLarge { width, limit });
         }
@@ -419,7 +397,7 @@ impl CompiledCircuit {
         sweep_metrics().observe(plan.len(), table_allocations);
         let report = WmcReport {
             probability: 0.0,
-            width: structure.width,
+            width: structure.width(),
             bag_count: structure.bag_count(),
             nice_node_count: plan.len(),
             table_allocations,
@@ -442,10 +420,10 @@ impl CompiledCircuit {
             weights.weight(v, true)?;
         }
         let structure = self.structure();
-        let nice = structure.nice();
+        let nice = NiceDecomposition::from_decomposition(structure);
         Ok(WmcReport {
             probability: message_passing(&self.prepared, weights, &nice, self.output_gate)?,
-            width: structure.width,
+            width: structure.width(),
             bag_count: structure.bag_count(),
             nice_node_count: nice.len(),
             table_allocations: nice.len(),

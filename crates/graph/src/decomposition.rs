@@ -71,8 +71,9 @@ pub struct TreeDecomposition {
     /// `parent[b]`: the parent of bag `b`, [`NO_PARENT`] for bag 0.
     parent: Vec<u32>,
     /// The largest bag's size: bags are only ever added or grown, so it is
-    /// kept up to date instead of scanned for (a cold goal reads the width
-    /// of the instance's whole decomposition).
+    /// kept up to date instead of scanned for. A cold goal reads the width
+    /// of the instance's whole decomposition, and a scan over 50k bags
+    /// alone would break the flatness of cold anchored goals in `n`.
     max_bag_size: usize,
     /// What [`TreeDecomposition::project`] looks up, built on first use and
     /// dropped by every change to the bags or the tree.
@@ -273,13 +274,22 @@ impl TreeDecomposition {
     /// pcc joint graph shifts its gate vertices when constants are
     /// inserted): an injective remap preserves validity verbatim.
     ///
+    /// `map` must be injective on the vertices the bags hold: the bags are
+    /// only re-sorted, not deduplicated.
+    ///
     /// # Panics
     ///
-    /// Panics if a bag contains a vertex outside `map`.
+    /// Panics if a bag contains a vertex outside `map`; in debug builds,
+    /// also if `map` sends two vertices of one bag to the same vertex.
     pub fn remap_vertices(&self, map: &[VertexId]) -> TreeDecomposition {
         let mut vertices: Vec<VertexId> = self.vertices.iter().map(|v| map[v.0]).collect();
         for &(start, end) in &self.spans {
-            vertices[start as usize..end as usize].sort_unstable();
+            let bag = &mut vertices[start as usize..end as usize];
+            bag.sort_unstable();
+            debug_assert!(
+                bag.windows(2).all(|w| w[0] < w[1]),
+                "remap_vertices needs an injective map"
+            );
         }
         TreeDecomposition {
             spans: self.spans.clone(),
